@@ -125,8 +125,9 @@ class Search:
         self.assigned = set()
         self.anc = ancestor_bits(net)
         self.pruned_mass = [0.0] * self.nt
-        # deepest level at which forking into a new job still makes sense
-        self.fork_limit = len(vartable.vars)
+        # deepest level at which forking into a new job still makes sense:
+        # one level per variable that is not certain
+        self.fork_limit = sum(1 for _n, p in vartable.vars if p not in (0.0, 1.0))
 
     # --- setup ----------------------------------------------------------------
 
@@ -136,7 +137,6 @@ class Search:
             if p == 0.0 or p == 1.0:
                 self.assigned.add(name)
                 self.state.assign(name, p == 1.0, 1.0)
-                self.fork_limit -= 1
 
     def check_targets_reachable(self):
         for name in self.net.var_nodes:

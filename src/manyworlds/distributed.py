@@ -2,31 +2,34 @@
 
 A job owns the subtree rooted at a branch prefix.  While exploring, a job
 forks a child job whenever a descent would cross a depth that is a multiple
-of the job depth ``d``; the child replays the prefix to rebuild its root mask
-and commits its probability-bound deltas and unused error budgets when done.
-Commits are serialized and idempotent per job id, so re-running a failed job
-is safe.
+of the job depth ``d``; the child restores the fork-time masks, which the
+forking job copied into it, and commits its probability-bound deltas and
+unused error budgets when done.  Commits are serialized and idempotent per
+job id, so re-running a failed job is safe.
 
 Two schedulers:
 
   * ``workers == 1`` runs every forked job immediately, in place, on the one
     mask state.  This preserves the sequential budget flow exactly, so the
     run visits precisely the branches sequential compilation visits.
-  * ``workers > 1`` uses a FIFO queue and a thread per worker.  Each job gets
-    its base budget share at fork time; residuals committed by finished jobs
-    go to a shared pool that newly started jobs drain.  This may explore a
-    little more than the sequential run but never violates the epsilon
-    contract, because budget mass is conserved.
+  * ``workers > 1`` uses a FIFO queue and a thread per worker.  Each worker
+    owns one mask state and loads each job's fork-time masks into it, so a
+    job's mask writes do not depend on scheduling.  Each job gets its base
+    budget share at fork time; residuals committed by finished jobs go to a
+    shared pool that newly started jobs drain.  This may explore a little
+    more than the sequential run but never violates the epsilon contract,
+    because budget mass is conserved.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import queue
 import threading
 
 from .compile import CompileResult, ConfigError, Search, TargetBounds, finish_result
-from .network import Stats
+from .network import MaskState, Stats
 
 
 def max_job_count(m, d):
@@ -52,7 +55,6 @@ class _Ledger:
         self.committed = set()
         self.log = []
         self.stats = Stats()
-        self.jobs_created = 0
 
     def seed(self, lower, upper):
         self.lower = list(lower)
@@ -143,6 +145,7 @@ def _run_synchronous(net, vt, epsilon, scheme, d, fault_hook):
     stats.jobs += 1  # the root job
     if not search.all_resolved():
         search.run()
+    search.forker = None  # the forker refers to the search: break the cycle
     log.insert(0, {"job": "root", "prefix": [], "lower_delta": [],
                    "upper_delta": []})
     return finish_result(search), log
@@ -153,7 +156,7 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
     ledger = _Ledger(nt, epsilon)
 
     # Count the variable-independent decisions (initial masks plus certain
-    # variables) exactly once, on a probe state.
+    # variables) exactly once, on a probe state; the root job resumes from it.
     probe_stats = Stats()
     probe = Search(net, vt, epsilon, scheme, stats=probe_stats)
     probe.preassign_certain()
@@ -166,50 +169,48 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
 
     work = queue.Queue()
     outstanding = [1]
-    done = threading.Event()
     failures = []
     retries = {}
     lock = threading.Lock()
 
-    root = {"id": "root", "prefix": (), "base": [2.0 * epsilon] * nt, "depth": 0}
-    ledger.jobs_created = 1
+    root = {"id": "root", "prefix": (), "pr": 1.0, "base": [2.0 * epsilon] * nt,
+            "depth": 0, "assigned": frozenset(probe.assigned),
+            "masks": probe.state.save_masks()}
     ledger.stats.jobs = 1
     work.put(root)
 
     def finish_one():
         with lock:
             outstanding[0] -= 1
-            if outstanding[0] == 0:
-                done.set()
+            last = outstanding[0] == 0
+        if last:  # no job is running or queued: wake every worker to exit
+            for _ in range(workers):
+                work.put(None)
 
-    def spawn(prefix, pr, E, depth):
-        job = {"id": _job_id(prefix), "prefix": prefix, "base": list(E),
-               "depth": depth}
+    def spawn(state, assigned, prefix, pr, E, depth):
+        # the child resumes from the forking job's masks, taken before the
+        # child's own variable is assigned
+        job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
+               "base": list(E), "depth": depth, "assigned": frozenset(assigned),
+               "masks": state.save_masks()}
         with lock:
             outstanding[0] += 1
         with ledger.lock:
-            ledger.jobs_created += 1
             ledger.stats.jobs += 1
         work.put(job)
         return None  # asynchronous: residual comes back through the pool
 
-    def execute(job):
+    def execute(job, state):
         if fault_hook is not None:
             fault_hook(job["id"])
         stats = Stats()
-        search = Search(net, vt, epsilon, scheme, stats=stats,
-                        forker=spawn, job_depth=d)
-        state = search.state
-        state.suppress_bounds = True
-        search.preassign_certain()
-        pr = 1.0
-        prefix = job["prefix"]
-        for name, value in prefix[:-1]:
-            pr *= vt.p_true(name) if value else 1.0 - vt.p_true(name)
-            search.assigned.add(name)
-            state.assign(name, value, pr)
-            stats.replays += 1
-        state.suppress_bounds = False
+        search = Search(net, vt, epsilon, scheme, state=state, stats=stats,
+                        job_depth=d)
+        search.assigned = set(job["assigned"])
+        # no reference back to the search: a cycle would keep every job's
+        # search alive until the next full garbage collection
+        search.forker = functools.partial(spawn, state, search.assigned)
+        state.load_masks(job["masks"])
         snap_lo, snap_up = ledger.snapshot()
         state.problower[:] = snap_lo
         state.probupper[:] = snap_up
@@ -217,34 +218,31 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
         if epsilon > 0.0:
             extra = ledger.drain_pool()
             budgets = [b + e for b, e in zip(budgets, extra)]
-        if prefix:
-            name, value = prefix[-1]
-            pr *= vt.p_true(name) if value else 1.0 - vt.p_true(name)
-            search.assigned.add(name)
-            residual = search._dfs((name, value), prefix, pr, list(budgets),
-                                   job["depth"])
-        else:
-            residual = search._dfs(None, (), 1.0, list(budgets), 0)
+        prefix = job["prefix"]
+        pending = prefix[-1] if prefix else None
+        residual = search._dfs(pending, prefix, job["pr"], list(budgets),
+                               job["depth"])
         lo_delta = [a - b for a, b in zip(state.problower, snap_lo)]
         up_delta = [a - b for a, b in zip(state.probupper, snap_up)]
         ledger.commit(job["id"], prefix, lo_delta, up_delta, residual, stats)
 
     def worker_loop():
-        while not done.is_set():
+        state = MaskState(net)  # reused by every job this worker runs
+        while True:
+            job = work.get()
+            if job is None:
+                return
             try:
-                job = work.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            try:
-                if job["id"] in ledger.committed:
-                    finish_one()
-                    continue
-                execute(job)
+                if job["id"] not in ledger.committed:
+                    execute(job, state)
                 finish_one()
             except Exception as exc:  # re-queue: commits are idempotent
-                n = retries.get(job["id"], 0)
-                if n < max_retries:
-                    retries[job["id"]] = n + 1
+                with lock:
+                    n = retries.get(job["id"], 0)
+                    retry = n < max_retries
+                    if retry:
+                        retries[job["id"]] = n + 1
+                if retry:
                     work.put(job)
                 else:
                     failures.append((job["id"], exc))
@@ -254,7 +252,6 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
                for _ in range(workers)]
     for t in threads:
         t.start()
-    done.wait()
     for t in threads:
         t.join()
     if failures:

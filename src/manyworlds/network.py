@@ -9,6 +9,21 @@ value is still possible).  Assigning a random variable propagates masks
 bottom-up; every mask write is recorded on an undo trail so the depth-first
 search can backtrack in O(changes).
 
+Propagation is levelized.  Each (node, iteration) instance has a flat slot
+index: ``t*N + id`` for in-loop nodes and ``id`` for iteration-independent
+(base) nodes.  That index is topological, because every edge runs from a
+smaller slot to a larger one:
+
+  * node ids run children-before-parents, so ``same`` edges rise;
+  * ``bcast`` edges go from a base node to an in-loop parent at any ``t``,
+    whose slot is at least its id; ``next`` edges go to ``t+1``;
+  * ``zero`` edges go from a base initial declaration to a carry node,
+    which is created after it.
+
+An assignment therefore drains dirty instances from a min-heap of slot
+indices.  Each instance is recomputed once, after all of its changed
+children, and is written at most once per assignment.
+
 Networks come in two modes.  *Unfolded* networks instantiate every loop
 iteration as distinct nodes.  *Folded* networks keep one node set for the
 loop body plus carry-over nodes that feed iteration ``t`` the masks computed
@@ -21,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from heapq import heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
@@ -72,7 +88,6 @@ class EventNetwork:
         self.node_of_eid = {}
         self.var_nodes = {}  # var name -> node id
         self.targets = []  # list of (node_id, t, eid)
-        self.loop_nodes = []
 
     # --- construction -----------------------------------------------------
 
@@ -312,11 +327,6 @@ def _build_folded(folded: FoldedProgram):
 
     for pos, (_name, _indices, expr) in enumerate(folded.body):
         body_nodes[pos] = b.build_expr(expr, True, resolve_body)
-        node = net.nodes[body_nodes[pos]]
-        if not node.in_loop:
-            # A body declaration whose expression only touches base nodes is
-            # still per-iteration by virtue of its defining position.
-            pass
 
     for pos, nid in carry.items():
         src = body_nodes[pos]
@@ -420,7 +430,6 @@ class MaskState:
         self.nmask = [None] * size
         self.trail = []
         self.stats = stats or Stats()
-        self.suppress_bounds = False
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
         self.unknown_bits = 0
@@ -444,16 +453,6 @@ class MaskState:
 
     def _num_of(self, nid, t):
         return self.nmask[self._idx(nid, t)]
-
-    def fully_masked(self, nid, t):
-        node = self.net.nodes[nid]
-        idx = self._idx(nid, t)
-        if node.vkind == "b":
-            return self.bmask[idx] != UNKNOWN
-        nm = self.nmask[idx]
-        if nm is None:
-            return False
-        return (not nm.may_def) or (not nm.may_undef and nm.lo == nm.hi)
 
     def target_mask(self, i):
         nid, t, _ = self.net.targets[i]
@@ -497,6 +496,17 @@ class MaskState:
                 self.nmask[idx] = old
             self._sync_bit(idx)
 
+    def save_masks(self):
+        """Copies of the masks, for a job that resumes from this point."""
+        return list(self.bmask), list(self.nmask), self.unknown_bits
+
+    def load_masks(self, saved):
+        """Resume from what ``save_masks`` returned, with an empty trail."""
+        bmask, nmask, self.unknown_bits = saved
+        self.bmask[:] = bmask
+        self.nmask[:] = nmask
+        self.trail.clear()
+
     def _sync_bit(self, idx):
         nid = idx % self.N
         node = self.net.nodes[nid]
@@ -515,18 +525,59 @@ class MaskState:
     # --- assignment & propagation ----------------------------------------------
 
     def assign(self, var_name, value, p):
+        """Assign a variable, then bring every instance above it up to date.
+
+        Dirty instances are drained from a min-heap keyed by slot index.  The
+        slot index is topological (see the module docstring), so an instance
+        is popped only after every changed child below it, and is recomputed
+        once per assignment.  Its parents are queued only if its mask changed.
+        """
         nid = self.net.var_nodes.get(var_name)
         if nid is None:
             return  # variable unused by the network
-        idx = self._idx(nid, 0)
-        if self.bmask[idx] != UNKNOWN:
+        if self.bmask[nid] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
-        self._write_bool(idx, MASK_TRUE if value else MASK_FALSE, nid, 0, p)
-        self._propagate_parents(nid, 0, p)
+        self._write_bool(nid, MASK_TRUE if value else MASK_FALSE, nid, 0, p)
+        nodes, N, bmask, nmask = self.net.nodes, self.N, self.bmask, self.nmask
+        heap = []
+        self._enqueue_parents(heap, nodes[nid], 0)
+        last = -1
+        while heap:
+            idx = heappop(heap)
+            if idx == last:
+                continue  # queued by more than one changed child
+            last = idx
+            t, nid = divmod(idx, N)
+            node = nodes[nid]
+            if node.vkind == "b":
+                if bmask[idx] != UNKNOWN:
+                    continue
+                new = self._compute_bool(node, t)
+                if new == UNKNOWN:
+                    continue
+                self._write_bool(idx, new, nid, t, p)
+            else:
+                old = nmask[idx]
+                if old is not None and ((not old.may_def) or
+                                        (not old.may_undef and old.lo == old.hi)):
+                    continue
+                new = self._compute_num(node, t)
+                if new == old:
+                    continue
+                self._write_num(idx, new, p)
+            self._enqueue_parents(heap, node, t)
 
-    def propagate_mask(self, nid, t, p):
-        """Recompute one node's mask and cascade any refinement upward."""
-        self._refresh(nid, t, p)
+    def _enqueue_parents(self, heap, node, t):
+        N = self.N
+        for pid, tag in node.parents:
+            if tag == "bcast":
+                for pt in range(self.T):
+                    heappush(heap, pt * N + pid)
+            elif tag == "next":
+                if t + 1 < self.T:
+                    heappush(heap, (t + 1) * N + pid)
+            else:  # 'same' or 'zero': same t, which is 0 below a base node
+                heappush(heap, t * N + pid)
 
     def _write_bool(self, idx, value, nid, t, p):
         old = self.bmask[idx]
@@ -534,7 +585,7 @@ class MaskState:
         self.bmask[idx] = value
         self.unknown_bits &= ~(1 << idx)
         self.stats.propagations += 1
-        if value != UNKNOWN and not self.suppress_bounds:
+        if value != UNKNOWN:
             for ti in self.target_at.get(idx, ()):
                 if value == MASK_TRUE:
                     self.problower[ti] += p
@@ -547,43 +598,6 @@ class MaskState:
         self.nmask[idx] = value
         self._sync_bit(idx)
         self.stats.propagations += 1
-
-    def _refresh(self, nid, t, p):
-        node = self.net.nodes[nid]
-        idx = self._idx(nid, t)
-        if node.vkind == "b":
-            old = self.bmask[idx]
-            if old != UNKNOWN:
-                return
-            new = self._compute_bool(node, t)
-            if new == UNKNOWN:
-                return
-            self._write_bool(idx, new, nid, t, p)
-        else:
-            old = self.nmask[idx]
-            if old is not None and ((not old.may_def) or
-                                    (not old.may_undef and old.lo == old.hi)):
-                return
-            new = self._compute_num(node, t)
-            if new == old:
-                return
-            self._write_num(idx, new, p)
-        self._propagate_parents(nid, t, p)
-
-    def _propagate_parents(self, nid, t, p):
-        node = self.net.nodes[nid]
-        for pid, tag in node.parents:
-            if tag == "same":
-                pt = t if self.net.nodes[pid].in_loop else 0
-                self._refresh(pid, pt, p)
-            elif tag == "bcast":
-                for pt in range(self.T):
-                    self._refresh(pid, pt, p)
-            elif tag == "next":
-                if t + 1 < self.T:
-                    self._refresh(pid, t + 1, p)
-            else:  # 'zero'
-                self._refresh(pid, 0, p)
 
     # --- mask computation --------------------------------------------------------
 

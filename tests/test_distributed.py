@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from manyworlds.compile import ConfigError, compile_targets
@@ -160,3 +163,55 @@ def test_scheme_restriction():
         run_distributed(net, vt, 0.1, "lazy", workers=2, job_depth=2)
     with pytest.raises(ConfigError):
         run_distributed(net, vt, 0.0, "exact", workers=0, job_depth=2)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pool_does_no_extra_work(workers):
+    # jobs resume from the masks copied at fork time: nothing is replayed,
+    # and the pool writes exactly the masks the one-worker run writes
+    net, vt, g = _clustering_net()
+    one = run_distributed(net, vt, 0.0, "exact", workers=1, job_depth=2)
+    d = run_distributed(net, vt, 0.0, "exact", workers=workers, job_depth=2)
+    assert d.stats.jobs > 1
+    assert d.stats.replays == 0
+    assert d.stats.propagations == one.stats.propagations
+    assert d.stats.branches == one.stats.branches
+
+
+def test_pool_stress_with_fast_thread_switches():
+    # more workers than cores, a thread switch every microsecond, and every
+    # job failing once: each job is retried once, the run still matches the
+    # sequential one, and every worker wakes up and exits
+    net, vt, g = _clustering_net()
+    seq = compile_targets(net, vt, 0.0, "exact")
+    failed = set()
+    failed_lock = threading.Lock()
+
+    def hook(job_id):
+        with failed_lock:
+            first = job_id not in failed
+            failed.add(job_id)
+        if first:
+            raise RuntimeError("injected failure")
+
+    out = {}
+
+    def run():
+        out["result"] = run_distributed(net, vt, 0.0, "exact", workers=8,
+                                        job_depth=2, fault_hook=hook,
+                                        max_retries=1)
+
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(before)
+    assert not runner.is_alive()
+    d = out["result"]
+    assert len(failed) == d.stats.jobs > 1
+    for a, b in zip(seq.targets, d.targets):
+        assert abs(a.lower - b.lower) < 1e-9
+        assert abs(a.upper - b.upper) < 1e-9

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from manyworlds.events import (
 from manyworlds.eventprog import (
     EventProgram, decl, ground, ground_folded, parse_event_program,
 )
+from manyworlds.compile import Search
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import (
     MASK_FALSE, MASK_TRUE, UNKNOWN, MaskState, NetworkError, build_network,
@@ -226,3 +228,28 @@ def test_masks_equal_detects_convergence(line_dataset):
     # with every variable assigned the clustering is a fixpoint by the final
     # iterations for this geometry
     assert st_.masks_equal_at(1, 2)
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
+    line_dataset.params.iterations = 3
+    prog, meta = build_kmedoids_program(line_dataset)
+    vs = set(line_dataset.vartable.index)
+    g = (ground_folded if folded else ground)(prog, (meta["targets"],), vs)
+    net = build_network(g)
+    st_ = MaskState(net)
+    plain_assign = st_.assign
+    most = []
+
+    def counted_assign(name, value, p):
+        mark = st_.checkpoint()
+        plain_assign(name, value, p)
+        writes = Counter(idx for _is_bool, idx, _old in st_.trail[mark:])
+        most.append(max(writes.values(), default=0))
+
+    st_.assign = counted_assign
+    search = Search(net, line_dataset.vartable, 0.0, "exact", state=st_)
+    search.preassign_certain()
+    search.run()
+    assert len(most) > 10  # the whole exact search went through the check
+    assert max(most) == 1
