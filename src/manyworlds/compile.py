@@ -24,9 +24,16 @@ from .network import MaskState, Stats, UNKNOWN
 
 SCHEMES = ("exact", "eager", "lazy", "hybrid")
 
+#: Float dust in final bounds that is clamped; anything larger is an error.
+BOUNDS_TOLERANCE = 1e-9
+
 
 class ConfigError(Exception):
     pass
+
+
+class BoundsError(ArithmeticError):
+    """Final bounds break 0 <= lower <= upper <= 1 by more than float dust."""
 
 
 @dataclass
@@ -264,14 +271,28 @@ def compile_targets(net, vartable, epsilon, scheme, on_branch=None):
     return finish_result(search)
 
 
+def checked_bounds(eid, lower, upper):
+    """Bounds clamped into [0, 1]; raises when they are off by more than dust.
+
+    Accumulated sums can leave [0, 1], or cross, by a few ulps: such dust is
+    clamped, and crossed bounds collapse to their midpoint.  A larger
+    violation means mass was lost or counted twice.
+    """
+    tol = BOUNDS_TOLERANCE
+    if not (-tol <= lower <= 1.0 + tol and -tol <= upper <= 1.0 + tol
+            and lower - upper <= tol):
+        raise BoundsError("%s: bounds [%r, %r] break 0 <= lower <= upper <= 1 "
+                          "by more than %g" % (eid, lower, upper, tol))
+    lo = min(max(lower, 0.0), 1.0)
+    hi = min(max(upper, 0.0), 1.0)
+    if lo > hi:
+        lo = hi = (lo + hi) * 0.5
+    return TargetBounds(eid, lo, hi)
+
+
 def finish_result(search):
     st = search.state
-    out = []
-    for i, (_nid, _t, eid) in enumerate(search.net.targets):
-        lo = min(max(st.problower[i], 0.0), 1.0)
-        hi = min(max(st.probupper[i], 0.0), 1.0)
-        if lo > hi:  # float dust from accumulated sums
-            lo = hi = (lo + hi) * 0.5
-        out.append(TargetBounds(eid, lo, hi))
+    out = [checked_bounds(eid, st.problower[i], st.probupper[i])
+           for i, (_nid, _t, eid) in enumerate(search.net.targets)]
     return CompileResult(out, search.stats, search.scheme, search.eps,
                          list(search.pruned_mass))

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .events import And, Const, Not, Or, Ref, Var, VarTable, TRUE
+from .events import And, Const, Not, Or, Ref, Var, VarTable, TRUE, map_children
 from .eventprog import _LineParser, _tokenize_line, format_expr, ProgramSyntaxError
 
 
@@ -63,12 +63,6 @@ class Dataset:
     def event_env(self):
         """Resolve point-id references: maps point id -> its event expression."""
         return {p.id: p.event for p in self.points}
-
-    def point_index(self, pid):
-        for i, p in enumerate(self.points):
-            if p.id == pid:
-                return i
-        raise KeyError(pid)
 
     def medoid_preference(self, i):
         """Index order in which cluster i picks its initial medoid.
@@ -161,14 +155,8 @@ def _resolve_names(e, variables, point_ids):
     if isinstance(e, Var):
         return e if e.name in variables else _resolve_names(
             Ref(e.name), variables, point_ids)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Not):
-        return Not(_resolve_names(e.child, variables, point_ids))
-    if isinstance(e, And):
-        return And(tuple(_resolve_names(c, variables, point_ids) for c in e.children))
-    if isinstance(e, Or):
-        return Or(tuple(_resolve_names(c, variables, point_ids) for c in e.children))
+    if isinstance(e, (Const, Not, And, Or)):
+        return map_children(e, lambda c: _resolve_names(c, variables, point_ids))
     raise DatasetError("dataset events must be propositional: %r" % (e,))
 
 

@@ -28,7 +28,7 @@ import math
 import queue
 import threading
 
-from .compile import CompileResult, ConfigError, Search, TargetBounds, finish_result
+from .compile import CompileResult, ConfigError, Search, checked_bounds, finish_result
 from .network import MaskState, Stats
 
 
@@ -260,11 +260,6 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
 
 
 def _result_from_ledger(net, ledger, scheme, epsilon):
-    out = []
-    for i, (_nid, _t, eid) in enumerate(net.targets):
-        lo = min(max(ledger.lower[i], 0.0), 1.0)
-        hi = min(max(ledger.upper[i], 0.0), 1.0)
-        if lo > hi:
-            lo = hi = (lo + hi) * 0.5
-        out.append(TargetBounds(eid, lo, hi))
+    out = [checked_bounds(eid, ledger.lower[i], ledger.upper[i])
+           for i, (_nid, _t, eid) in enumerate(net.targets)]
     return CompileResult(out, ledger.stats, scheme, epsilon)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    Var, FALSE, TRUE, COMPARATORS, infer_kind,
+    Var, FALSE, TRUE, COMPARATORS, infer_kind, map_children,
 )
 
 
@@ -95,9 +95,6 @@ class Affine:
                 raise GroundError("unbound loop counter %r" % name)
             value += coef * env[name]
         return value
-
-    def counters(self):
-        return [n for n, _ in self.terms]
 
     def __str__(self):
         parts = []
@@ -181,12 +178,6 @@ class GroundedProgram:
     targets: list = field(default_factory=list)
     kinds: dict = field(default_factory=dict)  # eid -> 'b' | 's' | 'v'
 
-    def env(self):
-        return self.decls
-
-    def order(self):
-        return list(self.decls.keys())
-
 
 def glob_to_regex(pattern):
     """Glob with ``*`` and ``?`` wildcards; everything else literal."""
@@ -221,37 +212,10 @@ def _ground_expr(e, env, declared, variables):
                 return Ref(e.name)
             raise GroundError("unresolved variable %r" % e.name)
         return e
-    if kind is Const:
-        return e
-    if kind is CondVal:
-        value = e.value
-        if isinstance(value, Affine):
-            value = value.eval(env)
+    if kind is CondVal and isinstance(e.value, Affine):
+        value = e.value.eval(env)
         return CondVal(_ground_expr(e.guard, env, declared, variables), value)
-    if kind is Not:
-        return Not(_ground_expr(e.child, env, declared, variables))
-    if kind is And:
-        return And(tuple(_ground_expr(c, env, declared, variables) for c in e.children))
-    if kind is Or:
-        return Or(tuple(_ground_expr(c, env, declared, variables) for c in e.children))
-    if kind is Atom:
-        return Atom(e.op, _ground_expr(e.left, env, declared, variables),
-                    _ground_expr(e.right, env, declared, variables))
-    if kind is Guard:
-        return Guard(_ground_expr(e.guard, env, declared, variables),
-                     _ground_expr(e.body, env, declared, variables))
-    if kind is Add:
-        return Add(tuple(_ground_expr(c, env, declared, variables) for c in e.children))
-    if kind is Mul:
-        return Mul(tuple(_ground_expr(c, env, declared, variables) for c in e.children))
-    if kind is Inv:
-        return Inv(_ground_expr(e.child, env, declared, variables))
-    if kind is Pow:
-        return Pow(_ground_expr(e.child, env, declared, variables), e.exponent)
-    if kind is Dist:
-        return Dist(_ground_expr(e.left, env, declared, variables),
-                    _ground_expr(e.right, env, declared, variables))
-    raise TypeError("not an expression: %r" % (e,))
+    return map_children(e, lambda c: _ground_expr(c, env, declared, variables))
 
 
 def ground(program, target_patterns=("*",), variables=None):
@@ -406,10 +370,6 @@ def ground_folded(program, target_patterns=("*",), variables=None):
     return prog
 
 
-def _family_key(name, indices):
-    return (name, tuple(str(i) for i in indices))
-
-
 def _partial_eval(ix, env, keep):
     """Evaluate an index expression over ``env``, keeping ``keep`` symbolic."""
     ix = as_affine(ix)
@@ -429,39 +389,12 @@ def _partial_ground(e, env, keep):
     kind = type(e)
     if kind is Ref:
         return Ref(e.name, tuple(_partial_eval(ix, env, keep) for ix in e.indices))
-    if kind in (Var, Const):
-        return e
-    if kind is CondVal:
-        value = e.value
-        if isinstance(value, Affine):
-            value = _partial_eval(value, env, keep)
-            if value.is_const():
-                value = value.const
+    if kind is CondVal and isinstance(e.value, Affine):
+        value = _partial_eval(e.value, env, keep)
+        if value.is_const():
+            value = value.const
         return CondVal(_partial_ground(e.guard, env, keep), value)
-    if kind is Not:
-        return Not(_partial_ground(e.child, env, keep))
-    if kind is And:
-        return And(tuple(_partial_ground(c, env, keep) for c in e.children))
-    if kind is Or:
-        return Or(tuple(_partial_ground(c, env, keep) for c in e.children))
-    if kind is Atom:
-        return Atom(e.op, _partial_ground(e.left, env, keep),
-                    _partial_ground(e.right, env, keep))
-    if kind is Guard:
-        return Guard(_partial_ground(e.guard, env, keep),
-                     _partial_ground(e.body, env, keep))
-    if kind is Add:
-        return Add(tuple(_partial_ground(c, env, keep) for c in e.children))
-    if kind is Mul:
-        return Mul(tuple(_partial_ground(c, env, keep) for c in e.children))
-    if kind is Inv:
-        return Inv(_partial_ground(e.child, env, keep))
-    if kind is Pow:
-        return Pow(_partial_ground(e.child, env, keep), e.exponent)
-    if kind is Dist:
-        return Dist(_partial_ground(e.left, env, keep),
-                    _partial_ground(e.right, env, keep))
-    raise TypeError("not an expression: %r" % (e,))
+    return map_children(e, lambda c: _partial_ground(c, env, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -809,34 +742,9 @@ def _subst_counter(e, counter, value):
     kind = type(e)
     if kind is Ref:
         return Ref(e.name, tuple(fix_aff(ix) for ix in e.indices))
-    if kind in (Var, Const):
-        return e
     if kind is CondVal:
         return CondVal(_subst_counter(e.guard, counter, value), fix_aff(e.value))
-    if kind is Not:
-        return Not(_subst_counter(e.child, counter, value))
-    if kind is And:
-        return And(tuple(_subst_counter(c, counter, value) for c in e.children))
-    if kind is Or:
-        return Or(tuple(_subst_counter(c, counter, value) for c in e.children))
-    if kind is Atom:
-        return Atom(e.op, _subst_counter(e.left, counter, value),
-                    _subst_counter(e.right, counter, value))
-    if kind is Guard:
-        return Guard(_subst_counter(e.guard, counter, value),
-                     _subst_counter(e.body, counter, value))
-    if kind is Add:
-        return Add(tuple(_subst_counter(c, counter, value) for c in e.children))
-    if kind is Mul:
-        return Mul(tuple(_subst_counter(c, counter, value) for c in e.children))
-    if kind is Inv:
-        return Inv(_subst_counter(e.child, counter, value))
-    if kind is Pow:
-        return Pow(_subst_counter(e.child, counter, value), e.exponent)
-    if kind is Dist:
-        return Dist(_subst_counter(e.left, counter, value),
-                    _subst_counter(e.right, counter, value))
-    raise TypeError("not an expression: %r" % (e,))
+    return map_children(e, lambda c: _subst_counter(c, counter, value))
 
 
 def parse_event_program(text):

@@ -224,6 +224,10 @@ def world_probability(valuation, vartable):
 #
 # Ref nodes name either another event declaration (by grounded identifier)
 # or, before grounding, a parametrised identifier; see eventprog.py.
+#
+# ``children_of`` and ``map_children`` (at the end of this module) are the only
+# code that knows each kind's fields: rewriters elsewhere handle their own
+# leaves and hand every other node to ``map_children``.
 
 
 @dataclass(frozen=True)
@@ -314,25 +318,71 @@ class Dist:
     right: object
 
 
-EVENT_KINDS = (Const, Var, Ref, Not, And, Or, Atom)
-CVAL_KINDS = (CondVal, Guard, Add, Mul, Inv, Pow, Dist)
-
-
-def is_event_expr(e):
-    return isinstance(e, EVENT_KINDS)
-
-
-def is_cval_expr(e):
-    return isinstance(e, CVAL_KINDS)
-
-
 # ---------------------------------------------------------------------------
 # Per-world evaluation
 # ---------------------------------------------------------------------------
 
 
+def evaluate(e, nu, ref):
+    """Extended value of ``e`` in the world ``nu``.
+
+    ``ref(name)`` supplies the value of a grounded identifier; callers decide
+    how (cycle-checked resolution, or a lookup into precomputed values).
+    """
+    kind = type(e)
+    if kind is Var:
+        try:
+            return nu[e.name]
+        except KeyError:
+            raise ResolutionError("unresolved variable %r" % e.name) from None
+    if kind is Ref:
+        return ref(e.name)
+    if kind is Const:
+        return e.value
+    if kind is Not:
+        return not evaluate(e.child, nu, ref)
+    if kind is And:
+        for c in e.children:
+            if not evaluate(c, nu, ref):
+                return False
+        return True
+    if kind is Or:
+        for c in e.children:
+            if evaluate(c, nu, ref):
+                return True
+        return False
+    if kind is Atom:
+        return ext_compare(e.op, evaluate(e.left, nu, ref), evaluate(e.right, nu, ref))
+    if kind is CondVal:
+        if evaluate(e.guard, nu, ref):
+            return e.value
+        return undef_like(e.value)
+    if kind is Guard:
+        body = evaluate(e.body, nu, ref)
+        return body if evaluate(e.guard, nu, ref) else undef_like(body)
+    if kind is Add:
+        acc = U
+        for c in e.children:
+            acc = ext_add(acc, evaluate(c, nu, ref))
+        return acc
+    if kind is Mul:
+        if not e.children:
+            return U
+        acc = evaluate(e.children[0], nu, ref)
+        for c in e.children[1:]:
+            acc = ext_mul(acc, evaluate(c, nu, ref))
+        return acc
+    if kind is Inv:
+        return ext_inv(evaluate(e.child, nu, ref))
+    if kind is Pow:
+        return ext_pow(evaluate(e.child, nu, ref), e.exponent)
+    if kind is Dist:
+        return ext_dist(evaluate(e.left, nu, ref), evaluate(e.right, nu, ref))
+    raise TypeError("not an expression: %r" % (e,))
+
+
 class _Evaluator:
-    """Evaluates expressions under one total valuation.
+    """Cycle-checked resolution of grounded identifiers in one world.
 
     ``env`` maps grounded identifiers to their defining expressions; each
     identifier is evaluated at most once per world and cycles are detected.
@@ -354,62 +404,15 @@ class _Evaluator:
         if name in self.in_progress:
             raise CycleError("identifier cycle through %r" % name)
         self.in_progress.add(name)
-        value = self.eval(self.env[name])
+        value = evaluate(self.env[name], self.valuation, self.resolve)
         self.in_progress.discard(name)
         self.cache[name] = value
         return value
 
-    def eval(self, e):
-        kind = type(e)
-        if kind is Const:
-            return e.value
-        if kind is Var:
-            if e.name not in self.valuation:
-                raise ResolutionError("unresolved variable %r" % e.name)
-            return self.valuation[e.name]
-        if kind is Ref:
-            return self.resolve(e.name)
-        if kind is Not:
-            return not self.eval(e.child)
-        if kind is And:
-            return all(self.eval(c) for c in e.children)
-        if kind is Or:
-            return any(self.eval(c) for c in e.children)
-        if kind is Atom:
-            return ext_compare(e.op, self.eval(e.left), self.eval(e.right))
-        if kind is CondVal:
-            if self.eval(e.guard):
-                return e.value
-            return undef_like(e.value)
-        if kind is Guard:
-            body = self.eval(e.body)
-            if self.eval(e.guard):
-                return body
-            return undef_like(body)
-        if kind is Add:
-            acc = U
-            for c in e.children:
-                acc = ext_add(acc, self.eval(c))
-            return acc
-        if kind is Mul:
-            if not e.children:
-                return U
-            acc = self.eval(e.children[0])
-            for c in e.children[1:]:
-                acc = ext_mul(acc, self.eval(c))
-            return acc
-        if kind is Inv:
-            return ext_inv(self.eval(e.child))
-        if kind is Pow:
-            return ext_pow(self.eval(e.child), e.exponent)
-        if kind is Dist:
-            return ext_dist(self.eval(e.left), self.eval(e.right))
-        raise TypeError("not an expression: %r" % (e,))
-
 
 def eval_event(e, valuation, env=None):
     """Truth value of an event expression in the world ``valuation``."""
-    result = _Evaluator(valuation, env).eval(e)
+    result = evaluate(e, valuation, _Evaluator(valuation, env).resolve)
     if not isinstance(result, bool):
         raise TypeMismatch("expression is not an event: %r" % (e,))
     return result
@@ -417,15 +420,10 @@ def eval_event(e, valuation, env=None):
 
 def eval_cval(c, valuation, env=None):
     """Extended value of a c-value expression in the world ``valuation``."""
-    result = _Evaluator(valuation, env).eval(c)
+    result = evaluate(c, valuation, _Evaluator(valuation, env).resolve)
     if isinstance(result, bool):
         raise TypeMismatch("expression is not a c-value: %r" % (c,))
     return result
-
-
-def eval_expr(e, valuation, env=None):
-    """Evaluate either an event or a c-value."""
-    return _Evaluator(valuation, env).eval(e)
 
 
 # ---------------------------------------------------------------------------
@@ -524,4 +522,32 @@ def children_of(e):
         return (e.child,)
     if kind is Dist:
         return (e.left, e.right)
+    raise TypeError("not an expression: %r" % (e,))
+
+
+def map_children(e, f):
+    """Rebuild ``e`` with ``f`` applied to each direct subexpression.
+
+    Visits the children in ``children_of`` order and keeps the node's other
+    fields (``op``, ``value``, ``exponent``); leaves come back unchanged.
+    """
+    kind = type(e)
+    if kind in (Const, Var, Ref):
+        return e
+    if kind is Not:
+        return Not(f(e.child))
+    if kind in (And, Or, Add, Mul):
+        return kind(tuple(map(f, e.children)))
+    if kind is Atom:
+        return Atom(e.op, f(e.left), f(e.right))
+    if kind is CondVal:
+        return CondVal(f(e.guard), e.value)
+    if kind is Guard:
+        return Guard(f(e.guard), f(e.body))
+    if kind is Inv:
+        return Inv(f(e.child))
+    if kind is Pow:
+        return Pow(f(e.child), e.exponent)
+    if kind is Dist:
+        return Dist(f(e.left), f(e.right))
     raise TypeError("not an expression: %r" % (e,))

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .events import Add, And, Atom, CondVal, Dist, Guard, Not, Or, Ref
+from .events import (
+    Add, And, Atom, CondVal, Const, Dist, Guard, Not, Or, Ref, Var, map_children,
+)
 from .eventprog import Affine, Decl, EventProgram, Loop, decl, ref
 
 
@@ -140,17 +142,10 @@ def _add(terms):
 
 def _points_to_refs(expr, idx_of):
     """Rewrite point-id references in dataset events to Obj declarations."""
-    from .events import And as A, Const, Not as N, Or as O, Var
     if isinstance(expr, Ref):
         return ref("Obj", idx_of[expr.name])
-    if isinstance(expr, (Var, Const)):
-        return expr
-    if isinstance(expr, N):
-        return N(_points_to_refs(expr.child, idx_of))
-    if isinstance(expr, A):
-        return A(tuple(_points_to_refs(c, idx_of) for c in expr.children))
-    if isinstance(expr, O):
-        return O(tuple(_points_to_refs(c, idx_of) for c in expr.children))
+    if isinstance(expr, (Var, Const, Not, And, Or)):
+        return map_children(expr, lambda c: _points_to_refs(c, idx_of))
     raise TypeError("unsupported event in dataset: %r" % (expr,))
 
 
@@ -244,7 +239,7 @@ def example_line_dataset():
     0, 2, 5, 9; initial medoids o1 and o3; two iterations.
     """
     from .datagen import Dataset, Params, Point
-    from .events import VarTable, Var
+    from .events import VarTable
 
     vt = VarTable.of(("x1", 0.6), ("x2", 0.5), ("x3", 0.7), ("x4", 0.4))
     points = [

@@ -834,18 +834,3 @@ class MaskState:
         if node.vkind == "v" and not isinstance(lo, tuple):
             raise NetworkError("product kind mismatch")
         return NumMask(lo, hi, may_undef, may_def)
-
-    # --- folded convergence ----------------------------------------------------
-
-    def masks_equal_at(self, t1, t2):
-        """True when every in-loop node carries the same mask at t1 and t2."""
-        for nid, node in enumerate(self.net.nodes):
-            if not node.in_loop:
-                continue
-            i1, i2 = t1 * self.N + nid, t2 * self.N + nid
-            if node.vkind == "b":
-                if self.bmask[i1] != self.bmask[i2]:
-                    return False
-            elif self.nmask[i1] != self.nmask[i2]:
-                return False
-        return True

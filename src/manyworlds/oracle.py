@@ -4,10 +4,13 @@ Evaluates grounded programs in every total valuation and aggregates exact
 probabilities; also runs user programs operationally in a single world.  This
 is both the correctness oracle for the compiler and the naive baseline that
 pays one full program evaluation per world (2^m evaluations for m variables).
+Declarations are evaluated with ``events.evaluate``, the one per-world
+evaluator, resolving references by lookup into the values computed so far.
 
-Enumeration walks worlds in Gray-code order so consecutive worlds differ in a
-single variable and only the declarations downstream of that variable are
-re-evaluated; the aggregated numbers are identical to a plain in-order sweep.
+Enumeration walks worlds in Gray-code order (``enumerate_worlds``) so
+consecutive worlds differ in a single variable and only the declarations
+downstream of that variable are re-evaluated; the aggregated numbers are
+identical to a plain in-order sweep.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from dataclasses import dataclass, field
 
 from . import events as ev
 from .events import (
-    U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or,
-    Pow, Ref, Var, ext_add, ext_compare, ext_dist, ext_inv, ext_mul, ext_pow,
-    undef_like,
+    U, VU, Ref, Var, ext_add, ext_compare, ext_dist, ext_inv, ext_mul, ext_pow,
 )
 from . import userlang as ul
 
@@ -66,66 +67,21 @@ class _Program:
         for c in ev.children_of(e):
             self._collect(c, out, dep_sets)
 
+    def _lookup(self, values):
+        pos = self.pos
+        return lambda name: values[pos[name]]
+
     def eval_all(self, valuation):
         values = [None] * len(self.exprs)
+        ref = self._lookup(values)
         for i, expr in enumerate(self.exprs):
-            values[i] = self._eval(expr, valuation, values)
+            values[i] = ev.evaluate(expr, valuation, ref)
         return values
 
     def reeval(self, valuation, values, var):
+        ref = self._lookup(values)
         for i in self.var_deps.get(var, ()):
-            values[i] = self._eval(self.exprs[i], valuation, values)
-
-    def _eval(self, e, nu, values):
-        kind = type(e)
-        if kind is Var:
-            return nu[e.name]
-        if kind is Ref:
-            return values[self.pos[e.name]]
-        if kind is Const:
-            return e.value
-        if kind is Not:
-            return not self._eval(e.child, nu, values)
-        if kind is And:
-            for c in e.children:
-                if not self._eval(c, nu, values):
-                    return False
-            return True
-        if kind is Or:
-            for c in e.children:
-                if self._eval(c, nu, values):
-                    return True
-            return False
-        if kind is Atom:
-            return ext_compare(e.op, self._eval(e.left, nu, values),
-                               self._eval(e.right, nu, values))
-        if kind is CondVal:
-            if self._eval(e.guard, nu, values):
-                return e.value
-            return undef_like(e.value)
-        if kind is Guard:
-            body = self._eval(e.body, nu, values)
-            return body if self._eval(e.guard, nu, values) else undef_like(body)
-        if kind is Add:
-            acc = U
-            for c in e.children:
-                acc = ext_add(acc, self._eval(c, nu, values))
-            return acc
-        if kind is Mul:
-            if not e.children:
-                return U
-            acc = self._eval(e.children[0], nu, values)
-            for c in e.children[1:]:
-                acc = ext_mul(acc, self._eval(c, nu, values))
-            return acc
-        if kind is Inv:
-            return ext_inv(self._eval(e.child, nu, values))
-        if kind is Pow:
-            return ext_pow(self._eval(e.child, nu, values), e.exponent)
-        if kind is Dist:
-            return ext_dist(self._eval(e.left, nu, values),
-                            self._eval(e.right, nu, values))
-        raise TypeError("not an expression: %r" % (e,))
+            values[i] = ev.evaluate(self.exprs[i], valuation, ref)
 
 
 @dataclass
@@ -183,49 +139,16 @@ def oracle_probabilities(grounded, vartable, targets=None, cap=DEFAULT_WORLD_CAP
     sums = [0.0] * len(targets)
     total = 0.0
     values = None
-    m = len(vartable)
-    if m > cap:
-        raise OracleError(
-            "refusing to enumerate 2^%d worlds (cap is 2^%d); raise the cap "
-            "explicitly if this is intended" % (m, cap))
-    names = vartable.names()
-    nu = {n: False for n in names}
-    pr = 1.0
-    zeros = 0
-    for _n, p in vartable.vars:
-        f = 1.0 - p
-        if f == 0.0:
-            zeros += 1
+    for nu, w, flipped in enumerate_worlds(vartable, cap):
+        if flipped is None:
+            values = prog.eval_all(nu)
         else:
-            pr *= f
-    values = prog.eval_all(nu)
-    w = 0.0 if zeros else pr
-    total += w
-    for j, tp in enumerate(tpos):
-        if values[tp] is True:
-            sums[j] += w
-    for g in range(1, 1 << m):
-        bit = (g & -g).bit_length() - 1
-        name = names[bit]
-        p_true = vartable.p_true(name)
-        old = p_true if nu[name] else 1.0 - p_true
-        nu[name] = not nu[name]
-        new = p_true if nu[name] else 1.0 - p_true
-        if old == 0.0:
-            zeros -= 1
-        else:
-            pr /= old
-        if new == 0.0:
-            zeros += 1
-        else:
-            pr *= new
-        prog.reeval(nu, values, name)
-        w = 0.0 if zeros else pr
+            prog.reeval(nu, values, flipped)
         total += w
         for j, tp in enumerate(tpos):
             if values[tp] is True:
                 sums[j] += w
-    return OracleResult(dict(zip(targets, sums)), 1 << m, total)
+    return OracleResult(dict(zip(targets, sums)), 1 << len(vartable), total)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +176,11 @@ def per_world_report(grounded, vartable, valuation, cluster_spec=None):
     ``{"objects": {label: eid}, "membership": {(i, l): eid},
     "centres": {(i, l): eid}, "k": int}``.
     """
-    prog = _Program(grounded)
-    values_list = prog.eval_all(valuation)
-    values = dict(zip(prog.eids, values_list))
+    return _report(_Program(grounded), vartable, valuation, cluster_spec)
+
+
+def _report(prog, vartable, valuation, cluster_spec):
+    values = dict(zip(prog.eids, prog.eval_all(valuation)))
     report = WorldReport(dict(valuation),
                          ev.world_probability(valuation, vartable), values)
     if cluster_spec:
@@ -280,9 +205,10 @@ def world_reports(grounded, vartable, cluster_spec=None, cap=DEFAULT_WORLD_CAP):
     if m > cap:
         raise OracleError("refusing to enumerate 2^%d worlds (cap is 2^%d)" % (m, cap))
     names = vartable.names()
+    prog = _Program(grounded)  # one dependency analysis for all 2^m worlds
     for w in range(1 << m):
         nu = {names[j]: bool((w >> j) & 1) for j in range(m)}
-        yield per_world_report(grounded, vartable, nu, cluster_spec)
+        yield _report(prog, vartable, nu, cluster_spec)
 
 
 # ---------------------------------------------------------------------------

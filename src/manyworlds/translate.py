@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .events import (
     Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    FALSE, TRUE,
+    FALSE, TRUE, map_children,
 )
 from .eventprog import Affine, Decl, EventProgram, Loop, render_eid
 from . import userlang as ul
@@ -660,23 +660,20 @@ def _points_event(dataset, index):
 
 
 def _inline_points(e, dataset):
-    env = dataset.event_env()
+    return _inline_refs(e, dataset.event_env())
+
+
+def _inline_refs(e, env):
+    """Replace point-id references by the referenced points' events."""
     if isinstance(e, Ref):
-        return _inline_points(env[e.name], dataset)
-    if isinstance(e, Not):
-        return Not(_inline_points(e.child, dataset))
-    if isinstance(e, And):
-        return And(tuple(_inline_points(c, dataset) for c in e.children))
-    if isinstance(e, Or):
-        return Or(tuple(_inline_points(c, dataset) for c in e.children))
-    return e
+        return _inline_refs(env[e.name], env)
+    return map_children(e, lambda c: _inline_refs(c, env))
 
 
 def translate_to_event_program(program, dataset):
     """Translate a validated user program against a dataset binding."""
     diags = ul.validate_user_program(program)
-    hard = [d for d in diags if d.rule not in ()]
-    if hard:
+    if diags:
         raise TranslateError("program does not validate: %s" %
-                             "; ".join(str(d) for d in hard))
+                             "; ".join(str(d) for d in diags))
     return _Translator(dataset).run(program)

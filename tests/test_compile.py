@@ -3,7 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from manyworlds.events import And, CondVal, Var, VarTable, TRUE
 from manyworlds.eventprog import EventProgram, decl, ground
-from manyworlds.compile import ConfigError, Search, ancestor_bits, compile_targets
+from manyworlds.compile import (
+    BoundsError, ConfigError, Search, ancestor_bits, checked_bounds, compile_targets,
+    finish_result,
+)
 from manyworlds.network import MaskState, build_network
 from manyworlds.oracle import oracle_probabilities
 from manyworlds.randprog import random_instance
@@ -180,3 +183,40 @@ def test_decided_at_initialisation():
     r = compile_targets(net, vt, 0.0, "exact")
     assert r.bounds("T") == (1.0, 1.0)
     assert r.stats.branches == 0
+
+
+# --- final bounds: float dust is clamped, larger violations are loud ----------
+
+def test_bounds_dust_is_clamped():
+    tb = checked_bounds("T", 0.5 + 1e-15, 0.5)
+    assert tb.lower == tb.upper == (0.5 + 1e-15 + 0.5) * 0.5
+    tb = checked_bounds("T", -1e-15, 1.0 + 1e-15)
+    assert (tb.lower, tb.upper) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    (0.5 + 1e-6, 0.5), (-1e-6, 0.5), (0.5, 1.0 + 1e-6), (float("nan"), 0.5),
+])
+def test_bounds_beyond_tolerance_raise(lower, upper):
+    with pytest.raises(BoundsError):
+        checked_bounds("T", lower, upper)
+
+
+@pytest.mark.parametrize("gap,raises", [(1e-15, False), (1e-6, True)])
+def test_planted_gap_in_finished_search_and_ledger(gap, raises):
+    from manyworlds.distributed import _Ledger, _result_from_ledger
+    net, g = _net([decl("T", (), And((Var("x0"), Var("x1"))))], ("T",))
+    vt = VarTable.of(("x0", 0.5), ("x1", 0.5))
+    search = Search(net, vt, 0.0, "exact")
+    search.run()
+    search.state.problower[0] = search.state.probupper[0] + gap
+    ledger = _Ledger(1, 0.0)
+    ledger.seed([0.25 + gap], [0.25])
+    for finish in (lambda: finish_result(search),
+                   lambda: _result_from_ledger(net, ledger, "exact", 0.0)):
+        if raises:
+            with pytest.raises(BoundsError, match="T"):
+                finish()
+        else:
+            tb = finish().targets[0]
+            assert tb.lower == tb.upper

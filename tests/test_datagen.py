@@ -120,3 +120,24 @@ def test_validation_errors():
         gen_correlations(4, "positive", prob_range=(0.0, 0.5))
     with pytest.raises(DatasetError):
         gen_correlations(4, "nope")
+
+
+def test_dataset_event_rewriters_keep_their_errors():
+    from manyworlds.datagen import Params, Point, parse_event_text
+    from manyworlds.events import And, Atom, CondVal, Not, Or, Ref, TRUE, Var, VarTable
+    from manyworlds.kmedoids import _points_to_refs
+    from manyworlds.translate import _inline_points
+    assert parse_event_text("!x1 | o0 & true", {"x1"}, {"o0"}) == \
+        Or((Not(Var("x1")), And((Ref("o0"), TRUE))))
+    with pytest.raises(DatasetError, match="propositional"):
+        parse_event_text("x1 & [ 1 <= 2 ]", {"x1"})
+    with pytest.raises(DatasetError, match="indexed"):
+        parse_event_text("o0[1]", {"x1"}, {"o0"})
+    with pytest.raises(DatasetError, match="unknown name"):
+        parse_event_text("x9", {"x1"})
+    with pytest.raises(TypeError):
+        _points_to_refs(Atom("<=", CondVal(TRUE, 1), CondVal(TRUE, 2)), {})
+    ds = Dataset(VarTable.of(("x1", 0.5), ("x2", 0.5)),
+                 [Point("o0", (0.0,), Var("x1")),
+                  Point("o1", (1.0,), And((Ref("o0"), Not(Var("x2")))))], Params())
+    assert _inline_points(ds.points[1].event, ds) == And((Var("x1"), Not(Var("x2"))))

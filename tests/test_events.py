@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from manyworlds.events import (
     U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or,
-    Pow, Ref, TypeMismatch, Var, VarTable, TRUE, FALSE, eval_cval, eval_event,
-    eval_expr, ext_add, ext_compare, ext_dist, ext_inv, ext_mul, ext_pow,
-    world_probability,
+    Pow, Ref, TypeMismatch, Var, VarTable, TRUE, FALSE, children_of, eval_cval,
+    eval_event, ext_add, ext_compare, ext_dist, ext_inv, ext_mul, ext_pow,
+    evaluate, map_children, world_probability,
 )
 
 
@@ -210,3 +210,70 @@ def test_well_typed_evaluation_is_total(seed, world):
     c = _rand_cval(rng, 3, names)
     v = eval_cval(c, nu)
     assert v is U or isinstance(v, float) or isinstance(v, int)
+
+
+# --- one schema: map_children agrees with children_of ---------------------------
+
+_CV = CondVal(Var("a"), 2.0)
+ONE_OF_EACH_KIND = [
+    Const(True), Var("a"), Ref("E", (1,)),
+    Not(Var("a")), And((Var("a"), Ref("E"))), Or((Var("b"), FALSE)),
+    Atom("<=", _CV, CondVal(TRUE, 3)),
+    CondVal(Var("b"), (1.0, 2.0)), Guard(Var("a"), _CV),
+    Add((_CV, CondVal(Var("b"), 1))), Mul((_CV, _CV, Inv(_CV))),
+    Inv(_CV), Pow(_CV, -2),
+    Dist(CondVal(Var("a"), (0.0, 1.0)), CondVal(Var("b"), (2.0, 3.0))),
+]
+KIND_IDS = [type(e).__name__ for e in ONE_OF_EACH_KIND]
+
+
+def _check_schema(e):
+    visited = []
+
+    def f(c):
+        visited.append(c)
+        return c
+
+    assert map_children(e, f) == e
+    assert visited == list(children_of(e))
+    # the rebuilt node carries the mapped children, in the same places
+    tagged = map_children(e, lambda c: ("child", c))
+    assert list(children_of(tagged)) == [("child", c) for c in children_of(e)]
+
+
+def test_one_instance_per_kind():
+    import dataclasses
+    from manyworlds import events
+    declared = {c for c in vars(events).values()
+                if isinstance(c, type) and dataclasses.is_dataclass(c)
+                and c is not VarTable}
+    assert {type(e) for e in ONE_OF_EACH_KIND} == declared
+    assert len(ONE_OF_EACH_KIND) == 14
+
+
+@pytest.mark.parametrize("e", ONE_OF_EACH_KIND, ids=KIND_IDS)
+def test_evaluate_covers_every_kind(e):
+    v = evaluate(e, {"a": True, "b": False}, {"E": True}.__getitem__)
+    assert v is U or v is VU or isinstance(v, (bool, int, float, tuple))
+
+
+@pytest.mark.parametrize("e", ONE_OF_EACH_KIND, ids=KIND_IDS)
+def test_map_children_matches_children_of(e):
+    _check_schema(e)
+
+
+def test_map_children_matches_children_of_on_random_trees():
+    import random
+    rng = random.Random(7)
+    names = ["a", "b", "c"]
+    for depth in range(4):
+        for _ in range(10):
+            for e in (_rand_event(rng, depth, names), _rand_cval(rng, depth, names)):
+                _check_schema(e)
+                for c in children_of(e):
+                    _check_schema(c)
+
+
+def test_map_children_rejects_non_expressions():
+    with pytest.raises(TypeError):
+        map_children(3.0, lambda c: c)

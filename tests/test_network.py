@@ -216,20 +216,6 @@ def test_target_must_be_event(line_dataset):
         build_network(g)
 
 
-def test_masks_equal_detects_convergence(line_dataset):
-    line_dataset.params.iterations = 3
-    prog, meta = build_kmedoids_program(line_dataset)
-    fp = ground_folded(prog, (meta["targets"],),
-                       variables=set(line_dataset.vartable.index))
-    net = build_network(fp)
-    st_ = MaskState(net)
-    for name in line_dataset.vartable.names():
-        st_.assign(name, True, 1.0)
-    # with every variable assigned the clustering is a fixpoint by the final
-    # iterations for this geometry
-    assert st_.masks_equal_at(1, 2)
-
-
 @pytest.mark.parametrize("folded", [False, True])
 def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
     line_dataset.params.iterations = 3

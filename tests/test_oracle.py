@@ -111,3 +111,23 @@ def test_report_probabilities_match_mass(line_dataset):
     total = sum(rep.probability
                 for rep in world_reports(g, line_dataset.vartable))
     assert abs(total - 1.0) < 1e-12
+
+
+def test_world_reports_analyse_the_program_once(line_dataset, monkeypatch):
+    from manyworlds import oracle
+    prog, meta = build_kmedoids_program(line_dataset)
+    g = ground(prog, (meta["targets"],), variables=set(line_dataset.vartable.index))
+    vt = line_dataset.vartable
+    singles = [per_world_report(g, vt, rep.valuation, cluster_spec(meta))
+               for rep in world_reports(g, vt)]
+    built = []
+    real = oracle._Program
+    monkeypatch.setattr(oracle, "_Program", lambda gp: built.append(gp) or real(gp))
+    reports = list(world_reports(g, vt, cluster_spec(meta)))
+    assert len(built) == 1
+    names = vt.names()
+    assert [r.valuation for r in reports] == [
+        {n: bool((w >> j) & 1) for j, n in enumerate(names)}
+        for w in range(1 << len(names))]
+    assert [r.values for r in reports] == [r.values for r in singles]
+    assert [r.clusters for r in reports] == [r.clusters for r in singles]
