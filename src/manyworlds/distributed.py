@@ -48,6 +48,9 @@ class _Ledger:
 
     def __init__(self, nt, epsilon):
         self.lock = threading.Lock()
+        self.seed_lower, self.seed_upper = [0.0] * nt, [1.0] * nt
+        # running sums, for the snapshots jobs start from; the result is
+        # summed afresh from the seed and the log
         self.lower = [0.0] * nt
         self.upper = [1.0] * nt
         self.pool = [0.0] * nt
@@ -57,6 +60,7 @@ class _Ledger:
         self.stats = Stats()
 
     def seed(self, lower, upper):
+        self.seed_lower, self.seed_upper = list(lower), list(upper)
         self.lower = list(lower)
         self.upper = list(upper)
 
@@ -122,32 +126,45 @@ def _run_synchronous(net, vt, epsilon, scheme, d, fault_hook):
     stats = Stats()
     log = []
     search = Search(net, vt, epsilon, scheme, stats=stats, job_depth=d)
+    state = search.state
+    nt = len(net.targets)
+    forked = []  # per running job: the summed bounds changes of its forks
+
+    def run_job(job_id, prefix, explore):
+        # forked jobs run inside this one on the shared state, so the job's
+        # own change, which the pool would commit, is its total change less
+        # the total changes of the jobs it forked
+        start = state.problower + state.probupper
+        forked.append([0.0] * len(start))
+        result = explore()
+        total = [a - b for a, b in zip(state.problower + state.probupper, start)]
+        own = [a - b for a, b in zip(total, forked.pop())]
+        if forked:
+            forked[-1] = [a + b for a, b in zip(forked[-1], total)]
+        log.append({"job": job_id,
+                    "prefix": [[n, bool(v)] for n, v in prefix],
+                    "lower_delta": own[:nt], "upper_delta": own[nt:]})
+        return result
 
     def forker(prefix, pr, E, depth):
         stats.jobs += 1
         job_id = _job_id(prefix)
         if fault_hook is not None:
             fault_hook(job_id)
-        before_lo = list(search.state.problower)
-        before_up = list(search.state.probupper)
-        residual = search._dfs(prefix[-1], prefix, pr, list(E), depth)
-        log.append({
-            "job": job_id,
-            "prefix": [[n, bool(v)] for n, v in prefix],
-            "lower_delta": [a - b for a, b in zip(search.state.problower, before_lo)],
-            "upper_delta": [a - b for a, b in zip(search.state.probupper, before_up)],
-        })
-        return residual
+        return run_job(job_id, prefix,
+                       lambda: search._dfs(prefix[-1], prefix, pr, list(E), depth))
+
+    def run_root():
+        if not search.all_resolved():
+            search.run()
 
     search.forker = forker
     search.preassign_certain()
     search.check_targets_reachable()
     stats.jobs += 1  # the root job
-    if not search.all_resolved():
-        search.run()
+    run_job("root", (), run_root)
     search.forker = None  # the forker refers to the search: break the cycle
-    log.insert(0, {"job": "root", "prefix": [], "lower_delta": [],
-                   "upper_delta": []})
+    log.insert(0, log.pop())  # the root's entry first
     return finish_result(search), log
 
 
@@ -260,6 +277,12 @@ def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
 
 
 def _result_from_ledger(net, ledger, scheme, epsilon):
-    out = [checked_bounds(eid, ledger.lower[i], ledger.upper[i])
-           for i, (_nid, _t, eid) in enumerate(net.targets)]
+    out = []
+    for i, (_nid, _t, eid) in enumerate(net.targets):
+        # one rounding per sum: the result does not depend on commit order
+        lower = math.fsum([ledger.seed_lower[i]]
+                          + [r["lower_delta"][i] for r in ledger.log])
+        upper = math.fsum([ledger.seed_upper[i]]
+                          + [r["upper_delta"][i] for r in ledger.log])
+        out.append(checked_bounds(eid, lower, upper))
     return CompileResult(out, ledger.stats, scheme, epsilon)

@@ -176,7 +176,6 @@ class GroundedProgram:
 
     decls: dict  # eid -> expression (references are grounded Refs)
     targets: list = field(default_factory=list)
-    kinds: dict = field(default_factory=dict)  # eid -> 'b' | 's' | 'v'
 
 
 def glob_to_regex(pattern):
@@ -218,6 +217,16 @@ def _ground_expr(e, env, declared, variables):
     return map_children(e, lambda c: _ground_expr(c, env, declared, variables))
 
 
+def _instances(items, env):
+    """Each declaration in ``items`` with every binding of its loop counters."""
+    for item in items:
+        if isinstance(item, Loop):
+            for v in range(item.lo, item.hi):
+                yield from _instances(item.body, {**env, item.counter: v})
+        else:
+            yield item, env
+
+
 def ground(program, target_patterns=("*",), variables=None):
     """Instantiate all loops and resolve every reference.
 
@@ -226,26 +235,16 @@ def ground(program, target_patterns=("*",), variables=None):
     omitted, undeclared bare names are assumed to be variables.
     """
     decls = {}
-    kinds = {}
-
-    def run(items, env):
-        for item in items:
-            if isinstance(item, Loop):
-                for v in range(item.lo, item.hi):
-                    env2 = dict(env)
-                    env2[item.counter] = v
-                    run(item.body, env2)
-            else:
-                eid = item.eid_under(env)
-                if eid in decls:
-                    raise GroundError("identifier %r assigned twice" % eid)
-                grounded = _ground_expr(item.expr, env, decls, variables)
-                decls[eid] = grounded
-                kinds[eid] = infer_kind(grounded, kinds)
-
-    run(program.items, {})
+    kinds = {}  # eid -> 'b' | 's' | 'v', to type-check later declarations
+    for item, env in _instances(program.items, {}):
+        eid = item.eid_under(env)
+        if eid in decls:
+            raise GroundError("identifier %r assigned twice" % eid)
+        grounded = _ground_expr(item.expr, env, decls, variables)
+        decls[eid] = grounded
+        kinds[eid] = infer_kind(grounded, kinds)
     targets = match_targets(decls.keys(), target_patterns)
-    return GroundedProgram(decls, targets, kinds)
+    return GroundedProgram(decls, targets)
 
 
 def match_targets(eids, patterns):
@@ -285,11 +284,17 @@ class FoldedProgram:
     base: dict  # eid -> grounded expr
     body: list  # list of (name, indices tuple of Affine, expr)
     targets: list = field(default_factory=list)  # body positions, final iteration
-    kinds: dict = field(default_factory=dict)
 
     def body_eid(self, entry, t):
         name, indices, _ = entry
         return render_eid(name, [ix.eval({self.counter: t}) for ix in indices])
+
+
+def _weight(item):
+    """How many declarations ``item`` grounds into; an empty loop counts once."""
+    if isinstance(item, Loop):
+        return sum(_weight(b) for b in item.body) * max(item.hi - item.lo, 1)
+    return 1
 
 
 def ground_folded(program, target_patterns=("*",), variables=None):
@@ -300,32 +305,15 @@ def ground_folded(program, target_patterns=("*",), variables=None):
     Declarations after it cannot be represented in a folded network: they are
     omitted, and selecting them as targets is an error.
     """
-    def weight(item):
-        if isinstance(item, Loop):
-            return sum(weight(b) for b in item.body) * max(item.hi - item.lo, 1)
-        return 1
-
     loops = [it for it in program.items if isinstance(it, Loop)]
     if not loops:
         raise GroundError("folded grounding requires a top-level loop")
-    loop = max(loops, key=weight)
+    loop = max(loops, key=_weight)
     split = program.items.index(loop)
     trailing = program.items[split + 1:]
     base = ground(EventProgram(program.items[:split]), (), variables)
     if trailing:
-        tail_names = []
-
-        def collect(items, env):
-            for item in items:
-                if isinstance(item, Loop):
-                    for v in range(item.lo, item.hi):
-                        env2 = dict(env)
-                        env2[item.counter] = v
-                        collect(item.body, env2)
-                else:
-                    tail_names.append(item.eid_under(env))
-
-        collect(trailing, {})
+        tail_names = [item.eid_under(env) for item, env in _instances(trailing, {})]
         for pat in ([target_patterns] if isinstance(target_patterns, str)
                     else target_patterns):
             rx = glob_to_regex(pat)
@@ -335,28 +323,17 @@ def ground_folded(program, target_patterns=("*",), variables=None):
                         "folded target %r lies after the folded loop" % eid)
 
     body = []
-    kinds = dict(base.kinds)
-
-    def run(items, env):
-        for item in items:
-            if isinstance(item, Loop):
-                for v in range(item.lo, item.hi):
-                    env2 = dict(env)
-                    env2[item.counter] = v
-                    run(item.body, env2)
-            else:
-                indices = tuple(_partial_eval(ix, env, loop.counter) for ix in item.indices)
-                expr = _partial_ground(item.expr, env, loop.counter)
-                body.append((item.name, indices, expr))
-
-    run(loop.body, {})
+    for item, env in _instances(loop.body, {}):
+        indices = tuple(_partial_eval(ix, env, loop.counter) for ix in item.indices)
+        expr = _partial_ground(item.expr, env, loop.counter)
+        body.append((item.name, indices, expr))
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
     for name, indices, expr in body:
         eid0 = render_eid(name, [ix.eval({loop.counter: loop.lo}) for ix in indices])
         if eid0 in base.decls:
             raise GroundError("identifier %r assigned twice" % eid0)
-    prog = FoldedProgram(loop.counter, loop.hi - loop.lo, base.decls, body, [], kinds)
+    prog = FoldedProgram(loop.counter, loop.hi - loop.lo, base.decls, body)
 
     # Resolve target patterns against the final iteration plus base decls.
     final_eids = {prog.body_eid(entry, prog.count - 1): i for i, entry in enumerate(prog.body)}
@@ -757,53 +734,53 @@ def parse_event_program(text):
         indent = len(stripped) - len(stripped.lstrip())
         lines.append((lineno, indent, stripped.strip()))
 
-    pos = 0
-
-    def parse_block(indent, counters):
-        nonlocal pos
-        items = []
-        while pos < len(lines):
-            lineno, ind, text_line = lines[pos]
-            if ind < indent:
-                break
-            if ind > indent:
-                raise ProgramSyntaxError("unexpected indentation", lineno)
-            m = re.match(
-                r"forall\s+([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(-?\d+)\s*\.\.\s*(-?\d+)\s*:$",
-                text_line)
-            if m:
-                pos += 1
-                counter, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-                sub = dict(counters)
-                sub[counter] = None
-                if pos < len(lines) and lines[pos][1] > indent:
-                    body = parse_block(lines[pos][1], sub)
-                else:
-                    body = []
-                items.append(Loop(counter, lo, hi, tuple(body)))
-                continue
-            if ":=" not in text_line:
-                raise ProgramSyntaxError("expected 'EID := expr'", lineno)
-            lhs_text, rhs_text = text_line.split(":=", 1)
-            lp = _LineParser(_tokenize_line(lhs_text, lineno), lineno, counters)
-            t, name = lp.next()
-            if t != "name":
-                raise ProgramSyntaxError("bad declaration head", lineno)
-            indices = lp.parse_indices()
-            if lp.peek()[0] != "eof":
-                raise ProgramSyntaxError("trailing tokens in declaration head", lineno)
-            rp = _LineParser(_tokenize_line(rhs_text, lineno), lineno, counters)
-            expr = rp.parse_decl_body()
-            if rp.peek()[0] != "eof":
-                raise ProgramSyntaxError("trailing tokens after expression", lineno)
-            items.append(Decl(name, indices, expr))
-            pos += 1
-        return items
-
-    items = parse_block(lines[0][1] if lines else 0, {})
+    items, pos = _parse_block(lines, 0, lines[0][1] if lines else 0, {})
     if pos != len(lines):
         raise ProgramSyntaxError("dedent below program level", lines[pos][0])
     return EventProgram(tuple(items))
+
+
+def _parse_block(lines, pos, indent, counters):
+    """The items of the block at ``indent`` from ``lines[pos]`` on, and the
+    position after it."""
+    items = []
+    while pos < len(lines):
+        lineno, ind, text_line = lines[pos]
+        if ind < indent:
+            break
+        if ind > indent:
+            raise ProgramSyntaxError("unexpected indentation", lineno)
+        m = re.match(
+            r"forall\s+([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(-?\d+)\s*\.\.\s*(-?\d+)\s*:$",
+            text_line)
+        if m:
+            pos += 1
+            counter, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+            sub = dict(counters)
+            sub[counter] = None
+            if pos < len(lines) and lines[pos][1] > indent:
+                body, pos = _parse_block(lines, pos, lines[pos][1], sub)
+            else:
+                body = []
+            items.append(Loop(counter, lo, hi, tuple(body)))
+            continue
+        if ":=" not in text_line:
+            raise ProgramSyntaxError("expected 'EID := expr'", lineno)
+        lhs_text, rhs_text = text_line.split(":=", 1)
+        lp = _LineParser(_tokenize_line(lhs_text, lineno), lineno, counters)
+        t, name = lp.next()
+        if t != "name":
+            raise ProgramSyntaxError("bad declaration head", lineno)
+        indices = lp.parse_indices()
+        if lp.peek()[0] != "eof":
+            raise ProgramSyntaxError("trailing tokens in declaration head", lineno)
+        rp = _LineParser(_tokenize_line(rhs_text, lineno), lineno, counters)
+        expr = rp.parse_decl_body()
+        if rp.peek()[0] != "eof":
+            raise ProgramSyntaxError("trailing tokens after expression", lineno)
+        items.append(Decl(name, indices, expr))
+        pos += 1
+    return items, pos
 
 
 # ---------------------------------------------------------------------------
@@ -867,21 +844,21 @@ def _wrap(e, ambient):
 
 def emit_event_program(program):
     out = []
-
-    def emit(items, depth):
-        pad = "  " * depth
-        for item in items:
-            if isinstance(item, Loop):
-                out.append("%sforall %s in %d..%d:" % (pad, item.counter, item.lo, item.hi))
-                emit(item.body, depth + 1)
-            else:
-                head = item.name
-                if item.indices:
-                    head += "[%s]" % ",".join(str(ix) for ix in item.indices)
-                out.append("%s%s := %s" % (pad, head, format_expr(item.expr)))
-
-    emit(program.items, 0)
+    _emit_items(program.items, 0, out)
     return "\n".join(out) + "\n"
+
+
+def _emit_items(items, depth, out):
+    pad = "  " * depth
+    for item in items:
+        if isinstance(item, Loop):
+            out.append("%sforall %s in %d..%d:" % (pad, item.counter, item.lo, item.hi))
+            _emit_items(item.body, depth + 1, out)
+        else:
+            head = item.name
+            if item.indices:
+                head += "[%s]" % ",".join(str(ix) for ix in item.indices)
+            out.append("%s%s := %s" % (pad, head, format_expr(item.expr)))
 
 
 def emit_grounded(grounded):

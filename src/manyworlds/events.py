@@ -434,45 +434,43 @@ def eval_cval(c, valuation, env=None):
 def infer_kind(e, env_kinds=None):
     """Infer the static kind of an expression; raises TypeMismatch when ill-typed.
 
-    ``env_kinds`` maps grounded identifiers to their kinds.
+    ``env_kinds`` maps grounded identifiers to their kinds.  The children's
+    kinds are inferred first, so an error deeper in the tree is the one
+    reported.
     """
     env_kinds = env_kinds or {}
-    if isinstance(e, (Const, Var, Not, And, Or, Atom)):
-        for c in _event_children(e):
-            k = infer_kind(c, env_kinds)
-            if isinstance(e, (Not, And, Or)) and k != "b":
-                raise TypeMismatch("boolean connective over non-event")
-        if isinstance(e, Atom):
-            lk = infer_kind(e.left, env_kinds)
-            rk = infer_kind(e.right, env_kinds)
-            if "b" in (lk, rk):
-                raise TypeMismatch("atom compares events")
-            if lk != rk:
-                raise TypeMismatch("atom compares scalar with vector")
-            if lk == "v" and e.op != "=":
-                raise TypeMismatch("ordered comparison on vectors")
+    kind = type(e)
+    if kind is Ref:
+        # bare references default to events; grounding re-checks
+        return env_kinds.get(e.name, "b")
+    ks = [infer_kind(c, env_kinds) for c in children_of(e)]
+    if kind in (Const, Var, Not, And, Or):
+        if any(k != "b" for k in ks):
+            raise TypeMismatch("boolean connective over non-event")
         return "b"
-    if isinstance(e, Ref):
-        if e.name in env_kinds:
-            return env_kinds[e.name]
-        return "b"  # bare references default to events; grounding re-checks
-    if isinstance(e, CondVal):
-        if infer_kind(e.guard, env_kinds) != "b":
+    if kind is Atom:
+        lk, rk = ks
+        if "b" in ks:
+            raise TypeMismatch("atom compares events")
+        if lk != rk:
+            raise TypeMismatch("atom compares scalar with vector")
+        if lk == "v" and e.op != "=":
+            raise TypeMismatch("ordered comparison on vectors")
+        return "b"
+    if kind in (CondVal, Guard):
+        if ks[0] != "b":
             raise TypeMismatch("guard is not an event")
+        if kind is Guard:
+            return ks[1]
         return "v" if isinstance(e.value, tuple) else "s"
-    if isinstance(e, Guard):
-        if infer_kind(e.guard, env_kinds) != "b":
-            raise TypeMismatch("guard is not an event")
-        return infer_kind(e.body, env_kinds)
-    if isinstance(e, Add):
-        kinds = {infer_kind(c, env_kinds) for c in e.children}
+    if kind is Add:
+        kinds = set(ks)
         if "b" in kinds or len(kinds) > 1:
             raise TypeMismatch("sum over mixed kinds")
         return kinds.pop() if kinds else "s"
-    if isinstance(e, Mul):
+    if kind is Mul:
         k = "s"
-        for c in e.children:
-            ck = infer_kind(c, env_kinds)
+        for ck in ks:
             if ck == "b":
                 raise TypeMismatch("product over events")
             if k == "v" and ck == "v":
@@ -480,27 +478,16 @@ def infer_kind(e, env_kinds=None):
             elif "v" in (k, ck):
                 k = "v"
         return k
-    if isinstance(e, Inv):
-        if infer_kind(e.child, env_kinds) != "s":
-            raise TypeMismatch("inverse requires a scalar")
+    if kind in (Inv, Pow):
+        if ks[0] != "s":
+            raise TypeMismatch("inverse requires a scalar" if kind is Inv
+                               else "power requires a scalar")
         return "s"
-    if isinstance(e, Pow):
-        if infer_kind(e.child, env_kinds) != "s":
-            raise TypeMismatch("power requires a scalar")
-        return "s"
-    if isinstance(e, Dist):
-        if infer_kind(e.left, env_kinds) != "v" or infer_kind(e.right, env_kinds) != "v":
+    if kind is Dist:
+        if ks != ["v", "v"]:
             raise TypeMismatch("dist requires vector operands")
         return "s"
     raise TypeError("not an expression: %r" % (e,))
-
-
-def _event_children(e):
-    if isinstance(e, Not):
-        return (e.child,)
-    if isinstance(e, (And, Or)):
-        return e.children
-    return ()
 
 
 def children_of(e):

@@ -24,6 +24,15 @@ An assignment therefore drains dirty instances from a min-heap of slot
 indices.  Each instance is recomputed once, after all of its changed
 children, and is written at most once per assignment.
 
+The search picks its next variable by how many undecided instances lie
+above it, so ``MaskState.unknown_bits`` keeps one bit per instance slot that
+is still undecided: a Boolean mask that is UNKNOWN, or a numeric mask that
+still allows two outcomes (a defined value and the undefined element, or two
+defined values).  Every slot starts undecided, and writes only clear bits,
+because masks only tighten: an assignment skips decided instances, and
+initialisation writes each instance once.  A checkpoint therefore carries
+the bits with the trail length, and reverting restores them in one step.
+
 Networks come in two modes.  *Unfolded* networks instantiate every loop
 iteration as distinct nodes.  *Folded* networks keep one node set for the
 loop body plus carry-over nodes that feed iteration ``t`` the masks computed
@@ -54,6 +63,11 @@ class NetworkError(Exception):
 NumMask = namedtuple("NumMask", "lo hi may_undef may_def")
 
 UNKNOWN, MASK_TRUE, MASK_FALSE = 0, 1, 2
+
+
+def _decided(m):
+    """A numeric mask is decided once it is certainly undefined or one value."""
+    return not m.may_def or (not m.may_undef and m.lo == m.hi)
 
 
 class Node:
@@ -432,14 +446,17 @@ class MaskState:
         self.stats = stats or Stats()
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
-        self.unknown_bits = 0
+        # every instance starts undecided: all N slots of iteration 0, and
+        # the in-loop slots of each later iteration
+        loop_bits = sum(1 << nid for nid, node in enumerate(net.nodes)
+                        if node.in_loop)
+        self.unknown_bits = (1 << self.N) - 1
+        for t in range(1, self.T):
+            self.unknown_bits |= loop_bits << (t * self.N)
         self.target_at = {}
         for i, (nid, t, _eid) in enumerate(net.targets):
             self.target_at.setdefault(self._idx(nid, t), []).append(i)
         self._init_masks()
-        for nid, node in enumerate(net.nodes):
-            for t in range(self.T if node.in_loop else 1):
-                self._sync_bit(t * self.N + nid)
 
     # --- indexing -----------------------------------------------------------
 
@@ -478,23 +495,24 @@ class MaskState:
         if node.vkind == "b":
             new = self._compute_bool(node, t)
             if new != UNKNOWN:
-                self._write_bool(idx, new, nid, t, 1.0)
+                self._write_bool(idx, new, 1.0)
         else:
-            self._write_num(idx, self._compute_num(node, t), 1.0)
+            self._write_num(idx, self._compute_num(node, t))
 
     # --- trail ----------------------------------------------------------------
 
     def checkpoint(self):
-        return len(self.trail)
+        """A mark to revert to: the trail length and the undecided bits."""
+        return len(self.trail), self.unknown_bits
 
     def revert(self, mark):
-        while len(self.trail) > mark:
+        size, self.unknown_bits = mark
+        while len(self.trail) > size:
             is_bool, idx, old = self.trail.pop()
             if is_bool:
                 self.bmask[idx] = old
             else:
                 self.nmask[idx] = old
-            self._sync_bit(idx)
 
     def save_masks(self):
         """Copies of the masks, for a job that resumes from this point."""
@@ -506,21 +524,6 @@ class MaskState:
         self.bmask[:] = bmask
         self.nmask[:] = nmask
         self.trail.clear()
-
-    def _sync_bit(self, idx):
-        nid = idx % self.N
-        node = self.net.nodes[nid]
-        if node.vkind == "b":
-            unknown = self.bmask[idx] == UNKNOWN
-        else:
-            nm = self.nmask[idx]
-            unknown = not (nm is not None and
-                           ((not nm.may_def) or (not nm.may_undef and nm.lo == nm.hi)))
-        bit = 1 << idx
-        if unknown:
-            self.unknown_bits |= bit
-        else:
-            self.unknown_bits &= ~bit
 
     # --- assignment & propagation ----------------------------------------------
 
@@ -537,7 +540,7 @@ class MaskState:
             return  # variable unused by the network
         if self.bmask[nid] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
-        self._write_bool(nid, MASK_TRUE if value else MASK_FALSE, nid, 0, p)
+        self._write_bool(nid, MASK_TRUE if value else MASK_FALSE, p)
         nodes, N, bmask, nmask = self.net.nodes, self.N, self.bmask, self.nmask
         heap = []
         self._enqueue_parents(heap, nodes[nid], 0)
@@ -555,16 +558,15 @@ class MaskState:
                 new = self._compute_bool(node, t)
                 if new == UNKNOWN:
                     continue
-                self._write_bool(idx, new, nid, t, p)
+                self._write_bool(idx, new, p)
             else:
                 old = nmask[idx]
-                if old is not None and ((not old.may_def) or
-                                        (not old.may_undef and old.lo == old.hi)):
+                if _decided(old):
                     continue
                 new = self._compute_num(node, t)
                 if new == old:
                     continue
-                self._write_num(idx, new, p)
+                self._write_num(idx, new)
             self._enqueue_parents(heap, node, t)
 
     def _enqueue_parents(self, heap, node, t):
@@ -579,24 +581,23 @@ class MaskState:
             else:  # 'same' or 'zero': same t, which is 0 below a base node
                 heappush(heap, t * N + pid)
 
-    def _write_bool(self, idx, value, nid, t, p):
-        old = self.bmask[idx]
-        self.trail.append((True, idx, old))
+    def _write_bool(self, idx, value, p):
+        # ``value`` is MASK_TRUE or MASK_FALSE: only decided values are written
+        self.trail.append((True, idx, self.bmask[idx]))
         self.bmask[idx] = value
         self.unknown_bits &= ~(1 << idx)
         self.stats.propagations += 1
-        if value != UNKNOWN:
-            for ti in self.target_at.get(idx, ()):
-                if value == MASK_TRUE:
-                    self.problower[ti] += p
-                else:
-                    self.probupper[ti] -= p
+        for ti in self.target_at.get(idx, ()):
+            if value == MASK_TRUE:
+                self.problower[ti] += p
+            else:
+                self.probupper[ti] -= p
 
-    def _write_num(self, idx, value, p):
-        old = self.nmask[idx]
-        self.trail.append((False, idx, old))
+    def _write_num(self, idx, value):
+        self.trail.append((False, idx, self.nmask[idx]))
         self.nmask[idx] = value
-        self._sync_bit(idx)
+        if _decided(value):
+            self.unknown_bits &= ~(1 << idx)
         self.stats.propagations += 1
 
     # --- mask computation --------------------------------------------------------
@@ -642,8 +643,6 @@ class MaskState:
     def _compute_atom(self, node, t):
         a = self._num_of(node.children[0], t)
         b = self._num_of(node.children[1], t)
-        if a is None or b is None:
-            return UNKNOWN
         # a side that is certainly undefined makes the comparison true
         if not a.may_def or not b.may_def:
             return MASK_TRUE
@@ -688,8 +687,6 @@ class MaskState:
         if kind == "guard":
             g = self._bool_of(node.children[0], t)
             c = self._num_of(node.children[1], t)
-            if c is None:
-                c = self._bottom(node.children[1])
             if g == MASK_TRUE:
                 return c
             if g == MASK_FALSE:
@@ -700,7 +697,7 @@ class MaskState:
         if kind == "mul":
             return self._compute_mul(node, t)
         if kind == "inv":
-            c = self._child_num(node.children[0], t)
+            c = self._num_of(node.children[0], t)
             if not c.may_def:
                 return NumMask(0.0, 0.0, True, False)
             contains0 = c.lo <= 0.0 <= c.hi
@@ -709,7 +706,7 @@ class MaskState:
             lo, hi = _iinv(c.lo, c.hi)
             return NumMask(lo, hi, c.may_undef or contains0, True)
         if kind == "pow":
-            c = self._child_num(node.children[0], t)
+            c = self._num_of(node.children[0], t)
             n = node.payload
             if not c.may_def:
                 return NumMask(0.0, 0.0, True, False)
@@ -717,8 +714,8 @@ class MaskState:
             mu = c.may_undef or (n < 0 and c.lo <= 0.0 <= c.hi)
             return NumMask(lo, hi, mu, True)
         if kind == "dist":
-            a = self._child_num(node.children[0], t)
-            b = self._child_num(node.children[1], t)
+            a = self._num_of(node.children[0], t)
+            b = self._num_of(node.children[1], t)
             if not a.may_def or not b.may_def:
                 return NumMask(0.0, 0.0, True, False)
             sq_lo = sq_hi = 0.0
@@ -735,37 +732,13 @@ class MaskState:
                            a.may_undef or b.may_undef, True)
         if kind == "loop":
             if t == 0:
-                m = self._num_of(node.payload["init"], 0)
-            else:
-                m = self._num_of(node.payload["source"], t - 1)
-            return m if m is not None else self._bottom(node.id)
+                return self._num_of(node.payload["init"], 0)
+            return self._num_of(node.payload["source"], t - 1)
         raise NetworkError("numeric mask for %r" % kind)
-
-    def _bottom(self, nid):
-        node = self.net.nodes[nid]
-        if node.vkind == "v":
-            dim = self._vector_dim(nid)
-            return NumMask((-INF,) * dim, (INF,) * dim, True, True)
-        return NumMask(-INF, INF, True, True)
-
-    def _vector_dim(self, nid):
-        node = self.net.nodes[nid]
-        if node.kind == "condval" and isinstance(node.payload, tuple):
-            return len(node.payload)
-        for c in node.children:
-            if self.net.nodes[c].vkind == "v":
-                return self._vector_dim(c)
-        if node.kind == "loop":
-            return self._vector_dim(node.payload["init"])
-        raise NetworkError("cannot infer vector dimension")
-
-    def _child_num(self, nid, t):
-        m = self._num_of(nid, t)
-        return m if m is not None else self._bottom(nid)
 
     def _compute_add(self, node, t):
         vector = node.vkind == "v"
-        masks = [self._child_num(c, t) for c in node.children]
+        masks = [self._num_of(c, t) for c in node.children]
         may_def = any(m.may_def for m in masks)
         may_undef = all(m.may_undef for m in masks)
         if vector:
@@ -804,7 +777,7 @@ class MaskState:
         raise NetworkError("vector sum without vector children")
 
     def _compute_mul(self, node, t):
-        masks = [self._child_num(c, t) for c in node.children]
+        masks = [self._num_of(c, t) for c in node.children]
         may_def = all(m.may_def for m in masks)
         may_undef = any(m.may_undef for m in masks)
         if not may_def:

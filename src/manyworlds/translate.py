@@ -188,15 +188,10 @@ class _Translator:
         if isinstance(item, ul.UExtCall):
             return list(item.targets)
         if isinstance(item, ul.UFor):
-            seen = {}
-            def walk(its):
-                for it2 in its:
-                    if isinstance(it2, ul.UFor):
-                        walk(it2.body)
-                    else:
-                        for v in self._versioned_by(it2):
-                            seen[v] = True
-            walk(item.body)
+            seen = {}  # first-assignment order
+            for it2 in item.body:
+                for v in self._versioned_by(it2):
+                    seen[v] = True
             return list(seen)
         return []
 

@@ -356,42 +356,42 @@ def parse_user_program(text, filename="<input>"):
     if pending is not None:
         raise UserSyntaxError("unclosed bracket at end of input", pending[0], 1,
                               filename)
-    pos = 0
-
-    def parse_block(indent):
-        nonlocal pos
-        items = []
-        while pos < len(lines):
-            lineno, ind, code = lines[pos]
-            if ind < indent:
-                break
-            if ind > indent:
-                raise UserSyntaxError("unexpected indentation", lineno, ind + 1, filename)
-            toks = _lex_line(code, lineno, filename)
-            p = _Parser(toks, lineno, filename)
-            if p.at("name", "for"):
-                p.next()
-                var = p.expect("name")
-                p.expect("name", "in")
-                lo, hi = p.parse_range()
-                p.expect("op", ":")
-                if not p.done():
-                    p.error("trailing tokens after ':'")
-                pos += 1
-                if pos < len(lines) and lines[pos][1] > indent:
-                    body = parse_block(lines[pos][1])
-                else:
-                    body = []
-                items.append(UFor(var, lo, hi, tuple(body), lineno))
-                continue
-            items.append(_parse_statement(p, lineno, filename))
-            pos += 1
-        return items
-
-    items = parse_block(lines[0][1] if lines else 0)
+    items, pos = _parse_block(lines, 0, lines[0][1] if lines else 0, filename)
     if pos != len(lines):
         raise UserSyntaxError("inconsistent dedent", lines[pos][0], 1, filename)
     return UProgram(tuple(items))
+
+
+def _parse_block(lines, pos, indent, filename):
+    """The statements of the block at ``indent`` from ``lines[pos]`` on, and
+    the position after it."""
+    items = []
+    while pos < len(lines):
+        lineno, ind, code = lines[pos]
+        if ind < indent:
+            break
+        if ind > indent:
+            raise UserSyntaxError("unexpected indentation", lineno, ind + 1, filename)
+        toks = _lex_line(code, lineno, filename)
+        p = _Parser(toks, lineno, filename)
+        if p.at("name", "for"):
+            p.next()
+            var = p.expect("name")
+            p.expect("name", "in")
+            lo, hi = p.parse_range()
+            p.expect("op", ":")
+            if not p.done():
+                p.error("trailing tokens after ':'")
+            pos += 1
+            if pos < len(lines) and lines[pos][1] > indent:
+                body, pos = _parse_block(lines, pos, lines[pos][1], filename)
+            else:
+                body = []
+            items.append(UFor(var, lo, hi, tuple(body), lineno))
+            continue
+        items.append(_parse_statement(p, lineno, filename))
+        pos += 1
+    return items, pos
 
 
 def _parse_statement(p, lineno, filename):

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from manyworlds.compile import ConfigError, compile_targets
+from manyworlds.compile import ConfigError, Search, compile_targets
 from manyworlds.distributed import max_job_count, run_distributed
 from manyworlds.eventprog import ground
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
@@ -125,15 +125,28 @@ def test_persistent_failure_raises():
 
 
 def test_coverage_total_mass_in_exact_mode():
+    # the bounds after the certain variables plus every job's logged change
+    # give the final bounds, which collapse in exact mode
     net, vt, g = _clustering_net()
-    log = []
-    run_distributed(net, vt, 0.0, "exact", workers=4, job_depth=2,
-                    commit_log=log)
-    # every target's final bounds collapse; deltas plus the initial interval
-    # account for the full unit of probability mass
-    d = run_distributed(net, vt, 0.0, "exact", workers=4, job_depth=2)
-    for tb in d.targets:
-        assert abs(tb.upper - tb.lower) < 1e-9
+    for scheme, epsilon in (("exact", 0.0), ("hybrid", 0.1)):
+        seed = Search(net, vt, epsilon, scheme)
+        seed.preassign_certain()
+        for workers in (1, 2):
+            for job_depth in (1, 2):
+                log = []
+                d = run_distributed(net, vt, epsilon, scheme, workers=workers,
+                                    job_depth=job_depth, commit_log=log)
+                case = (scheme, workers, job_depth)
+                assert len(log) == d.stats.jobs > 1, case
+                for i, tb in enumerate(d.targets):
+                    lower = seed.state.problower[i] + sum(
+                        r["lower_delta"][i] for r in log)
+                    upper = seed.state.probupper[i] + sum(
+                        r["upper_delta"][i] for r in log)
+                    assert abs(lower - tb.lower) <= 1e-12, case
+                    assert abs(upper - tb.upper) <= 1e-12, case
+                    if scheme == "exact":
+                        assert abs(tb.upper - tb.lower) < 1e-9, case
 
 
 def test_many_workers_on_wide_variable_pool():
@@ -215,3 +228,21 @@ def test_pool_stress_with_fast_thread_switches():
     for a, b in zip(seq.targets, d.targets):
         assert abs(a.lower - b.lower) < 1e-9
         assert abs(a.upper - b.upper) < 1e-9
+
+
+def test_ledger_result_does_not_depend_on_commit_order():
+    from types import SimpleNamespace
+    from manyworlds.distributed import _Ledger, _result_from_ledger
+    from manyworlds.network import Stats
+    net = SimpleNamespace(targets=[(0, 0, "T")])
+    deltas = {"a": 0.1, "b": 0.2, "c": 0.3}
+    results = []
+    for order in ("abc", "cba"):
+        ledger = _Ledger(1, 0.0)
+        ledger.seed([0.0], [1.0])
+        for job in order:
+            ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], [0.0],
+                          Stats())
+        tb, = _result_from_ledger(net, ledger, "exact", 0.0).targets
+        results.append((repr(tb.lower), repr(tb.upper)))
+    assert results[0] == results[1]

@@ -1,6 +1,9 @@
 import pytest
 
-from manyworlds.events import And, CondVal, Ref, Var, TRUE, eval_cval, eval_event
+from manyworlds.events import (
+    Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
+    TypeMismatch, Var, TRUE, eval_cval, eval_event,
+)
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, decl, emit_event_program,
     emit_grounded, ground, ground_folded, parse_event_program, ref,
@@ -179,3 +182,69 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
             assert gc.collect() == 0, call
     finally:
         gc.enable()
+
+
+def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
+                                                        line_dataset):
+    # a self-referencing nested function leaves a cycle per call that holds
+    # what it closes over, such as the whole grounded program, until the next
+    # full collection
+    import gc
+    from manyworlds.translate import translate_to_event_program
+    from manyworlds.userlang import parse_user_program, validate_user_program
+    ast = parse_user_program(kmedoids_src)
+    tr = translate_to_event_program(ast, line_dataset)
+    text = emit_event_program(tr.program)
+    vs = set(line_dataset.vartable.index)
+    target = tr.loop_final_pattern("Centre")
+    calls = {
+        "parse_user_program": lambda: parse_user_program(kmedoids_src),
+        "validate_user_program": lambda: validate_user_program(ast),
+        "translate_to_event_program":
+            lambda: translate_to_event_program(ast, line_dataset),
+        "emit_event_program": lambda: emit_event_program(tr.program),
+        "parse_event_program": lambda: parse_event_program(text),
+        "ground": lambda: ground(tr.program, (target,), vs),
+        "ground_folded": lambda: ground_folded(tr.program, (target,), vs),
+    }
+    for call in calls.values():
+        call()  # first calls may fill caches that later ones reuse
+    gc.collect()
+    gc.disable()
+    try:
+        garbage = {}
+        for name, call in calls.items():
+            call()
+            garbage[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == dict.fromkeys(calls, 0)
+
+
+_S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("expr,message", [
+    (And((Var("x"), _S)), "boolean connective over non-event"),
+    (Not(_V), "boolean connective over non-event"),
+    (Atom("<=", Var("x"), _S), "atom compares events"),
+    (Atom("=", _S, _V), "atom compares scalar with vector"),
+    (Atom("<=", _V, _V), "ordered comparison on vectors"),
+    (CondVal(_S, 1.0), "guard is not an event"),
+    (Guard(_S, _S), "guard is not an event"),
+    (Add((_S, _V)), "sum over mixed kinds"),
+    (Add((_S, Var("x"))), "sum over mixed kinds"),
+    (Mul((_S, Var("x"))), "product over events"),
+    (Inv(_V), "inverse requires a scalar"),
+    (Pow(_V, 2), "power requires a scalar"),
+    (Dist(_V, _S), "dist requires vector operands"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_ground_rejects_ill_typed_declarations(expr, message):
+    with pytest.raises(TypeMismatch, match="^%s$" % message):
+        ground(EventProgram((decl("A", (), expr),)), ("A",))
+
+
+def test_ground_reads_kinds_of_earlier_declarations():
+    p = EventProgram((decl("S", (), _S), decl("A", (), Or((Var("x"), Ref("S"))))))
+    with pytest.raises(TypeMismatch, match="^boolean connective over non-event$"):
+        ground(p, ("A",))

@@ -228,7 +228,7 @@ def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
     most = []
 
     def counted_assign(name, value, p):
-        mark = st_.checkpoint()
+        mark = len(st_.trail)
         plain_assign(name, value, p)
         writes = Counter(idx for _is_bool, idx, _old in st_.trail[mark:])
         most.append(max(writes.values(), default=0))
@@ -239,3 +239,62 @@ def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
     search.run()
     assert len(most) > 10  # the whole exact search went through the check
     assert max(most) == 1
+
+
+def _undecided_bits(st_):
+    """The undecided-instance bits, recomputed from the masks."""
+    bits = 0
+    for nid, node in enumerate(st_.net.nodes):
+        for t in range(st_.T if node.in_loop else 1):
+            idx = t * st_.N + nid
+            if node.vkind == "b":
+                undecided = st_.bmask[idx] == UNKNOWN
+            else:
+                m = st_.nmask[idx]
+                undecided = m.may_def and (m.may_undef or m.lo != m.hi)
+            bits |= undecided << idx
+    return bits
+
+
+def _checked_exact_search(net, vt):
+    st_ = MaskState(net)
+    assert st_.unknown_bits == _undecided_bits(st_)
+    plain_assign, plain_revert = st_.assign, st_.revert
+    checks = []
+
+    def assign(*args):
+        plain_assign(*args)
+        checks.append(st_.unknown_bits == _undecided_bits(st_))
+
+    def revert(mark):
+        plain_revert(mark)
+        checks.append(st_.unknown_bits == _undecided_bits(st_))
+
+    st_.assign, st_.revert = assign, revert
+    search = Search(net, vt, 0.0, "exact", state=st_)
+    search.preassign_certain()
+    search.run()
+    return checks
+
+
+def test_unknown_bits_track_masks_through_search():
+    checks = []
+    for seed in range(8):
+        prog, vt, targets = random_instance(seed, max_vars=6)
+        net = build_network(ground(prog, targets, variables=set(vt.index)))
+        checks += _checked_exact_search(net, vt)
+    assert len(checks) > 20 and all(checks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_unknown_bits_track_masks_through_folded_search(line_dataset, seed):
+    rng = random.Random(seed)
+    line_dataset.params.iterations = 3
+    prog, meta = build_kmedoids_program(line_dataset)
+    vt = line_dataset.vartable
+    vt = type(vt)(tuple((name, round(rng.uniform(0.2, 0.8), 3))
+                        for name, _p in vt.vars))
+    net = build_network(ground_folded(prog, (meta["targets"],), set(vt.index)))
+    assert net.T == 3
+    checks = _checked_exact_search(net, vt)
+    assert len(checks) > 10 and all(checks)
