@@ -2,23 +2,30 @@
 
 A job owns the subtree rooted at a branch prefix.  While exploring, a job
 forks a child job whenever a descent would cross a depth that is a multiple
-of the job depth ``d``; the child restores the fork-time masks, which the
-forking job copied into it, and commits its probability-bound deltas and
-unused error budgets when done.  Commits are serialized and idempotent per
-job id, so re-running a failed job is safe.
+of the job depth ``d``.  Each job commits its own bounds change (its whole
+change less that of the jobs it ran in place) to a ledger, which counts it
+as a job; commits are serialized and idempotent per job id, so re-running
+a failed job is safe.  The result is the seed bounds plus every commit.
 
-Two schedulers:
+One runner serves every worker count; each worker owns one mask state.  The
+fork policy is the only scheduling decision.  A forked job goes to the
+queue only while idle workers outnumber queued jobs, with a copy of the
+fork-time masks to resume from, and gets its base budget share; residuals
+of finished queued jobs go to a pool that queued jobs drain when they
+start.  Otherwise the forking worker runs the job in place and gets its
+residual budgets back, as sequential compilation does.  One worker is never
+idle, so it visits exactly the sequential branches, in the same order, with
+the same budgets.  More workers may explore a little more, but never break
+the epsilon contract: budget mass is conserved or forfeited, never created.
 
-  * ``workers == 1`` runs every forked job immediately, in place, on the one
-    mask state.  This preserves the sequential budget flow exactly, so the
-    run visits precisely the branches sequential compilation visits.
-  * ``workers > 1`` uses a FIFO queue and a thread per worker.  Each worker
-    owns one mask state and loads each job's fork-time masks into it, so a
-    job's mask writes do not depend on scheduling.  Each job gets its base
-    budget share at fork time; residuals committed by finished jobs go to a
-    shared pool that newly started jobs drain.  This may explore a little
-    more than the sequential run but never violates the epsilon contract,
-    because budget mass is conserved.
+A job that raises is retried from its fork-time masks, at most
+``max_retries`` times.  One that raises while running in place is undone
+to its fork point and queued, so the retry is charged to it, not to its
+forker.  A committed job never runs again, so a retried forker skips the
+forks that committed before it failed.  Budget a failed attempt drained
+from the pool is forfeited on purpose: the attempt may have handed shares
+of it to forks that committed, so a refund could spend them twice.
+Forfeiting only widens exploration.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import math
 import queue
 import threading
 
-from .compile import CompileResult, ConfigError, Search, checked_bounds, finish_result
+from .compile import CompileResult, ConfigError, Search, checked_bounds
 from .network import MaskState, Stats
 
 
@@ -90,6 +97,7 @@ class _Ledger:
                 "upper_delta": list(up_delta),
             })
             s = self.stats
+            s.jobs += 1
             s.branches += stats.branches
             s.leaves += stats.leaves
             s.pruned += stats.pruned
@@ -101,179 +109,175 @@ class _Ledger:
 def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
                     job_depth=1, commit_log=None, fault_hook=None,
                     max_retries=2):
-    """Compile the network's targets with parallel workers.
+    """Compile the network's targets with ``workers`` workers.
 
-    Satisfies the same bounds contract as sequential compilation; with one
-    worker the result (and visit order) is identical to the sequential run.
+    Satisfies the same bounds contract as sequential compilation.  A forked
+    job is queued only while idle workers outnumber queued jobs, and runs in
+    place otherwise, so one worker repeats the sequential run exactly.  A
+    failing job is retried up to ``max_retries`` times, then its error raised.
     """
     if scheme not in ("exact", "hybrid"):
         raise ConfigError("distributed execution supports exact or hybrid")
     if workers < 1 or job_depth < 1:
         raise ConfigError("workers and job depth must be >= 1")
-
-    if workers == 1:
-        result, log = _run_synchronous(net, vartable, epsilon, scheme, job_depth,
-                                       fault_hook)
-    else:
-        result, log = _run_pool(net, vartable, epsilon, scheme, workers,
-                                job_depth, fault_hook, max_retries)
-    if commit_log is not None:
-        commit_log.extend(log)
-    return result
-
-
-def _run_synchronous(net, vt, epsilon, scheme, d, fault_hook):
-    stats = Stats()
-    log = []
-    search = Search(net, vt, epsilon, scheme, stats=stats, job_depth=d)
-    state = search.state
-    nt = len(net.targets)
-    forked = []  # per running job: the summed bounds changes of its forks
-
-    def run_job(job_id, prefix, explore):
-        # forked jobs run inside this one on the shared state, so the job's
-        # own change, which the pool would commit, is its total change less
-        # the total changes of the jobs it forked
-        start = state.problower + state.probupper
-        forked.append([0.0] * len(start))
-        result = explore()
-        total = [a - b for a, b in zip(state.problower + state.probupper, start)]
-        own = [a - b for a, b in zip(total, forked.pop())]
-        if forked:
-            forked[-1] = [a + b for a, b in zip(forked[-1], total)]
-        log.append({"job": job_id,
-                    "prefix": [[n, bool(v)] for n, v in prefix],
-                    "lower_delta": own[:nt], "upper_delta": own[nt:]})
-        return result
-
-    def forker(prefix, pr, E, depth):
-        stats.jobs += 1
-        job_id = _job_id(prefix)
-        if fault_hook is not None:
-            fault_hook(job_id)
-        return run_job(job_id, prefix,
-                       lambda: search._dfs(prefix[-1], prefix, pr, list(E), depth))
-
-    def run_root():
-        if not search.all_resolved():
-            search.run()
-
-    search.forker = forker
-    search.preassign_certain()
-    search.check_targets_reachable()
-    stats.jobs += 1  # the root job
-    run_job("root", (), run_root)
-    search.forker = None  # the forker refers to the search: break the cycle
-    log.insert(0, log.pop())  # the root's entry first
-    return finish_result(search), log
-
-
-def _run_pool(net, vt, epsilon, scheme, workers, d, fault_hook, max_retries):
-    nt = len(net.targets)
-    ledger = _Ledger(nt, epsilon)
+    ledger = _Ledger(len(net.targets), epsilon)
 
     # Count the variable-independent decisions (initial masks plus certain
     # variables) exactly once, on a probe state; the root job resumes from it.
-    probe_stats = Stats()
-    probe = Search(net, vt, epsilon, scheme, stats=probe_stats)
+    probe = Search(net, vartable, epsilon, scheme, stats=ledger.stats)
     probe.preassign_certain()
     probe.check_targets_reachable()
     ledger.seed(probe.state.problower, probe.state.probupper)
-    ledger.stats.propagations += probe_stats.propagations
 
-    if probe.all_resolved():
-        return _result_from_ledger(net, ledger, scheme, epsilon), ledger.log
+    if not probe.all_resolved():
+        runner = _Runner(net, vartable, epsilon, scheme, workers, job_depth,
+                         fault_hook, max_retries, ledger)
+        runner.run({"id": "root", "prefix": (), "pr": 1.0,
+                    "base": [2.0 * epsilon] * len(net.targets), "depth": 0,
+                    "assigned": frozenset(probe.assigned),
+                    "masks": probe.state.save_masks()}, probe.state)
+    if commit_log is not None:
+        commit_log.extend(ledger.log)
+    return _result_from_ledger(net, ledger, scheme, epsilon)
 
-    work = queue.Queue()
-    outstanding = [1]
-    failures = []
-    retries = {}
-    lock = threading.Lock()
 
-    root = {"id": "root", "prefix": (), "pr": 1.0, "base": [2.0 * epsilon] * nt,
-            "depth": 0, "assigned": frozenset(probe.assigned),
-            "masks": probe.state.save_masks()}
-    ledger.stats.jobs = 1
-    work.put(root)
+class _Runner:
+    """The job runner; the calling thread is worker 0, on the probe's state.
 
-    def finish_one():
-        with lock:
-            outstanding[0] -= 1
-            last = outstanding[0] == 0
-        if last:  # no job is running or queued: wake every worker to exit
-            for _ in range(workers):
-                work.put(None)
+    Methods, not nested functions: a fork function and a job function that
+    refer to each other form a cycle, which keeps the run alive until the
+    next full collection.
+    """
 
-    def spawn(state, assigned, prefix, pr, E, depth):
-        # the child resumes from the forking job's masks, taken before the
-        # child's own variable is assigned
-        job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
-               "base": list(E), "depth": depth, "assigned": frozenset(assigned),
-               "masks": state.save_masks()}
-        with lock:
-            outstanding[0] += 1
-        with ledger.lock:
-            ledger.stats.jobs += 1
-        work.put(job)
-        return None  # asynchronous: residual comes back through the pool
+    def __init__(self, net, vt, epsilon, scheme, workers, job_depth,
+                 fault_hook, max_retries, ledger):
+        self.net, self.vt, self.epsilon, self.scheme = net, vt, epsilon, scheme
+        self.workers = workers
+        self.job_depth = job_depth
+        self.fault_hook = fault_hook
+        self.max_retries = max_retries
+        self.ledger = ledger
+        self.work = queue.Queue()
+        self.lock = threading.Lock()  # guards the counts below
+        self.idle = workers  # workers not running a job
+        self.queued = 0
+        self.retries = {}
+        self.failures = []
 
-    def execute(job, state):
-        if fault_hook is not None:
-            fault_hook(job["id"])
-        stats = Stats()
-        search = Search(net, vt, epsilon, scheme, state=state, stats=stats,
-                        job_depth=d)
-        search.assigned = set(job["assigned"])
-        # no reference back to the search: a cycle would keep every job's
-        # search alive until the next full garbage collection
-        search.forker = functools.partial(spawn, state, search.assigned)
-        state.load_masks(job["masks"])
-        snap_lo, snap_up = ledger.snapshot()
-        state.problower[:] = snap_lo
-        state.probupper[:] = snap_up
-        budgets = job["base"]
-        if epsilon > 0.0:
-            extra = ledger.drain_pool()
-            budgets = [b + e for b, e in zip(budgets, extra)]
-        prefix = job["prefix"]
-        pending = prefix[-1] if prefix else None
-        residual = search._dfs(pending, prefix, job["pr"], list(budgets),
-                               job["depth"])
-        lo_delta = [a - b for a, b in zip(state.problower, snap_lo)]
-        up_delta = [a - b for a, b in zip(state.probupper, snap_up)]
-        ledger.commit(job["id"], prefix, lo_delta, up_delta, residual, stats)
+    def run(self, root, state):
+        self.queued = 1
+        self.work.put(root)
+        threads = [threading.Thread(target=self.worker_loop,
+                                    args=(MaskState(self.net),), daemon=True)
+                   for _ in range(self.workers - 1)]
+        for t in threads:
+            t.start()
+        self.worker_loop(state)
+        for t in threads:
+            t.join()
+        if self.failures:
+            raise self.failures[0]
 
-    def worker_loop():
-        state = MaskState(net)  # reused by every job this worker runs
+    def worker_loop(self, state):
         while True:
-            job = work.get()
+            job = self.work.get()
             if job is None:
                 return
+            with self.lock:
+                self.idle -= 1
+                self.queued -= 1
             try:
-                if job["id"] not in ledger.committed:
-                    execute(job, state)
-                finish_one()
-            except Exception as exc:  # re-queue: commits are idempotent
-                with lock:
-                    n = retries.get(job["id"], 0)
-                    retry = n < max_retries
-                    if retry:
-                        retries[job["id"]] = n + 1
-                if retry:
-                    work.put(job)
-                else:
-                    failures.append((job["id"], exc))
-                    finish_one()
+                self.execute(job, state)
+            except Exception as exc:
+                self.retry(job, exc)
+            with self.lock:
+                self.idle += 1
+                done = self.idle == self.workers and not self.queued
+            if done:  # no job is running or queued: wake every worker to exit
+                for _ in range(self.workers):
+                    self.work.put(None)
 
-    threads = [threading.Thread(target=worker_loop, daemon=True)
-               for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0][1]
-    return _result_from_ledger(net, ledger, scheme, epsilon), ledger.log
+    def retry(self, job, exc):
+        """Queue a failed job again, or keep its error once out of retries."""
+        with self.lock:
+            n = self.retries.get(job["id"], 0)
+            if n >= self.max_retries:
+                self.failures.append(exc)
+                return
+            self.retries[job["id"]] = n + 1
+            self.queued += 1
+        self.work.put(job)
+
+    def execute(self, job, state):
+        """Run ``job`` on ``state`` and commit its own bounds change.
+
+        A queued job carries fork-time masks and resumes from them; any
+        other runs in place.  Returns the residual budgets, or None once
+        another attempt of the job has committed."""
+        if job["id"] in self.ledger.committed:
+            return None  # an earlier attempt ran it: its change is committed
+        if self.fault_hook is not None:
+            self.fault_hook(job["id"])
+        stats = Stats()
+        search = Search(self.net, self.vt, self.epsilon, self.scheme,
+                        state=state, stats=stats, job_depth=self.job_depth)
+        search.assigned = set(job["assigned"])
+        ledger = self.ledger
+        queued = "masks" in job
+        budgets = job["base"]
+        if queued:
+            state.load_masks(job["masks"])
+            state.problower[:], state.probupper[:] = ledger.snapshot()
+            if self.epsilon > 0.0:
+                budgets = [b + e for b, e in zip(budgets, ledger.drain_pool())]
+        # the bounds this job started from, plus the change of every job
+        # that ran in place inside it: the rest of the change is its own
+        base = state.problower + state.probupper
+        search.forker = functools.partial(self.fork, state, search.assigned,
+                                          stats, base)
+        prefix = job["prefix"]
+        residual = search._dfs(prefix[-1] if prefix else None, prefix,
+                               job["pr"], list(budgets), job["depth"])
+        nt = len(state.problower)
+        own = [a - b for a, b in zip(state.problower + state.probupper, base)]
+        # a queued job's residual goes to the pool; one run in place returns
+        # it to its forker and must not hand it out twice
+        to_pool = residual if queued else [0.0] * nt
+        if ledger.commit(job["id"], prefix, own[:nt], own[nt:], to_pool, stats):
+            return residual
+        return None
+
+    def fork(self, state, assigned, stats, base, prefix, pr, E, depth):
+        """``Search.forker``: queue the job for an idle worker, or run it in
+        place and return its residual budgets (None: none come back)."""
+        job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
+               "base": list(E), "depth": depth, "assigned": frozenset(assigned)}
+        with self.lock:
+            hand_off = self.idle > self.queued
+            if hand_off:
+                self.queued += 1
+        if hand_off:  # the job resumes from the masks before its variable
+            job["masks"] = state.save_masks()
+            self.work.put(job)
+            return None
+        mark = state.checkpoint()
+        lower, upper = list(state.problower), list(state.probupper)
+        try:
+            residual = self.execute(job, state)
+        except Exception as exc:
+            # undo the attempt and queue the job, so the retry is charged
+            # to the job that failed and not to its forker
+            state.revert(mark)
+            state.problower[:], state.probupper[:] = lower, upper
+            job["masks"] = state.save_masks()
+            self.retry(job, exc)
+            return None
+        finally:
+            state.stats = stats  # the job's Search repointed it
+        for i, (now, then) in enumerate(zip(state.problower + state.probupper,
+                                            lower + upper)):
+            base[i] += now - then
+        return residual
 
 
 def _result_from_ledger(net, ledger, scheme, epsilon):

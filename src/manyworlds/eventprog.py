@@ -465,7 +465,7 @@ class _LineParser:
             self.next()
             e = self.parse_event()
             self.expect_op(")")
-            return self._maybe_guard(e)
+            return e
         if t == "op" and v == "[":
             return self.parse_atom()
         if t == "name":
@@ -479,12 +479,8 @@ class _LineParser:
                 return self.parse_event_fold(v)
             self.next()
             indices = self.parse_indices()
-            return self._maybe_guard(Ref(v, indices))
+            return Ref(v, indices)
         self.error("expected an event, found %r" % (v,))
-
-    def _maybe_guard(self, e):
-        # Inside c-value context a guard may follow; handled by parse_cval.
-        return e
 
     def parse_event_fold(self, which):
         self.next()

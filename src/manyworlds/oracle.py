@@ -165,9 +165,6 @@ class WorldReport:
     clusters: list = field(default_factory=list)
     medoids: list = field(default_factory=list)
 
-    def cluster_sets(self):
-        return [frozenset(c) for c in self.clusters]
-
 
 def per_world_report(grounded, vartable, valuation, cluster_spec=None):
     """Evaluate every declaration in one world; derive clusters when asked.

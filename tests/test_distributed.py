@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 
@@ -191,7 +192,8 @@ def test_pool_does_no_extra_work(workers):
     assert d.stats.branches == one.stats.branches
 
 
-def test_pool_stress_with_fast_thread_switches():
+@pytest.mark.parametrize("workers", [1, 8])
+def test_pool_stress_with_fast_thread_switches(workers):
     # more workers than cores, a thread switch every microsecond, and every
     # job failing once: each job is retried once, the run still matches the
     # sequential one, and every worker wakes up and exits
@@ -210,7 +212,7 @@ def test_pool_stress_with_fast_thread_switches():
     out = {}
 
     def run():
-        out["result"] = run_distributed(net, vt, 0.0, "exact", workers=8,
+        out["result"] = run_distributed(net, vt, 0.0, "exact", workers=workers,
                                         job_depth=2, fault_hook=hook,
                                         max_retries=1)
 
@@ -246,3 +248,74 @@ def test_ledger_result_does_not_depend_on_commit_order():
         tb, = _result_from_ledger(net, ledger, "exact", 0.0).targets
         results.append((repr(tb.lower), repr(tb.upper)))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_job_failing_once_keeps_epsilon(workers):
+    net, vt, g = _clustering_net()
+    oracle = oracle_probabilities(g, vt, g.targets).probabilities
+    failed = set()
+    failed_lock = threading.Lock()
+
+    def hook(job_id):
+        with failed_lock:
+            first = job_id not in failed
+            failed.add(job_id)
+        if first:
+            raise RuntimeError("injected failure")
+
+    log = []
+    d = run_distributed(net, vt, 0.1, "hybrid", workers=workers, job_depth=2,
+                        commit_log=log, fault_hook=hook, max_retries=1)
+    assert len(failed) == len(log) == d.stats.jobs <= max_job_count(len(vt), 2)
+    for tb in d.targets:
+        p = oracle[tb.eid]
+        assert tb.lower - 1e-12 <= p <= tb.upper + 1e-12
+        assert tb.upper - tb.lower <= 0.2 + 1e-12
+
+
+@pytest.mark.parametrize("job_depth", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fault_after_a_fork(workers, job_depth, monkeypatch):
+    # the root job raises once, right after its first fork has returned:
+    # the retried root skips the forks that committed (running one again
+    # would count its mass twice and stop the root early), and every job
+    # is counted once, when it commits
+    net, vt, g = _clustering_net()
+    seq = compile_targets(net, vt, 0.0, "exact")
+    descend = Search._descend
+    fired = []
+
+    def faulty_descend(self, x, value, prefix, pr, E, depth):
+        res = descend(self, x, value, prefix, pr, E, depth)
+        if depth == job_depth and not fired:
+            fired.append(prefix + ((x, value),))
+            raise RuntimeError("injected failure")
+        return res
+
+    monkeypatch.setattr(Search, "_descend", faulty_descend)
+    log = []
+    d = run_distributed(net, vt, 0.0, "exact", workers=workers,
+                        job_depth=job_depth, commit_log=log)
+    assert fired
+    assert len(log) == d.stats.jobs <= max_job_count(len(vt), job_depth)
+    for a, b in zip(seq.targets, d.targets):
+        assert abs(a.lower - b.lower) < 1e-9
+        assert abs(a.upper - b.upper) < 1e-9
+
+
+def test_run_distributed_leaves_no_cyclic_garbage():
+    # a search that refers to its forker, or a fork function and a job
+    # function that refer to each other, would keep every run alive until
+    # the next full collection
+    net, vt, g = _clustering_net()
+    gc.collect()
+    gc.disable()
+    try:
+        for scheme, epsilon in (("exact", 0.0), ("hybrid", 0.1)):
+            for workers in (1, 2):
+                run_distributed(net, vt, epsilon, scheme, workers=workers,
+                                job_depth=2)
+                assert gc.collect() == 0, (scheme, workers)
+    finally:
+        gc.enable()
