@@ -68,37 +68,33 @@ class CompileResult:
 
 
 def ancestor_bits(net):
-    """Per-variable bitmask over (iteration, node) instances reachable upward."""
-    cached = getattr(net, "_ancestor_bits", None)
-    if cached is not None:
-        return cached
-    N, T = len(net.nodes), net.T
-    out = {}
-    for name, vid in net.var_nodes.items():
-        seen = {vid}  # a variable decides its own node (it may be a target)
-        stack = [(vid, 0)]
-        while stack:
-            nid, t = stack.pop()
-            for pid, tag in net.nodes[nid].parents:
-                if tag == "same":
-                    pts = (t if net.nodes[pid].in_loop else 0,)
-                elif tag == "bcast":
-                    pts = range(T)
-                elif tag == "next":
-                    pts = (t + 1,) if t + 1 < T else ()
-                else:  # 'zero'
-                    pts = (0,)
-                for pt in pts:
-                    idx = pt * N + pid if net.nodes[pid].in_loop else pid
-                    if idx not in seen:
-                        seen.add(idx)
-                        stack.append((pid, pt))
-        bits = 0
-        for idx in seen:
-            bits |= 1 << idx
-        out[name] = bits
-    net._ancestor_bits = out
-    return out
+    """Per-variable bitmask over the instance slots that lie above it.
+
+    A variable's own slot is included (it may be a target).  One pass in
+    slot order, which is topological, gives each slot the set of variables
+    below it, as a small int with one bit per variable: the OR of its
+    children's sets.  The per-variable masks over slots are then read off
+    those sets.  The result is kept on the network.
+    """
+    if net.ancestors is not None:
+        return net.ancestors
+    tables = net.slot_tables()
+    names = list(net.var_nodes)
+    below = [0] * len(tables.children)
+    for j, vid in enumerate(net.var_nodes.values()):
+        below[vid] = 1 << j
+    for slot, kids in enumerate(tables.children):
+        for c in kids:
+            below[slot] |= below[c]
+    rows = [bytearray((len(below) + 7) // 8) for _ in names]
+    for slot, vs in enumerate(below):
+        while vs:
+            low = vs & -vs
+            rows[low.bit_length() - 1][slot >> 3] |= 1 << (slot & 7)
+            vs ^= low
+    net.ancestors = {name: int.from_bytes(row, "little")
+                     for name, row in zip(names, rows)}
+    return net.ancestors
 
 
 class Search:

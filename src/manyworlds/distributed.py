@@ -53,7 +53,7 @@ def _job_id(prefix):
 class _Ledger:
     """Serialized commit point for bounds, budgets and the job log."""
 
-    def __init__(self, nt, epsilon):
+    def __init__(self, nt):
         self.lock = threading.Lock()
         self.seed_lower, self.seed_upper = [0.0] * nt, [1.0] * nt
         # running sums, for the snapshots jobs start from; the result is
@@ -61,7 +61,6 @@ class _Ledger:
         self.lower = [0.0] * nt
         self.upper = [1.0] * nt
         self.pool = [0.0] * nt
-        self.epsilon = epsilon
         self.committed = set()
         self.log = []
         self.stats = Stats()
@@ -120,7 +119,7 @@ def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
         raise ConfigError("distributed execution supports exact or hybrid")
     if workers < 1 or job_depth < 1:
         raise ConfigError("workers and job depth must be >= 1")
-    ledger = _Ledger(len(net.targets), epsilon)
+    ledger = _Ledger(len(net.targets))
 
     # Count the variable-independent decisions (initial masks plus certain
     # variables) exactly once, on a probe state; the root job resumes from it.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    Var, FALSE, TRUE, COMPARATORS, infer_kind, map_children,
+    Var, FALSE, TRUE, COMPARATORS, TypeMismatch, kind_rule, map_children,
 )
 
 
@@ -191,30 +191,49 @@ def glob_to_regex(pattern):
     return re.compile("^" + "".join(out) + "$")
 
 
-def _ground_expr(e, env, declared, variables):
+def _ground_expr(e, env, declared, variables, kinds=None):
+    """``e`` grounded under ``env``, with its static kind.
+
+    ``kinds`` maps the grounded identifiers declared so far to their kinds.
+    A node's kind rule runs once its children are grounded and typed, so an
+    error deeper in the tree is the one reported.  With ``kinds`` None the
+    expression is only rewritten, and its kind is None.
+    """
     kind = type(e)
+    ks = ()
     if kind is Ref:
         if e.indices:
             eid = render_eid(e.name, [as_affine(ix).eval(env) for ix in e.indices])
             if eid not in declared:
                 raise GroundError("unresolved reference %r" % eid)
-            return Ref(eid)
-        if e.name in declared:
-            return Ref(e.name)
-        if variables is None or e.name in variables:
+            out = Ref(eid)
+        elif e.name in declared:
+            out = Ref(e.name)
+        elif variables is None or e.name in variables:
             # bare undeclared name: a random variable
-            return Var(e.name)
-        raise GroundError("unresolved reference %r" % e.name)
-    if kind is Var:
+            out = Var(e.name)
+        else:
+            raise GroundError("unresolved reference %r" % e.name)
+    elif kind is Var:
+        out = e
         if variables is not None and e.name not in variables:
-            if e.name in declared:
-                return Ref(e.name)
-            raise GroundError("unresolved variable %r" % e.name)
-        return e
-    if kind is CondVal and isinstance(e.value, Affine):
+            if e.name not in declared:
+                raise GroundError("unresolved variable %r" % e.name)
+            out = Ref(e.name)
+    elif kind is CondVal and isinstance(e.value, Affine):
         value = e.value.eval(env)
-        return CondVal(_ground_expr(e.guard, env, declared, variables), value)
-    return map_children(e, lambda c: _ground_expr(c, env, declared, variables))
+        guard, gk = _ground_expr(e.guard, env, declared, variables, kinds)
+        out, ks = CondVal(guard, value), (gk,)
+    else:
+        ks = []
+
+        def sub(c):
+            g, k = _ground_expr(c, env, declared, variables, kinds)
+            ks.append(k)
+            return g
+
+        out = map_children(e, sub)
+    return out, None if kinds is None else kind_rule(out, ks, kinds)
 
 
 def _instances(items, env):
@@ -240,9 +259,14 @@ def ground(program, target_patterns=("*",), variables=None):
         eid = item.eid_under(env)
         if eid in decls:
             raise GroundError("identifier %r assigned twice" % eid)
-        grounded = _ground_expr(item.expr, env, decls, variables)
-        decls[eid] = grounded
-        kinds[eid] = infer_kind(grounded, kinds)
+        try:
+            decls[eid], kinds[eid] = _ground_expr(item.expr, env, decls,
+                                                  variables, kinds)
+        except TypeMismatch:
+            # an unresolved name anywhere in the declaration is the error
+            # reported, even when a kind error comes before it in the walk
+            _ground_expr(item.expr, env, decls, variables)
+            raise
     targets = match_targets(decls.keys(), target_patterns)
     return GroundedProgram(decls, targets)
 

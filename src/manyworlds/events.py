@@ -431,19 +431,16 @@ def eval_cval(c, valuation, env=None):
 # ---------------------------------------------------------------------------
 
 
-def infer_kind(e, env_kinds=None):
-    """Infer the static kind of an expression; raises TypeMismatch when ill-typed.
+def kind_rule(e, ks, env_kinds):
+    """The static kind of a grounded node ``e``, given its children's kinds.
 
-    ``env_kinds`` maps grounded identifiers to their kinds.  The children's
-    kinds are inferred first, so an error deeper in the tree is the one
-    reported.
+    Raises TypeMismatch when the node is ill-typed.  ``env_kinds`` maps
+    grounded identifiers to their kinds.  ``eventprog.ground`` applies the
+    rule to each node as it grounds it, after the node's children.
     """
-    env_kinds = env_kinds or {}
     kind = type(e)
     if kind is Ref:
-        # bare references default to events; grounding re-checks
-        return env_kinds.get(e.name, "b")
-    ks = [infer_kind(c, env_kinds) for c in children_of(e)]
+        return env_kinds[e.name]
     if kind in (Const, Var, Not, And, Or):
         if any(k != "b" for k in ks):
             raise TypeMismatch("boolean connective over non-event")

@@ -16,13 +16,22 @@ smaller slot to a larger one:
 
   * node ids run children-before-parents, so ``same`` edges rise;
   * ``bcast`` edges go from a base node to an in-loop parent at any ``t``,
-    whose slot is at least its id; ``next`` edges go to ``t+1``;
+    whose slot is at least its id; ``next`` edges go to ``t+1`` (from a
+    base source, to every ``t >= 1``);
   * ``zero`` edges go from a base initial declaration to a carry node,
     which is created after it.
 
-An assignment therefore drains dirty instances from a min-heap of slot
-indices.  Each instance is recomputed once, after all of its changed
-children, and is written at most once per assignment.
+The first ``MaskState`` on a network compiles it into ``SlotTables``: an
+integer kind code per node, and per slot a tuple of child slots and a tuple
+of parent slots, with the edge tags and the carry nodes' iteration shift
+already expanded.  Building them outside ``build_network`` keeps that work
+out of network construction; every mask state on the network, one per
+worker, shares them read-only.  An assignment drains dirty slots from a
+min-heap.  A slot is pushed at most once per assignment, because a stamp
+list marks the assignment that last queued it.  Since every push is of a
+parent of the slot just popped, slots pop in rising order.  So each
+instance is recomputed once, after all of its changed children, and is
+written at most once per assignment.
 
 The search picks its next variable by how many undecided instances lie
 above it, so ``MaskState.unknown_bits`` keeps one bit per instance slot that
@@ -45,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
@@ -90,6 +99,7 @@ class Node:
 #   'same'  child and parent live in the same iteration (or both outside)
 #   'bcast' child is iteration-independent, parent is in-loop: all iterations
 #   'next'  child is a loop-carried source, parent is the carry node at t+1
+#           (below a base source, at every t >= 1)
 #   'zero'  child is the initial declaration read by the carry node at t=0
 
 
@@ -102,6 +112,14 @@ class EventNetwork:
         self.node_of_eid = {}
         self.var_nodes = {}  # var name -> node id
         self.targets = []  # list of (node_id, t, eid)
+        self.slots = None  # SlotTables, built by slot_tables() on first use
+        self.ancestors = None  # filled by compile.ancestor_bits
+
+    def slot_tables(self):
+        """The network flattened over instance slots (see ``SlotTables``)."""
+        if self.slots is None:
+            self.slots = SlotTables(self)
+        return self.slots
 
     # --- construction -----------------------------------------------------
 
@@ -156,6 +174,66 @@ class EventNetwork:
             out.append("%d %s%s %s" % (n.id, n.kind, extra,
                                        " ".join(str(c) for c in n.children)))
         return "\n".join(out) + "\n"
+
+
+# the mask kinds in code order, each computed by its rule
+# ``MaskState._<kind>``; the Boolean kinds come first, so a code below
+# NUMERIC marks a Boolean node
+_KINDS = ("and", "or", "not", "atom", "carry_bool", "const", "var",
+          "condval", "guard", "add", "mul", "dist", "inv", "pow", "carry_num")
+_CODES = {kind: code for code, kind in enumerate(_KINDS)}
+NUMERIC = _CODES["condval"]
+
+
+def _kind_code(node):
+    if node.kind == "loop":  # a carry node copies a mask of either kind
+        return _CODES["carry_bool" if node.vkind == "b" else "carry_num"]
+    return _CODES[node.kind]
+
+
+class SlotTables:
+    """An event network flattened over its (node, iteration) instance slots.
+
+    ``codes[nid]`` is node ``nid``'s kind code.  ``children[slot]`` holds the
+    slots a slot's mask is computed from, in the node's child order; a carry
+    node reads its initial declaration at ``t=0`` and its source at ``t-1``
+    after that.  ``parents[slot]`` holds the slots that read it, expanded
+    from the edge tags.  Slots that no instance uses (a base node's slot at
+    ``t>0``) have neither.  Every edge rises: a child's slot is smaller than
+    its parent's.
+    """
+
+    __slots__ = ("codes", "children", "parents")
+
+    def __init__(self, net):
+        nodes, N, T = net.nodes, len(net.nodes), net.T
+        self.codes = [_kind_code(node) for node in nodes]
+        children = [()] * (N * T)
+        parents = [()] * (N * T)
+        for node in nodes:
+            for t in range(T) if node.in_loop else (0,):
+                if node.kind != "loop":
+                    kids, kt = node.children, t
+                elif t == 0:
+                    kids, kt = (node.payload["init"],), 0
+                else:
+                    kids, kt = (node.payload["source"],), t - 1
+                children[t * N + node.id] = tuple(
+                    kt * N + c if nodes[c].in_loop else c for c in kids)
+                out = []
+                for pid, tag in node.parents:
+                    if tag == "bcast":
+                        out.extend(pt * N + pid for pt in range(T))
+                    elif tag == "next":
+                        # a base source is read at every iteration after 0
+                        pts = range(t + 1, min(t + 2, T)) if node.in_loop \
+                            else range(1, T)
+                        out.extend(pt * N + pid for pt in pts)
+                    else:  # 'same' or 'zero': same t, which is 0 below a base node
+                        out.append(t * N + pid)
+                parents[t * N + node.id] = tuple(out)
+        self.children = children
+        self.parents = parents
 
 
 def _combine_mul_kind(a, b):
@@ -437,6 +515,7 @@ class MaskState:
 
     def __init__(self, net: EventNetwork, stats=None):
         self.net = net
+        self.tables = net.slot_tables()
         self.N = len(net.nodes)
         self.T = net.T
         size = self.N * self.T
@@ -456,6 +535,9 @@ class MaskState:
         self.target_at = {}
         for i, (nid, t, _eid) in enumerate(net.targets):
             self.target_at.setdefault(self._idx(nid, t), []).append(i)
+        # a slot is queued in the current assignment iff its stamp is epoch
+        self.queued = [0] * size
+        self.epoch = 0
         self._init_masks()
 
     # --- indexing -----------------------------------------------------------
@@ -478,26 +560,31 @@ class MaskState:
     # --- initialisation ------------------------------------------------------
 
     def _init_masks(self):
-        # node ids are topological (children precede parents; carried loop
-        # references only look at earlier iterations), so a single bottom-up
-        # computation per instance reaches the initial fixpoint without any
-        # parent cascades
-        for nid, node in enumerate(self.net.nodes):
-            if not node.in_loop:
-                self._init_one(node, nid, 0)
+        # slots are topological, so computing each instance once, in slot
+        # order, reaches the initial fixpoint without any parent cascades;
+        # nothing reverts below it, so it leaves no trail
+        N, bmask, nmask = self.N, self.bmask, self.nmask
+        codes, children = self.tables.codes, self.tables.children
+        unknown, writes = self.unknown_bits, 0
         for t in range(self.T):
             for nid, node in enumerate(self.net.nodes):
-                if node.in_loop:
-                    self._init_one(node, nid, t)
-
-    def _init_one(self, node, nid, t):
-        idx = self._idx(nid, t)
-        if node.vkind == "b":
-            new = self._compute_bool(node, t)
-            if new != UNKNOWN:
-                self._write_bool(idx, new, 1.0)
-        else:
-            self._write_num(idx, self._compute_num(node, t))
+                if t and not node.in_loop:
+                    continue
+                idx = t * N + nid
+                code = codes[nid]
+                new = _RULES[code](self, node, children[idx])
+                if code < NUMERIC:
+                    if new == UNKNOWN:
+                        continue
+                    bmask[idx] = new
+                    self._credit(idx, new, 1.0)
+                else:
+                    nmask[idx] = new
+                writes += 1
+                if code < NUMERIC or _decided(new):
+                    unknown &= ~(1 << idx)
+        self.unknown_bits = unknown
+        self.stats.propagations += writes
 
     # --- trail ----------------------------------------------------------------
 
@@ -507,12 +594,13 @@ class MaskState:
 
     def revert(self, mark):
         size, self.unknown_bits = mark
-        while len(self.trail) > size:
-            is_bool, idx, old = self.trail.pop()
+        trail, bmask, nmask = self.trail, self.bmask, self.nmask
+        for is_bool, idx, old in reversed(trail[size:]):
             if is_bool:
-                self.bmask[idx] = old
+                bmask[idx] = old
             else:
-                self.nmask[idx] = old
+                nmask[idx] = old
+        del trail[size:]
 
     def save_masks(self):
         """Copies of the masks, for a job that resumes from this point."""
@@ -530,119 +618,86 @@ class MaskState:
     def assign(self, var_name, value, p):
         """Assign a variable, then bring every instance above it up to date.
 
-        Dirty instances are drained from a min-heap keyed by slot index.  The
-        slot index is topological (see the module docstring), so an instance
-        is popped only after every changed child below it, and is recomputed
-        once per assignment.  Its parents are queued only if its mask changed.
+        Dirty slots are drained from a min-heap.  The slot index is
+        topological (see the module docstring), so a slot is popped only
+        after every changed child below it, and is recomputed once per
+        assignment; its stamp in ``queued`` keeps it from being pushed
+        twice.  Its parents are queued only if its mask changed.
         """
         nid = self.net.var_nodes.get(var_name)
         if nid is None:
             return  # variable unused by the network
-        if self.bmask[nid] != UNKNOWN:
+        bmask, nmask, trail = self.bmask, self.nmask, self.trail
+        if bmask[nid] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
-        self._write_bool(nid, MASK_TRUE if value else MASK_FALSE, p)
-        nodes, N, bmask, nmask = self.net.nodes, self.N, self.bmask, self.nmask
+        new = MASK_TRUE if value else MASK_FALSE
+        trail.append((True, nid, UNKNOWN))
+        bmask[nid] = new
+        self._credit(nid, new, p)
+        unknown, writes = self.unknown_bits & ~(1 << nid), 1
+        N, nodes, target_at = self.N, self.net.nodes, self.target_at
+        tables = self.tables
+        codes, children, parents = tables.codes, tables.children, tables.parents
+        queued, rules, pop, push = self.queued, _RULES, heappop, heappush
+        self.epoch = epoch = self.epoch + 1
         heap = []
-        self._enqueue_parents(heap, nodes[nid], 0)
-        last = -1
-        while heap:
-            idx = heappop(heap)
-            if idx == last:
-                continue  # queued by more than one changed child
-            last = idx
-            t, nid = divmod(idx, N)
-            node = nodes[nid]
-            if node.vkind == "b":
-                if bmask[idx] != UNKNOWN:
-                    continue
-                new = self._compute_bool(node, t)
-                if new == UNKNOWN:
-                    continue
-                self._write_bool(idx, new, p)
-            else:
-                old = nmask[idx]
-                if _decided(old):
-                    continue
-                new = self._compute_num(node, t)
-                if new == old:
-                    continue
-                self._write_num(idx, new)
-            self._enqueue_parents(heap, node, t)
+        for q in parents[nid]:
+            if queued[q] != epoch:
+                queued[q] = epoch
+                heap.append(q)
+        heapify(heap)
+        try:
+            while heap:
+                idx = pop(heap)
+                nid = idx % N
+                code = codes[nid]
+                if code < NUMERIC:
+                    if bmask[idx] != UNKNOWN:
+                        continue
+                    new = rules[code](self, nodes[nid], children[idx])
+                    if new == UNKNOWN:
+                        continue
+                    trail.append((True, idx, UNKNOWN))
+                    bmask[idx] = new
+                    unknown ^= 1 << idx  # the bit is set: it was undecided
+                    if idx in target_at:
+                        self._credit(idx, new, p)
+                else:
+                    old = nmask[idx]
+                    if not old.may_def or (not old.may_undef and old.lo == old.hi):
+                        continue  # decided
+                    new = rules[code](self, nodes[nid], children[idx])
+                    if new == old:
+                        continue
+                    trail.append((False, idx, old))
+                    nmask[idx] = new
+                    if not new.may_def or (not new.may_undef and new.lo == new.hi):
+                        unknown ^= 1 << idx
+                writes += 1
+                for q in parents[idx]:
+                    if queued[q] != epoch:
+                        queued[q] = epoch
+                        push(heap, q)
+        finally:
+            self.unknown_bits = unknown
+            self.stats.propagations += writes
 
-    def _enqueue_parents(self, heap, node, t):
-        N = self.N
-        for pid, tag in node.parents:
-            if tag == "bcast":
-                for pt in range(self.T):
-                    heappush(heap, pt * N + pid)
-            elif tag == "next":
-                if t + 1 < self.T:
-                    heappush(heap, (t + 1) * N + pid)
-            else:  # 'same' or 'zero': same t, which is 0 below a base node
-                heappush(heap, t * N + pid)
-
-    def _write_bool(self, idx, value, p):
-        # ``value`` is MASK_TRUE or MASK_FALSE: only decided values are written
-        self.trail.append((True, idx, self.bmask[idx]))
-        self.bmask[idx] = value
-        self.unknown_bits &= ~(1 << idx)
-        self.stats.propagations += 1
+    def _credit(self, idx, value, p):
+        """Move the bounds of the targets at slot ``idx``, now decided."""
         for ti in self.target_at.get(idx, ()):
             if value == MASK_TRUE:
                 self.problower[ti] += p
             else:
                 self.probupper[ti] -= p
 
-    def _write_num(self, idx, value):
-        self.trail.append((False, idx, self.nmask[idx]))
-        self.nmask[idx] = value
-        if _decided(value):
-            self.unknown_bits &= ~(1 << idx)
-        self.stats.propagations += 1
+    # --- mask rules ----------------------------------------------------------------
+    #
+    # One method per kind in ``_KINDS``: ``rule(state, node, kids)`` computes
+    # an instance's mask from its child slots ``kids`` (``SlotTables.children``).
 
-    # --- mask computation --------------------------------------------------------
-
-    def _compute_bool(self, node, t):
-        kind = node.kind
-        if kind == "var":
-            return self.bmask[self._idx(node.id, 0)]
-        if kind == "const":
-            return MASK_TRUE if node.payload else MASK_FALSE
-        if kind == "not":
-            c = self._bool_of(node.children[0], t)
-            if c == UNKNOWN:
-                return UNKNOWN
-            return MASK_FALSE if c == MASK_TRUE else MASK_TRUE
-        if kind == "and":
-            all_true = True
-            for c in node.children:
-                v = self._bool_of(c, t)
-                if v == MASK_FALSE:
-                    return MASK_FALSE
-                if v != MASK_TRUE:
-                    all_true = False
-            return MASK_TRUE if all_true else UNKNOWN
-        if kind == "or":
-            all_false = True
-            for c in node.children:
-                v = self._bool_of(c, t)
-                if v == MASK_TRUE:
-                    return MASK_TRUE
-                if v != MASK_FALSE:
-                    all_false = False
-            return MASK_FALSE if all_false else UNKNOWN
-        if kind == "atom":
-            return self._compute_atom(node, t)
-        if kind == "loop":
-            if t == 0:
-                return self._bool_of(node.payload["init"], 0)
-            src = node.payload["source"]
-            return self._bool_of(src, t - 1)
-        raise NetworkError("boolean mask for %r" % kind)
-
-    def _compute_atom(self, node, t):
-        a = self._num_of(node.children[0], t)
-        b = self._num_of(node.children[1], t)
+    def _atom(self, node, kids):
+        a = self.nmask[kids[0]]
+        b = self.nmask[kids[1]]
         # a side that is certainly undefined makes the comparison true
         if not a.may_def or not b.may_def:
             return MASK_TRUE
@@ -673,72 +728,106 @@ class MaskState:
             return MASK_FALSE
         return UNKNOWN
 
-    def _compute_num(self, node, t):
-        kind = node.kind
-        if kind == "condval":
-            g = self._bool_of(node.children[0], t)
-            v = node.payload
-            lo = hi = tuple(float(x) for x in v) if isinstance(v, tuple) else float(v)
-            if g == MASK_TRUE:
-                return NumMask(lo, hi, False, True)
-            if g == MASK_FALSE:
-                return NumMask(lo, hi, True, False)
-            return NumMask(lo, hi, True, True)
-        if kind == "guard":
-            g = self._bool_of(node.children[0], t)
-            c = self._num_of(node.children[1], t)
-            if g == MASK_TRUE:
-                return c
-            if g == MASK_FALSE:
-                return NumMask(c.lo, c.hi, True, False)
-            return NumMask(c.lo, c.hi, True, c.may_def)
-        if kind == "add":
-            return self._compute_add(node, t)
-        if kind == "mul":
-            return self._compute_mul(node, t)
-        if kind == "inv":
-            c = self._num_of(node.children[0], t)
-            if not c.may_def:
-                return NumMask(0.0, 0.0, True, False)
-            contains0 = c.lo <= 0.0 <= c.hi
-            if c.lo == c.hi == 0.0 and not c.may_undef:
-                return NumMask(0.0, 0.0, True, False)
-            lo, hi = _iinv(c.lo, c.hi)
-            return NumMask(lo, hi, c.may_undef or contains0, True)
-        if kind == "pow":
-            c = self._num_of(node.children[0], t)
-            n = node.payload
-            if not c.may_def:
-                return NumMask(0.0, 0.0, True, False)
-            lo, hi = _ipow(c.lo, c.hi, n)
-            mu = c.may_undef or (n < 0 and c.lo <= 0.0 <= c.hi)
-            return NumMask(lo, hi, mu, True)
-        if kind == "dist":
-            a = self._num_of(node.children[0], t)
-            b = self._num_of(node.children[1], t)
-            if not a.may_def or not b.may_def:
-                return NumMask(0.0, 0.0, True, False)
-            sq_lo = sq_hi = 0.0
-            for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi):
-                dlo, dhi = alo - bhi, ahi - blo
-                if dlo <= 0.0 <= dhi:
-                    abs_lo, abs_hi = 0.0, max(-dlo, dhi)
-                else:
-                    abs_lo = min(abs(dlo), abs(dhi))
-                    abs_hi = max(abs(dlo), abs(dhi))
-                sq_lo += abs_lo * abs_lo
-                sq_hi += abs_hi * abs_hi
-            return NumMask(math.sqrt(sq_lo), math.sqrt(sq_hi),
-                           a.may_undef or b.may_undef, True)
-        if kind == "loop":
-            if t == 0:
-                return self._num_of(node.payload["init"], 0)
-            return self._num_of(node.payload["source"], t - 1)
-        raise NetworkError("numeric mask for %r" % kind)
+    def _and(self, node, kids):
+        bmask = self.bmask
+        all_true = True
+        for c in kids:
+            v = bmask[c]
+            if v == MASK_FALSE:
+                return MASK_FALSE
+            if v != MASK_TRUE:
+                all_true = False
+        return MASK_TRUE if all_true else UNKNOWN
 
-    def _compute_add(self, node, t):
+    def _or(self, node, kids):
+        bmask = self.bmask
+        all_false = True
+        for c in kids:
+            v = bmask[c]
+            if v == MASK_TRUE:
+                return MASK_TRUE
+            if v != MASK_FALSE:
+                all_false = False
+        return MASK_FALSE if all_false else UNKNOWN
+
+    def _not(self, node, kids):
+        c = self.bmask[kids[0]]
+        if c == UNKNOWN:
+            return UNKNOWN
+        return MASK_FALSE if c == MASK_TRUE else MASK_TRUE
+
+    def _const(self, node, kids):
+        return MASK_TRUE if node.payload else MASK_FALSE
+
+    def _var(self, node, kids):
+        return self.bmask[node.id]  # only ``assign`` decides a variable
+
+    def _carry_bool(self, node, kids):
+        return self.bmask[kids[0]]
+
+    def _carry_num(self, node, kids):
+        return self.nmask[kids[0]]
+
+    def _condval(self, node, kids):
+        g = self.bmask[kids[0]]
+        v = node.payload
+        lo = hi = tuple(float(x) for x in v) if isinstance(v, tuple) else float(v)
+        if g == MASK_TRUE:
+            return NumMask(lo, hi, False, True)
+        if g == MASK_FALSE:
+            return NumMask(lo, hi, True, False)
+        return NumMask(lo, hi, True, True)
+
+    def _guard(self, node, kids):
+        g = self.bmask[kids[0]]
+        c = self.nmask[kids[1]]
+        if g == MASK_TRUE:
+            return c
+        if g == MASK_FALSE:
+            return NumMask(c.lo, c.hi, True, False)
+        return NumMask(c.lo, c.hi, True, c.may_def)
+
+    def _inv(self, node, kids):
+        c = self.nmask[kids[0]]
+        if not c.may_def:
+            return NumMask(0.0, 0.0, True, False)
+        contains0 = c.lo <= 0.0 <= c.hi
+        if c.lo == c.hi == 0.0 and not c.may_undef:
+            return NumMask(0.0, 0.0, True, False)
+        lo, hi = _iinv(c.lo, c.hi)
+        return NumMask(lo, hi, c.may_undef or contains0, True)
+
+    def _pow(self, node, kids):
+        c = self.nmask[kids[0]]
+        n = node.payload
+        if not c.may_def:
+            return NumMask(0.0, 0.0, True, False)
+        lo, hi = _ipow(c.lo, c.hi, n)
+        mu = c.may_undef or (n < 0 and c.lo <= 0.0 <= c.hi)
+        return NumMask(lo, hi, mu, True)
+
+    def _dist(self, node, kids):
+        a = self.nmask[kids[0]]
+        b = self.nmask[kids[1]]
+        if not a.may_def or not b.may_def:
+            return NumMask(0.0, 0.0, True, False)
+        sq_lo = sq_hi = 0.0
+        for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi):
+            dlo, dhi = alo - bhi, ahi - blo
+            if dlo <= 0.0 <= dhi:
+                abs_lo, abs_hi = 0.0, max(-dlo, dhi)
+            else:
+                abs_lo = min(abs(dlo), abs(dhi))
+                abs_hi = max(abs(dlo), abs(dhi))
+            sq_lo += abs_lo * abs_lo
+            sq_hi += abs_hi * abs_hi
+        return NumMask(math.sqrt(sq_lo), math.sqrt(sq_hi),
+                       a.may_undef or b.may_undef, True)
+
+    def _add(self, node, kids):
         vector = node.vkind == "v"
-        masks = [self._num_of(c, t) for c in node.children]
+        nmask = self.nmask
+        masks = [nmask[c] for c in kids]
         may_def = any(m.may_def for m in masks)
         may_undef = all(m.may_undef for m in masks)
         if vector:
@@ -776,8 +865,9 @@ class MaskState:
                 return m.lo
         raise NetworkError("vector sum without vector children")
 
-    def _compute_mul(self, node, t):
-        masks = [self._num_of(c, t) for c in node.children]
+    def _mul(self, node, kids):
+        nmask = self.nmask
+        masks = [nmask[c] for c in kids]
         may_def = all(m.may_def for m in masks)
         may_undef = any(m.may_undef for m in masks)
         if not may_def:
@@ -807,3 +897,7 @@ class MaskState:
         if node.vkind == "v" and not isinstance(lo, tuple):
             raise NetworkError("product kind mismatch")
         return NumMask(lo, hi, may_undef, may_def)
+
+
+# the mask rule of each kind code
+_RULES = tuple(getattr(MaskState, "_" + kind) for kind in _KINDS)

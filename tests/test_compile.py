@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manyworlds.events import And, CondVal, Var, VarTable, TRUE
-from manyworlds.eventprog import EventProgram, decl, ground
+from manyworlds.eventprog import EventProgram, decl, ground, ground_folded
+from manyworlds.kmedoids import build_kmedoids_program
 from manyworlds.compile import (
     BoundsError, ConfigError, Search, ancestor_bits, checked_bounds, compile_targets,
     finish_result,
@@ -210,7 +211,7 @@ def test_planted_gap_in_finished_search_and_ledger(gap, raises):
     search = Search(net, vt, 0.0, "exact")
     search.run()
     search.state.problower[0] = search.state.probupper[0] + gap
-    ledger = _Ledger(1, 0.0)
+    ledger = _Ledger(1)
     ledger.seed([0.25 + gap], [0.25])
     for finish in (lambda: finish_result(search),
                    lambda: _result_from_ledger(net, ledger, "exact", 0.0)):
@@ -220,3 +221,46 @@ def test_planted_gap_in_finished_search_and_ledger(gap, raises):
         else:
             tb = finish().targets[0]
             assert tb.lower == tb.upper
+
+
+def _reference_ancestor_bits(net):
+    """A plain upward DFS per variable over the nodes' tagged parent edges."""
+    N, T = len(net.nodes), net.T
+    out = {}
+    for name, vid in net.var_nodes.items():
+        seen = {vid}
+        stack = [(vid, 0)]
+        while stack:
+            nid, t = stack.pop()
+            node = net.nodes[nid]
+            for pid, tag in node.parents:
+                if tag == "bcast":
+                    pts = range(T)
+                elif tag == "next":  # a base source feeds every t >= 1
+                    pts = [t + 1] if node.in_loop else range(1, T)
+                else:  # 'same' or 'zero'
+                    pts = [t]
+                for pt in pts:
+                    if pt < T:
+                        idx = pt * N + pid if net.nodes[pid].in_loop else pid
+                        if idx not in seen:
+                            seen.add(idx)
+                            stack.append((pid, pt))
+        out[name] = sum(1 << idx for idx in seen)
+    return out
+
+
+def test_ancestor_bits_match_upward_search(line_dataset):
+    nets = []
+    for seed in range(20):
+        prog, vt, targets = random_instance(seed, max_vars=7)
+        nets.append(build_network(ground(prog, targets,
+                                         variables=set(vt.index))))
+    line_dataset.params.iterations = 3
+    prog, meta = build_kmedoids_program(line_dataset)
+    nets.append(build_network(ground_folded(
+        prog, (meta["targets"],), set(line_dataset.vartable.index))))
+    assert nets[-1].T == 3
+    for net in nets:
+        assert ancestor_bits(net) == _reference_ancestor_bits(net)
+        assert ancestor_bits(net) is ancestor_bits(net)  # computed once

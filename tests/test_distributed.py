@@ -240,7 +240,7 @@ def test_ledger_result_does_not_depend_on_commit_order():
     deltas = {"a": 0.1, "b": 0.2, "c": 0.3}
     results = []
     for order in ("abc", "cba"):
-        ledger = _Ledger(1, 0.0)
+        ledger = _Ledger(1)
         ledger.seed([0.0], [1.0])
         for job in order:
             ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], [0.0],

@@ -248,3 +248,12 @@ def test_ground_reads_kinds_of_earlier_declarations():
     p = EventProgram((decl("S", (), _S), decl("A", (), Or((Var("x"), Ref("S"))))))
     with pytest.raises(TypeMismatch, match="^boolean connective over non-event$"):
         ground(p, ("A",))
+
+
+@pytest.mark.parametrize("expr", [
+    And((Not(_S), Ref("Missing"))),
+    And((Ref("Missing"), Not(_S))),
+], ids=["kind-error-first", "name-error-first"])
+def test_ground_reports_unresolved_names_before_kind_errors(expr):
+    with pytest.raises(GroundError, match="unresolved reference 'Missing'"):
+        ground(EventProgram((decl("A", (), expr),)), ("A",), variables={"x"})

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manyworlds.events import (
-    U, VU, Add, And, Atom, CondVal, Not, Or, Ref, Var, TRUE,
+    U, VU, Add, And, Atom, CondVal, Not, Or, Ref, Var, VarTable, TRUE,
 )
 from manyworlds.eventprog import (
     EventProgram, decl, ground, ground_folded, parse_event_program,
 )
-from manyworlds.compile import Search
+from manyworlds import network
+from manyworlds.compile import Search, compile_targets
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import (
     MASK_FALSE, MASK_TRUE, UNKNOWN, MaskState, NetworkError, build_network,
@@ -298,3 +299,106 @@ def test_unknown_bits_track_masks_through_folded_search(line_dataset, seed):
     assert net.T == 3
     checks = _checked_exact_search(net, vt)
     assert len(checks) > 10 and all(checks)
+
+
+def _line_networks(line_dataset):
+    line_dataset.params.iterations = 3
+    prog, meta = build_kmedoids_program(line_dataset)
+    vs = set(line_dataset.vartable.index)
+    return [build_network(g(prog, (meta["targets"],), vs))
+            for g in (ground, ground_folded)]
+
+
+def _random_networks(seeds):
+    out = []
+    for seed in seeds:
+        prog, vt, targets = random_instance(seed, max_vars=6)
+        out.append(build_network(ground(prog, targets, variables=set(vt.index))))
+    return out
+
+
+# a carried reference to a body family that does not depend on the loop:
+# its source is a base node, which every iteration after 0 reads
+_BASE_SOURCE_PROGRAM = """
+A[-1] := y
+forall it in 0..3:
+  A[it] := x
+  B[it] := A[it-1] & z
+"""
+
+
+def _base_source_network():
+    fp = ground_folded(parse_event_program(_BASE_SOURCE_PROGRAM), ("B[2]",),
+                       variables={"x", "y", "z"})
+    return build_network(fp)
+
+
+def test_slot_tables_mirror_the_graph(line_dataset):
+    nets = _line_networks(line_dataset) + _random_networks(range(12))
+    nets.append(_base_source_network())
+    assert [net.T for net in nets[:2]] == [1, 3]
+    for net in nets:
+        tables = net.slot_tables()
+        N, size = len(net.nodes), len(net.nodes) * net.T
+        assert len(tables.children) == len(tables.parents) == size
+        down = Counter((c, s) for s in range(size) for c in tables.children[s])
+        up = Counter((c, p) for c in range(size) for p in tables.parents[c])
+        assert down == up  # each table is the other's inverse
+        assert all(c < s for c, s in down)  # every edge rises
+        for s in range(size):  # a slot has edges only if an instance uses it
+            if s >= N and not net.nodes[s % N].in_loop:
+                assert tables.children[s] == tables.parents[s] == ()
+        for nid, node in enumerate(net.nodes):
+            if node.kind != "loop":
+                assert tables.children[nid] == node.children
+        assert net.slot_tables() is tables  # built once, then shared
+
+
+def test_carried_base_source_reaches_every_iteration():
+    net = _base_source_network()
+    src = net.var_nodes["x"]  # the body of A[it]
+    carry = next(n.id for n in net.nodes if n.kind == "loop")
+    N = len(net.nodes)
+    assert net.slot_tables().parents[src] == tuple(
+        t * N + carry for t in range(1, net.T))
+    vt = VarTable.of(("x", 0.3), ("y", 0.6), ("z", 0.5))
+    folded = compile_targets(net, vt, 0.0, "exact")
+    text = parse_event_program(_BASE_SOURCE_PROGRAM)
+    unfolded = compile_targets(
+        build_network(ground(text, ("B[2]",), variables={"x", "y", "z"})),
+        vt, 0.0, "exact")
+    assert folded.bounds("B[2]") == unfolded.bounds("B[2]")
+    assert abs(folded.bounds("B[2]")[0] - 0.15) < 1e-12
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_each_slot_queued_at_most_once_per_assign(line_dataset, folded,
+                                                  monkeypatch):
+    net = _line_networks(line_dataset)[folded]
+    st_ = MaskState(net)
+    pushed = []
+    plain_heapify, plain_push = network.heapify, network.heappush
+
+    def heapify(heap):
+        pushed.extend(heap)
+        plain_heapify(heap)
+
+    def heappush(heap, slot):
+        pushed.append(slot)
+        plain_push(heap, slot)
+
+    monkeypatch.setattr(network, "heapify", heapify)
+    monkeypatch.setattr(network, "heappush", heappush)
+    plain_assign = st_.assign
+    per_assign = []
+
+    def counted_assign(*args):
+        del pushed[:]
+        plain_assign(*args)
+        per_assign.append(len(pushed) - len(set(pushed)))
+
+    st_.assign = counted_assign
+    search = Search(net, line_dataset.vartable, 0.0, "exact", state=st_)
+    search.preassign_certain()
+    search.run()
+    assert len(per_assign) > 10 and max(per_assign) == 0
