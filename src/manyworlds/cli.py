@@ -28,8 +28,9 @@ from .eventprog import (
     emit_event_program, emit_grounded, ground, ground_folded,
     parse_event_program,
 )
+from .events import TypeMismatch
 from .kmedoids import build_kmedoids_program
-from .network import build_network
+from .network import NetworkError, build_network
 from .oracle import OracleError, oracle_probabilities, world_reports
 from .randprog import random_instance
 from .translate import translate_to_event_program
@@ -142,7 +143,8 @@ def _load_pipeline(args):
         raise CliError("config", "--program and --event-program are exclusive")
     if args.program:
         try:
-            text = open(args.program).read()
+            with open(args.program) as fh:
+                text = fh.read()
             ast = parse_user_program(text, filename=args.program)
         except UserSyntaxError as exc:
             raise CliError("parse", str(exc))
@@ -159,7 +161,8 @@ def _load_pipeline(args):
         default_targets = _default_user_targets(translation, args.folded)
     elif args.event_program:
         try:
-            program = parse_event_program(open(args.event_program).read())
+            with open(args.event_program) as fh:
+                program = parse_event_program(fh.read())
         except Exception as exc:
             raise CliError("parse", str(exc))
         default_targets = None
@@ -221,7 +224,10 @@ def cmd_run(args):
     if args.mode == "naive":
         report = _run_naive(grounded, dataset)
     else:
-        net = build_network(grounded)
+        try:
+            net = build_network(grounded)
+        except (NetworkError, TypeMismatch) as exc:
+            raise CliError("network", str(exc))
         if args.emit_stage == "network":
             _write_text(args.out, net.dump())
             return 0

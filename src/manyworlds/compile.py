@@ -149,8 +149,7 @@ class Search:
         for i, (nid, t, eid) in enumerate(self.net.targets):
             if self.state.target_mask(i) != UNKNOWN:
                 continue
-            idx = t * self.state.N + nid if self.net.nodes[nid].in_loop else nid
-            bit = 1 << idx
+            bit = 1 << self.net.slot(nid, t)
             if not any(self.anc.get(name, 0) & bit
                        for name, _ in self.vt.vars if name not in self.assigned):
                 raise ConfigError(
@@ -199,10 +198,9 @@ class Search:
 
     # --- the DFS -------------------------------------------------------------------
 
-    def run(self, budgets=None):
+    def run(self):
         """Explore the tree from the root; returns the residual budgets."""
-        E = list(budgets) if budgets is not None else [2.0 * self.eps] * self.nt
-        return self._dfs(None, (), 1.0, E, 0)
+        return self._dfs(None, (), 1.0, [2.0 * self.eps] * self.nt, 0)
 
     def _dfs(self, pending, prefix, pr, E, depth):
         # lazy never forfeits subtrees up front; its entire allowance is

@@ -10,21 +10,22 @@ bottom-up; every mask write is recorded on an undo trail so the depth-first
 search can backtrack in O(changes).
 
 Propagation is levelized.  Each (node, iteration) instance has a flat slot
-index: ``t*N + id`` for in-loop nodes and ``id`` for iteration-independent
-(base) nodes.  That index is topological, because every edge runs from a
-smaller slot to a larger one:
+index, ``EventNetwork.slot``: ``t*N + id`` for in-loop nodes and ``id`` for
+iteration-independent (base) nodes.  That index is topological, because
+every child slot is smaller than the slot that reads it:
 
-  * node ids run children-before-parents, so ``same`` edges rise;
-  * ``bcast`` edges go from a base node to an in-loop parent at any ``t``,
-    whose slot is at least its id; ``next`` edges go to ``t+1`` (from a
-    base source, to every ``t >= 1``);
-  * ``zero`` edges go from a base initial declaration to a carry node,
-    which is created after it.
+  * node ids run children-first, so a child read in the same iteration has
+    the smaller slot;
+  * a base child's slot is its id, which is smaller than its reader's id
+    and so than the reader's slot at every iteration;
+  * a carry node reads its ``init`` declaration, created before it, at
+    ``t=0``, and its ``source`` at ``t-1`` after that, whose slot (base or
+    in-loop) is below ``t*N``.
 
 The first ``MaskState`` on a network compiles it into ``SlotTables``: an
-integer kind code per node, and per slot a tuple of child slots and a tuple
-of parent slots, with the edge tags and the carry nodes' iteration shift
-already expanded.  Building them outside ``build_network`` keeps that work
+integer kind code per node, and per slot a tuple of child slots, with the
+carry nodes' iteration shift already expanded, and a tuple of parent slots,
+its inverse.  Building them outside ``build_network`` keeps that work
 out of network construction; every mask state on the network, one per
 worker, shares them read-only.  An assignment drains dirty slots from a
 min-heap.  A slot is pushed at most once per assignment, because a stamp
@@ -58,7 +59,7 @@ from heapq import heapify, heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    Var,
+    Var, kind_rule,
 )
 from .eventprog import Affine, FoldedProgram, GroundedProgram, render_eid
 
@@ -80,27 +81,18 @@ def _decided(m):
 
 
 class Node:
-    __slots__ = ("id", "kind", "children", "payload", "parents", "in_loop", "vkind")
+    __slots__ = ("id", "kind", "children", "payload", "in_loop", "vkind")
 
     def __init__(self, id, kind, children, payload, in_loop, vkind):
         self.id = id
         self.kind = kind
         self.children = children
         self.payload = payload
-        self.parents = []  # list of (parent_id, edge_tag)
         self.in_loop = in_loop
         self.vkind = vkind  # 'b' | 's' | 'v'
 
     def __repr__(self):
         return "Node(%d,%s)" % (self.id, self.kind)
-
-
-# edge tags (stored on the child, pointing at the parent):
-#   'same'  child and parent live in the same iteration (or both outside)
-#   'bcast' child is iteration-independent, parent is in-loop: all iterations
-#   'next'  child is a loop-carried source, parent is the carry node at t+1
-#           (below a base source, at every t >= 1)
-#   'zero'  child is the initial declaration read by the carry node at t=0
 
 
 class EventNetwork:
@@ -121,35 +113,23 @@ class EventNetwork:
             self.slots = SlotTables(self)
         return self.slots
 
+    def slot(self, nid, t):
+        """The instance slot of node ``nid`` at iteration ``t``."""
+        return t * len(self.nodes) + nid if self.nodes[nid].in_loop else nid
+
     # --- construction -----------------------------------------------------
 
     def _new_node(self, kind, children, payload, in_loop, vkind):
+        if not in_loop and any(self.nodes[c].in_loop for c in children):
+            raise NetworkError("iteration-independent node depends on loop node")
         node = Node(len(self.nodes), kind, children, payload, in_loop, vkind)
         self.nodes.append(node)
-        for c in children:
-            child = self.nodes[c]
-            if in_loop and not child.in_loop:
-                tag = "bcast"
-            elif not in_loop and child.in_loop:
-                raise NetworkError("iteration-independent node depends on loop node")
-            else:
-                tag = "same"
-            child.parents.append((node.id, tag))
         return node.id
-
-    def intern(self, kind, children, payload, in_loop, vkind):
-        key = (kind, payload, children, in_loop)
-        hit = self._intern.get(key)
-        if hit is not None:
-            return hit
-        nid = self._new_node(kind, children, payload, in_loop, vkind)
-        self._intern[key] = nid
-        return nid
 
     def var_node(self, name):
         nid = self.var_nodes.get(name)
         if nid is None:
-            nid = self.intern("var", (), name, False, "b")
+            nid = self._new_node("var", (), name, False, "b")
             self.var_nodes[name] = nid
         return nid
 
@@ -197,19 +177,18 @@ class SlotTables:
     ``codes[nid]`` is node ``nid``'s kind code.  ``children[slot]`` holds the
     slots a slot's mask is computed from, in the node's child order; a carry
     node reads its initial declaration at ``t=0`` and its source at ``t-1``
-    after that.  ``parents[slot]`` holds the slots that read it, expanded
-    from the edge tags.  Slots that no instance uses (a base node's slot at
-    ``t>0``) have neither.  Every edge rises: a child's slot is smaller than
-    its parent's.
+    after that.  ``parents[slot]`` holds the slots that read it, in rising
+    order: the inverse of ``children``.  Slots that no instance uses (a base
+    node's slot at ``t>0``) have neither.  Every edge rises: a child's slot
+    is smaller than its parent's.
     """
 
     __slots__ = ("codes", "children", "parents")
 
     def __init__(self, net):
-        nodes, N, T = net.nodes, len(net.nodes), net.T
+        nodes, N, T, slot_of = net.nodes, len(net.nodes), net.T, net.slot
         self.codes = [_kind_code(node) for node in nodes]
         children = [()] * (N * T)
-        parents = [()] * (N * T)
         for node in nodes:
             for t in range(T) if node.in_loop else (0,):
                 if node.kind != "loop":
@@ -218,106 +197,78 @@ class SlotTables:
                     kids, kt = (node.payload["init"],), 0
                 else:
                     kids, kt = (node.payload["source"],), t - 1
-                children[t * N + node.id] = tuple(
-                    kt * N + c if nodes[c].in_loop else c for c in kids)
-                out = []
-                for pid, tag in node.parents:
-                    if tag == "bcast":
-                        out.extend(pt * N + pid for pt in range(T))
-                    elif tag == "next":
-                        # a base source is read at every iteration after 0
-                        pts = range(t + 1, min(t + 2, T)) if node.in_loop \
-                            else range(1, T)
-                        out.extend(pt * N + pid for pt in pts)
-                    else:  # 'same' or 'zero': same t, which is 0 below a base node
-                        out.append(t * N + pid)
-                parents[t * N + node.id] = tuple(out)
+                children[t * N + node.id] = tuple([slot_of(c, kt) for c in kids])
+        parents = [[] for _ in children]
+        for slot, kids in enumerate(children):
+            for c in kids:
+                parents[c].append(slot)
         self.children = children
-        self.parents = parents
+        self.parents = [tuple(out) for out in parents]
 
 
-def _combine_mul_kind(a, b):
-    if a == "v" and b == "v":
-        return "s"
-    if "v" in (a, b):
-        return "v"
-    return "s"
+def _build_expr(net, e, in_loop, resolve_ref):
+    """The node of expression ``e``, built children-first and interned.
 
-
-class _Builder:
-    def __init__(self, net):
-        self.net = net
-
-    def build_expr(self, e, in_loop, resolve_ref):
-        kind = type(e)
-        net = self.net
-        if kind is Const:
-            return net.intern("const", (), e.value, False, "b")
-        if kind is Var:
-            return net.var_node(e.name)
-        if kind is Ref:
-            return resolve_ref(e)
-        if kind is Not:
-            c = self.build_expr(e.child, in_loop, resolve_ref)
-            return net.intern("not", (c,), None, self._loopy((c,), in_loop), "b")
-        if kind in (And, Or):
-            cs = tuple(self.build_expr(c, in_loop, resolve_ref) for c in e.children)
-            return net.intern("and" if kind is And else "or", cs, None,
-                              self._loopy(cs, in_loop), "b")
-        if kind is Atom:
-            l = self.build_expr(e.left, in_loop, resolve_ref)
-            r = self.build_expr(e.right, in_loop, resolve_ref)
-            return net.intern("atom", (l, r), e.op, self._loopy((l, r), in_loop), "b")
-        if kind is CondVal:
-            g = self.build_expr(e.guard, in_loop, resolve_ref)
-            value = e.value
-            if isinstance(value, Affine):
-                if value.is_const():
-                    value = value.const
-                else:
-                    raise NetworkError(
-                        "folded mode cannot share a value that depends on the "
-                        "loop counter")
-            vkind = "v" if isinstance(value, tuple) else "s"
-            return net.intern("condval", (g,), value, self._loopy((g,), in_loop), vkind)
-        if kind is Guard:
-            g = self.build_expr(e.guard, in_loop, resolve_ref)
-            b = self.build_expr(e.body, in_loop, resolve_ref)
-            return net.intern("guard", (g, b), None, self._loopy((g, b), in_loop),
-                              self.net.nodes[b].vkind)
-        if kind is Add:
-            cs = tuple(self.build_expr(c, in_loop, resolve_ref) for c in e.children)
-            if not cs:
-                raise NetworkError("empty sum")
-            vkind = self.net.nodes[cs[0]].vkind
-            return net.intern("add", cs, None, self._loopy(cs, in_loop), vkind)
-        if kind is Mul:
-            cs = tuple(self.build_expr(c, in_loop, resolve_ref) for c in e.children)
-            if not cs:
-                raise NetworkError("empty product")
-            vkind = "s"
-            first = True
-            for c in cs:
-                ck = self.net.nodes[c].vkind
-                vkind = ck if first else _combine_mul_kind(vkind, ck)
-                first = False
-            return net.intern("mul", cs, None, self._loopy(cs, in_loop), vkind)
-        if kind is Inv:
-            c = self.build_expr(e.child, in_loop, resolve_ref)
-            return net.intern("inv", (c,), None, self._loopy((c,), in_loop), "s")
-        if kind is Pow:
-            c = self.build_expr(e.child, in_loop, resolve_ref)
-            return net.intern("pow", (c,), e.exponent, self._loopy((c,), in_loop), "s")
-        if kind is Dist:
-            l = self.build_expr(e.left, in_loop, resolve_ref)
-            r = self.build_expr(e.right, in_loop, resolve_ref)
-            return net.intern("dist", (l, r), None, self._loopy((l, r), in_loop), "s")
+    Each case picks the node's name, child ids and payload.  A node built
+    inside the loop body is iteration-dependent only when something below it
+    is; otherwise it is shared with the base layer.  A new node's kind comes
+    from ``events.kind_rule``, the rule grounding applies, so a folded body
+    raises the same ``TypeMismatch`` as its unfolded program.
+    """
+    kind = type(e)
+    if kind is Var:
+        return net.var_node(e.name)
+    if kind is Ref:
+        return resolve_ref(e)
+    payload = None
+    if kind is Const:
+        name, cs, payload = "const", (), e.value
+    elif kind is Not:
+        name, cs = "not", (_build_expr(net, e.child, in_loop, resolve_ref),)
+    elif kind in (And, Or):
+        name = "and" if kind is And else "or"
+        cs = tuple(_build_expr(net, c, in_loop, resolve_ref) for c in e.children)
+    elif kind is Atom:
+        name, payload = "atom", e.op
+        cs = (_build_expr(net, e.left, in_loop, resolve_ref),
+              _build_expr(net, e.right, in_loop, resolve_ref))
+    elif kind is CondVal:
+        name, cs = "condval", (_build_expr(net, e.guard, in_loop, resolve_ref),)
+        payload = e.value
+        if isinstance(payload, Affine):
+            if not payload.is_const():
+                raise NetworkError(
+                    "folded mode cannot share a value that depends on the "
+                    "loop counter")
+            payload = payload.const
+    elif kind is Guard:
+        name = "guard"
+        cs = (_build_expr(net, e.guard, in_loop, resolve_ref),
+              _build_expr(net, e.body, in_loop, resolve_ref))
+    elif kind in (Add, Mul):
+        name = "add" if kind is Add else "mul"
+        cs = tuple(_build_expr(net, c, in_loop, resolve_ref) for c in e.children)
+        if not cs:
+            raise NetworkError("empty sum" if kind is Add else "empty product")
+    elif kind is Inv:
+        name, cs = "inv", (_build_expr(net, e.child, in_loop, resolve_ref),)
+    elif kind is Pow:
+        name, payload = "pow", e.exponent
+        cs = (_build_expr(net, e.child, in_loop, resolve_ref),)
+    elif kind is Dist:
+        name = "dist"
+        cs = (_build_expr(net, e.left, in_loop, resolve_ref),
+              _build_expr(net, e.right, in_loop, resolve_ref))
+    else:
         raise NetworkError("expression kind without a network encoding: %r" % (e,))
-
-    def _loopy(self, children, in_loop):
-        # A node built inside the loop body is iteration-dependent only when
-        # something below it is; otherwise it is shared with the base layer.
-        return in_loop and any(self.net.nodes[c].in_loop for c in children)
+    nodes = net.nodes
+    loopy = in_loop and any(nodes[c].in_loop for c in cs)
+    key = (name, payload, cs, loopy)
+    nid = net._intern.get(key)
+    if nid is None:
+        vkind = kind_rule(e, [nodes[c].vkind for c in cs], None)
+        nid = net._intern[key] = net._new_node(name, cs, payload, loopy, vkind)
+    return nid
 
 
 def _resolve_plain(net):
@@ -342,10 +293,9 @@ def build_network(grounded, mode=None):
 
 def _build_unfolded(grounded: GroundedProgram):
     net = EventNetwork("unfolded", 1)
-    b = _Builder(net)
     resolve = _resolve_plain(net)
     for eid, expr in grounded.decls.items():
-        net.node_of_eid[eid] = b.build_expr(expr, False, resolve)
+        net.node_of_eid[eid] = _build_expr(net, expr, False, resolve)
     for eid in grounded.targets:
         nid = net.node_of_eid[eid]
         if net.nodes[nid].vkind != "b":
@@ -356,12 +306,11 @@ def _build_unfolded(grounded: GroundedProgram):
 
 def _build_folded(folded: FoldedProgram):
     net = EventNetwork("folded", folded.count)
-    b = _Builder(net)
     counter = folded.counter
 
     resolve_base = _resolve_plain(net)
     for eid, expr in folded.base.items():
-        net.node_of_eid[eid] = b.build_expr(expr, False, resolve_base)
+        net.node_of_eid[eid] = _build_expr(net, expr, False, resolve_base)
 
     # Index the body families for same-iteration and carried references.
     same_map = {}
@@ -384,10 +333,8 @@ def _build_folded(folded: FoldedProgram):
         if init_id is None:
             raise NetworkError(
                 "carried reference needs initial declaration %r" % init_eid)
-        init_node = net.nodes[init_id]
         nid = net._new_node("loop", (), {"source": None, "init": init_id},
-                            True, init_node.vkind)
-        init_node.parents.append((nid, "zero"))
+                            True, net.nodes[init_id].vkind)
         carry[pos] = nid
         return nid
 
@@ -418,18 +365,16 @@ def _build_folded(folded: FoldedProgram):
             "iteration only: %s[%s]" % (e.name, ",".join(str(i) for i in e.indices)))
 
     for pos, (_name, _indices, expr) in enumerate(folded.body):
-        body_nodes[pos] = b.build_expr(expr, True, resolve_body)
+        body_nodes[pos] = _build_expr(net, expr, True, resolve_body)
 
     for pos, nid in carry.items():
-        src = body_nodes[pos]
-        net.nodes[nid].payload["source"] = src
-        net.nodes[src].parents.append((nid, "next"))
+        net.nodes[nid].payload["source"] = body_nodes[pos]
 
     for pos in folded.targets:
         nid = body_nodes[pos]
-        if net.nodes[nid].vkind != "b":
-            raise NetworkError("target is not an event")
         eid = folded.body_eid(folded.body[pos], folded.count - 1)
+        if net.nodes[nid].vkind != "b":
+            raise NetworkError("target %r is not an event" % eid)
         net.targets.append((nid, folded.count - 1, eid))
     return net
 
@@ -534,7 +479,7 @@ class MaskState:
             self.unknown_bits |= loop_bits << (t * self.N)
         self.target_at = {}
         for i, (nid, t, _eid) in enumerate(net.targets):
-            self.target_at.setdefault(self._idx(nid, t), []).append(i)
+            self.target_at.setdefault(net.slot(nid, t), []).append(i)
         # a slot is queued in the current assignment iff its stamp is epoch
         self.queued = [0] * size
         self.epoch = 0
@@ -542,16 +487,11 @@ class MaskState:
 
     # --- indexing -----------------------------------------------------------
 
-    def _idx(self, nid, t):
-        if self.net.nodes[nid].in_loop:
-            return t * self.N + nid
-        return nid
-
     def _bool_of(self, nid, t):
-        return self.bmask[self._idx(nid, t)]
+        return self.bmask[self.net.slot(nid, t)]
 
     def _num_of(self, nid, t):
-        return self.nmask[self._idx(nid, t)]
+        return self.nmask[self.net.slot(nid, t)]
 
     def target_mask(self, i):
         nid, t, _ = self.net.targets[i]

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import warnings
 
 import pytest
 
@@ -17,6 +19,11 @@ def line_json(tmp_path):
     return str(path)
 
 
+def _read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -31,7 +38,7 @@ def test_naive_emits_world_reports(capsys, line_json, tmp_path):
     world_lines = [l for l in out.splitlines() if l.startswith("{")]
     assert len(world_lines) == 16
     json.loads(world_lines[0])
-    report = json.load(open(out_path))
+    report = json.loads(_read(out_path))
     assert report["stats"]["evaluations"] == 16
 
 
@@ -41,8 +48,8 @@ def test_exact_matches_naive(capsys, line_json, tmp_path):
                 "--mode", "naive", "--out", a_path)[0] == 0
     assert _run(capsys, "run", "--program", PROG, "--data", line_json,
                 "--mode", "exact", "--out", b_path)[0] == 0
-    naive = {t["eid"]: t["lower"] for t in json.load(open(a_path))["targets"]}
-    exact = json.load(open(b_path))["targets"]
+    naive = {t["eid"]: t["lower"] for t in json.loads(_read(a_path))["targets"]}
+    exact = json.loads(_read(b_path))["targets"]
     for t in exact:
         assert abs(t["lower"] - naive[t["eid"]]) < 1e-9
         assert abs(t["upper"] - naive[t["eid"]]) < 1e-9
@@ -55,8 +62,8 @@ def test_hybrid_bounds_contain_naive(capsys, line_json, tmp_path):
     code, _, _ = _run(capsys, "run", "--program", PROG, "--data", line_json,
                       "--mode", "hybrid", "--epsilon", "0.1", "--out", b_path)
     assert code == 0
-    naive = {t["eid"]: t["lower"] for t in json.load(open(a_path))["targets"]}
-    for t in json.load(open(b_path))["targets"]:
+    naive = {t["eid"]: t["lower"] for t in json.loads(_read(a_path))["targets"]}
+    for t in json.loads(_read(b_path))["targets"]:
         assert t["lower"] - 1e-12 <= naive[t["eid"]] <= t["upper"] + 1e-12
         assert t["upper"] - t["lower"] <= 0.2 + 1e-12
 
@@ -67,7 +74,7 @@ def test_report_byte_stable(capsys, line_json, tmp_path):
          "--mode", "exact", "--out", p1)
     _run(capsys, "run", "--program", PROG, "--data", line_json,
          "--mode", "exact", "--out", p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert _read(p1, "rb") == _read(p2, "rb")
 
 
 def test_emit_stage_round_trips(capsys, line_json, tmp_path):
@@ -78,23 +85,23 @@ def test_emit_stage_round_trips(capsys, line_json, tmp_path):
     code, _, _ = _run(capsys, "run", "--program", PROG, "--data", line_json,
                       "--emit-stage", "ast", "--out", ast_path)
     assert code == 0
-    reparsed = parse_user_program(open(ast_path).read())
-    assert reparsed == parse_user_program(open(PROG).read())
+    reparsed = parse_user_program(_read(ast_path))
+    assert reparsed == parse_user_program(_read(PROG))
 
     ep_path = str(tmp_path / "stage.events")
     _run(capsys, "run", "--program", PROG, "--data", line_json,
          "--emit-stage", "event-program", "--out", ep_path)
-    parse_event_program(open(ep_path).read())  # parses back
+    parse_event_program(_read(ep_path))  # parses back
 
     gr_path = str(tmp_path / "stage.grounded")
     _run(capsys, "run", "--program", PROG, "--data", line_json,
          "--emit-stage", "grounded", "--out", gr_path)
-    parse_event_program(open(gr_path).read())
+    parse_event_program(_read(gr_path))
 
     net_path = str(tmp_path / "stage.network")
     _run(capsys, "run", "--program", PROG, "--data", line_json,
          "--emit-stage", "network", "--out", net_path)
-    lines = open(net_path).read().strip().splitlines()
+    lines = _read(net_path).strip().splitlines()
     assert all(len(l.split()) >= 2 for l in lines)
 
 
@@ -107,7 +114,7 @@ def test_event_program_input_route(capsys, line_json, tmp_path):
                       line_json, "--mode", "exact", "--targets",
                       "Centre[0,*,*]", "--out", out_path)
     assert code == 0
-    assert json.load(open(out_path))["targets"]
+    assert json.loads(_read(out_path))["targets"]
 
 
 def test_distributed_modes(capsys, line_json, tmp_path):
@@ -119,8 +126,8 @@ def test_distributed_modes(capsys, line_json, tmp_path):
                       "--mode", "exact-d", "--workers", "4", "--job-depth", "2",
                       "--out", b_path)
     assert code == 0
-    seq = {t["eid"]: t for t in json.load(open(a_path))["targets"]}
-    rep = json.load(open(b_path))
+    seq = {t["eid"]: t for t in json.loads(_read(a_path))["targets"]}
+    rep = json.loads(_read(b_path))
     for t in rep["targets"]:
         assert abs(t["lower"] - seq[t["eid"]]["lower"]) < 1e-9
     assert rep["stats"]["jobs"] <= rep["stats"]["job_bound"]
@@ -134,8 +141,8 @@ def test_folded_flag(capsys, line_json, tmp_path):
     code, _, _ = _run(capsys, "run", "--program", PROG, "--data", line_json,
                       "--mode", "exact", "--folded", "--out", b_path)
     assert code == 0
-    ua = {t["eid"]: t for t in json.load(open(a_path))["targets"]}
-    for t in json.load(open(b_path))["targets"]:
+    ua = {t["eid"]: t for t in json.loads(_read(a_path))["targets"]}
+    for t in json.loads(_read(b_path))["targets"]:
         assert abs(t["lower"] - ua[t["eid"]]["lower"]) < 1e-9
 
 
@@ -154,6 +161,36 @@ def test_parse_error_exit_code(capsys, line_json, tmp_path):
     code, _, err = _run(capsys, "run", "--program", str(bad), "--data", line_json)
     assert code != 0
     assert "parse" in err
+
+
+@pytest.mark.parametrize("sum_body,folded,target,message", [
+    ("2.0", False, "C[1]", "network: target 'C[1]' is not an event"),
+    ("2.0", True, "C[1]", "network: target 'C[1]' is not an event"),
+    ("[1.0, 2.0]", False, "B[1]", "ground: sum over mixed kinds"),
+    ("[1.0, 2.0]", True, "B[1]", "network: sum over mixed kinds"),
+], ids=["not-event", "not-event-folded", "ill-typed", "ill-typed-folded"])
+def test_network_stage_errors_exit_2(capsys, line_json, tmp_path, sum_body,
+                                     folded, target, message):
+    ep_path = tmp_path / "prog.events"
+    ep_path.write_text("forall it in 0..2:\n  B[it] := x1\n"
+                       "  C[it] := (x1 ? 1.0) + (x2 ? %s)\n" % sum_body)
+    argv = ["run", "--event-program", str(ep_path), "--data", line_json,
+            "--targets", target] + (["--folded"] if folded else [])
+    code, _, err = _run(capsys, *argv)
+    assert (code, err) == (2, "error: %s\n" % message)
+
+
+def test_run_closes_its_files(capsys, line_json, tmp_path):
+    ep_path = str(tmp_path / "prog.events")
+    _run(capsys, "run", "--program", PROG, "--data", line_json,
+         "--emit-stage", "event-program", "--out", ep_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for source in (("--program", PROG), ("--event-program", ep_path)):
+            assert _run(capsys, "run", *source, "--data", line_json,
+                        "--targets", "Centre[0,*,*]")[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_gen_then_run_pipeline(capsys, tmp_path):

@@ -224,29 +224,35 @@ def test_planted_gap_in_finished_search_and_ledger(gap, raises):
 
 
 def _reference_ancestor_bits(net):
-    """A plain upward DFS per variable over the nodes' tagged parent edges."""
+    """A memoised downward walk over the nodes' children and carry payloads.
+
+    ``below(nid, t)`` is the set of variables under the instance of ``nid``
+    at iteration ``t``; a carry reads its ``init`` at t=0 and its ``source``
+    at t-1.  Each variable's mask has a bit per instance above it.
+    """
     N, T = len(net.nodes), net.T
-    out = {}
-    for name, vid in net.var_nodes.items():
-        seen = {vid}
-        stack = [(vid, 0)]
-        while stack:
-            nid, t = stack.pop()
-            node = net.nodes[nid]
-            for pid, tag in node.parents:
-                if tag == "bcast":
-                    pts = range(T)
-                elif tag == "next":  # a base source feeds every t >= 1
-                    pts = [t + 1] if node.in_loop else range(1, T)
-                else:  # 'same' or 'zero'
-                    pts = [t]
-                for pt in pts:
-                    if pt < T:
-                        idx = pt * N + pid if net.nodes[pid].in_loop else pid
-                        if idx not in seen:
-                            seen.add(idx)
-                            stack.append((pid, pt))
-        out[name] = sum(1 << idx for idx in seen)
+    memo = {}
+
+    def below(nid, t):
+        node = net.nodes[nid]
+        if not node.in_loop:
+            t = 0
+        if (nid, t) not in memo:
+            if node.kind == "var":
+                out = {node.payload}
+            elif node.kind == "loop":
+                out = (below(node.payload["init"], 0) if t == 0
+                       else below(node.payload["source"], t - 1))
+            else:
+                out = set().union(*(below(c, t) for c in node.children))
+            memo[nid, t] = out
+        return memo[nid, t]
+
+    out = {name: 0 for name in net.var_nodes}
+    for nid, node in enumerate(net.nodes):
+        for t in range(T) if node.in_loop else (0,):
+            for name in below(nid, t):
+                out[name] |= 1 << (t * N + nid if node.in_loop else nid)
     return out
 
 

@@ -1,11 +1,13 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from manyworlds.events import (
-    U, VU, Add, And, Atom, CondVal, Not, Or, Ref, Var, VarTable, TRUE,
+    U, VU, Add, And, Atom, CondVal, Not, Or, Ref, TypeMismatch, Var, VarTable,
+    TRUE,
 )
 from manyworlds.eventprog import (
     EventProgram, decl, ground, ground_folded, parse_event_program,
@@ -29,7 +31,8 @@ def test_shared_subexpression_single_node():
     net = build_network(g)
     and_nodes = [n for n in net.nodes if n.kind == "and"]
     assert len(and_nodes) == 1
-    assert len(and_nodes[0].parents) == 1  # the Or node; targets share the node
+    # the Or node; targets share the node
+    assert len(net.slot_tables().parents[and_nodes[0].id]) == 1
 
 
 def test_fragment_masking_under_partial_assignment():
@@ -369,6 +372,22 @@ def test_carried_base_source_reaches_every_iteration():
         vt, 0.0, "exact")
     assert folded.bounds("B[2]") == unfolded.bounds("B[2]")
     assert abs(folded.bounds("B[2]")[0] - 0.15) < 1e-12
+
+
+@pytest.mark.parametrize("body", [
+    "(x0 ? 1.0) + (x1 ? [1.0, 2.0])",
+    "dist((x0 ? 1.0), (x1 ? 2.0))",
+    "(x0 ? 1.0) + x1",
+], ids=["mixed-sum", "dist-on-scalars", "event-in-sum"])
+def test_folded_body_is_typed_as_its_unfolded_program(body):
+    program = parse_event_program(
+        "forall it in 0..2:\n  B[it] := x0\n  C[it] := %s\n" % body)
+    variables = {"x0", "x1"}
+    with pytest.raises(TypeMismatch) as unfolded:
+        ground(program, ("B[1]",), variables)
+    with pytest.raises(TypeMismatch,
+                       match="^%s$" % re.escape(str(unfolded.value))):
+        build_network(ground_folded(program, ("B[1]",), variables))
 
 
 @pytest.mark.parametrize("folded", [False, True])
