@@ -7,7 +7,6 @@ Subcommands:
          one of: naive, exact, eager, lazy, hybrid, exact-d, hybrid-d
   gen    generate a correlated dataset (positive / mutex / markov schemes)
   check  sweep seeded random event programs: exact compilation vs enumeration
-  bench  counted-work tables over growing variable counts and modes
 
 Reports go to stdout as a small table; ``--out`` additionally writes a
 machine-readable JSON document (stable bytes for fixed inputs and seed;
@@ -29,7 +28,6 @@ from .eventprog import (
     parse_event_program,
 )
 from .events import TypeMismatch
-from .kmedoids import build_kmedoids_program
 from .network import NetworkError, build_network
 from .oracle import OracleError, oracle_probabilities, world_reports
 from .randprog import random_instance
@@ -108,20 +106,6 @@ def build_parser():
     c.add_argument("--max-vars", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=cmd_check)
-
-    b = sub.add_parser("bench", help="counted-work tables by variable count")
-    b.add_argument("--scheme", choices=("positive", "mutex", "markov"),
-                   default="positive")
-    b.add_argument("--vars", default="8,12,16", help="variable pool sizes")
-    b.add_argument("--modes", default="exact,eager,lazy,hybrid")
-    b.add_argument("--epsilon", type=float, default=0.1)
-    b.add_argument("--n", type=int, default=20)
-    b.add_argument("--group", type=int, default=4)
-    b.add_argument("--l", type=int, default=2)
-    b.add_argument("--iter", type=int, default=3)
-    b.add_argument("--certain", type=float, default=0.0)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
     return p
 
 
@@ -306,7 +290,7 @@ def _write_text(path, text):
 
 
 # ---------------------------------------------------------------------------
-# gen / check / bench
+# gen / check
 # ---------------------------------------------------------------------------
 
 
@@ -343,29 +327,6 @@ def cmd_check(args):
               (seed, len(vt), len(targets), worst, "ok" if ok else "FAIL"))
     print("%d/%d instances matched" % (args.count - bad, args.count))
     return 1 if bad else 0
-
-
-def cmd_bench(args):
-    modes = [m.strip() for m in args.modes.split(",")]
-    var_counts = [int(v) for v in args.vars.split(",")]
-    print("%-6s %-8s %-10s %-10s %-10s %-12s %-12s" %
-          ("m", "mode", "branches", "leaves", "pruned", "propagations",
-           "naive_evals"))
-    for m in var_counts:
-        ds = gen_correlations(args.n, args.scheme, group=args.group,
-                              certain=args.certain, seed=args.seed, l=args.l,
-                              pool=m, iterations=args.iter)
-        prog, meta = build_kmedoids_program(ds)
-        g = ground(prog, (meta["targets"],), variables=set(ds.vartable.index))
-        net = build_network(g)
-        for mode in modes:
-            eps = 0.0 if mode == "exact" else args.epsilon
-            r = compile_targets(net, ds.vartable, eps, mode)
-            s = r.stats
-            print("%-6d %-8s %-10d %-10d %-10d %-12d %-12d" %
-                  (len(ds.vartable), mode, s.branches, s.leaves, s.pruned,
-                   s.propagations, 2 ** len(ds.vartable)))
-    return 0
 
 
 if __name__ == "__main__":

@@ -100,13 +100,13 @@ def ancestor_bits(net):
 class Search:
     """One depth-first compilation run over a private mask state.
 
-    ``forker`` intercepts descents into subtrees whose root depth is a
-    multiple of ``job_depth``; it is used by the distributed driver and is
-    None for plain sequential compilation.
+    ``forker``, which the distributed driver sets, intercepts descents into
+    subtrees whose root depth is a multiple of ``job_depth``; it is None for
+    plain sequential compilation.
     """
 
     def __init__(self, net, vartable, epsilon, scheme, state=None, stats=None,
-                 on_branch=None, forker=None, job_depth=None):
+                 on_branch=None, job_depth=None):
         if scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r" % scheme)
         if (scheme == "exact") != (epsilon == 0.0):
@@ -122,7 +122,7 @@ class Search:
         self.state = state or MaskState(net, self.stats)
         self.state.stats = self.stats
         self.on_branch = on_branch
-        self.forker = forker
+        self.forker = None
         self.job_depth = job_depth
         self.nt = len(net.targets)
         self.assigned = set()

@@ -9,6 +9,15 @@ value is still possible).  Assigning a random variable propagates masks
 bottom-up; every mask write is recorded on an undo trail so the depth-first
 search can backtrack in O(changes).
 
+Each ``MaskState`` keeps one list ``masks`` over instance slots: a Boolean
+slot holds ``UNKNOWN``, ``MASK_TRUE`` or ``MASK_FALSE``, a numeric slot a
+``NumMask``.  The node's kind code says which a slot holds.  A scalar mask's
+interval ends are floats, a vector mask's are tuples of floats, one per
+component.  A rule whose result is certainly undefined returns ``UNDEF``,
+except ``_guard`` and ``_condval``, which keep their interval.  The rules
+keep one invariant: a mask that may be defined has its static kind's shape,
+and no rule reads the interval of a mask whose ``may_def`` is False.
+
 Propagation is levelized.  Each (node, iteration) instance has a flat slot
 index, ``EventNetwork.slot``: ``t*N + id`` for in-loop nodes and ``id`` for
 iteration-independent (base) nodes.  That index is topological, because
@@ -59,7 +68,7 @@ from heapq import heapify, heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    Var, kind_rule,
+    TypeMismatch, Var, kind_rule,
 )
 from .eventprog import Affine, FoldedProgram, GroundedProgram, render_eid
 
@@ -71,6 +80,7 @@ class NetworkError(Exception):
 
 
 NumMask = namedtuple("NumMask", "lo hi may_undef may_def")
+UNDEF = NumMask(0.0, 0.0, True, False)  # certainly undefined
 
 UNKNOWN, MASK_TRUE, MASK_FALSE = 0, 1, 2
 
@@ -157,8 +167,8 @@ class EventNetwork:
 
 
 # the mask kinds in code order, each computed by its rule
-# ``MaskState._<kind>``; the Boolean kinds come first, so a code below
-# NUMERIC marks a Boolean node
+# ``MaskState._<kind>`` (both carry kinds by ``_carry``); the Boolean kinds
+# come first, so a code below NUMERIC marks a Boolean node
 _KINDS = ("and", "or", "not", "atom", "carry_bool", "const", "var",
           "condval", "guard", "add", "mul", "dist", "inv", "pow", "carry_num")
 _CODES = {kind: code for code, kind in enumerate(_KINDS)}
@@ -241,6 +251,8 @@ def _build_expr(net, e, in_loop, resolve_ref):
                     "folded mode cannot share a value that depends on the "
                     "loop counter")
             payload = payload.const
+        payload = (tuple(float(x) for x in payload)
+                   if isinstance(payload, tuple) else float(payload))
     elif kind is Guard:
         name = "guard"
         cs = (_build_expr(net, e.guard, in_loop, resolve_ref),
@@ -368,7 +380,12 @@ def _build_folded(folded: FoldedProgram):
         body_nodes[pos] = _build_expr(net, expr, True, resolve_body)
 
     for pos, nid in carry.items():
-        net.nodes[nid].payload["source"] = body_nodes[pos]
+        source = body_nodes[pos]
+        if net.nodes[source].vkind != net.nodes[nid].vkind:
+            raise TypeMismatch(
+                "carried family %r changes kind in the loop"
+                % folded.body[pos][0])
+        net.nodes[nid].payload["source"] = source
 
     for pos in folded.targets:
         nid = body_nodes[pos]
@@ -409,20 +426,23 @@ def _ipow(lo, hi, n):
     if n == 0:
         return 1.0, 1.0
     if n < 0:
-        lo, hi = _iinv(lo, hi)
-        n = -n
+        # x ** n is monotone on each side of 0 and unbounded towards it; a
+        # finite end is x ** n itself, as the oracle computes it, so a
+        # decided mask holds the oracle's value to the bit
+        if lo > 0.0 or hi < 0.0:
+            a, b = lo ** n, hi ** n
+            return min(a, b), max(a, b)
+        if lo == 0.0 and hi > 0.0:
+            return hi ** n, INF
+        if lo < 0.0 and hi == 0.0:
+            return (-INF, lo ** n) if n % 2 else (lo ** n, INF)
+        return (-INF, INF) if n % 2 else (0.0, INF)
     if n % 2 == 1:
         return lo ** n, hi ** n
     a, b = abs(lo), abs(hi)
     high = max(a, b) ** n
     low = 0.0 if lo <= 0 <= hi else min(a, b) ** n
     return low, high
-
-
-def _zero_like(lo):
-    if isinstance(lo, tuple):
-        return (0.0,) * len(lo)
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +484,7 @@ class MaskState:
         self.N = len(net.nodes)
         self.T = net.T
         size = self.N * self.T
-        self.bmask = [UNKNOWN] * size
-        self.nmask = [None] * size
+        self.masks = [UNKNOWN] * size  # numeric slots are set by _init_masks
         self.trail = []
         self.stats = stats or Stats()
         self.problower = [0.0] * len(net.targets)
@@ -487,15 +506,13 @@ class MaskState:
 
     # --- indexing -----------------------------------------------------------
 
-    def _bool_of(self, nid, t):
-        return self.bmask[self.net.slot(nid, t)]
-
-    def _num_of(self, nid, t):
-        return self.nmask[self.net.slot(nid, t)]
+    def mask_of(self, nid, t):
+        """The mask of node ``nid`` at iteration ``t``."""
+        return self.masks[self.net.slot(nid, t)]
 
     def target_mask(self, i):
         nid, t, _ = self.net.targets[i]
-        return self._bool_of(nid, t)
+        return self.mask_of(nid, t)
 
     # --- initialisation ------------------------------------------------------
 
@@ -503,7 +520,7 @@ class MaskState:
         # slots are topological, so computing each instance once, in slot
         # order, reaches the initial fixpoint without any parent cascades;
         # nothing reverts below it, so it leaves no trail
-        N, bmask, nmask = self.N, self.bmask, self.nmask
+        N, masks = self.N, self.masks
         codes, children = self.tables.codes, self.tables.children
         unknown, writes = self.unknown_bits, 0
         for t in range(self.T):
@@ -516,10 +533,8 @@ class MaskState:
                 if code < NUMERIC:
                     if new == UNKNOWN:
                         continue
-                    bmask[idx] = new
                     self._credit(idx, new, 1.0)
-                else:
-                    nmask[idx] = new
+                masks[idx] = new
                 writes += 1
                 if code < NUMERIC or _decided(new):
                     unknown &= ~(1 << idx)
@@ -534,23 +549,19 @@ class MaskState:
 
     def revert(self, mark):
         size, self.unknown_bits = mark
-        trail, bmask, nmask = self.trail, self.bmask, self.nmask
-        for is_bool, idx, old in reversed(trail[size:]):
-            if is_bool:
-                bmask[idx] = old
-            else:
-                nmask[idx] = old
+        trail, masks = self.trail, self.masks
+        for idx, old in reversed(trail[size:]):
+            masks[idx] = old
         del trail[size:]
 
     def save_masks(self):
         """Copies of the masks, for a job that resumes from this point."""
-        return list(self.bmask), list(self.nmask), self.unknown_bits
+        return list(self.masks), self.unknown_bits
 
     def load_masks(self, saved):
         """Resume from what ``save_masks`` returned, with an empty trail."""
-        bmask, nmask, self.unknown_bits = saved
-        self.bmask[:] = bmask
-        self.nmask[:] = nmask
+        masks, self.unknown_bits = saved
+        self.masks[:] = masks
         self.trail.clear()
 
     # --- assignment & propagation ----------------------------------------------
@@ -567,12 +578,12 @@ class MaskState:
         nid = self.net.var_nodes.get(var_name)
         if nid is None:
             return  # variable unused by the network
-        bmask, nmask, trail = self.bmask, self.nmask, self.trail
-        if bmask[nid] != UNKNOWN:
+        masks, trail = self.masks, self.trail
+        if masks[nid] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
         new = MASK_TRUE if value else MASK_FALSE
-        trail.append((True, nid, UNKNOWN))
-        bmask[nid] = new
+        trail.append((nid, UNKNOWN))
+        masks[nid] = new
         self._credit(nid, new, p)
         unknown, writes = self.unknown_bits & ~(1 << nid), 1
         N, nodes, target_at = self.N, self.net.nodes, self.target_at
@@ -591,28 +602,26 @@ class MaskState:
                 idx = pop(heap)
                 nid = idx % N
                 code = codes[nid]
+                old = masks[idx]
                 if code < NUMERIC:
-                    if bmask[idx] != UNKNOWN:
+                    if old != UNKNOWN:
                         continue
                     new = rules[code](self, nodes[nid], children[idx])
                     if new == UNKNOWN:
                         continue
-                    trail.append((True, idx, UNKNOWN))
-                    bmask[idx] = new
                     unknown ^= 1 << idx  # the bit is set: it was undecided
                     if idx in target_at:
                         self._credit(idx, new, p)
                 else:
-                    old = nmask[idx]
                     if not old.may_def or (not old.may_undef and old.lo == old.hi):
                         continue  # decided
                     new = rules[code](self, nodes[nid], children[idx])
                     if new == old:
                         continue
-                    trail.append((False, idx, old))
-                    nmask[idx] = new
                     if not new.may_def or (not new.may_undef and new.lo == new.hi):
                         unknown ^= 1 << idx
+                trail.append((idx, old))
+                masks[idx] = new
                 writes += 1
                 for q in parents[idx]:
                     if queued[q] != epoch:
@@ -636,13 +645,13 @@ class MaskState:
     # an instance's mask from its child slots ``kids`` (``SlotTables.children``).
 
     def _atom(self, node, kids):
-        a = self.nmask[kids[0]]
-        b = self.nmask[kids[1]]
+        a = self.masks[kids[0]]
+        b = self.masks[kids[1]]
         # a side that is certainly undefined makes the comparison true
         if not a.may_def or not b.may_def:
             return MASK_TRUE
         op = node.payload
-        if isinstance(a.lo, tuple) or isinstance(b.lo, tuple):
+        if isinstance(a.lo, tuple):  # both sides are vectors: op is '='
             if a.lo == a.hi and b.lo == b.hi and a.lo == b.lo:
                 return MASK_TRUE
             disjoint = any(x_hi < y_lo or y_hi < x_lo
@@ -669,10 +678,10 @@ class MaskState:
         return UNKNOWN
 
     def _and(self, node, kids):
-        bmask = self.bmask
+        masks = self.masks
         all_true = True
         for c in kids:
-            v = bmask[c]
+            v = masks[c]
             if v == MASK_FALSE:
                 return MASK_FALSE
             if v != MASK_TRUE:
@@ -680,10 +689,10 @@ class MaskState:
         return MASK_TRUE if all_true else UNKNOWN
 
     def _or(self, node, kids):
-        bmask = self.bmask
+        masks = self.masks
         all_false = True
         for c in kids:
-            v = bmask[c]
+            v = masks[c]
             if v == MASK_TRUE:
                 return MASK_TRUE
             if v != MASK_FALSE:
@@ -691,7 +700,7 @@ class MaskState:
         return MASK_FALSE if all_false else UNKNOWN
 
     def _not(self, node, kids):
-        c = self.bmask[kids[0]]
+        c = self.masks[kids[0]]
         if c == UNKNOWN:
             return UNKNOWN
         return MASK_FALSE if c == MASK_TRUE else MASK_TRUE
@@ -700,27 +709,23 @@ class MaskState:
         return MASK_TRUE if node.payload else MASK_FALSE
 
     def _var(self, node, kids):
-        return self.bmask[node.id]  # only ``assign`` decides a variable
+        return self.masks[node.id]  # only ``assign`` decides a variable
 
-    def _carry_bool(self, node, kids):
-        return self.bmask[kids[0]]
-
-    def _carry_num(self, node, kids):
-        return self.nmask[kids[0]]
+    def _carry(self, node, kids):
+        return self.masks[kids[0]]
 
     def _condval(self, node, kids):
-        g = self.bmask[kids[0]]
+        g = self.masks[kids[0]]
         v = node.payload
-        lo = hi = tuple(float(x) for x in v) if isinstance(v, tuple) else float(v)
         if g == MASK_TRUE:
-            return NumMask(lo, hi, False, True)
+            return NumMask(v, v, False, True)
         if g == MASK_FALSE:
-            return NumMask(lo, hi, True, False)
-        return NumMask(lo, hi, True, True)
+            return NumMask(v, v, True, False)
+        return NumMask(v, v, True, True)
 
     def _guard(self, node, kids):
-        g = self.bmask[kids[0]]
-        c = self.nmask[kids[1]]
+        g = self.masks[kids[0]]
+        c = self.masks[kids[1]]
         if g == MASK_TRUE:
             return c
         if g == MASK_FALSE:
@@ -728,29 +733,26 @@ class MaskState:
         return NumMask(c.lo, c.hi, True, c.may_def)
 
     def _inv(self, node, kids):
-        c = self.nmask[kids[0]]
-        if not c.may_def:
-            return NumMask(0.0, 0.0, True, False)
-        contains0 = c.lo <= 0.0 <= c.hi
-        if c.lo == c.hi == 0.0 and not c.may_undef:
-            return NumMask(0.0, 0.0, True, False)
+        c = self.masks[kids[0]]
+        if not c.may_def or (c.lo == c.hi == 0.0 and not c.may_undef):
+            return UNDEF
         lo, hi = _iinv(c.lo, c.hi)
-        return NumMask(lo, hi, c.may_undef or contains0, True)
+        return NumMask(lo, hi, c.may_undef or c.lo <= 0.0 <= c.hi, True)
 
     def _pow(self, node, kids):
-        c = self.nmask[kids[0]]
+        c = self.masks[kids[0]]
         n = node.payload
-        if not c.may_def:
-            return NumMask(0.0, 0.0, True, False)
+        if not c.may_def or (n < 0 and c.lo == c.hi == 0.0 and not c.may_undef):
+            return UNDEF
         lo, hi = _ipow(c.lo, c.hi, n)
         mu = c.may_undef or (n < 0 and c.lo <= 0.0 <= c.hi)
         return NumMask(lo, hi, mu, True)
 
     def _dist(self, node, kids):
-        a = self.nmask[kids[0]]
-        b = self.nmask[kids[1]]
+        a = self.masks[kids[0]]
+        b = self.masks[kids[1]]
         if not a.may_def or not b.may_def:
-            return NumMask(0.0, 0.0, True, False)
+            return UNDEF
         sq_lo = sq_hi = 0.0
         for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi):
             dlo, dhi = alo - bhi, ahi - blo
@@ -765,65 +767,48 @@ class MaskState:
                        a.may_undef or b.may_undef, True)
 
     def _add(self, node, kids):
-        vector = node.vkind == "v"
-        nmask = self.nmask
-        masks = [nmask[c] for c in kids]
-        may_def = any(m.may_def for m in masks)
+        masks = [self.masks[c] for c in kids]
+        defined = [m for m in masks if m.may_def]
+        if not defined:
+            return UNDEF
         may_undef = all(m.may_undef for m in masks)
-        if vector:
-            dim = len(self._vec_shape(masks))
+        if node.vkind == "v":
+            dim = len(defined[0].lo)
             lo = [0.0] * dim
             hi = [0.0] * dim
-            for m in masks:
-                if not m.may_def:
-                    continue
-                mlo = m.lo if isinstance(m.lo, tuple) else (m.lo,) * dim
-                mhi = m.hi if isinstance(m.hi, tuple) else (m.hi,) * dim
+            for m in defined:
                 for i in range(dim):
                     if m.may_undef:
-                        lo[i] += min(0.0, mlo[i])
-                        hi[i] += max(0.0, mhi[i])
+                        lo[i] += min(0.0, m.lo[i])
+                        hi[i] += max(0.0, m.hi[i])
                     else:
-                        lo[i] += mlo[i]
-                        hi[i] += mhi[i]
-            return NumMask(tuple(lo), tuple(hi), may_undef, may_def)
+                        lo[i] += m.lo[i]
+                        hi[i] += m.hi[i]
+            return NumMask(tuple(lo), tuple(hi), may_undef, True)
         lo = hi = 0.0
-        for m in masks:
-            if not m.may_def:
-                continue
+        for m in defined:
             if m.may_undef:
                 lo += min(0.0, m.lo)
                 hi += max(0.0, m.hi)
             else:
                 lo += m.lo
                 hi += m.hi
-        return NumMask(lo, hi, may_undef, may_def)
-
-    def _vec_shape(self, masks):
-        for m in masks:
-            if isinstance(m.lo, tuple):
-                return m.lo
-        raise NetworkError("vector sum without vector children")
+        return NumMask(lo, hi, may_undef, True)
 
     def _mul(self, node, kids):
-        nmask = self.nmask
-        masks = [nmask[c] for c in kids]
-        may_def = all(m.may_def for m in masks)
-        may_undef = any(m.may_undef for m in masks)
-        if not may_def:
-            first = masks[0]
-            return NumMask(_zero_like(first.lo), _zero_like(first.lo), True, False)
-        kinds = [self.net.nodes[c].vkind for c in node.children]
-        lo, hi, k = masks[0].lo, masks[0].hi, kinds[0]
-        for m, ck in zip(masks[1:], kinds[1:]):
-            if k == "s" and ck == "s":
+        masks = [self.masks[c] for c in kids]
+        if not all(m.may_def for m in masks):
+            return UNDEF
+        lo, hi = masks[0].lo, masks[0].hi
+        for m in masks[1:]:
+            vector, m_vector = isinstance(lo, tuple), isinstance(m.lo, tuple)
+            if not vector and not m_vector:
                 lo, hi = _imul(lo, hi, m.lo, m.hi)
-            elif k == "s" and ck == "v":
+            elif not vector:
                 pairs = [_imul(lo, hi, l2, h2) for l2, h2 in zip(m.lo, m.hi)]
                 lo = tuple(p[0] for p in pairs)
                 hi = tuple(p[1] for p in pairs)
-                k = "v"
-            elif k == "v" and ck == "s":
+            elif not m_vector:
                 pairs = [_imul(l1, h1, m.lo, m.hi) for l1, h1 in zip(lo, hi)]
                 lo = tuple(p[0] for p in pairs)
                 hi = tuple(p[1] for p in pairs)
@@ -833,11 +818,9 @@ class MaskState:
                     plo, phi = _imul(l1, h1, l2, h2)
                     slo += plo
                     shi += phi
-                lo, hi, k = slo, shi, "s"
-        if node.vkind == "v" and not isinstance(lo, tuple):
-            raise NetworkError("product kind mismatch")
-        return NumMask(lo, hi, may_undef, may_def)
+                lo, hi = slo, shi
+        return NumMask(lo, hi, any(m.may_undef for m in masks), True)
 
 
 # the mask rule of each kind code
-_RULES = tuple(getattr(MaskState, "_" + kind) for kind in _KINDS)
+_RULES = tuple(getattr(MaskState, "_" + kind.split("_")[0]) for kind in _KINDS)

@@ -230,8 +230,9 @@ def test_criterion_7_folded_equals_unfolded():
     assert len(folded_nodes) == 1  # independent of the iteration bound
 
     import os
-    src = open(os.path.join(os.path.dirname(__file__), "fixtures",
-                            "kmedoids.prog")).read()
+    with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                           "kmedoids.prog")) as fh:
+        src = fh.read()
     ast = parse_user_program(src)
     for T in (1, 2, 3):
         ds.params.iterations = T

@@ -180,6 +180,18 @@ def test_network_stage_errors_exit_2(capsys, line_json, tmp_path, sum_body,
     assert (code, err) == (2, "error: %s\n" % message)
 
 
+def test_folded_carry_kind_mismatch_exit_2(capsys, line_json, tmp_path):
+    ep_path = tmp_path / "prog.events"
+    ep_path.write_text("C[-1] := (x1 ? 1.0)\n"
+                       "forall it in 0..2:\n"
+                       "  C[it] := (x2 ? [1.0, 2.0])\n"
+                       "  D[it] := [ C[it-1] <= (x1 ? 0.5) ]\n")
+    code, _, err = _run(capsys, "run", "--event-program", str(ep_path),
+                        "--data", line_json, "--targets", "D[1]", "--folded")
+    assert (code, err) == (
+        2, "error: network: carried family 'C' changes kind in the loop\n")
+
+
 def test_run_closes_its_files(capsys, line_json, tmp_path):
     ep_path = str(tmp_path / "prog.events")
     _run(capsys, "run", "--program", PROG, "--data", line_json,
@@ -209,11 +221,3 @@ def test_check_subcommand(capsys):
     code, out, _ = _run(capsys, "check", "--count", "5", "--max-vars", "6")
     assert code == 0
     assert "5/5 instances matched" in out
-
-
-def test_bench_subcommand(capsys):
-    code, out, _ = _run(capsys, "bench", "--vars", "4,5", "--n", "8",
-                        "--group", "4", "--iter", "1",
-                        "--modes", "exact,hybrid")
-    assert code == 0
-    assert "naive_evals" in out

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manyworlds.events import (
-    U, VU, Add, And, Atom, CondVal, Not, Or, Ref, TypeMismatch, Var, VarTable,
-    TRUE,
+    U, VU, Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
+    TypeMismatch, Var, VarTable, TRUE,
 )
 from manyworlds.eventprog import (
     EventProgram, decl, ground, ground_folded, parse_event_program,
@@ -18,7 +18,7 @@ from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import (
     MASK_FALSE, MASK_TRUE, UNKNOWN, MaskState, NetworkError, build_network,
 )
-from manyworlds.oracle import _Program
+from manyworlds.oracle import _Program, oracle_probabilities
 from manyworlds.randprog import random_instance
 
 
@@ -48,10 +48,10 @@ def test_fragment_masking_under_partial_assignment():
     st_ = MaskState(net)
     st_.assign("x0", True, 1.0)
     st_.assign("x1", True, 1.0)
-    assert st_._bool_of(net.node_of_eid["Phi0"], 0) == MASK_TRUE
-    assert st_._bool_of(net.node_of_eid["Phi1"], 0) == MASK_TRUE
-    assert st_._bool_of(net.node_of_eid["Phi3"], 0) == MASK_FALSE
-    assert st_._bool_of(net.node_of_eid["Phi2"], 0) == UNKNOWN
+    assert st_.mask_of(net.node_of_eid["Phi0"], 0) == MASK_TRUE
+    assert st_.mask_of(net.node_of_eid["Phi1"], 0) == MASK_TRUE
+    assert st_.mask_of(net.node_of_eid["Phi3"], 0) == MASK_FALSE
+    assert st_.mask_of(net.node_of_eid["Phi2"], 0) == UNKNOWN
 
 
 def test_conjunction_false_on_any_false_child():
@@ -60,7 +60,7 @@ def test_conjunction_false_on_any_false_child():
     net = build_network(g)
     st_ = MaskState(net)
     st_.assign("x", False, 1.0)
-    assert st_._bool_of(net.node_of_eid["A"], 0) == MASK_FALSE
+    assert st_.mask_of(net.node_of_eid["A"], 0) == MASK_FALSE
 
 
 def test_guarded_sum_interval_tightening():
@@ -72,13 +72,13 @@ def test_guarded_sum_interval_tightening():
     net = build_network(g)
     st_ = MaskState(net)
     nid = net.node_of_eid["S"]
-    nm = st_._num_of(nid, 0)
+    nm = st_.mask_of(nid, 0)
     assert (nm.lo, nm.hi) == (0.0, 5.0)
     st_.assign("a", True, 1.0)
-    nm = st_._num_of(nid, 0)
+    nm = st_.mask_of(nid, 0)
     assert (nm.lo, nm.hi) == (2.0, 5.0)
     st_.assign("b", False, 1.0)
-    nm = st_._num_of(nid, 0)
+    nm = st_.mask_of(nid, 0)
     assert (nm.lo, nm.hi) == (2.0, 2.0)
     assert not nm.may_undef and nm.may_def
 
@@ -88,15 +88,13 @@ def test_undo_trail_restores_exact_state():
     g = ground(prog, targets, variables=set(vt.index))
     net = build_network(g)
     st_ = MaskState(net)
-    before_b = list(st_.bmask)
-    before_n = list(st_.nmask)
+    before = list(st_.masks)
     before_bits = st_.unknown_bits
     mark = st_.checkpoint()
     for name in vt.names()[:4]:
         st_.assign(name, True, 0.5)
     st_.revert(mark)
-    assert st_.bmask == before_b
-    assert st_.nmask == before_n
+    assert st_.masks == before
     assert st_.unknown_bits == before_bits
 
 
@@ -129,11 +127,11 @@ def test_mask_soundness_under_partial_assignments(seed):
         for eid, nid in net.node_of_eid.items():
             node = net.nodes[nid]
             if node.vkind == "b":
-                m = st_._bool_of(nid, 0)
+                m = st_.mask_of(nid, 0)
                 if m != UNKNOWN:
                     assert (m == MASK_TRUE) == values[eid], (eid, nu)
             else:
-                nm = st_._num_of(nid, 0)
+                nm = st_.mask_of(nid, 0)
                 v = values[eid]
                 if v is U or v is VU:
                     assert nm.may_undef, (eid, nu)
@@ -160,11 +158,11 @@ def test_bound_monotonicity_within_branch(seed):
     numeric = [(eid, nid) for eid, nid in net.node_of_eid.items()
                if net.nodes[nid].vkind != "b"]
     for eid, nid in numeric:
-        prev[eid] = st_._num_of(nid, 0)
+        prev[eid] = st_.mask_of(nid, 0)
     for name in names:
         st_.assign(name, rng.random() < 0.5, 1.0)
         for eid, nid in numeric:
-            nm = st_._num_of(nid, 0)
+            nm = st_.mask_of(nid, 0)
             old = prev[eid]
             if isinstance(nm.lo, tuple):
                 assert all(a >= b - 1e-12 for a, b in zip(nm.lo, old.lo))
@@ -234,7 +232,7 @@ def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
     def counted_assign(name, value, p):
         mark = len(st_.trail)
         plain_assign(name, value, p)
-        writes = Counter(idx for _is_bool, idx, _old in st_.trail[mark:])
+        writes = Counter(idx for idx, _old in st_.trail[mark:])
         most.append(max(writes.values(), default=0))
 
     st_.assign = counted_assign
@@ -252,9 +250,9 @@ def _undecided_bits(st_):
         for t in range(st_.T if node.in_loop else 1):
             idx = t * st_.N + nid
             if node.vkind == "b":
-                undecided = st_.bmask[idx] == UNKNOWN
+                undecided = st_.masks[idx] == UNKNOWN
             else:
-                m = st_.nmask[idx]
+                m = st_.masks[idx]
                 undecided = m.may_def and (m.may_undef or m.lo != m.hi)
             bits |= undecided << idx
     return bits
@@ -390,6 +388,19 @@ def test_folded_body_is_typed_as_its_unfolded_program(body):
         build_network(ground_folded(program, ("B[1]",), variables))
 
 
+def test_folded_carry_has_the_kind_of_its_source():
+    program = parse_event_program(
+        "C[-1] := (x1 ? 1.0)\n"
+        "forall it in 0..3:\n"
+        "  C[it] := (x2 ? [1.0, 2.0])\n"
+        "  D[it] := [ C[it-1] <= (x1 ? 0.5) ]\n")
+    variables = {"x1", "x2"}
+    with pytest.raises(TypeMismatch, match="atom compares scalar with vector"):
+        ground(program, ("D[2]",), variables)
+    with pytest.raises(TypeMismatch, match="^carried family 'C' changes kind"):
+        build_network(ground_folded(program, ("D[2]",), variables))
+
+
 @pytest.mark.parametrize("folded", [False, True])
 def test_each_slot_queued_at_most_once_per_assign(line_dataset, folded,
                                                   monkeypatch):
@@ -421,3 +432,170 @@ def test_each_slot_queued_at_most_once_per_assign(line_dataset, folded,
     search.preassign_certain()
     search.run()
     assert len(per_assign) > 10 and max(per_assign) == 0
+
+
+# --- every c-value kind --------------------------------------------------------
+#
+# ``random_instance`` draws only guarded constants, sums and guards.  This
+# generator adds products (scalar, scaled vector, dot), inverses, powers,
+# distances and vector sums, so each mask rule meets undefined, zero and
+# vector children.
+
+_VALUES = (-2.0, -1.0, 0.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+def _every_kind_instance(seed, max_vars=5):
+    """A well-typed program over every c-value kind: (program, vartable, targets)."""
+    rng = random.Random(seed)
+    vt = VarTable(tuple(("x%d" % i, round(rng.uniform(0.15, 0.85), 3))
+                        for i in range(rng.randint(2, max_vars))))
+    names = vt.names()
+    pools = {"b": [], "s": [], "v": []}
+
+    def leaf_guard():
+        return rng.choice((TRUE, Var(rng.choice(names)),
+                           Not(Var(rng.choice(names)))))
+
+    def event(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if pools["b"] and rng.random() < 0.4:
+                return Ref(rng.choice(pools["b"]))
+            return Var(rng.choice(names))
+        if r < 0.45:
+            return Not(event(depth - 1))
+        if r < 0.6:
+            kids = (event(depth - 1), event(depth - 1))
+            return And(kids) if rng.random() < 0.5 else Or(kids)
+        if r < 0.85:
+            return Atom(rng.choice(("<=", "<", ">=", ">", "=")),
+                        scalar(depth - 1), scalar(depth - 1))
+        return Atom("=", vector(depth - 1), vector(depth - 1))
+
+    def scalar(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if pools["s"] and rng.random() < 0.4:
+                return Ref(rng.choice(pools["s"]))
+            return CondVal(leaf_guard(), rng.choice(_VALUES))
+        if r < 0.4:
+            return Add((scalar(depth - 1), scalar(depth - 1)))
+        if r < 0.5:
+            return Mul((scalar(depth - 1), scalar(depth - 1)))
+        if r < 0.6:
+            return Mul((vector(depth - 1), vector(depth - 1)))
+        if r < 0.7:
+            return Inv(scalar(depth - 1))
+        if r < 0.8:
+            return Pow(scalar(depth - 1), rng.choice((-2, -1, 0, 1, 2, 3)))
+        if r < 0.9:
+            return Dist(vector(depth - 1), vector(depth - 1))
+        return Guard(event(depth - 1), scalar(depth - 1))
+
+    def vector(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            if pools["v"] and rng.random() < 0.4:
+                return Ref(rng.choice(pools["v"]))
+            return CondVal(leaf_guard(),
+                           (rng.choice(_VALUES), rng.choice(_VALUES)))
+        if r < 0.5:
+            return Add((vector(depth - 1), vector(depth - 1)))
+        if r < 0.8:
+            kids = [scalar(depth - 1), vector(depth - 1)]
+            rng.shuffle(kids)
+            return Mul(tuple(kids))
+        return Guard(event(depth - 1), vector(depth - 1))
+
+    decls = []
+    for d in range(rng.randint(3, 7)):
+        kind = rng.choice("bbsv")
+        expr = {"b": event, "s": scalar, "v": vector}[kind](rng.randint(1, 3))
+        decls.append(decl("E%d" % d, (), expr))
+        pools[kind].append("E%d" % d)
+    decls.append(decl("E%d" % len(decls), (), event(3)))
+    pools["b"].append(decls[-1].name)
+    targets = rng.sample(pools["b"], min(len(pools["b"]), 3))
+    return EventProgram(tuple(decls)), vt, targets
+
+
+# programs whose exact answer once differed from the oracle's: a vector sum
+# of two undefined scaled vectors, a power of a certain zero with a negative
+# exponent, and a negative power computed as a power of the inverse, one ulp
+# off the oracle's ``3.0 ** -3``
+_ORACLE_CASES = {
+    "vector-sum-of-undefined-products": (
+        "S := ((a ? 2.0) * (b ? [1.0, 2.0])) + ((c ? 3.0) * (b ? [1.0, 2.0]))\n"
+        "T := [ S = (true ? [2.0, 4.0]) ]\n",
+        VarTable.of(("a", 0.5), ("b", 0.5), ("c", 0.5)), 0.75),
+    "pow-of-certain-zero": (
+        "T := [ pow((x0 ? 0.0), -1) = (true ? 1.0) ]\n",
+        VarTable.of(("x0", 0.5)), 1.0),
+    "negative-pow-to-the-bit": (
+        "T := [ pow((x0 ? 3.0), -3) >= (true ? 0.037037037037037035) ]\n",
+        VarTable.of(("x0", 0.5)), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fixed_programs_match_oracle(case):
+    text, vt, expected = _ORACLE_CASES[case]
+    g = ground(parse_event_program(text), ("T",), set(vt.index))
+    assert oracle_probabilities(g, vt, ("T",)).probabilities["T"] == expected
+    result = compile_targets(build_network(g), vt, 0.0, "exact")
+    assert result.bounds("T") == (expected, expected)
+
+
+def test_exact_matches_oracle_over_every_kind():
+    wrong = []
+    for seed in range(1000):
+        prog, vt, targets = _every_kind_instance(seed)
+        g = ground(prog, targets, variables=set(vt.index))
+        expected = oracle_probabilities(g, vt, targets).probabilities
+        result = compile_targets(build_network(g), vt, 0.0, "exact")
+        for eid in targets:
+            lower, upper = result.bounds(eid)
+            if max(abs(lower - expected[eid]), abs(upper - expected[eid])) > 1e-9:
+                wrong.append((seed, eid, lower, upper, expected[eid]))
+    assert wrong == []
+
+
+def _check_masks_against_worlds(net, st_, g, names, partial):
+    """Each declaration's mask allows its value in every completion of
+    ``partial``; a mask that may be defined has its node's static shape."""
+    prog_eval = _Program(g)
+    free = [n for n in names if n not in partial]
+    for w in range(1 << len(free)):
+        nu = dict(partial)
+        nu.update({n: bool((w >> j) & 1) for j, n in enumerate(free)})
+        values = dict(zip(prog_eval.eids, prog_eval.eval_all(nu)))
+        for eid, nid in net.node_of_eid.items():
+            m, v, vkind = st_.mask_of(nid, 0), values[eid], net.nodes[nid].vkind
+            if vkind == "b":
+                assert m == UNKNOWN or (m == MASK_TRUE) == v, (eid, nu)
+                continue
+            if m.may_def:
+                assert isinstance(m.lo, tuple) == (vkind == "v"), eid
+            if v is U or v is VU:
+                assert m.may_undef, (eid, nu)
+                continue
+            assert m.may_def, (eid, nu)
+            xs, los, his = ((v, m.lo, m.hi) if vkind == "v"
+                            else ((v,), (m.lo,), (m.hi,)))
+            for x, lo, hi in zip(xs, los, his):
+                assert lo - 1e-9 <= x <= hi + 1e-9, (eid, nu)
+
+
+def test_mask_soundness_over_every_kind():
+    for seed in range(300):
+        rng = random.Random(seed)
+        prog, vt, targets = _every_kind_instance(seed)
+        g = ground(prog, targets, variables=set(vt.index))
+        net = build_network(g)
+        st_ = MaskState(net)
+        names = vt.names()
+        partial = {n: rng.random() < 0.5
+                   for n in rng.sample(names, rng.randint(0, len(names)))}
+        for n, v in partial.items():
+            st_.assign(n, v, 1.0)
+        _check_masks_against_worlds(net, st_, g, names, partial)

@@ -10,6 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("argv", [
     ["scripts/distributed_demo.py", "--n", "8", "--pool", "4"],
     ["scripts/run_line_example.py"],
+    ["scripts/trend_tables.py"],
 ])
 def test_example_script_runs(argv):
     env = dict(os.environ)
