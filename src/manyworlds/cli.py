@@ -24,8 +24,8 @@ from .compile import ConfigError, compile_targets
 from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
-    emit_event_program, emit_grounded, ground, ground_folded,
-    parse_event_program,
+    Decl, EventProgram, Loop, emit_event_program, emit_grounded, ground,
+    ground_folded, parse_event_program,
 )
 from .events import TypeMismatch
 from .network import NetworkError, build_network
@@ -164,23 +164,17 @@ def _load_pipeline(args):
     try:
         if args.folded:
             grounded = ground_folded(program, patterns, variables)
-            stages["grounded"] = lambda: emit_grounded(_fold_preview(grounded))
+            # the base declarations, then the body over the symbolic counter
+            stages["grounded"] = lambda: emit_event_program(EventProgram(
+                tuple(Decl(eid, (), e) for eid, e in grounded.base.items())
+                + (Loop(grounded.counter, 0, grounded.count,
+                        tuple(Decl(*entry) for entry in grounded.body)),)))
         else:
             grounded = ground(program, patterns, variables)
             stages["grounded"] = lambda: emit_grounded(grounded)
     except Exception as exc:
         raise CliError("ground", str(exc))
     return grounded, dataset, stages, patterns
-
-
-def _fold_preview(folded):
-    from .eventprog import GroundedProgram
-    decls = dict(folded.base)
-    for t in range(folded.count):
-        for entry in folded.body:
-            eid = folded.body_eid(entry, t)
-            decls.setdefault(eid, entry[2])
-    return GroundedProgram(decls, [])
 
 
 def _default_user_targets(translation, folded):

@@ -24,7 +24,10 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .events import And, Const, Not, Or, Ref, Var, VarTable, TRUE, map_children
+from .events import (
+    Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE, first_true,
+    map_children,
+)
 from .eventprog import _LineParser, _tokenize_line, format_expr, ProgramSyntaxError
 
 
@@ -76,6 +79,17 @@ class Dataset:
             return [primary]
         taken = set(self.params.medoids)
         return [primary] + [j for j in range(self.n - 1, -1, -1) if j not in taken]
+
+    def initial_medoid(self, i, exists):
+        """Cluster i's initial medoid as a c-value: the coordinates of the
+        first point in ``medoid_preference(i)`` whose event holds, undefined
+        if none does.  ``exists[l]`` is the event that point l exists.
+        """
+        chain = self.medoid_preference(i)
+        guards = first_true([exists[l] for l in chain])
+        terms = [CondVal(g, tuple(self.points[l].coords))
+                 for l, g in zip(chain, guards)]
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     # --- JSON round trip ------------------------------------------------------
 
@@ -241,10 +255,8 @@ def gen_correlations(n, scheme, group=4, certain=0.0, prob_range=(0.5, 0.8),
         while gi < len(sizes):
             size = min(m, len(sizes) - gi)
             if mutex_encoding == "chain":
-                vs = [fresh("x%d_%d" % (set_idx, j)) for j in range(size)]
-                for j in range(size):
-                    negs = tuple(Not(vs[q]) for q in range(j))
-                    events.append(vs[j] if not negs else And(negs + (vs[j],)))
+                events.extend(first_true(
+                    [fresh("x%d_%d" % (set_idx, j)) for j in range(size)]))
             else:
                 bits = max(1, math.ceil(math.log2(size + 1)))
                 vs = [fresh("x%d_%d" % (set_idx, b)) for b in range(bits)]

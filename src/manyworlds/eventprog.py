@@ -88,6 +88,16 @@ class Affine:
     def times(self, k):
         return Affine(self.const * k, tuple((n, c * k) for n, c in self.terms))
 
+    def bind(self, env):
+        """Substitute the counters ``env`` binds; the others stay symbolic."""
+        const, kept = self.const, []
+        for name, coef in self.terms:
+            if name in env:
+                const += coef * env[name]
+            else:
+                kept.append((name, coef))
+        return Affine(const, tuple(kept))
+
     def eval(self, env):
         value = self.const
         for name, coef in self.terms:
@@ -346,11 +356,9 @@ def ground_folded(program, target_patterns=("*",), variables=None):
                     raise GroundError(
                         "folded target %r lies after the folded loop" % eid)
 
-    body = []
-    for item, env in _instances(loop.body, {}):
-        indices = tuple(_partial_eval(ix, env, loop.counter) for ix in item.indices)
-        expr = _partial_ground(item.expr, env, loop.counter)
-        body.append((item.name, indices, expr))
+    body = [(item.name, tuple(ix.bind(env) for ix in item.indices),
+             _bind(item.expr, env))
+            for item, env in _instances(loop.body, {})]
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
     for name, indices, expr in body:
@@ -371,31 +379,17 @@ def ground_folded(program, target_patterns=("*",), variables=None):
     return prog
 
 
-def _partial_eval(ix, env, keep):
-    """Evaluate an index expression over ``env``, keeping ``keep`` symbolic."""
-    ix = as_affine(ix)
-    const = ix.const
-    kept = []
-    for name, coef in ix.terms:
-        if name == keep:
-            kept.append((name, coef))
-        else:
-            if name not in env:
-                raise GroundError("unbound loop counter %r" % name)
-            const += coef * env[name]
-    return Affine(const, tuple(kept))
-
-
-def _partial_ground(e, env, keep):
+def _bind(e, env):
+    """``e`` with the loop counters ``env`` binds substituted into its
+    reference indices and counter values; other counters stay symbolic."""
     kind = type(e)
     if kind is Ref:
-        return Ref(e.name, tuple(_partial_eval(ix, env, keep) for ix in e.indices))
+        return Ref(e.name, tuple(as_affine(ix).bind(env) for ix in e.indices))
     if kind is CondVal and isinstance(e.value, Affine):
-        value = _partial_eval(e.value, env, keep)
-        if value.is_const():
-            value = value.const
-        return CondVal(_partial_ground(e.guard, env, keep), value)
-    return map_children(e, lambda c: _partial_ground(c, env, keep))
+        value = e.value.bind(env)
+        return CondVal(_bind(e.guard, env),
+                       value.const if value.is_const() else value)
+    return map_children(e, lambda c: _bind(c, env))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +508,7 @@ class _LineParser:
         body = self.parse_event()
         self.expect_op(")")
         self.counters = saved
-        exprs = tuple(_subst_counter(body, counter, v) for v in range(lo, hi))
+        exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
         if not exprs:
             return TRUE if which == "all" else FALSE
         return And(exprs) if which == "all" else Or(exprs)
@@ -601,7 +595,7 @@ class _LineParser:
         body = self.parse_cval()
         self.expect_op(")")
         self.counters = saved
-        exprs = tuple(_subst_counter(body, counter, v) for v in range(lo, hi))
+        exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
         if not exprs:
             # empty sum is undefined, empty product is one
             if which == "sum":
@@ -724,24 +718,6 @@ class _LineParser:
                 return value.times(v2)
             self.error("bad index product")
         return value
-
-
-def _subst_counter(e, counter, value):
-    """Replace one counter with a constant inside index expressions."""
-    def fix_aff(a):
-        if isinstance(a, Affine):
-            coef = dict(a.terms).get(counter, 0)
-            if coef:
-                return Affine(a.const + coef * value,
-                              tuple((n, c) for n, c in a.terms if n != counter))
-        return a
-
-    kind = type(e)
-    if kind is Ref:
-        return Ref(e.name, tuple(fix_aff(ix) for ix in e.indices))
-    if kind is CondVal:
-        return CondVal(_subst_counter(e.guard, counter, value), fix_aff(e.value))
-    return map_children(e, lambda c: _subst_counter(c, counter, value))
 
 
 def parse_event_program(text):

@@ -318,6 +318,20 @@ class Dist:
     right: object
 
 
+def first_true(events):
+    """Prefix exclusion: entry ``j`` holds iff ``events[j]`` holds and no
+    earlier event does, so in every world at most one entry holds.
+
+    Entry 0 is ``e_0``; entry ``j`` is ``And(!e_0, ..., !e_{j-1}, e_j)``.
+    Tie-breaking and the first-existing medoid fallback are built with it.
+    """
+    out, negs = [], ()
+    for e in events:
+        out.append(And(negs + (e,)) if negs else e)
+        negs += (Not(e),)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Per-world evaluation
 # ---------------------------------------------------------------------------

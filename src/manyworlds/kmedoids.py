@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 
 from .events import (
-    Add, And, Atom, CondVal, Const, Dist, Guard, Not, Or, Ref, Var, map_children,
+    Add, And, Atom, CondVal, Const, Dist, Guard, Not, Or, Ref, Var, first_true,
+    map_children,
 )
 from .eventprog import Affine, Decl, EventProgram, Loop, decl, ref
 
@@ -50,16 +51,9 @@ def build_kmedoids_program(dataset, cooccurrence=()):
     for l, p in enumerate(dataset.points):
         items.append(decl("O", (l,), CondVal(ref("Obj", l), tuple(p.coords))))
 
+    objs = [ref("Obj", l) for l in range(n)]
     for i in range(k):
-        chain = dataset.medoid_preference(i)
-        terms = []
-        for r, cand in enumerate(chain):
-            guard_parts = tuple(Not(ref("Obj", c)) for c in chain[:r]) + \
-                (ref("Obj", cand),)
-            guard = guard_parts[0] if len(guard_parts) == 1 else And(guard_parts)
-            terms.append(CondVal(guard, tuple(dataset.points[cand].coords)))
-        expr = terms[0] if len(terms) == 1 else _add(terms)
-        items.append(decl("M", (i, -1), expr))
+        items.append(decl("M", (i, -1), dataset.initial_medoid(i, objs)))
 
     it = Affine.var("it")
     prev = it.plus(-1)
@@ -81,12 +75,8 @@ def build_kmedoids_program(dataset, cooccurrence=()):
     body.append(for_i(for_l(Decl("InCl", (vi, vl, it), incl))))
 
     # tie break: each object keeps only its first claiming cluster
-    for i in range(k):
-        if i == 0:
-            expr = Ref("InCl", (Affine(0), vl, it))
-        else:
-            expr = And((Ref("InCl", (Affine(i), vl, it)),) + tuple(
-                Not(Ref("InCl", (Affine(q), vl, it))) for q in range(i)))
+    claims = first_true([Ref("InCl", (Affine(i), vl, it)) for i in range(k)])
+    for i, expr in enumerate(claims):
         body.append(for_l(Decl("InClB", (Affine(i), vl, it), expr)))
 
     # distance sums over cluster members
@@ -102,12 +92,8 @@ def build_kmedoids_program(dataset, cooccurrence=()):
     body.append(for_i(for_l(Decl("Centre", (vi, vl, it), centre))))
 
     # tie break: one selected representative per cluster
-    for l in range(n):
-        if l == 0:
-            expr = Ref("Centre", (vi, Affine(0), it))
-        else:
-            expr = And((Ref("Centre", (vi, Affine(l), it)),) + tuple(
-                Not(Ref("Centre", (vi, Affine(q), it))) for q in range(l)))
+    picks = first_true([Ref("Centre", (vi, Affine(l), it)) for l in range(n)])
+    for l, expr in enumerate(picks):
         body.append(for_i(Decl("CentreB", (vi, Affine(l), it), expr)))
 
     # next-iteration medoids

@@ -106,8 +106,7 @@ class Node:
 
 
 class EventNetwork:
-    def __init__(self, mode, iterations):
-        self.mode = mode
+    def __init__(self, iterations):
         self.T = iterations  # 1 for unfolded networks
         self.nodes = []
         self._intern = {}
@@ -248,8 +247,8 @@ def _build_expr(net, e, in_loop, resolve_ref):
         if isinstance(payload, Affine):
             if not payload.is_const():
                 raise NetworkError(
-                    "folded mode cannot share a value that depends on the "
-                    "loop counter")
+                    "folded mode cannot share a value that depends on a "
+                    "loop counter: %s" % payload)
             payload = payload.const
         payload = (tuple(float(x) for x in payload)
                    if isinstance(payload, tuple) else float(payload))
@@ -292,19 +291,15 @@ def _resolve_plain(net):
     return resolve
 
 
-def build_network(grounded, mode=None):
+def build_network(grounded):
     """Build an event network from a grounded or folded program."""
     if isinstance(grounded, FoldedProgram):
-        if mode not in (None, "folded"):
-            raise NetworkError("folded program requires folded mode")
         return _build_folded(grounded)
-    if mode not in (None, "unfolded"):
-        raise NetworkError("grounded program builds an unfolded network")
     return _build_unfolded(grounded)
 
 
 def _build_unfolded(grounded: GroundedProgram):
-    net = EventNetwork("unfolded", 1)
+    net = EventNetwork(1)
     resolve = _resolve_plain(net)
     for eid, expr in grounded.decls.items():
         net.node_of_eid[eid] = _build_expr(net, expr, False, resolve)
@@ -317,7 +312,7 @@ def _build_unfolded(grounded: GroundedProgram):
 
 
 def _build_folded(folded: FoldedProgram):
-    net = EventNetwork("folded", folded.count)
+    net = EventNetwork(folded.count)
     counter = folded.counter
 
     resolve_base = _resolve_plain(net)
@@ -372,6 +367,11 @@ def _build_folded(folded: FoldedProgram):
         pos = prev_map.get((e.name, e.indices))
         if pos is not None:
             return make_carry(pos, e.indices)
+        for ix in e.indices:
+            for name, _coef in ix.terms:
+                if name != counter:
+                    raise NetworkError("unbound loop counter %r in a reference "
+                                       "to %r" % (name, e.name))
         raise NetworkError(
             "folded mode supports references to the same or previous "
             "iteration only: %s[%s]" % (e.name, ",".join(str(i) for i in e.indices)))

@@ -229,6 +229,7 @@ class _Interp:
     def __init__(self, dataset, valuation):
         self.ds = dataset
         self.nu = valuation
+        self.point_events = dataset.event_env()  # they may name earlier points
         self.env = {}
 
     def run(self, program):
@@ -253,7 +254,7 @@ class _Interp:
         if item.func == "loadData":
             objects = []
             for point in ds.points:
-                if ev.eval_event(point.event, self.nu):
+                if ev.eval_event(point.event, self.nu, self.point_events):
                     objects.append(tuple(point.coords))
                 else:
                     objects.append(VU)
@@ -275,7 +276,7 @@ class _Interp:
     def initial_medoid(self, i):
         for l in self.ds.medoid_preference(i):
             point = self.ds.points[l]
-            if ev.eval_event(point.event, self.nu):
+            if ev.eval_event(point.event, self.nu, self.point_events):
                 return tuple(point.coords)
         return VU
 

@@ -20,11 +20,11 @@ guards chosen so that a filtered-out element is neutral for the reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .events import (
     Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    FALSE, TRUE, map_children,
+    FALSE, TRUE, first_true, map_children,
 )
 from .eventprog import Affine, Decl, EventProgram, Loop, render_eid
 from . import userlang as ul
@@ -35,38 +35,6 @@ class TranslateError(Exception):
 
 
 OP_MAP = {"<=": "<=", ">=": ">=", "==": "=", "<": "<", ">": ">"}
-
-
-def break_ties_events(family, axis=1):
-    """Prefix-exclusion tie breaking over a grounded Boolean event family.
-
-    ``family`` is a list (1-D) or list of rows (2-D) of event expressions.
-    In every world at most one entry of each tied group stays true, and the
-    survivor is the one with the lowest index: ``axis=1`` breaks along the
-    second index (one survivor per row), ``axis=2`` along the first (one
-    survivor per column).  Returns the same shape.
-    """
-    if family and not isinstance(family[0], (list, tuple)):
-        out = []
-        for j, e in enumerate(family):
-            negs = tuple(Not(family[q]) for q in range(j))
-            out.append(e if not negs else And(negs + (e,)))
-        return out
-    rows, cols = len(family), len(family[0]) if family else 0
-    if any(len(r) != cols for r in family):
-        raise TranslateError("tie breaking requires a rectangular family")
-    out = [[None] * cols for _ in range(rows)]
-    for i in range(rows):
-        for l in range(cols):
-            if axis == 2:
-                negs = tuple(Not(family[q][l]) for q in range(i))
-            elif axis == 1:
-                negs = tuple(Not(family[i][q]) for q in range(l))
-            else:
-                raise TranslateError("axis must be 1 or 2")
-            e = family[i][l]
-            out[i][l] = e if not negs else And(negs + (e,))
-    return out
 
 
 class _VarState:
@@ -87,8 +55,7 @@ class _VarState:
 class Translation:
     program: EventProgram
     final_paths: dict       # var -> (tuple of ints, dims, kind)
-    dataset: object
-    loop_final_paths: dict = field(default_factory=dict)
+    loop_final_paths: dict
     # var -> path of its last version inside the outermost loop (the version
     # the trailing exit copy aliases); usable as a folded-network target
 
@@ -97,14 +64,17 @@ class Translation:
         return render_eid(var, list(path) + list(indices))
 
     def final_pattern(self, var):
-        path, dims, _k = self.final_paths[var]
-        parts = [str(c) for c in path] + ["*"] * len(dims)
-        return "%s[%s]" % (var, ",".join(parts)) if parts else var
+        return _pattern(var, self.final_paths[var])
 
     def loop_final_pattern(self, var):
-        path, dims, _k = self.loop_final_paths[var]
-        parts = [str(c) for c in path] + ["*"] * len(dims)
-        return "%s[%s]" % (var, ",".join(parts)) if parts else var
+        return _pattern(var, self.loop_final_paths[var])
+
+
+def _pattern(var, entry):
+    """Glob over every element of the version ``entry`` = (path, dims, kind)."""
+    path, dims, _k = entry
+    parts = [str(c) for c in path] + ["*"] * len(dims)
+    return "%s[%s]" % (var, ",".join(parts)) if parts else var
 
 
 class _Block:
@@ -146,6 +116,7 @@ class _Translator:
         self.stack = []        # active _Block chain, outermost first
         self.block_ids = 0
         self.fresh = 0
+        self.exists = None     # per point, its inlined event; set by loadData
 
     # --- entry point ---------------------------------------------------------
 
@@ -157,8 +128,7 @@ class _Translator:
             if st.path:
                 final[name] = (tuple(c.eval({}) for c in st.path),
                                tuple(st.dims), st.kind)
-        return Translation(EventProgram(tuple(items)), final, self.ds,
-                           self.loop_final)
+        return Translation(EventProgram(tuple(items)), final, self.loop_final)
 
     # --- block machinery --------------------------------------------------------
 
@@ -320,10 +290,10 @@ class _Translator:
             st = self.bump(obj_var, ctx)
             st.dims = [ds.n]
             st.kind = "vec"
+            self.exists = [_inline_points(p.event, ds) for p in ds.points]
             for l, p in enumerate(ds.points):
-                event = _inline_points(p.event, ds)
                 out.append(Decl(obj_var, tuple(list(st.path) + [Affine(l)]),
-                                CondVal(event, tuple(p.coords))))
+                                CondVal(self.exists[l], tuple(p.coords))))
             if len(item.targets) == 3:
                 mat_var = item.targets[2]
                 if ds.matrix is None:
@@ -338,32 +308,15 @@ class _Translator:
                             CondVal(TRUE, float(ds.matrix[i][j]))))
             return out
         # init(): initial representatives from the configured preference chains
+        if self.exists is None:
+            raise TranslateError("init() requires loadData() first")
         var = item.targets[0]
         st = self.bump(var, ctx)
         st.dims = [ds.params.k]
         st.kind = "vec"
-        obj_state = self._objects_state()
-        for i in range(ds.params.k):
-            chain = ds.medoid_preference(i)
-            terms = []
-            for r, cand in enumerate(chain):
-                guards = [Not(self._obj_event(c, obj_state)) for c in chain[:r]]
-                guards.append(self._obj_event(cand, obj_state))
-                guard = guards[0] if len(guards) == 1 else And(tuple(guards))
-                terms.append(CondVal(guard, tuple(ds.points[cand].coords)))
-            expr = terms[0] if len(terms) == 1 else Add(tuple(terms))
-            out.append(Decl(var, tuple(list(st.path) + [Affine(i)]), expr))
-        return out
-
-    def _objects_state(self):
-        for name, st in self.vars.items():
-            if st.kind == "vec" and len(st.dims) == 1 and st.dims[0] == self.ds.n:
-                return name, st
-        raise TranslateError("init() requires loadData() first")
-
-    def _obj_event(self, index, obj_state):
-        _name, _st = obj_state
-        return _points_event(self.ds, index)
+        return [Decl(var, tuple(list(st.path) + [Affine(i)]),
+                     ds.initial_medoid(i, self.exists))
+                for i in range(ds.params.k)]
 
     # --- statements ----------------------------------------------------------------
 
@@ -430,42 +383,26 @@ class _Translator:
         st = self.bump(name, ctx)
         st.dims = dims
         st.kind = "bool"
-        out = []
         if call.func == "breakTies":
             if len(dims) != 1:
                 raise TranslateError("breakTies needs a one-dimensional array")
-            for j in range(dims[0]):
-                refs = [Ref(src_name, tuple(src_path + [Affine(j)]))]
-                refs += [Not(Ref(src_name, tuple(src_path + [Affine(q)])))
-                         for q in range(j)]
-                expr = refs[0] if len(refs) == 1 else And(tuple(refs))
-                out.append(Decl(name, tuple(list(st.path) + [Affine(j)]), expr))
-            return out
-        if len(dims) != 2:
+            keys, c = [[Affine(j)] for j in range(dims[0])], None
+        elif len(dims) != 2:
             raise TranslateError("%s needs a two-dimensional array" % call.func)
-        d0, d1 = dims
-        c = self.fresh_counter()
-        cv = Affine.var(c)
-        if call.func == "breakTies2":
-            # at most one first-index entry per second index
-            for i in range(d0):
-                refs = [Ref(src_name, tuple(src_path + [Affine(i), cv]))]
-                refs += [Not(Ref(src_name, tuple(src_path + [Affine(q), cv])))
-                         for q in range(i)]
-                expr = refs[0] if len(refs) == 1 else And(tuple(refs))
-                out.append(Loop(c, 0, d1,
-                                (Decl(name, tuple(list(st.path) + [Affine(i), cv]),
-                                      expr),)))
         else:
-            # breakTies1: at most one second-index entry per first index
-            for l in range(d1):
-                refs = [Ref(src_name, tuple(src_path + [cv, Affine(l)]))]
-                refs += [Not(Ref(src_name, tuple(src_path + [cv, Affine(q)])))
-                         for q in range(l)]
-                expr = refs[0] if len(refs) == 1 else And(tuple(refs))
-                out.append(Loop(c, 0, d0,
-                                (Decl(name, tuple(list(st.path) + [cv, Affine(l)]),
-                                      expr),)))
+            # the keys run along the tied index; a fresh counter loops over
+            # the other one
+            c = self.fresh_counter()
+            cv = Affine.var(c)
+            if call.func == "breakTies2":  # one survivor per second index
+                keys, size = [[Affine(i), cv] for i in range(dims[0])], dims[1]
+            else:  # breakTies1: one survivor per first index
+                keys, size = [[cv, Affine(l)] for l in range(dims[1])], dims[0]
+        refs = [Ref(src_name, tuple(src_path + key)) for key in keys]
+        out = []
+        for key, expr in zip(keys, first_true(refs)):
+            item = Decl(name, tuple(st.path + key), expr)
+            out.append(item if c is None else Loop(c, 0, size, (item,)))
         return out
 
     # --- expressions -----------------------------------------------------------------
@@ -648,10 +585,6 @@ def _mentions(e, var):
             return True
         return e.cond is not None and _mentions(e.cond, var)
     return False
-
-
-def _points_event(dataset, index):
-    return _inline_points(dataset.points[index].event, dataset)
 
 
 def _inline_points(e, dataset):

@@ -78,8 +78,10 @@ def test_report_byte_stable(capsys, line_json, tmp_path):
 
 
 def test_emit_stage_round_trips(capsys, line_json, tmp_path):
+    from manyworlds.datagen import Dataset
+    from manyworlds.eventprog import ground_folded, parse_event_program
+    from manyworlds.translate import translate_to_event_program
     from manyworlds.userlang import parse_user_program
-    from manyworlds.eventprog import parse_event_program
 
     ast_path = str(tmp_path / "stage.ast")
     code, _, _ = _run(capsys, "run", "--program", PROG, "--data", line_json,
@@ -88,21 +90,31 @@ def test_emit_stage_round_trips(capsys, line_json, tmp_path):
     reparsed = parse_user_program(_read(ast_path))
     assert reparsed == parse_user_program(_read(PROG))
 
-    ep_path = str(tmp_path / "stage.events")
-    _run(capsys, "run", "--program", PROG, "--data", line_json,
-         "--emit-stage", "event-program", "--out", ep_path)
-    parse_event_program(_read(ep_path))  # parses back
+    for folded in ((), ("--folded",)):
+        ep_path = str(tmp_path / "stage.events")
+        _run(capsys, "run", "--program", PROG, "--data", line_json, *folded,
+             "--emit-stage", "event-program", "--out", ep_path)
+        parse_event_program(_read(ep_path))  # parses back
 
-    gr_path = str(tmp_path / "stage.grounded")
-    _run(capsys, "run", "--program", PROG, "--data", line_json,
-         "--emit-stage", "grounded", "--out", gr_path)
-    parse_event_program(_read(gr_path))
+        gr_path = str(tmp_path / "stage.grounded")
+        assert _run(capsys, "run", "--program", PROG, "--data", line_json,
+                    *folded, "--emit-stage", "grounded", "--out", gr_path)[0] == 0
+        program = parse_event_program(_read(gr_path))
 
-    net_path = str(tmp_path / "stage.network")
-    _run(capsys, "run", "--program", PROG, "--data", line_json,
-         "--emit-stage", "network", "--out", net_path)
-    lines = _read(net_path).strip().splitlines()
-    assert all(len(l.split()) >= 2 for l in lines)
+        net_path = str(tmp_path / "stage.network")
+        _run(capsys, "run", "--program", PROG, "--data", line_json, *folded,
+             "--emit-stage", "network", "--out", net_path)
+        lines = _read(net_path).strip().splitlines()
+        assert all(len(l.split()) >= 2 for l in lines)
+
+    # the folded grounding's text grounds back to the same folded program
+    ds = Dataset.load(line_json)
+    tr = translate_to_event_program(parse_user_program(_read(PROG)), ds)
+    pattern, vs = (tr.loop_final_pattern("Centre"),), set(ds.vartable.index)
+    want = ground_folded(tr.program, pattern, vs)
+    got = ground_folded(program, pattern, vs)
+    assert (got.counter, got.count, got.base, got.body, got.targets) == \
+        (want.counter, want.count, want.base, want.body, want.targets)
 
 
 def test_event_program_input_route(capsys, line_json, tmp_path):

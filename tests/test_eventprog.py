@@ -160,7 +160,7 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
     # exact-unfolded grounding that raised the peak footprint by about 10%
     import gc
     from manyworlds.datagen import _resolve_names
-    from manyworlds.eventprog import _ground_expr, _partial_ground, _subst_counter
+    from manyworlds.eventprog import _bind, _ground_expr
     from manyworlds.kmedoids import _points_to_refs
     from manyworlds.translate import _inline_points
     i = Affine.var("i")
@@ -168,8 +168,8 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
     event = line_dataset.points[3].event
     calls = [
         lambda: _ground_expr(e, {"i": 1}, {"A[1]"}, None),
-        lambda: _partial_ground(e, {}, "i"),
-        lambda: _subst_counter(e, "i", 2),
+        lambda: _bind(e, {}),
+        lambda: _bind(e, {"i": 2}),
         lambda: _resolve_names(event, {"x2", "x4"}, ()),
         lambda: _points_to_refs(event, {}),
         lambda: _inline_points(event, line_dataset),

@@ -132,6 +132,30 @@ def test_guard_of_vector_body():
     assert eval_cval(g, {"a": False, "b": True}) is VU
 
 
+def test_first_true_brute_force():
+    # entry j holds iff e_j holds and no earlier event does, in every world
+    import random
+    from manyworlds.events import first_true
+    rng = random.Random(7)
+    names = ["v%d" % i for i in range(4)]
+    assert first_true([]) == []
+    for _ in range(20):
+        family = []
+        for _j in range(rng.randint(1, 6)):
+            a, b = rng.sample(names, 2)
+            family.append(rng.choice(
+                [Var(a), And((Var(a), Not(Var(b)))), Or((Var(a), Var(b)))]))
+        encoded = first_true(family)
+        assert len(encoded) == len(family) and encoded[0] is family[0]
+        for w in range(16):
+            nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
+            holds = [eval_event(e, nu) for e in family]
+            got = [eval_event(e, nu) for e in encoded]
+            assert got == [h and not any(holds[:j]) for j, h in enumerate(holds)]
+            assert sum(got) <= 1
+            assert sum(got) == any(holds)
+
+
 # --- world probabilities ------------------------------------------------------
 
 def test_world_probability_uniform():

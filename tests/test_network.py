@@ -10,7 +10,8 @@ from manyworlds.events import (
     TypeMismatch, Var, VarTable, TRUE,
 )
 from manyworlds.eventprog import (
-    EventProgram, decl, ground, ground_folded, parse_event_program,
+    Affine, Decl, EventProgram, GroundError, Loop, decl, ground, ground_folded,
+    parse_event_program,
 )
 from manyworlds import network
 from manyworlds.compile import Search, compile_targets
@@ -399,6 +400,21 @@ def test_folded_carry_has_the_kind_of_its_source():
         ground(program, ("D[2]",), variables)
     with pytest.raises(TypeMismatch, match="^carried family 'C' changes kind"):
         build_network(ground_folded(program, ("D[2]",), variables))
+
+
+def test_folded_body_index_naming_another_counter_fails():
+    # the parser rejects unknown counters, so the programs are built directly
+    it, j = Affine.var("it"), Affine.var("j")
+    for head, body in (((it,), Ref("A", (j,))), ((it, j), Var("x0"))):
+        program = EventProgram((
+            decl("A", (0,), Var("x0")),
+            Loop("it", 0, 2, (Decl("B", head, body),)),
+        ))
+        with pytest.raises(GroundError, match="unbound loop counter 'j'"):
+            ground(program, ("*",), {"x0"})
+        with pytest.raises((GroundError, NetworkError),
+                           match="unbound loop counter 'j'"):
+            build_network(ground_folded(program, ("B*",), {"x0"}))
 
 
 @pytest.mark.parametrize("folded", [False, True])

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from conftest import values_close
-from manyworlds.datagen import Dataset, Params, Point
-from manyworlds.events import Add, And, Not, Ref, Var, VarTable, eval_cval, eval_event
+from manyworlds.datagen import Dataset, Params, Point, gen_correlations
+from manyworlds.events import Add, Ref, Var, VarTable, eval_cval, eval_event
 from manyworlds.eventprog import (
     Affine, Decl, Loop, emit_event_program, ground,
 )
@@ -100,24 +100,27 @@ def test_single_assignment_invariant(kmedoids_src, line_dataset):
 ])
 def test_semantics_preservation_all_worlds(request, src_fixture, check_vars,
                                            line_dataset):
+    # markov point events name earlier points, which the interpreter resolves
+    markov = gen_correlations(6, "markov", group=2, iterations=2)
     ast = parse_user_program(request.getfixturevalue(src_fixture))
-    tr = translate_to_event_program(ast, line_dataset)
-    g = ground(tr.program, ("*",), variables=set(line_dataset.vartable.index))
-    prog = _Program(g)
-    names = line_dataset.vartable.names()
-    for w in range(16):
-        nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
-        env = interpret_user_program(ast, line_dataset, nu)
-        vals = dict(zip(prog.eids, prog.eval_all(nu)))
-        for var in check_vars:
-            path, dims, kind = tr.final_paths[var]
-            uval = env[var]
-            for idx in itertools.product(*(range(d) for d in dims)):
-                got = vals[tr.final_eid(var, *idx)]
-                want = uval
-                for i in idx:
-                    want = want[i]
-                assert values_close(got, want), (w, var, idx, got, want)
+    for ds in (line_dataset, markov):
+        tr = translate_to_event_program(ast, ds)
+        g = ground(tr.program, ("*",), variables=set(ds.vartable.index))
+        prog = _Program(g)
+        names = ds.vartable.names()
+        for w in range(1 << len(names)):
+            nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
+            env = interpret_user_program(ast, ds, nu)
+            vals = dict(zip(prog.eids, prog.eval_all(nu)))
+            for var in check_vars:
+                path, dims, kind = tr.final_paths[var]
+                uval = env[var]
+                for idx in itertools.product(*(range(d) for d in dims)):
+                    got = vals[tr.final_eid(var, *idx)]
+                    want = uval
+                    for i in idx:
+                        want = want[i]
+                    assert values_close(got, want), (ds.meta, w, var, idx)
 
 
 def test_graph_flow_semantics(graphflow_src):
@@ -201,60 +204,49 @@ B = breakTies(B)
     assert eval_event(g.decls[tr.final_eid("B", 1)], {}, g.decls) is False
 
 
-def _operational_ties(matrix, which):
-    rows, cols = len(matrix), len(matrix[0])
-    out = [[matrix[i][l] for l in range(cols)] for i in range(rows)]
-    if which == 2:  # one row per column survives
-        for l in range(cols):
-            seen = False
-            for i in range(rows):
-                if out[i][l] and seen:
-                    out[i][l] = False
-                seen = seen or matrix[i][l]
-    else:  # one column per row survives
-        for i in range(rows):
-            seen = False
-            for l in range(cols):
-                if out[i][l] and seen:
-                    out[i][l] = False
-                seen = seen or matrix[i][l]
-    return out
+TIE_SRC = """
+(O, n) = loadData()
+B = [None] * n
+for i in range(0,n):
+ B[i] = [None] * n
+ for l in range(0,n):
+  B[i][l] = dist(O[l],O[i]) <= 3.0
+C = [None] * n
+for l in range(0,n):
+ C[l] = dist(O[l],O[1]) <= 2.5
+T = %s(%s)
+"""
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_break_ties_equivalence_brute_force(which):
-    """3x4 family over 6 variables: encoding == operational rule, all worlds."""
-    import random
-    from manyworlds.translate import break_ties_events
-
-    rng = random.Random(7)
-    names = ["v%d" % i for i in range(6)]
-    fam = [[None] * 4 for _ in range(3)]
-    for i in range(3):
-        for l in range(4):
-            a, b = rng.sample(names, 2)
-            fam[i][l] = Var(a) if rng.random() < 0.3 else \
-                (And((Var(a), Not(Var(b)))) if rng.random() < 0.6 else Var(b))
-    encoded = break_ties_events(fam, axis=which)
-    for w in range(64):
-        nu = {names[j]: bool((w >> j) & 1) for j in range(6)}
-        mat = [[eval_event(fam[i][l], nu) for l in range(4)] for i in range(3)]
-        want = _operational_ties(mat, which)
-        got = [[eval_event(encoded[i][l], nu) for l in range(4)] for i in range(3)]
-        assert got == want, (w,)
-        if which == 2:  # at most one survivor per column
-            for l in range(4):
-                assert sum(got[i][l] for i in range(3)) <= 1
-        else:  # at most one survivor per row
-            for i in range(3):
-                assert sum(got[i]) <= 1
-
-
-def test_break_ties_events_one_dimensional():
-    from manyworlds.translate import break_ties_events
-    fam = [Var("a"), Var("b"), Var("c")]
-    enc = break_ties_events(fam)
-    nu = {"a": True, "b": True, "c": True}
-    assert [eval_event(e, nu) for e in enc] == [True, False, False]
-    nu = {"a": False, "b": False, "c": False}
-    assert [eval_event(e, nu) for e in enc] == [False, False, False]
+@pytest.mark.parametrize("func", ["breakTies", "breakTies1", "breakTies2"])
+def test_break_ties_matches_interpreter(func, line_dataset):
+    """Each tie-breaking form over a family that depends on which points
+    exist: the translation agrees with the interpreter in every world, and
+    at most one entry of each tied group survives."""
+    ds = line_dataset
+    ast = parse_user_program(TIE_SRC % (func, "C" if func == "breakTies" else "B"))
+    tr = translate_to_event_program(ast, ds)
+    g = ground(tr.program, ("*",), variables=set(ds.vartable.index))
+    prog = _Program(g)
+    names = ds.vartable.names()
+    ties = 0
+    for w in range(16):
+        nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
+        env = interpret_user_program(ast, ds, nu)
+        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        if func == "breakTies":
+            got = [[vals[tr.final_eid("T", l)] for l in range(ds.n)]]
+            want, family = [env["T"]], [env["C"]]
+        else:
+            got = [[vals[tr.final_eid("T", i, l)] for l in range(ds.n)]
+                   for i in range(ds.n)]
+            want, family = env["T"], env["B"]
+        if func == "breakTies2":  # one survivor per column: check columns
+            got, want, family = ([list(col) for col in zip(*m)]
+                                 for m in (got, want, family))
+        assert got == want, w
+        for row, source in zip(got, family):
+            assert sum(row) <= 1
+            assert sum(row) == any(source)
+            ties += sum(source) > 1
+    assert ties  # the family has ties to break
