@@ -1,21 +1,31 @@
 #!/usr/bin/env python3
 """Counted-work tables: how pruning and structure exploitation scale.
 
-Three tables, mirroring the performance questions the engine is built
+Four tables, mirroring the performance questions the engine is built
 around.  All numbers are deterministic work counts, not timings:
 
   1. exact vs the naive per-world baseline as the variable count grows;
   2. the approximation schemes on the three correlation patterns;
-  3. hybrid work as the certain-point fraction grows.
+  3. hybrid work as the certain-point fraction grows;
+  4. the setup work on the benchmark's exact-unfolded and anytime-folded
+     instances: grounded tree nodes, distinct grounded objects and network
+     nodes, the work that the setup seconds pay for.
 """
 
 import argparse
+import os
 
 from manyworlds.compile import compile_targets
 from manyworlds.datagen import gen_correlations
-from manyworlds.eventprog import ground
+from manyworlds.eventprog import ground, ground_folded
+from manyworlds.events import children_of
 from manyworlds.kmedoids import build_kmedoids_program
 from manyworlds.network import build_network
+from manyworlds.translate import translate_to_event_program
+from manyworlds.userlang import parse_user_program
+
+KMEDOIDS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tests", "fixtures", "kmedoids.prog")
 
 
 def instance(scheme, seed, n=20, group=4, l=2, iters=3, certain=0.0,
@@ -62,6 +72,51 @@ def table_certain(seed):
         print("%-10.2f %-10d" % (frac, r.stats.branches))
 
 
+def tree_counts(roots):
+    """Nodes of the grounded trees under ``roots``, counted once per
+    position, and the distinct objects among them."""
+    size, seen, stack = 0, set(), list(roots)
+    while stack:
+        e = stack.pop()
+        size += 1
+        seen.add(id(e))
+        stack.extend(children_of(e))
+    return size, len(seen)
+
+
+def table_setup():
+    # the benchmark's layouts (generator seeds 3 and 0); its rotation of the
+    # coordinates leaves these counts unchanged
+    print("\n== setup work per instance (benchmark layouts) ==")
+    print("%-36s %-8s %-9s %-8s" % ("instance", "tree", "distinct", "nodes"))
+    rows = []
+    for pool in (8, 10):
+        ds = gen_correlations(20, "positive", group=4, l=2, pool=pool, seed=3,
+                              iterations=3)
+        prog, meta = build_kmedoids_program(ds)
+        g = ground(prog, (meta["targets"],), variables=set(ds.vartable.index))
+        rows.append(("unfolded positive n=20 pool=%d" % pool,
+                     g.decls.values(), g))
+    with open(KMEDOIDS) as fh:
+        ast = parse_user_program(fh.read())
+    for label, scheme, kwargs in (
+            ("folded positive n=20 pool=10", "positive", dict(n=20, pool=10)),
+            ("folded mutex n=20", "mutex",
+             dict(n=20, m=4, mutex_encoding="selector")),
+            ("folded markov n=16", "markov", dict(n=16))):
+        ds = gen_correlations(scheme=scheme, group=4, l=2, seed=0,
+                              iterations=3, **kwargs)
+        tr = translate_to_event_program(ast, ds)
+        f = ground_folded(tr.program, (tr.loop_final_pattern("Centre"),),
+                          set(ds.vartable.index))
+        rows.append((label, list(f.base.values()) + [e for _, _, e in f.body],
+                     f))
+    for label, roots, grounded in rows:
+        size, distinct = tree_counts(roots)
+        print("%-36s %-8d %-9d %-8d" % (label, size, distinct,
+                                        build_network(grounded).node_count()))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
@@ -70,6 +125,7 @@ def main():
     table_scaling(args.seed)
     table_schemes(args.seed, args.epsilon)
     table_certain(args.seed)
+    table_setup()
 
 
 if __name__ == "__main__":

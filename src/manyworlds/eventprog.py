@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    Var, FALSE, TRUE, COMPARATORS, TypeMismatch, kind_rule, map_children,
+    Var, FALSE, TRUE, COMPARATORS, TypeMismatch, children_of, kind_rule,
+    map_children,
 )
 
 
@@ -201,49 +202,123 @@ def glob_to_regex(pattern):
     return re.compile("^" + "".join(out) + "$")
 
 
-def _ground_expr(e, env, declared, variables, kinds=None):
-    """``e`` grounded under ``env``, with its static kind.
+class _Grounder:
+    """One call's grounding walk and its memos.
 
-    ``kinds`` maps the grounded identifiers declared so far to their kinds.
-    A node's kind rule runs once its children are grounded and typed, so an
-    error deeper in the tree is the one reported.  With ``kinds`` None the
-    expression is only rewritten, and its kind is None.
+    ``walk(e, env)`` returns the source expression ``e`` grounded under the
+    counter binding ``env``, with its static kind.  Indices and counter
+    values are evaluated, or with ``bind`` only the counters ``env`` binds
+    are substituted (``Affine.bind``).  Bare names resolve against
+    ``declared`` and ``variables``, or stay as they are with ``declared``
+    None.  With ``kinds`` (grounded identifier -> kind) a node's kind rule
+    runs after its children's, so an error deeper in the tree is the one
+    reported; without, the kind is None.
+
+    ``memo`` keeps, per source node and values of the counters it reads, the
+    grounded subtrees that repeat over an enclosing loop because they do not
+    read every counter ``env`` binds; each repeat returns the one object.
+    An indexed reference resolves to the same declaration or fails, but a
+    bare name resolves against the declarations as they stand (a variable
+    until ``y := ...`` is declared), so a subtree that names one is never
+    kept.  ``refs`` keeps one ``Ref`` per (name, index values), so each
+    identifier is rendered once.  Source nodes are keyed by identity: the
+    caller's program keeps them alive for the call.
     """
-    kind = type(e)
-    ks = ()
-    if kind is Ref:
-        if e.indices:
-            eid = render_eid(e.name, [as_affine(ix).eval(env) for ix in e.indices])
-            if eid not in declared:
-                raise GroundError("unresolved reference %r" % eid)
-            out = Ref(eid)
-        elif e.name in declared:
-            out = Ref(e.name)
-        elif variables is None or e.name in variables:
-            # bare undeclared name: a random variable
-            out = Var(e.name)
+
+    def __init__(self, declared, variables, kinds=None, bind=False):
+        self.declared = declared
+        self.variables = variables
+        self.kinds = kinds
+        self.bind = bind
+        # id(source node) -> the counters it reads; None if it names a bare
+        # identifier
+        self.reads = {}
+        self.memo = {}  # (id(source node), counter values) -> (expr, kind)
+        self.refs = {}  # (name, index values) -> grounded Ref
+
+    def walk(self, e, env):
+        self._scan(e)
+        return self._walk(e, env)
+
+    def _scan(self, e):
+        key = id(e)
+        if key not in self.reads:
+            kind = type(e)
+            names = set()
+            if kind is Var or (kind is Ref and not e.indices):
+                names = None
+            elif kind is Ref:
+                for ix in e.indices:
+                    names.update(n for n, _ in as_affine(ix).terms)
+            elif kind is CondVal and isinstance(e.value, Affine):
+                names.update(n for n, _ in e.value.terms)
+            for below in [self._scan(c) for c in children_of(e)]:
+                if names is not None and below is not None:
+                    names |= below
+                else:
+                    names = None
+            self.reads[key] = None if names is None else frozenset(names)
+        return self.reads[key]
+
+    def _walk(self, e, env):
+        reads = self.reads[id(e)]
+        key = None
+        if reads is not None and not env.keys() <= reads:
+            key = (id(e), tuple([env.get(c) for c in reads]))
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
+        kind = type(e)
+        ks = ()
+        if kind is Ref and e.indices:
+            if self.bind:
+                out = Ref(e.name, tuple(as_affine(ix).bind(env)
+                                        for ix in e.indices))
+            else:
+                values = tuple([as_affine(ix).eval(env) for ix in e.indices])
+                out = self.refs.get((e.name, values))
+                if out is None:
+                    eid = render_eid(e.name, values)
+                    if eid not in self.declared:
+                        raise GroundError("unresolved reference %r" % eid)
+                    out = self.refs[e.name, values] = Ref(eid)
+        elif kind is Ref or kind is Var:
+            out = e if self.declared is None else self._name(e)
+        elif kind is CondVal and isinstance(e.value, Affine):
+            value = e.value.bind(env) if self.bind else e.value.eval(env)
+            if self.bind and value.is_const():
+                value = value.const
+            guard, gk = self._walk(e.guard, env)
+            out, ks = CondVal(guard, value), (gk,)
         else:
-            raise GroundError("unresolved reference %r" % e.name)
-    elif kind is Var:
-        out = e
-        if variables is not None and e.name not in variables:
+            ks = []
+
+            def sub(c):
+                g, k = self._walk(c, env)
+                ks.append(k)
+                return g
+
+            out = map_children(e, sub)
+        result = (out, None if self.kinds is None
+                  else kind_rule(out, ks, self.kinds))
+        if key is not None:
+            self.memo[key] = result
+        return result
+
+    def _name(self, e):
+        """A bare name as it resolves now: a declaration or a variable."""
+        declared, variables = self.declared, self.variables
+        if type(e) is Var:
+            if variables is None or e.name in variables:
+                return e
             if e.name not in declared:
                 raise GroundError("unresolved variable %r" % e.name)
-            out = Ref(e.name)
-    elif kind is CondVal and isinstance(e.value, Affine):
-        value = e.value.eval(env)
-        guard, gk = _ground_expr(e.guard, env, declared, variables, kinds)
-        out, ks = CondVal(guard, value), (gk,)
-    else:
-        ks = []
-
-        def sub(c):
-            g, k = _ground_expr(c, env, declared, variables, kinds)
-            ks.append(k)
-            return g
-
-        out = map_children(e, sub)
-    return out, None if kinds is None else kind_rule(out, ks, kinds)
+        elif e.name not in declared:
+            if variables is None or e.name in variables:
+                # bare undeclared name: a random variable
+                return Var(e.name)
+            raise GroundError("unresolved reference %r" % e.name)
+        return Ref(e.name)
 
 
 def _instances(items, env):
@@ -265,17 +340,17 @@ def ground(program, target_patterns=("*",), variables=None):
     """
     decls = {}
     kinds = {}  # eid -> 'b' | 's' | 'v', to type-check later declarations
+    grounder = _Grounder(decls, variables, kinds)
     for item, env in _instances(program.items, {}):
         eid = item.eid_under(env)
         if eid in decls:
             raise GroundError("identifier %r assigned twice" % eid)
         try:
-            decls[eid], kinds[eid] = _ground_expr(item.expr, env, decls,
-                                                  variables, kinds)
+            decls[eid], kinds[eid] = grounder.walk(item.expr, env)
         except TypeMismatch:
             # an unresolved name anywhere in the declaration is the error
             # reported, even when a kind error comes before it in the walk
-            _ground_expr(item.expr, env, decls, variables)
+            _Grounder(decls, variables).walk(item.expr, env)
             raise
     targets = match_targets(decls.keys(), target_patterns)
     return GroundedProgram(decls, targets)
@@ -356,8 +431,11 @@ def ground_folded(program, target_patterns=("*",), variables=None):
                     raise GroundError(
                         "folded target %r lies after the folded loop" % eid)
 
+    # bare names in the body resolve against the base declarations, as in
+    # ``ground``; indices and values stay affine in the loop counter
+    binder = _Grounder(base.decls, variables, bind=True)
     body = [(item.name, tuple(ix.bind(env) for ix in item.indices),
-             _bind(item.expr, env))
+             binder.walk(item.expr, env)[0])
             for item, env in _instances(loop.body, {})]
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
@@ -381,15 +459,8 @@ def ground_folded(program, target_patterns=("*",), variables=None):
 
 def _bind(e, env):
     """``e`` with the loop counters ``env`` binds substituted into its
-    reference indices and counter values; other counters stay symbolic."""
-    kind = type(e)
-    if kind is Ref:
-        return Ref(e.name, tuple(as_affine(ix).bind(env) for ix in e.indices))
-    if kind is CondVal and isinstance(e.value, Affine):
-        value = e.value.bind(env)
-        return CondVal(_bind(e.guard, env),
-                       value.const if value.is_const() else value)
-    return map_children(e, lambda c: _bind(c, env))
+    reference indices and counter values; other counters and names stay."""
+    return _Grounder(None, None, bind=True).walk(e, env)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from heapq import heapify, heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    TypeMismatch, Var, kind_rule,
+    TypeMismatch, Var, children_of, kind_rule,
 )
 from .eventprog import Affine, FoldedProgram, GroundedProgram, render_eid
 
@@ -215,34 +215,49 @@ class SlotTables:
         self.parents = [tuple(out) for out in parents]
 
 
-def _build_expr(net, e, in_loop, resolve_ref):
+_NODE_KINDS = {Const: "const", Not: "not", And: "and", Or: "or", Atom: "atom",
+               CondVal: "condval", Guard: "guard", Add: "add", Mul: "mul",
+               Inv: "inv", Pow: "pow", Dist: "dist"}
+
+
+def _build_expr(net, e, in_loop, resolve_ref, built):
     """The node of expression ``e``, built children-first and interned.
 
-    Each case picks the node's name, child ids and payload.  A node built
-    inside the loop body is iteration-dependent only when something below it
-    is; otherwise it is shared with the base layer.  A new node's kind comes
-    from ``events.kind_rule``, the rule grounding applies, so a folded body
-    raises the same ``TypeMismatch`` as its unfolded program.
+    A node built inside the loop body is iteration-dependent only when
+    something below it is; otherwise it is shared with the base layer.  A
+    new node's kind comes from ``events.kind_rule``, the rule grounding
+    applies, so a folded body raises the same ``TypeMismatch`` as its
+    unfolded program.  ``built`` maps each grounded object built so far, by
+    identity, to its node, so an object that grounding shares is walked
+    once.  A reference to a grounded identifier is looked up in
+    ``node_of_eid``; ``resolve_ref`` resolves the others.
     """
     kind = type(e)
+    if kind is Ref:
+        nid = None if e.indices else net.node_of_eid.get(e.name)
+        if nid is None:
+            nid = built[id(e)] = resolve_ref(e)
+        return nid
     if kind is Var:
         return net.var_node(e.name)
-    if kind is Ref:
-        return resolve_ref(e)
+    name = _NODE_KINDS.get(kind)
+    if name is None:
+        raise NetworkError("expression kind without a network encoding: %r" % (e,))
+    node_of_eid, cs = net.node_of_eid, []
+    for c in children_of(e):
+        nid = (node_of_eid.get(c.name) if type(c) is Ref and not c.indices
+               else built.get(id(c)))
+        cs.append(_build_expr(net, c, in_loop, resolve_ref, built)
+                  if nid is None else nid)
+    cs = tuple(cs)
     payload = None
     if kind is Const:
-        name, cs, payload = "const", (), e.value
-    elif kind is Not:
-        name, cs = "not", (_build_expr(net, e.child, in_loop, resolve_ref),)
-    elif kind in (And, Or):
-        name = "and" if kind is And else "or"
-        cs = tuple(_build_expr(net, c, in_loop, resolve_ref) for c in e.children)
+        payload = e.value
     elif kind is Atom:
-        name, payload = "atom", e.op
-        cs = (_build_expr(net, e.left, in_loop, resolve_ref),
-              _build_expr(net, e.right, in_loop, resolve_ref))
+        payload = e.op
+    elif kind is Pow:
+        payload = e.exponent
     elif kind is CondVal:
-        name, cs = "condval", (_build_expr(net, e.guard, in_loop, resolve_ref),)
         payload = e.value
         if isinstance(payload, Affine):
             if not payload.is_const():
@@ -252,26 +267,8 @@ def _build_expr(net, e, in_loop, resolve_ref):
             payload = payload.const
         payload = (tuple(float(x) for x in payload)
                    if isinstance(payload, tuple) else float(payload))
-    elif kind is Guard:
-        name = "guard"
-        cs = (_build_expr(net, e.guard, in_loop, resolve_ref),
-              _build_expr(net, e.body, in_loop, resolve_ref))
-    elif kind in (Add, Mul):
-        name = "add" if kind is Add else "mul"
-        cs = tuple(_build_expr(net, c, in_loop, resolve_ref) for c in e.children)
-        if not cs:
-            raise NetworkError("empty sum" if kind is Add else "empty product")
-    elif kind is Inv:
-        name, cs = "inv", (_build_expr(net, e.child, in_loop, resolve_ref),)
-    elif kind is Pow:
-        name, payload = "pow", e.exponent
-        cs = (_build_expr(net, e.child, in_loop, resolve_ref),)
-    elif kind is Dist:
-        name = "dist"
-        cs = (_build_expr(net, e.left, in_loop, resolve_ref),
-              _build_expr(net, e.right, in_loop, resolve_ref))
-    else:
-        raise NetworkError("expression kind without a network encoding: %r" % (e,))
+    elif not cs and kind in (Add, Mul):
+        raise NetworkError("empty sum" if kind is Add else "empty product")
     nodes = net.nodes
     loopy = in_loop and any(nodes[c].in_loop for c in cs)
     key = (name, payload, cs, loopy)
@@ -279,16 +276,12 @@ def _build_expr(net, e, in_loop, resolve_ref):
     if nid is None:
         vkind = kind_rule(e, [nodes[c].vkind for c in cs], None)
         nid = net._intern[key] = net._new_node(name, cs, payload, loopy, vkind)
+    built[id(e)] = nid
     return nid
 
 
-def _resolve_plain(net):
-    def resolve(e):
-        nid = net.node_of_eid.get(e.name)
-        if nid is None:
-            raise NetworkError("reference to unknown identifier %r" % e.name)
-        return nid
-    return resolve
+def _unknown_ref(e):
+    raise NetworkError("reference to unknown identifier %r" % e.name)
 
 
 def build_network(grounded):
@@ -300,9 +293,9 @@ def build_network(grounded):
 
 def _build_unfolded(grounded: GroundedProgram):
     net = EventNetwork(1)
-    resolve = _resolve_plain(net)
+    built = {}  # id(grounded object) -> node id, for this call only
     for eid, expr in grounded.decls.items():
-        net.node_of_eid[eid] = _build_expr(net, expr, False, resolve)
+        net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref, built)
     for eid in grounded.targets:
         nid = net.node_of_eid[eid]
         if net.nodes[nid].vkind != "b":
@@ -315,9 +308,9 @@ def _build_folded(folded: FoldedProgram):
     net = EventNetwork(folded.count)
     counter = folded.counter
 
-    resolve_base = _resolve_plain(net)
+    built = {}  # id(grounded object) -> node id, for this call only
     for eid, expr in folded.base.items():
-        net.node_of_eid[eid] = _build_expr(net, expr, False, resolve_base)
+        net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref, built)
 
     # Index the body families for same-iteration and carried references.
     same_map = {}
@@ -346,11 +339,6 @@ def _build_folded(folded: FoldedProgram):
         return nid
 
     def resolve_body(e):
-        if not e.indices:
-            nid = net.node_of_eid.get(e.name)
-            if nid is None:
-                return net.var_node(e.name)
-            return nid
         if all(ix.is_const() for ix in e.indices):
             eid = render_eid(e.name, [ix.const for ix in e.indices])
             nid = net.node_of_eid.get(eid)
@@ -377,7 +365,7 @@ def _build_folded(folded: FoldedProgram):
             "iteration only: %s[%s]" % (e.name, ",".join(str(i) for i in e.indices)))
 
     for pos, (_name, _indices, expr) in enumerate(folded.body):
-        body_nodes[pos] = _build_expr(net, expr, True, resolve_body)
+        body_nodes[pos] = _build_expr(net, expr, True, resolve_body, built)
 
     for pos, nid in carry.items():
         source = body_nodes[pos]

@@ -154,20 +154,37 @@ def test_affine_rendering_round_trip():
     assert Affine.of(0, i=1).shift("i", -1) == Affine.of(-1, i=1)
 
 
+def test_shared_bare_name_resolves_where_it_is_grounded():
+    # one source expression, loop-invariant in both loops, names the bare
+    # ``y``: a variable before ``y := ...`` is declared, that declaration
+    # after it, so a memo must not hand the first grounding to the second
+    shared = And((Ref("A", (Affine(0),)), Ref("y")))
+    program = EventProgram((
+        decl("A", (0,), Var("x0")),
+        Loop("i", 0, 2, (Decl("B", (Affine.var("i"),), shared),)),
+        decl("y", (), Var("x1")),
+        Loop("j", 0, 2, (Decl("C", (Affine.var("j"),), shared),)),
+    ))
+    g = ground(program, ("*",), {"x0", "x1", "y"})
+    for t in (0, 1):
+        assert g.decls["B[%d]" % t] == And((Ref("A[0]"), Var("y")))
+        assert g.decls["C[%d]" % t] == And((Ref("A[0]"), Ref("y")))
+
+
 def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
     # a reference cycle per rewritten declaration (say, a recursive closure)
     # stays in memory until the next full collection: on the benchmark's
     # exact-unfolded grounding that raised the peak footprint by about 10%
     import gc
     from manyworlds.datagen import _resolve_names
-    from manyworlds.eventprog import _bind, _ground_expr
+    from manyworlds.eventprog import _bind, _Grounder
     from manyworlds.kmedoids import _points_to_refs
     from manyworlds.translate import _inline_points
     i = Affine.var("i")
     e = And((Ref("A", (i,)), CondVal(Var("x"), i)))
     event = line_dataset.points[3].event
     calls = [
-        lambda: _ground_expr(e, {"i": 1}, {"A[1]"}, None),
+        lambda: _Grounder({"A[1]"}, None).walk(e, {"i": 1, "j": 0}),
         lambda: _bind(e, {}),
         lambda: _bind(e, {"i": 2}),
         lambda: _resolve_names(event, {"x2", "x4"}, ()),
@@ -190,6 +207,7 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
     # what it closes over, such as the whole grounded program, until the next
     # full collection
     import gc
+    from manyworlds.network import build_network
     from manyworlds.translate import translate_to_event_program
     from manyworlds.userlang import parse_user_program, validate_user_program
     ast = parse_user_program(kmedoids_src)
@@ -197,6 +215,8 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
     text = emit_event_program(tr.program)
     vs = set(line_dataset.vartable.index)
     target = tr.loop_final_pattern("Centre")
+    grounded = ground(tr.program, (target,), vs)
+    folded = ground_folded(tr.program, (target,), vs)
     calls = {
         "parse_user_program": lambda: parse_user_program(kmedoids_src),
         "validate_user_program": lambda: validate_user_program(ast),
@@ -206,6 +226,8 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
         "parse_event_program": lambda: parse_event_program(text),
         "ground": lambda: ground(tr.program, (target,), vs),
         "ground_folded": lambda: ground_folded(tr.program, (target,), vs),
+        "build_network": lambda: build_network(grounded),
+        "build_network folded": lambda: build_network(folded),
     }
     for call in calls.values():
         call()  # first calls may fill caches that later ones reuse

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from collections import Counter
@@ -5,13 +6,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manyworlds.datagen import gen_correlations
 from manyworlds.events import (
-    U, VU, Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    TypeMismatch, Var, VarTable, TRUE,
+    U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow,
+    Ref, TypeMismatch, Var, VarTable, TRUE, map_children,
 )
 from manyworlds.eventprog import (
-    Affine, Decl, EventProgram, GroundError, Loop, decl, ground, ground_folded,
-    parse_event_program,
+    Affine, Decl, EventProgram, FoldedProgram, GroundError, GroundedProgram,
+    Loop, _instances, as_affine, decl, ground, ground_folded,
+    parse_event_program, render_eid,
 )
 from manyworlds import network
 from manyworlds.compile import Search, compile_targets
@@ -21,6 +24,8 @@ from manyworlds.network import (
 )
 from manyworlds.oracle import _Program, oracle_probabilities
 from manyworlds.randprog import random_instance
+from manyworlds.translate import translate_to_event_program
+from manyworlds.userlang import parse_user_program
 
 
 def test_shared_subexpression_single_node():
@@ -415,6 +420,95 @@ def test_folded_body_index_naming_another_counter_fails():
         with pytest.raises((GroundError, NetworkError),
                            match="unbound loop counter 'j'"):
             build_network(ground_folded(program, ("B*",), {"x0"}))
+
+
+def test_folded_body_resolves_bare_names_as_unfolded():
+    # a bare name in the loop body is a base declaration or a known
+    # variable on both routes; otherwise both fail when grounding
+    parsed = parse_event_program("forall it in 0..2:\n  B[it] := x0 & x9\n")
+    built = EventProgram((Loop("it", 0, 2, (
+        Decl("B", (Affine.var("it"),), And((Var("x0"), Var("x9")))),)),))
+    for program in (parsed, built):
+        with pytest.raises(GroundError) as unfolded:
+            ground(program, ("B[1]",), {"x0"})
+        with pytest.raises(GroundError,
+                           match="^%s$" % re.escape(str(unfolded.value))):
+            ground_folded(program, ("B[1]",), {"x0"})
+
+
+# --- sharing ------------------------------------------------------------------
+#
+# ``ground`` returns one object for each repeat of a loop-invariant
+# subexpression, and ``build_network`` builds each object once.  Neither may
+# change what is built.
+
+
+def _ground_unshared(program, variables):
+    """The declarations of ``program`` grounded by a plain walk that keeps no
+    memo, so no two references share an object: the reference for
+    ``ground``."""
+    decls = {}
+    for item, env in _instances(program.items, {}):
+        decls[item.eid_under(env)] = _ground_plain(item.expr, env, decls,
+                                                   variables)
+    return decls
+
+
+def _ground_plain(e, env, declared, variables):
+    kind = type(e)
+    if kind is Ref:
+        if e.indices:
+            eid = render_eid(e.name, [as_affine(ix).eval(env)
+                                      for ix in e.indices])
+            assert eid in declared
+            return Ref(eid)
+        if e.name in declared:
+            return Ref(e.name)
+        assert e.name in variables
+        return Var(e.name)
+    if kind is Var:
+        if e.name in variables:
+            return e
+        assert e.name in declared
+        return Ref(e.name)
+    if kind is CondVal and isinstance(e.value, Affine):
+        return CondVal(_ground_plain(e.guard, env, declared, variables),
+                       e.value.eval(env))
+    return map_children(e, lambda c: _ground_plain(c, env, declared, variables))
+
+
+def _unshared(e):
+    """A copy of ``e`` in which no two positions hold the same object.
+
+    ``copy.deepcopy`` keeps the aliasing it finds, so every node is rebuilt.
+    """
+    if type(e) in (Const, Var, Ref):
+        return dataclasses.replace(e)
+    return map_children(e, _unshared)
+
+
+@pytest.mark.parametrize("source,family", [("kmedoids_src", "Centre"),
+                                           ("kmeans_src", "InCl")])
+def test_sharing_builds_the_network_of_unshared_trees(request, source, family):
+    ast = parse_user_program(request.getfixturevalue(source))
+    for scheme, kwargs in (("positive", {}),
+                           ("mutex", {"mutex_encoding": "selector"}),
+                           ("markov", {})):
+        ds = gen_correlations(8, scheme, group=2, iterations=2, **kwargs)
+        tr = translate_to_event_program(ast, ds)
+        variables = set(ds.vartable.index)
+        pattern = (tr.loop_final_pattern(family),)
+        g = ground(tr.program, pattern, variables)
+        reference = _ground_unshared(tr.program, variables)
+        assert list(g.decls.items()) == list(reference.items())
+        copy = GroundedProgram({eid: _unshared(e) for eid, e in g.decls.items()},
+                               g.targets)
+        assert build_network(g).dump() == build_network(copy).dump()
+        f = ground_folded(tr.program, pattern, variables)
+        copy = FoldedProgram(
+            f.counter, f.count, {eid: _unshared(e) for eid, e in f.base.items()},
+            [(name, ix, _unshared(e)) for name, ix, e in f.body], f.targets)
+        assert build_network(f).dump() == build_network(copy).dump()
 
 
 @pytest.mark.parametrize("folded", [False, True])
