@@ -199,7 +199,7 @@ def cmd_run(args):
         return 0
 
     t0 = time.time()
-    if args.mode == "naive":
+    if args.mode == "naive" and not args.emit_stage:
         report = _run_naive(grounded, dataset)
     else:
         try:

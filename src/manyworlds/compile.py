@@ -105,7 +105,7 @@ class Search:
     plain sequential compilation.
     """
 
-    def __init__(self, net, vartable, epsilon, scheme, state=None, stats=None,
+    def __init__(self, net, vartable, epsilon, scheme, state=None,
                  on_branch=None, job_depth=None):
         if scheme not in SCHEMES:
             raise ConfigError("unknown scheme %r" % scheme)
@@ -118,9 +118,8 @@ class Search:
         self.vt = vartable
         self.eps = epsilon
         self.scheme = scheme
-        self.stats = stats or Stats()
-        self.state = state or MaskState(net, self.stats)
-        self.state.stats = self.stats
+        self.state = state or MaskState(net)
+        self.stats = self.state.stats
         self.on_branch = on_branch
         self.forker = None
         self.job_depth = job_depth
@@ -256,8 +255,7 @@ class Search:
 
 def compile_targets(net, vartable, epsilon, scheme, on_branch=None):
     """Compile all targets of ``net``; see module docstring for the schemes."""
-    stats = Stats()
-    search = Search(net, vartable, epsilon, scheme, stats=stats, on_branch=on_branch)
+    search = Search(net, vartable, epsilon, scheme, on_branch=on_branch)
     search.preassign_certain()
     search.check_targets_reachable()
     if not search.all_resolved():

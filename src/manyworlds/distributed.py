@@ -2,10 +2,15 @@
 
 A job owns the subtree rooted at a branch prefix.  While exploring, a job
 forks a child job whenever a descent would cross a depth that is a multiple
-of the job depth ``d``.  Each job commits its own bounds change (its whole
-change less that of the jobs it ran in place) to a ledger, which counts it
-as a job; commits are serialized and idempotent per job id, so re-running
-a failed job is safe.  The result is the seed bounds plus every commit.
+of the job depth ``d``.  Every job, queued or run in place, commits its
+own account to a ledger: its work and the mass its own branches decided,
+summed in its own visit order, never that of the jobs it forked.  The
+ledger counts it as a job; commits are serialized and idempotent per job
+id, so re-running a failed job is safe.  The result is the seed bounds plus
+every commit.  No account depends on where a job's forks ran, so in exact
+mode the bounds, the work and the commit log (in job-id order) are the same
+bits at every worker count and on every run; hybrid work still depends on
+thread timing, through the budget pool.
 
 One runner serves every worker count; each worker owns one mask state.  The
 fork policy is the only scheduling decision.  A forked job goes to the
@@ -53,22 +58,16 @@ def _job_id(prefix):
 class _Ledger:
     """Serialized commit point for bounds, budgets and the job log."""
 
-    def __init__(self, nt):
+    def __init__(self, lower, upper, stats):
         self.lock = threading.Lock()
-        self.seed_lower, self.seed_upper = [0.0] * nt, [1.0] * nt
+        self.seed_lower, self.seed_upper = list(lower), list(upper)
         # running sums, for the snapshots jobs start from; the result is
         # summed afresh from the seed and the log
-        self.lower = [0.0] * nt
-        self.upper = [1.0] * nt
-        self.pool = [0.0] * nt
+        self.lower, self.upper = list(lower), list(upper)
+        self.pool = [0.0] * len(lower)
         self.committed = set()
         self.log = []
-        self.stats = Stats()
-
-    def seed(self, lower, upper):
-        self.seed_lower, self.seed_upper = list(lower), list(upper)
-        self.lower = list(lower)
-        self.upper = list(upper)
+        self.stats = stats  # the probe's: each job adds its work to it
 
     def snapshot(self):
         with self.lock:
@@ -101,7 +100,6 @@ class _Ledger:
             s.leaves += stats.leaves
             s.pruned += stats.pruned
             s.propagations += stats.propagations
-            s.replays += stats.replays
             return True
 
 
@@ -112,21 +110,21 @@ def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
 
     Satisfies the same bounds contract as sequential compilation.  A forked
     job is queued only while idle workers outnumber queued jobs, and runs in
-    place otherwise, so one worker repeats the sequential run exactly.  A
-    failing job is retried up to ``max_retries`` times, then its error raised.
+    place otherwise, so one worker visits the sequential branches exactly.
+    Exact bounds and ``commit_log`` (sorted by job id) do not depend on
+    ``workers`` or timing; hybrid ones may.  A failing job is retried up to
+    ``max_retries`` times, then its error raised.
     """
     if scheme not in ("exact", "hybrid"):
         raise ConfigError("distributed execution supports exact or hybrid")
     if workers < 1 or job_depth < 1:
         raise ConfigError("workers and job depth must be >= 1")
-    ledger = _Ledger(len(net.targets))
-
     # Count the variable-independent decisions (initial masks plus certain
     # variables) exactly once, on a probe state; the root job resumes from it.
-    probe = Search(net, vartable, epsilon, scheme, stats=ledger.stats)
+    probe = Search(net, vartable, epsilon, scheme)
     probe.preassign_certain()
     probe.check_targets_reachable()
-    ledger.seed(probe.state.problower, probe.state.probupper)
+    ledger = _Ledger(probe.state.problower, probe.state.probupper, probe.stats)
 
     if not probe.all_resolved():
         runner = _Runner(net, vartable, epsilon, scheme, workers, job_depth,
@@ -136,7 +134,7 @@ def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
                     "assigned": frozenset(probe.assigned),
                     "masks": probe.state.save_masks()}, probe.state)
     if commit_log is not None:
-        commit_log.extend(ledger.log)
+        commit_log.extend(sorted(ledger.log, key=lambda r: r["job"]))
     return _result_from_ledger(net, ledger, scheme, epsilon)
 
 
@@ -208,45 +206,47 @@ class _Runner:
         self.work.put(job)
 
     def execute(self, job, state):
-        """Run ``job`` on ``state`` and commit its own bounds change.
+        """Run ``job`` on ``state`` and commit its own account.
 
-        A queued job carries fork-time masks and resumes from them; any
-        other runs in place.  Returns the residual budgets, or None once
-        another attempt of the job has committed."""
+        Its work and mass go to a fresh ``Stats`` and fresh ``credited`` and
+        ``taken`` lists on ``state``; the forker's come back after.  A queued
+        job carries fork-time masks and resumes from them; any other runs in
+        place.  Returns the residual budgets, or None once another attempt
+        of the job has committed."""
         if job["id"] in self.ledger.committed:
             return None  # an earlier attempt ran it: its change is committed
         if self.fault_hook is not None:
             self.fault_hook(job["id"])
-        stats = Stats()
-        search = Search(self.net, self.vt, self.epsilon, self.scheme,
-                        state=state, stats=stats, job_depth=self.job_depth)
-        search.assigned = set(job["assigned"])
-        ledger = self.ledger
-        queued = "masks" in job
-        budgets = job["base"]
-        if queued:
-            state.load_masks(job["masks"])
-            state.problower[:], state.probupper[:] = ledger.snapshot()
-            if self.epsilon > 0.0:
-                budgets = [b + e for b, e in zip(budgets, ledger.drain_pool())]
-        # the bounds this job started from, plus the change of every job
-        # that ran in place inside it: the rest of the change is its own
-        base = state.problower + state.probupper
-        search.forker = functools.partial(self.fork, state, search.assigned,
-                                          stats, base)
-        prefix = job["prefix"]
-        residual = search._dfs(prefix[-1] if prefix else None, prefix,
-                               job["pr"], list(budgets), job["depth"])
         nt = len(state.problower)
-        own = [a - b for a, b in zip(state.problower + state.probupper, base)]
-        # a queued job's residual goes to the pool; one run in place returns
-        # it to its forker and must not hand it out twice
-        to_pool = residual if queued else [0.0] * nt
-        if ledger.commit(job["id"], prefix, own[:nt], own[nt:], to_pool, stats):
-            return residual
-        return None
+        forker = state.stats, state.credited, state.taken
+        state.stats, state.credited, state.taken = Stats(), [0.0] * nt, [0.0] * nt
+        try:
+            search = Search(self.net, self.vt, self.epsilon, self.scheme,
+                            state=state, job_depth=self.job_depth)
+            search.assigned = set(job["assigned"])
+            ledger = self.ledger
+            queued = "masks" in job
+            budgets = job["base"]
+            if queued:
+                state.load_masks(job["masks"])
+                state.problower[:], state.probupper[:] = ledger.snapshot()
+                if self.epsilon > 0.0:
+                    budgets = [b + e for b, e in zip(budgets, ledger.drain_pool())]
+            search.forker = functools.partial(self.fork, state, search.assigned)
+            prefix = job["prefix"]
+            residual = search._dfs(prefix[-1] if prefix else None, prefix,
+                                   job["pr"], list(budgets), job["depth"])
+            # a queued job's residual goes to the pool; one run in place
+            # returns it to its forker and must not hand it out twice
+            to_pool = residual if queued else [0.0] * nt
+            if ledger.commit(job["id"], prefix, state.credited,
+                             [-m for m in state.taken], to_pool, state.stats):
+                return residual
+            return None
+        finally:
+            state.stats, state.credited, state.taken = forker
 
-    def fork(self, state, assigned, stats, base, prefix, pr, E, depth):
+    def fork(self, state, assigned, prefix, pr, E, depth):
         """``Search.forker``: queue the job for an idle worker, or run it in
         place and return its residual budgets (None: none come back)."""
         job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
@@ -262,7 +262,7 @@ class _Runner:
         mark = state.checkpoint()
         lower, upper = list(state.problower), list(state.probupper)
         try:
-            residual = self.execute(job, state)
+            return self.execute(job, state)
         except Exception as exc:
             # undo the attempt and queue the job, so the retry is charged
             # to the job that failed and not to its forker
@@ -271,12 +271,6 @@ class _Runner:
             job["masks"] = state.save_masks()
             self.retry(job, exc)
             return None
-        finally:
-            state.stats = stats  # the job's Search repointed it
-        for i, (now, then) in enumerate(zip(state.problower + state.probupper,
-                                            lower + upper)):
-            base[i] += now - then
-        return residual
 
 
 def _result_from_ledger(net, ledger, scheme, epsilon):

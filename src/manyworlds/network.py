@@ -129,8 +129,6 @@ class EventNetwork:
     # --- construction -----------------------------------------------------
 
     def _new_node(self, kind, children, payload, in_loop, vkind):
-        if not in_loop and any(self.nodes[c].in_loop for c in children):
-            raise NetworkError("iteration-independent node depends on loop node")
         node = Node(len(self.nodes), kind, children, payload, in_loop, vkind)
         self.nodes.append(node)
         return node.id
@@ -466,7 +464,7 @@ class Stats:
 class MaskState:
     """Per-compilation mutable state: masks, undo trail, target bounds."""
 
-    def __init__(self, net: EventNetwork, stats=None):
+    def __init__(self, net: EventNetwork):
         self.net = net
         self.tables = net.slot_tables()
         self.N = len(net.nodes)
@@ -474,9 +472,13 @@ class MaskState:
         size = self.N * self.T
         self.masks = [UNKNOWN] * size  # numeric slots are set by _init_masks
         self.trail = []
-        self.stats = stats or Stats()
+        self.stats = Stats()
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
+        # per target, the mass credited to lower and taken from upper since
+        # the running job started (``distributed._Runner.execute``)
+        self.credited = [0.0] * len(net.targets)
+        self.taken = [0.0] * len(net.targets)
         # every instance starts undecided: all N slots of iteration 0, and
         # the in-loop slots of each later iteration
         loop_bits = sum(1 << nid for nid, node in enumerate(net.nodes)
@@ -624,8 +626,10 @@ class MaskState:
         for ti in self.target_at.get(idx, ()):
             if value == MASK_TRUE:
                 self.problower[ti] += p
+                self.credited[ti] += p
             else:
                 self.probupper[ti] -= p
+                self.taken[ti] += p
 
     # --- mask rules ----------------------------------------------------------------
     #

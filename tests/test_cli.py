@@ -106,6 +106,12 @@ def test_emit_stage_round_trips(capsys, line_json, tmp_path):
              "--emit-stage", "network", "--out", net_path)
         lines = _read(net_path).strip().splitlines()
         assert all(len(l.split()) >= 2 for l in lines)
+        if not folded:  # naive mode emits the same stage, and nothing else
+            naive_path = str(tmp_path / "naive.network")
+            assert _run(capsys, "run", "--program", PROG, "--data", line_json,
+                        "--mode", "naive", "--emit-stage", "network",
+                        "--out", naive_path)[:2] == (0, "")
+            assert _read(naive_path) == _read(net_path)
 
     # the folded grounding's text grounds back to the same folded program
     ds = Dataset.load(line_json)
@@ -143,6 +149,23 @@ def test_distributed_modes(capsys, line_json, tmp_path):
     for t in rep["targets"]:
         assert abs(t["lower"] - seq[t["eid"]]["lower"]) < 1e-9
     assert rep["stats"]["jobs"] <= rep["stats"]["job_bound"]
+
+
+def test_distributed_exact_files_do_not_depend_on_workers(capsys, line_json,
+                                                          tmp_path):
+    # every job commits its own account and the log is handed back in job
+    # order, so the report and the job log repeat byte for byte
+    files = set()
+    for workers in ("1", "2", "4"):
+        for run in range(2):
+            out_path = str(tmp_path / ("d%s-%d.json" % (workers, run)))
+            log_path = str(tmp_path / ("d%s-%d.log" % (workers, run)))
+            assert _run(capsys, "run", "--program", PROG, "--data", line_json,
+                        "--mode", "exact-d", "--workers", workers,
+                        "--job-depth", "1", "--out", out_path,
+                        "--job-log", log_path)[0] == 0
+            files.add((_read(out_path, "rb"), _read(log_path, "rb")))
+    assert len(files) == 1
 
 
 def test_folded_flag(capsys, line_json, tmp_path):

@@ -49,6 +49,26 @@ def test_parallel_exact_equals_sequential(workers):
     assert d.stats.jobs <= max_job_count(len(vt), 2)
 
 
+@pytest.mark.parametrize("job_depth", [1, 2])
+def test_exact_bounds_do_not_depend_on_workers_or_timing(job_depth):
+    # each job commits the mass its own branches decided, in its own visit
+    # order, whether its forks ran queued or in place: the bounds repeat
+    # bit for bit at every worker count and on every run
+    net, vt, g = _clustering_net()
+    seq = compile_targets(net, vt, 0.0, "exact")
+    seen = set()
+    for workers in (1, 2, 4, 8):
+        for _run in range(5):
+            d = run_distributed(net, vt, 0.0, "exact", workers=workers,
+                                job_depth=job_depth)
+            seen.add(tuple((tb.eid, tb.lower.hex(), tb.upper.hex())
+                           for tb in d.targets))
+            for a, b in zip(seq.targets, d.targets):
+                assert abs(a.lower - b.lower) < 1e-9
+                assert abs(a.upper - b.upper) < 1e-9
+    assert len(seen) == 1
+
+
 def test_single_worker_reproduces_sequential_hybrid():
     net, vt, g = _clustering_net()
     seq = compile_targets(net, vt, 0.1, "hybrid")
@@ -240,8 +260,7 @@ def test_ledger_result_does_not_depend_on_commit_order():
     deltas = {"a": 0.1, "b": 0.2, "c": 0.3}
     results = []
     for order in ("abc", "cba"):
-        ledger = _Ledger(1)
-        ledger.seed([0.0], [1.0])
+        ledger = _Ledger([0.0], [1.0], Stats())
         for job in order:
             ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], [0.0],
                           Stats())
