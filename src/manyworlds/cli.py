@@ -9,8 +9,8 @@ Subcommands:
   check  sweep seeded random event programs: exact compilation vs enumeration
 
 Reports go to stdout as a small table; ``--out`` additionally writes a
-machine-readable JSON document (stable bytes for fixed inputs and seed;
-wall-clock time is printed to stdout only).
+machine-readable JSON document (stable bytes for fixed inputs; wall-clock
+time is printed to stdout only).
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ def build_parser():
     r.add_argument("--folded", action="store_true")
     r.add_argument("--targets", action="append",
                    help="glob pattern over grounded identifiers (repeatable)")
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--emit-stage",
                    choices=("ast", "event-program", "grounded", "network"))
     r.add_argument("--out", help="write the JSON report (or stage text) here")
@@ -227,7 +226,6 @@ def cmd_run(args):
             report = result.as_dict()
     elapsed = time.time() - t0
     report["mode"] = args.mode
-    report["seed"] = args.seed
 
     _print_report(report, elapsed)
     if args.out:
@@ -251,17 +249,21 @@ def _validate_run_config(args):
 
 
 def _run_naive(grounded, dataset):
-    res = oracle_probabilities(grounded, dataset.vartable, grounded.targets)
-    targets = [{"eid": e, "lower": p, "upper": p}
-               for e, p in res.probabilities.items()]
+    """One walk over every world: print each, sum the target masses."""
     tset = list(grounded.targets)
+    sums, total = dict.fromkeys(tset, 0.0), 0.0
     for idx, rep in enumerate(world_reports(grounded, dataset.vartable)):
         rec = {"world": idx, "probability": round(rep.probability, 12),
                "targets": {e: bool(rep.values[e]) for e in tset}}
         print(json.dumps(rec, sort_keys=True))
-    return {"targets": targets,
-            "stats": {"evaluations": res.evaluations,
-                      "total_mass": res.total_mass}}
+        total += rep.probability
+        for e in tset:
+            if rep.values[e] is True:
+                sums[e] += rep.probability
+    return {"targets": [{"eid": e, "lower": p, "upper": p}
+                        for e, p in sums.items()],
+            "stats": {"evaluations": 1 << len(dataset.vartable),
+                      "total_mass": total}}
 
 
 def _print_report(report, elapsed):

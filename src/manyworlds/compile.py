@@ -3,9 +3,10 @@
 Depth-first Shannon expansion: pick an influential unassigned variable, try
 both truth values, propagate masks, and accumulate each target's probability
 bounds from the branches that decide it.  With a zero error budget the final
-bounds collapse to the exact probabilities.  With budget ``2*epsilon`` per
-target, whole subtrees may be forfeited once their probability mass fits in
-the remaining budget, yielding anytime bounds with ``upper - lower <= 2e``:
+bounds collapse to the exact probabilities.  With one budget of ``2*epsilon``
+shared by all targets, whole subtrees may be forfeited once their mass fits
+in the remaining budget, counting against every target at once; this yields
+anytime bounds with ``upper - lower <= 2e``:
 
   * ``eager``  hands the full budget to every left branch first, so the
     earliest-visited subtrees are pruned until the budget runs out;
@@ -18,7 +19,7 @@ the remaining budget, yielding anytime bounds with ``upper - lower <= 2e``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .network import MaskState, Stats, UNKNOWN
 
@@ -49,7 +50,7 @@ class CompileResult:
     stats: Stats
     scheme: str
     epsilon: float
-    pruned_mass: list = field(default_factory=list)
+    pruned_mass: float = 0.0
 
     def bounds(self, eid):
         for tb in self.targets:
@@ -124,12 +125,16 @@ class Search:
         self.forker = None
         self.job_depth = job_depth
         self.nt = len(net.targets)
-        self.assigned = set()
-        self.anc = ancestor_bits(net)
-        self.pruned_mass = [0.0] * self.nt
+        anc = ancestor_bits(net)
+        # (name, slot, ancestor bits) per variable the network reads, in
+        # table order; a variable is assigned iff its slot's mask is decided
+        self.vars = [(name, net.var_nodes[name], anc[name])
+                     for name, _p in vartable.vars if name in net.var_nodes]
+        self.pruned_mass = 0.0
         # deepest level at which forking into a new job still makes sense:
-        # one level per variable that is not certain
-        self.fork_limit = sum(1 for _n, p in vartable.vars if p not in (0.0, 1.0))
+        # one level per variable of the network that is not certain
+        self.fork_limit = sum(1 for name, _slot, _bits in self.vars
+                              if vartable.p_true(name) not in (0.0, 1.0))
 
     # --- setup ----------------------------------------------------------------
 
@@ -137,7 +142,6 @@ class Search:
         """Assign variables with probability 0 or 1 up front (unit mass side)."""
         for name, p in self.vt.vars:
             if p == 0.0 or p == 1.0:
-                self.assigned.add(name)
                 self.state.assign(name, p == 1.0, 1.0)
 
     def check_targets_reachable(self):
@@ -145,12 +149,13 @@ class Search:
             if name not in self.vt:
                 raise ConfigError(
                     "variable %r is not in the variable table" % name)
+        masks = self.state.masks
         for i, (nid, t, eid) in enumerate(self.net.targets):
             if self.state.target_mask(i) != UNKNOWN:
                 continue
             bit = 1 << self.net.slot(nid, t)
-            if not any(self.anc.get(name, 0) & bit
-                       for name, _ in self.vt.vars if name not in self.assigned):
+            if not any(bits & bit for _name, slot, bits in self.vars
+                       if masks[slot] == UNKNOWN):
                 raise ConfigError(
                     "target %r cannot be decided by any variable" % eid)
 
@@ -158,10 +163,10 @@ class Search:
 
     def split_left(self, E):
         if self.scheme == "hybrid":
-            return [e * 0.5 for e in E]
+            return E * 0.5
         if self.scheme == "eager":
-            return list(E)
-        return [0.0] * self.nt  # lazy (and exact, where budgets are all zero)
+            return E
+        return 0.0  # lazy (and exact, where the budget is zero)
 
     # --- checks -------------------------------------------------------------------
 
@@ -185,12 +190,12 @@ class Search:
         return False
 
     def next_variable(self):
-        unknown = self.state.unknown_bits
+        masks, unknown = self.state.masks, self.state.unknown_bits
         best_name, best_count = None, -1
-        for name, _p in self.vt.vars:
-            if name in self.assigned:
+        for name, slot, bits in self.vars:
+            if masks[slot] != UNKNOWN:
                 continue
-            count = (self.anc.get(name, 0) & unknown).bit_count()
+            count = (bits & unknown).bit_count()
             if count > best_count:
                 best_name, best_count = name, count
         return best_name
@@ -198,20 +203,21 @@ class Search:
     # --- the DFS -------------------------------------------------------------------
 
     def run(self):
-        """Explore the tree from the root; returns the residual budgets."""
-        return self._dfs(None, (), 1.0, [2.0 * self.eps] * self.nt, 0)
+        """Explore the tree from the root; returns the residual budget."""
+        return self.explore((), 1.0, 2.0 * self.eps, 0)
 
-    def _dfs(self, pending, prefix, pr, E, depth):
+    def explore(self, prefix, pr, E, depth):
+        """Explore below ``prefix``, whose last assignment is not yet made,
+        with mass ``pr`` and budget ``E``; returns the residual budget."""
         # lazy never forfeits subtrees up front; its entire allowance is
         # realised by the early-stop tests below
-        if self.eps > 0.0 and self.scheme != "lazy" and all(e >= pr for e in E):
+        if self.eps > 0.0 and self.scheme != "lazy" and E >= pr:
             self.stats.pruned += 1
-            for i in range(self.nt):
-                self.pruned_mass[i] += pr
-            return [e - pr for e in E]
+            self.pruned_mass += pr
+            return E - pr
         self.stats.branches += 1
-        if pending is not None:
-            self.state.assign(pending[0], pending[1], pr)
+        if prefix:
+            self.state.assign(*prefix[-1], pr)
         if self.on_branch is not None:
             self.on_branch(self.state)
         if self.all_resolved():
@@ -220,23 +226,19 @@ class Search:
         x = self.next_variable()
         if x is None:
             raise ConfigError("targets undecided with no variables left")
-        self.assigned.add(x)
         p_true = self.vt.p_true(x)
         E_left = self.split_left(E)
-        E_base_right = [e - el for e, el in zip(E, E_left)]
 
         mark = self.state.checkpoint()
         res_left = self._descend(x, True, prefix, pr * p_true, E_left, depth + 1)
         self.state.revert(mark)
 
-        E_right = [eb + rl for eb, rl in zip(E_base_right, res_left)]
-        if self.any_wide():
-            result = self._descend(x, False, prefix, pr * (1.0 - p_true),
-                                   E_right, depth + 1)
-            self.state.revert(mark)
-        else:
-            result = E_right
-        self.assigned.discard(x)
+        E_right = (E - E_left) + res_left
+        if not self.any_wide():
+            return E_right
+        result = self._descend(x, False, prefix, pr * (1.0 - p_true),
+                               E_right, depth + 1)
+        self.state.revert(mark)
         return result
 
     def _descend(self, x, value, prefix, pr, E, depth):
@@ -246,11 +248,11 @@ class Search:
             res = self.forker(child_prefix, pr, E, depth)
             if res is not None:
                 return res
-            return [0.0] * self.nt  # asynchronous fork: residual not yet known
+            return 0.0  # asynchronous fork: residual not yet known
         if pr == 0.0:
             # zero-mass branch: nothing to classify, no exploration needed
             return E
-        return self._dfs((x, value), child_prefix, pr, E, depth)
+        return self.explore(child_prefix, pr, E, depth)
 
 
 def compile_targets(net, vartable, epsilon, scheme, on_branch=None):
@@ -287,4 +289,4 @@ def finish_result(search):
     out = [checked_bounds(eid, st.problower[i], st.probupper[i])
            for i, (_nid, _t, eid) in enumerate(search.net.targets)]
     return CompileResult(out, search.stats, search.scheme, search.eps,
-                         list(search.pruned_mass))
+                         search.pruned_mass)

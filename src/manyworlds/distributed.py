@@ -3,25 +3,26 @@
 A job owns the subtree rooted at a branch prefix.  While exploring, a job
 forks a child job whenever a descent would cross a depth that is a multiple
 of the job depth ``d``.  Every job, queued or run in place, commits its
-own account to a ledger: its work and the mass its own branches decided,
-summed in its own visit order, never that of the jobs it forked.  The
-ledger counts it as a job; commits are serialized and idempotent per job
-id, so re-running a failed job is safe.  The result is the seed bounds plus
-every commit.  No account depends on where a job's forks ran, so in exact
-mode the bounds, the work and the commit log (in job-id order) are the same
-bits at every worker count and on every run; hybrid work still depends on
-thread timing, through the budget pool.
+own account to a ledger: its work, the mass it pruned and the mass its own
+branches decided, summed in its own visit order, never that of the jobs it
+forked.  The ledger counts it as a job; commits are serialized and
+idempotent per job id, so re-running a failed job is safe.  The result is
+the seed bounds plus every commit.  No account depends on where a job's
+forks ran, so in exact mode the bounds, the work and the commit log (in
+job-id order) are the same bits at every worker count and on every run;
+hybrid work still depends on thread timing, through the budget pool.
 
 One runner serves every worker count; each worker owns one mask state.  The
 fork policy is the only scheduling decision.  A forked job goes to the
 queue only while idle workers outnumber queued jobs, with a copy of the
-fork-time masks to resume from, and gets its base budget share; residuals
-of finished queued jobs go to a pool that queued jobs drain when they
-start.  Otherwise the forking worker runs the job in place and gets its
-residual budgets back, as sequential compilation does.  One worker is never
-idle, so it visits exactly the sequential branches, in the same order, with
-the same budgets.  More workers may explore a little more, but never break
-the epsilon contract: budget mass is conserved or forfeited, never created.
+fork-time masks to resume from, and gets its base budget share; the
+residual budget of each finished queued job goes to a pool that queued
+jobs drain when they start.  Otherwise the forking worker runs the job in
+place and gets its residual budget back, as sequential compilation does.
+One worker is never idle, so it visits exactly the sequential branches, in
+the same order, with the same budget.  More workers may explore a little
+more, but never break the epsilon contract: budget mass is conserved or
+forfeited, never created.
 
 A job that raises is retried from its fork-time masks, at most
 ``max_retries`` times.  One that raises while running in place is undone
@@ -56,7 +57,7 @@ def _job_id(prefix):
 
 
 class _Ledger:
-    """Serialized commit point for bounds, budgets and the job log."""
+    """Serialized commit point for bounds, budget pool, pruned mass and log."""
 
     def __init__(self, lower, upper, stats):
         self.lock = threading.Lock()
@@ -64,7 +65,8 @@ class _Ledger:
         # running sums, for the snapshots jobs start from; the result is
         # summed afresh from the seed and the log
         self.lower, self.upper = list(lower), list(upper)
-        self.pool = [0.0] * len(lower)
+        self.pool = 0.0
+        self.pruned_mass = 0.0
         self.committed = set()
         self.log = []
         self.stats = stats  # the probe's: each job adds its work to it
@@ -75,11 +77,10 @@ class _Ledger:
 
     def drain_pool(self):
         with self.lock:
-            out = self.pool
-            self.pool = [0.0] * len(out)
+            out, self.pool = self.pool, 0.0
             return out
 
-    def commit(self, job_id, prefix, lo_delta, up_delta, residual, stats):
+    def commit(self, job_id, prefix, lo_delta, up_delta, residual, pruned, stats):
         with self.lock:
             if job_id in self.committed:
                 return False
@@ -87,7 +88,8 @@ class _Ledger:
             for i, (dl, du) in enumerate(zip(lo_delta, up_delta)):
                 self.lower[i] += dl
                 self.upper[i] += du
-                self.pool[i] += residual[i]
+            self.pool += residual
+            self.pruned_mass += pruned
             self.log.append({
                 "job": job_id,
                 "prefix": [[n, bool(v)] for n, v in prefix],
@@ -130,8 +132,7 @@ def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
         runner = _Runner(net, vartable, epsilon, scheme, workers, job_depth,
                          fault_hook, max_retries, ledger)
         runner.run({"id": "root", "prefix": (), "pr": 1.0,
-                    "base": [2.0 * epsilon] * len(net.targets), "depth": 0,
-                    "assigned": frozenset(probe.assigned),
+                    "base": 2.0 * epsilon, "depth": 0,
                     "masks": probe.state.save_masks()}, probe.state)
     if commit_log is not None:
         commit_log.extend(sorted(ledger.log, key=lambda r: r["job"]))
@@ -209,10 +210,10 @@ class _Runner:
         """Run ``job`` on ``state`` and commit its own account.
 
         Its work and mass go to a fresh ``Stats`` and fresh ``credited`` and
-        ``taken`` lists on ``state``; the forker's come back after.  A queued
-        job carries fork-time masks and resumes from them; any other runs in
-        place.  Returns the residual budgets, or None once another attempt
-        of the job has committed."""
+        ``taken`` lists on ``state``, its pruned mass to its own ``Search``;
+        the forker's come back after.  A queued job carries fork-time masks
+        and resumes from them; any other runs in place.  Returns the residual
+        budget, or None once another attempt of the job has committed."""
         if job["id"] in self.ledger.committed:
             return None  # an earlier attempt ran it: its change is committed
         if self.fault_hook is not None:
@@ -223,34 +224,33 @@ class _Runner:
         try:
             search = Search(self.net, self.vt, self.epsilon, self.scheme,
                             state=state, job_depth=self.job_depth)
-            search.assigned = set(job["assigned"])
             ledger = self.ledger
             queued = "masks" in job
-            budgets = job["base"]
+            budget = job["base"]
             if queued:
                 state.load_masks(job["masks"])
                 state.problower[:], state.probupper[:] = ledger.snapshot()
                 if self.epsilon > 0.0:
-                    budgets = [b + e for b, e in zip(budgets, ledger.drain_pool())]
-            search.forker = functools.partial(self.fork, state, search.assigned)
+                    budget += ledger.drain_pool()
+            search.forker = functools.partial(self.fork, state)
             prefix = job["prefix"]
-            residual = search._dfs(prefix[-1] if prefix else None, prefix,
-                                   job["pr"], list(budgets), job["depth"])
+            residual = search.explore(prefix, job["pr"], budget, job["depth"])
             # a queued job's residual goes to the pool; one run in place
             # returns it to its forker and must not hand it out twice
-            to_pool = residual if queued else [0.0] * nt
+            to_pool = residual if queued else 0.0
             if ledger.commit(job["id"], prefix, state.credited,
-                             [-m for m in state.taken], to_pool, state.stats):
+                             [-m for m in state.taken], to_pool,
+                             search.pruned_mass, state.stats):
                 return residual
             return None
         finally:
             state.stats, state.credited, state.taken = forker
 
-    def fork(self, state, assigned, prefix, pr, E, depth):
+    def fork(self, state, prefix, pr, E, depth):
         """``Search.forker``: queue the job for an idle worker, or run it in
-        place and return its residual budgets (None: none come back)."""
+        place and return its residual budget (None: none comes back)."""
         job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
-               "base": list(E), "depth": depth, "assigned": frozenset(assigned)}
+               "base": E, "depth": depth}
         with self.lock:
             hand_off = self.idle > self.queued
             if hand_off:
@@ -282,4 +282,4 @@ def _result_from_ledger(net, ledger, scheme, epsilon):
         upper = math.fsum([ledger.seed_upper[i]]
                           + [r["upper_delta"][i] for r in ledger.log])
         out.append(checked_bounds(eid, lower, upper))
-    return CompileResult(out, ledger.stats, scheme, epsilon)
+    return CompileResult(out, ledger.stats, scheme, epsilon, ledger.pruned_mass)

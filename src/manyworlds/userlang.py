@@ -501,7 +501,6 @@ def format_user_program(program):
 class VType:
     base: str  # 'bool' | 'int' | 'real' | 'vec' | 'array' | 'unknown'
     elem: object = None
-    size: object = None  # int, symbolic name, or None
 
     def scalarish(self):
         return self.base in ("int", "real", "unknown")
@@ -562,10 +561,10 @@ class _Validator:
     def _bind_ext(self, item):
         if item.func == "loadData":
             if len(item.targets) == 2:
-                types = (VType("array", VEC, "n"), INT)
+                types = (VType("array", VEC), INT)
             elif len(item.targets) == 3:
-                types = (VType("array", VEC, "n"), INT,
-                         VType("array", VType("array", REAL, "n"), "n"))
+                types = (VType("array", VEC), INT,
+                         VType("array", VType("array", REAL)))
             else:
                 self.report("ext-arity", "loadData binds 2 or 3 names", item)
                 types = (UNKNOWN_T,) * len(item.targets)
@@ -576,7 +575,7 @@ class _Validator:
         else:  # init
             if len(item.targets) != 1:
                 self.report("ext-arity", "init binds 1 name", item)
-            types = (VType("array", VEC, "k"),) * len(item.targets)
+            types = (VType("array", VEC),) * len(item.targets)
         for name, t in zip(item.targets, types):
             self.env[name] = t
             if t.base == "int":
@@ -629,7 +628,7 @@ class _Validator:
         if base.name not in self.env:
             self.report("array-init", "array %r assigned before initialisation" % base.name,
                         item)
-            self.env[base.name] = VType("array", t, None)
+            self.env[base.name] = VType("array", t)
             return
         at = self.env[base.name]
         for idx in reversed(chain):
@@ -644,19 +643,16 @@ class _Validator:
                 return
             at = at.elem if at.elem is not None else UNKNOWN_T
         if isinstance(item.expr, UArrayInit):
-            self._update_shape(base.name, len(chain), item.expr)
+            self._update_shape(base.name, len(chain))
 
-    def _update_shape(self, name, depth, init):
+    def _update_shape(self, name, depth):
         """Element-level ``[None] * n`` writes extend the array's recorded shape."""
         node = self.env.get(name)
         for _ in range(depth):
             if node is None or node.base != "array":
                 return
             if node.elem is None:
-                size = init.size
-                sz = size.value if isinstance(size, ULit) else (
-                    size.name if isinstance(size, UName) else None)
-                node.elem = VType("array", None, sz)
+                node.elem = VType("array")
             node = node.elem
 
     def _type(self, e):
@@ -701,9 +697,7 @@ class _Validator:
             return REAL if "real" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
-            sz = e.size.value if isinstance(e.size, ULit) else (
-                e.size.name if isinstance(e.size, UName) else None)
-            return VType("array", None, sz)
+            return VType("array")
         if k is UCall:
             ats = [self._type(a) for a in e.args]
             if e.func == "pow":

@@ -55,7 +55,6 @@ def test_next_variable_prefers_shared_influence():
     vt = VarTable.of(("x1", 0.5), ("x2", 0.5), ("x3", 0.5))
     s = Search(net, vt, 0.0, "exact")
     assert s.next_variable() == "x1"
-    s.assigned.add("x1")
     s.state.assign("x1", True, 1.0)
     # x2 and x3 now tie; the lower table index wins
     assert s.next_variable() == "x2"
@@ -160,14 +159,20 @@ def test_hybrid_work_nonincreasing_in_epsilon():
 
 
 def test_hybrid_budget_conservation():
+    from manyworlds.distributed import run_distributed
     for seed in (3, 8, 13):
         prog, vt, targets = random_instance(seed, max_vars=10)
         g = ground(prog, targets, variables=set(vt.index))
         net = build_network(g)
         for eps in (0.05, 0.2):
             r = compile_targets(net, vt, eps, "hybrid")
-            for mass in r.pruned_mass:
-                assert mass <= 2 * eps + 1e-12
+            assert r.pruned_mass <= 2 * eps + 1e-12
+            for workers in (1, 2):
+                d = run_distributed(net, vt, eps, "hybrid", workers=workers,
+                                    job_depth=2)
+                assert d.pruned_mass <= 2 * eps + 1e-12
+                if workers == 1:
+                    assert abs(d.pruned_mass - r.pruned_mass) <= 1e-12
 
 
 def test_stats_report_format():

@@ -7,6 +7,7 @@ import pytest
 from manyworlds.compile import ConfigError, Search, compile_targets
 from manyworlds.distributed import max_job_count, run_distributed
 from manyworlds.eventprog import ground
+from manyworlds.events import VarTable
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import build_network
 from manyworlds.oracle import oracle_probabilities
@@ -78,6 +79,26 @@ def test_single_worker_reproduces_sequential_hybrid():
     for a, b in zip(seq.targets, d.targets):
         assert abs(a.lower - b.lower) < 1e-12
         assert abs(a.upper - b.upper) < 1e-12
+
+
+def test_unread_variable_never_changes_the_search():
+    # a table variable the network does not read is never chosen and adds
+    # no job level, at the front of the table or at its back
+    net, vt, g = _clustering_net()
+
+    def runs(table):
+        out = [compile_targets(net, table, 0.0, "exact"),
+               compile_targets(net, table, 0.1, "hybrid")]
+        out += [run_distributed(net, table, 0.0, "exact", workers=workers,
+                                job_depth=2) for workers in (1, 2)]
+        return [(r.stats.branches, r.stats.propagations,
+                 [(tb.eid, tb.lower.hex(), tb.upper.hex()) for tb in r.targets])
+                for r in out]
+
+    want = runs(vt)
+    unread = (("unread", 0.3),)
+    assert runs(VarTable(unread + vt.vars)) == want
+    assert runs(VarTable(vt.vars + unread)) == want
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -262,8 +283,8 @@ def test_ledger_result_does_not_depend_on_commit_order():
     for order in ("abc", "cba"):
         ledger = _Ledger([0.0], [1.0], Stats())
         for job in order:
-            ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], [0.0],
-                          Stats())
+            ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], 0.0,
+                          0.0, Stats())
         tb, = _result_from_ledger(net, ledger, "exact", 0.0).targets
         results.append((repr(tb.lower), repr(tb.upper)))
     assert results[0] == results[1]
