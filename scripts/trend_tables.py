@@ -8,8 +8,9 @@ around.  All numbers are deterministic work counts, not timings:
   2. the approximation schemes on the three correlation patterns;
   3. hybrid work as the certain-point fraction grows;
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
-     instances: grounded tree nodes, distinct grounded objects and network
-     nodes, the work that the setup seconds pay for.
+     instances, and on folded markov data with 12 groups: grounded tree
+     nodes, distinct grounded objects and network nodes, the work that the
+     setup seconds pay for.
 """
 
 import argparse
@@ -85,9 +86,10 @@ def tree_counts(roots):
 
 
 def table_setup():
-    # the benchmark's layouts (generator seeds 3 and 0); its rotation of the
-    # coordinates leaves these counts unchanged
-    print("\n== setup work per instance (benchmark layouts) ==")
+    # the benchmark's layouts (generator seeds 3 and 0), whose rotation of
+    # the coordinates leaves these counts unchanged, then markov data with
+    # 12 groups, where each group's event names the previous group's point
+    print("\n== setup work per instance (benchmark layouts, markov n=48) ==")
     print("%-36s %-8s %-9s %-8s" % ("instance", "tree", "distinct", "nodes"))
     rows = []
     for pool in (8, 10):
@@ -103,7 +105,8 @@ def table_setup():
             ("folded positive n=20 pool=10", "positive", dict(n=20, pool=10)),
             ("folded mutex n=20", "mutex",
              dict(n=20, m=4, mutex_encoding="selector")),
-            ("folded markov n=16", "markov", dict(n=16))):
+            ("folded markov n=16", "markov", dict(n=16)),
+            ("folded markov n=48", "markov", dict(n=48))):
         ds = gen_correlations(scheme=scheme, group=4, l=2, seed=0,
                               iterations=3, **kwargs)
         tr = translate_to_event_program(ast, ds)
@@ -114,7 +117,7 @@ def table_setup():
     for label, roots, grounded in rows:
         size, distinct = tree_counts(roots)
         print("%-36s %-8d %-9d %-8d" % (label, size, distinct,
-                                        build_network(grounded).node_count()))
+                                        len(build_network(grounded).nodes)))
 
 
 def main():

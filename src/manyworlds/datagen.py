@@ -28,7 +28,8 @@ from .events import (
     Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE, first_true,
     map_children,
 )
-from .eventprog import _LineParser, _tokenize_line, format_expr, ProgramSyntaxError
+from .eventprog import (_LineParser, _tokenize_line, decl, format_expr,
+                        ProgramSyntaxError, ref)
 
 
 class DatasetError(Exception):
@@ -67,6 +68,13 @@ class Dataset:
         """Resolve point-id references: maps point id -> its event expression."""
         return {p.id: p.event for p in self.points}
 
+    def lineage(self):
+        """``Obj[l] := <point l's event>`` for each point; a point-id
+        reference becomes ``Obj[index]``, so each event is declared once."""
+        idx_of = {p.id: l for l, p in enumerate(self.points)}
+        return [decl("Obj", (l,), _points_to_refs(p.event, idx_of))
+                for l, p in enumerate(self.points)]
+
     def medoid_preference(self, i):
         """Index order in which cluster i picks its initial medoid.
 
@@ -80,13 +88,13 @@ class Dataset:
         taken = set(self.params.medoids)
         return [primary] + [j for j in range(self.n - 1, -1, -1) if j not in taken]
 
-    def initial_medoid(self, i, exists):
+    def initial_medoid(self, i):
         """Cluster i's initial medoid as a c-value: the coordinates of the
-        first point in ``medoid_preference(i)`` whose event holds, undefined
-        if none does.  ``exists[l]`` is the event that point l exists.
+        first point in ``medoid_preference(i)`` that exists (its ``Obj``
+        declaration holds), undefined if none does.
         """
         chain = self.medoid_preference(i)
-        guards = first_true([exists[l] for l in chain])
+        guards = first_true([ref("Obj", l) for l in chain])
         terms = [CondVal(g, tuple(self.points[l].coords))
                  for l, g in zip(chain, guards)]
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
@@ -131,12 +139,18 @@ class Dataset:
         )
         known = set(vt.index)
         points = []
-        ids = []
+        ids = set()
         for rec in doc["points"]:
-            expr = parse_event_text(rec["event"], known, set(ids))
+            if rec["id"] in ids:
+                raise DatasetError("duplicate point id %r" % rec["id"])
+            expr = parse_event_text(rec["event"], known, ids)
             points.append(Point(rec["id"], tuple(float(x) for x in rec["coords"]),
                                 expr))
-            ids.append(rec["id"])
+            ids.add(rec["id"])
+        if len(p.medoids) != p.k or not all(
+                type(m) is int and 0 <= m < len(points) for m in p.medoids):
+            raise DatasetError("medoids must be %d point indices below %d, got %r"
+                               % (p.k, len(points), list(p.medoids)))
         return cls(vt, points, p, doc.get("meta", {}), doc.get("matrix"))
 
     @classmethod
@@ -172,6 +186,15 @@ def _resolve_names(e, variables, point_ids):
     if isinstance(e, (Const, Not, And, Or)):
         return map_children(e, lambda c: _resolve_names(c, variables, point_ids))
     raise DatasetError("dataset events must be propositional: %r" % (e,))
+
+
+def _points_to_refs(expr, idx_of):
+    """Rewrite point-id references in a point's event to Obj declarations."""
+    if isinstance(expr, Ref):
+        return ref("Obj", idx_of[expr.name])
+    if isinstance(expr, (Var, Const, Not, And, Or)):
+        return map_children(expr, lambda c: _points_to_refs(c, idx_of))
+    raise TypeError("unsupported event in dataset: %r" % (expr,))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +240,8 @@ def gen_correlations(n, scheme, group=4, certain=0.0, prob_range=(0.5, 0.8),
         raise DatasetError("unknown scheme %r" % scheme)
     if group < 1 or l < 1 or m < 1:
         raise DatasetError("group, l and m must be >= 1")
+    if k > n:
+        raise DatasetError("k=%d medoids but only %d points" % (k, n))
 
     rng = random.Random(seed)
     n_certain = int(certain * n)

@@ -1,9 +1,10 @@
 """Medoid-based clustering as an event program.
 
 Builds, for a probabilistic dataset, the declarations that trace k-medoids
-symbolically: object c-values, initial medoids with a deterministic fallback
-chain, per-iteration assignment events with prefix tie-breaking, distance
-sums, medoid-selection events and the next-iteration medoid c-values.
+symbolically: the points' lineage and object c-values, initial medoids with
+a deterministic fallback chain (both from ``Dataset``), per-iteration
+assignment events with prefix tie-breaking, distance sums, medoid-selection
+events and the next-iteration medoid c-values.
 
 Two deliberate strengthenings over the shortest possible encoding keep the
 traced algorithm equal to running k-medoids directly in each world:
@@ -22,8 +23,7 @@ from __future__ import annotations
 import math
 
 from .events import (
-    Add, And, Atom, CondVal, Const, Dist, Guard, Not, Or, Ref, Var, first_true,
-    map_children,
+    Add, And, Atom, CondVal, Dist, Guard, Not, Or, Ref, Var, first_true,
 )
 from .eventprog import Affine, Decl, EventProgram, Loop, decl, ref
 
@@ -40,20 +40,11 @@ def build_kmedoids_program(dataset, cooccurrence=()):
     T = dataset.params.iterations
     if T < 1:
         raise ValueError("need at least one iteration")
-    items = []
-    idx_of = {p.id: i for i, p in enumerate(dataset.points)}
-
-    def obj_event(expr):
-        return _points_to_refs(expr, idx_of)
-
-    for l, p in enumerate(dataset.points):
-        items.append(decl("Obj", (l,), obj_event(p.event)))
+    items = dataset.lineage()
     for l, p in enumerate(dataset.points):
         items.append(decl("O", (l,), CondVal(ref("Obj", l), tuple(p.coords))))
-
-    objs = [ref("Obj", l) for l in range(n)]
     for i in range(k):
-        items.append(decl("M", (i, -1), dataset.initial_medoid(i, objs)))
+        items.append(decl("M", (i, -1), dataset.initial_medoid(i)))
 
     it = Affine.var("it")
     prev = it.plus(-1)
@@ -124,15 +115,6 @@ def build_kmedoids_program(dataset, cooccurrence=()):
 
 def _add(terms):
     return Add(tuple(terms))
-
-
-def _points_to_refs(expr, idx_of):
-    """Rewrite point-id references in dataset events to Obj declarations."""
-    if isinstance(expr, Ref):
-        return ref("Obj", idx_of[expr.name])
-    if isinstance(expr, (Var, Const, Not, And, Or)):
-        return map_children(expr, lambda c: _points_to_refs(c, idx_of))
-    raise TypeError("unsupported event in dataset: %r" % (expr,))
 
 
 def cluster_spec(meta):

@@ -140,9 +140,6 @@ class EventNetwork:
             self.var_nodes[name] = nid
         return nid
 
-    def node_count(self):
-        return len(self.nodes)
-
     def dump(self):
         """Line-oriented debug dump: ``nodeid kind children...``."""
         out = []

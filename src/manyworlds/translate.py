@@ -16,6 +16,8 @@ tie-breaking forms expand into prefix-exclusion events (the first true entry
 of a tied group survives).  ``reduce_*`` calls over comprehensions expand
 into n-ary connectives, sums and products; comprehension filters become
 guards chosen so that a filtered-out element is neutral for the reduction.
+``loadData()`` declares each point's event once, as ``kmedoids`` does
+(``Dataset.lineage``); the objects and ``init()``'s medoid chains name it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 from .events import (
     Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    FALSE, TRUE, first_true, map_children,
+    FALSE, TRUE, first_true,
 )
-from .eventprog import Affine, Decl, EventProgram, Loop, render_eid
+from .eventprog import Affine, Decl, EventProgram, Loop, ref, render_eid
 from . import userlang as ul
 
 
@@ -116,7 +118,7 @@ class _Translator:
         self.stack = []        # active _Block chain, outermost first
         self.block_ids = 0
         self.fresh = 0
-        self.exists = None     # per point, its inlined event; set by loadData
+        self.loaded = False    # loadData() has declared the points' lineage
 
     # --- entry point ---------------------------------------------------------
 
@@ -290,10 +292,12 @@ class _Translator:
             st = self.bump(obj_var, ctx)
             st.dims = [ds.n]
             st.kind = "vec"
-            self.exists = [_inline_points(p.event, ds) for p in ds.points]
+            if not self.loaded:
+                out.extend(ds.lineage())
+                self.loaded = True
             for l, p in enumerate(ds.points):
                 out.append(Decl(obj_var, tuple(list(st.path) + [Affine(l)]),
-                                CondVal(self.exists[l], tuple(p.coords))))
+                                CondVal(ref("Obj", l), tuple(p.coords))))
             if len(item.targets) == 3:
                 mat_var = item.targets[2]
                 if ds.matrix is None:
@@ -308,14 +312,14 @@ class _Translator:
                             CondVal(TRUE, float(ds.matrix[i][j]))))
             return out
         # init(): initial representatives from the configured preference chains
-        if self.exists is None:
+        if not self.loaded:
             raise TranslateError("init() requires loadData() first")
         var = item.targets[0]
         st = self.bump(var, ctx)
         st.dims = [ds.params.k]
         st.kind = "vec"
         return [Decl(var, tuple(list(st.path) + [Affine(i)]),
-                     ds.initial_medoid(i, self.exists))
+                     ds.initial_medoid(i))
                 for i in range(ds.params.k)]
 
     # --- statements ----------------------------------------------------------------
@@ -585,17 +589,6 @@ def _mentions(e, var):
             return True
         return e.cond is not None and _mentions(e.cond, var)
     return False
-
-
-def _inline_points(e, dataset):
-    return _inline_refs(e, dataset.event_env())
-
-
-def _inline_refs(e, env):
-    """Replace point-id references by the referenced points' events."""
-    if isinstance(e, Ref):
-        return _inline_refs(env[e.name], env)
-    return map_children(e, lambda c: _inline_refs(c, env))
 
 
 def translate_to_event_program(program, dataset):

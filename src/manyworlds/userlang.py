@@ -6,7 +6,8 @@ literals, identifiers, array initialisation ``[None] * n``, comparisons,
 ``reduce_*`` calls over list comprehensions, ``pow``, ``invert``, ``dist``,
 ``scalar_mult``, tie-breaking calls, sums and products.  Input data enters
 through the abstract calls ``loadData()``, ``loadParams()`` and ``init()``,
-bound to a dataset at translation time.
+bound to a dataset at translation time.  ``Obj`` is reserved: it names the
+points' lineage events, which ``loadData()`` declares.
 """
 
 from __future__ import annotations
@@ -528,23 +529,25 @@ class _Validator:
                                      getattr(node, "line", 0), getattr(node, "col", 0)))
 
     def run(self, program):
-        self._scan_reassignments(program.items, set())
+        self._scan_bindings(program.items, set())
         self._block(program.items, top=True)
         return self.diags
 
-    def _scan_reassignments(self, items, seen):
+    def _scan_bindings(self, items, seen):
         for item in items:
             if isinstance(item, UFor):
-                self._scan_reassignments(item.body, seen)
-            elif isinstance(item, UAssign) and isinstance(item.target, UName):
-                if item.target.name in seen:
-                    self.reassigned.add(item.target.name)
-                seen.add(item.target.name)
-            elif isinstance(item, UExtCall):
-                for n in item.targets:
-                    if n in seen:
-                        self.reassigned.add(n)
-                    seen.add(n)
+                self._scan_bindings(item.body, seen)
+                continue
+            if isinstance(item, UExtCall):
+                names = item.targets
+            else:
+                names = [item.target.name] if isinstance(item.target, UName) else []
+            for name in names:
+                if name == "Obj":
+                    self.report("reserved-name", "Obj names the data's lineage", item)
+                if name in seen:
+                    self.reassigned.add(name)
+                seen.add(name)
 
     def _block(self, items, top=False):
         for item in items:

@@ -2,21 +2,13 @@ import pytest
 
 from manyworlds.datagen import Dataset, DatasetError, gen_correlations
 from manyworlds.events import Const, eval_event
-from manyworlds.eventprog import EventProgram, decl, ground
+from manyworlds.eventprog import EventProgram, decl, ground, ref
 from manyworlds.oracle import oracle_probabilities
-
-
-def _event_program(ds):
-    idx = {p.id: i for i, p in enumerate(ds.points)}
-    from manyworlds.kmedoids import _points_to_refs
-    items = [decl("Obj", (i,), _points_to_refs(p.event, idx))
-             for i, p in enumerate(ds.points)]
-    return EventProgram(tuple(items))
 
 
 def _existence_probs(ds, pairs=()):
     from manyworlds.events import And, Ref
-    items = list(_event_program(ds).items)
+    items = ds.lineage()
     for (a, b) in pairs:
         items.append(decl("Both", (a, b),
                           And((Ref("Obj[%d]" % a), Ref("Obj[%d]" % b)))))
@@ -52,7 +44,8 @@ def test_certain_fraction_one_single_world():
 
 def test_certain_points_exist_everywhere():
     ds = gen_correlations(8, "positive", group=4, certain=0.5, seed=9)
-    g = ground(_event_program(ds), ("*",), variables=set(ds.vartable.index))
+    g = ground(EventProgram(tuple(ds.lineage())), ("*",),
+               variables=set(ds.vartable.index))
     from manyworlds.oracle import world_reports
     for rep in world_reports(g, ds.vartable):
         for i in range(4):
@@ -120,13 +113,32 @@ def test_validation_errors():
         gen_correlations(4, "positive", prob_range=(0.0, 0.5))
     with pytest.raises(DatasetError):
         gen_correlations(4, "nope")
+    with pytest.raises(DatasetError, match="k=3"):
+        gen_correlations(2, "positive", k=3, group=1)
+    assert gen_correlations(3, "positive", k=3, group=1).params.medoids == (0, 1, 2)
+
+
+def test_duplicate_point_ids_rejected(line_dataset):
+    # a later event naming o1 would resolve to whichever point came last
+    doc = line_dataset.to_json()
+    doc["points"][2]["id"] = "o1"
+    with pytest.raises(DatasetError, match="duplicate point id 'o1'"):
+        Dataset.from_json(doc)
+
+
+@pytest.mark.parametrize("medoids", [[1], [1, 3, 0], [1, 4], [-1, 3], [1, 2.0],
+                                     [True, 3]])
+def test_medoids_must_be_k_point_indices(line_dataset, medoids):
+    doc = line_dataset.to_json()
+    assert Dataset.from_json(doc).params.medoids == (1, 3)
+    doc["params"]["medoids"] = medoids
+    with pytest.raises(DatasetError, match="medoids"):
+        Dataset.from_json(doc)
 
 
 def test_dataset_event_rewriters_keep_their_errors():
-    from manyworlds.datagen import Params, Point, parse_event_text
+    from manyworlds.datagen import Params, Point, _points_to_refs, parse_event_text
     from manyworlds.events import And, Atom, CondVal, Not, Or, Ref, TRUE, Var, VarTable
-    from manyworlds.kmedoids import _points_to_refs
-    from manyworlds.translate import _inline_points
     assert parse_event_text("!x1 | o0 & true", {"x1"}, {"o0"}) == \
         Or((Not(Var("x1")), And((Ref("o0"), TRUE))))
     with pytest.raises(DatasetError, match="propositional"):
@@ -140,4 +152,5 @@ def test_dataset_event_rewriters_keep_their_errors():
     ds = Dataset(VarTable.of(("x1", 0.5), ("x2", 0.5)),
                  [Point("o0", (0.0,), Var("x1")),
                   Point("o1", (1.0,), And((Ref("o0"), Not(Var("x2")))))], Params())
-    assert _inline_points(ds.points[1].event, ds) == And((Var("x1"), Not(Var("x2"))))
+    assert [d.expr for d in ds.lineage()] == [
+        Var("x1"), And((ref("Obj", 0), Not(Var("x2"))))]

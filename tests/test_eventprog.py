@@ -176,10 +176,8 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
     # stays in memory until the next full collection: on the benchmark's
     # exact-unfolded grounding that raised the peak footprint by about 10%
     import gc
-    from manyworlds.datagen import _resolve_names
+    from manyworlds.datagen import _points_to_refs, _resolve_names
     from manyworlds.eventprog import _bind, _Grounder
-    from manyworlds.kmedoids import _points_to_refs
-    from manyworlds.translate import _inline_points
     i = Affine.var("i")
     e = And((Ref("A", (i,)), CondVal(Var("x"), i)))
     event = line_dataset.points[3].event
@@ -189,7 +187,7 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
         lambda: _bind(e, {"i": 2}),
         lambda: _resolve_names(event, {"x2", "x4"}, ()),
         lambda: _points_to_refs(event, {}),
-        lambda: _inline_points(event, line_dataset),
+        line_dataset.lineage,
     ]
     gc.collect()
     gc.disable()

@@ -190,7 +190,7 @@ def test_folded_node_count_constant_and_unfolded_grows(line_dataset):
         vs = set(line_dataset.vartable.index)
         net_u = build_network(ground(prog, (meta["targets"],), vs))
         net_f = build_network(ground_folded(prog, (meta["targets"],), vs))
-        counts.append((net_u.node_count(), net_f.node_count()))
+        counts.append((len(net_u.nodes), len(net_f.nodes)))
     assert counts[0][1] == counts[1][1] == counts[2][1]
     assert counts[0][0] < counts[1][0] < counts[2][0]
 
@@ -211,7 +211,7 @@ def test_network_dump_lines():
     net = build_network(ground(p, ("A",)))
     dump = net.dump()
     lines = dump.strip().splitlines()
-    assert len(lines) == net.node_count()
+    assert len(lines) == len(net.nodes)
     assert lines[0].split()[0] == "0"
     kinds = {ln.split()[1] for ln in lines}
     assert {"var", "and"} <= kinds

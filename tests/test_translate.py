@@ -1,14 +1,18 @@
 import itertools
+import os
 
 import pytest
 
-from conftest import values_close
+from conftest import FIXTURES, values_close
 from manyworlds.datagen import Dataset, Params, Point, gen_correlations
-from manyworlds.events import Add, Ref, Var, VarTable, eval_cval, eval_event
-from manyworlds.eventprog import (
-    Affine, Decl, Loop, emit_event_program, ground,
+from manyworlds.events import (
+    Add, Ref, Var, VarTable, children_of, eval_cval, eval_event,
 )
-from manyworlds.kmedoids import example_line_dataset
+from manyworlds.eventprog import (
+    Affine, Decl, EventProgram, Loop, emit_event_program, ground, ground_folded,
+    ref,
+)
+from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.oracle import _Program, interpret_user_program
 from manyworlds.translate import TranslateError, translate_to_event_program
 from manyworlds.userlang import parse_user_program
@@ -171,6 +175,50 @@ def test_unresolved_dataset_binding():
     src = "(O, n, W) = loadData()\nS = W[0][0]\n"
     with pytest.raises(TranslateError, match="matrix"):
         translate_to_event_program(parse_user_program(src), _empty_dataset())
+    with pytest.raises(TranslateError, match="init\\(\\) requires loadData"):
+        translate_to_event_program(parse_user_program("M = init()\n"),
+                                   _empty_dataset())
+
+
+# --- lineage: each point's event declared once ------------------------------------
+
+
+def test_kmedoids_event_program_text_is_pinned(line_dataset):
+    prog, _meta = build_kmedoids_program(line_dataset)
+    with open(os.path.join(FIXTURES, "line_kmedoids.ep")) as fh:
+        assert emit_event_program(prog) == fh.read()
+
+
+def test_both_front_ends_declare_the_same_lineage(kmedoids_src, line_dataset):
+    ds = line_dataset
+    tr = translate_to_event_program(parse_user_program(kmedoids_src), ds)
+    decls = [d for d in tr.program.items if isinstance(d, Decl)]
+    text = emit_event_program(EventProgram(tuple(decls)))
+    kmedoids_text = emit_event_program(build_kmedoids_program(ds)[0])
+    for line in kmedoids_text.splitlines()[:ds.n]:  # Obj[l] := ...
+        assert text.count(line + "\n") == 1, line
+    # the guards and the initial medoid chains name the declarations
+    objects = [d.expr for d in decls if d.name == "O"]
+    assert [o.guard for o in objects] == [ref("Obj", l) for l in range(ds.n)]
+    medoids = [d.expr for d in decls if d.name == "M"]
+    assert medoids == [ds.initial_medoid(i) for i in range(ds.params.k)]
+
+
+def test_folded_markov_lineage_grows_linearly(kmedoids_src):
+    # twelve markov groups: each group's event names the previous group's
+    # point twice, so a copy of the events in each point's guard doubles
+    # with every group; declared once, each point adds a constant
+    ds = gen_correlations(48, "markov", group=4, seed=0, iterations=2)
+    tr = translate_to_event_program(parse_user_program(kmedoids_src), ds)
+    f = ground_folded(tr.program, (tr.loop_final_pattern("Centre"),),
+                      set(ds.vartable.index))
+    bound = 16 * ds.n
+    size, stack = 0, [e for eid, e in f.base.items()
+                      if eid.startswith(("Obj[", "O["))]
+    while stack and size <= bound:
+        size += 1
+        stack.extend(children_of(stack.pop()))
+    assert size <= bound
 
 
 # --- tie-break encoding ---------------------------------------------------------

@@ -129,6 +129,17 @@ for i in range(0, 2):
     assert any(d.rule == "ext-top-level" for d in diags)
 
 
+@pytest.mark.parametrize("src", [
+    "Obj = 1 <= 2\n",
+    "(Obj, n) = loadData()\n",
+    "(O, n) = loadData()\nfor i in range(0, n):\n Obj = O[i]\n",
+])
+def test_obj_is_reserved_for_the_lineage(src):
+    # loadData() declares Obj[l], point l's event; a user Obj would collide
+    diags = validate_user_program(parse_user_program(src))
+    assert [d.rule for d in diags] == ["reserved-name"]
+
+
 def test_pretty_print_fixpoint(kmedoids_src, kmeans_src, graphflow_src):
     for src in (kmedoids_src, kmeans_src, graphflow_src,
                 "M = 7\nM = M + 2\nB = M <= 9\n"):
