@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Counted-work tables: how pruning and structure exploitation scale.
 
-Four tables, mirroring the performance questions the engine is built
+Five tables, mirroring the performance questions the engine is built
 around.  All numbers are deterministic work counts, not timings:
 
   1. exact vs the naive per-world baseline as the variable count grows;
@@ -10,18 +10,22 @@ around.  All numbers are deterministic work counts, not timings:
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
      instances, and on folded markov data with 12 groups: grounded tree
      nodes, distinct grounded objects and network nodes, the work that the
-     setup seconds pay for.
+     setup seconds pay for;
+  5. the propagation work of the benchmark's exact-unfolded and
+     anytime-folded searches: branches, and mask writes by node kind, read
+     off the undo trail after each assignment.
 """
 
 import argparse
 import os
+from collections import Counter
 
-from manyworlds.compile import compile_targets
+from manyworlds.compile import Search, compile_targets
 from manyworlds.datagen import gen_correlations
 from manyworlds.eventprog import ground, ground_folded
 from manyworlds.events import children_of
 from manyworlds.kmedoids import build_kmedoids_program
-from manyworlds.network import build_network
+from manyworlds.network import MaskState, build_network
 from manyworlds.translate import translate_to_event_program
 from manyworlds.userlang import parse_user_program
 
@@ -120,6 +124,64 @@ def table_setup():
                                         len(build_network(grounded).nodes)))
 
 
+def propagation_work(net, vt, epsilon, scheme):
+    """(branches, initial writes, writes by node kind) of one search.
+
+    Each assignment's writes are the trail entries it appended, so the
+    tally needs no counter inside the propagation loop."""
+    state = MaskState(net)
+    init_writes, kinds = state.stats.propagations, Counter()
+    plain_assign, nodes = state.assign, state.tables.nodes
+
+    def assign(*args):
+        start = len(state.trail)
+        plain_assign(*args)
+        kinds.update(nodes[idx].kind for idx, _old in state.trail[start:])
+
+    state.assign = assign
+    search = Search(net, vt, epsilon, scheme, state=state)
+    search.preassign_certain()
+    search.check_targets_reachable()
+    if not search.all_resolved():
+        search.run()
+    assert init_writes + sum(kinds.values()) == state.stats.propagations
+    return state.stats.branches, init_writes, kinds
+
+
+def table_propagation():
+    # the benchmark's layouts and queries: exact on the unfolded k-medoids
+    # program (generator seed 3), hybrid 0.1 on the folded user program
+    # (generator seed 0); "loop" is a carry node.  The benchmark's seeds
+    # also rotate the coordinates, which rounds some distances differently
+    # and moves the write counts by well under 1%
+    print("\n== propagation work per search (benchmark layouts) ==")
+    rows = []
+    for pool in (8, 10):
+        net, vt = instance("positive", 3, pool=pool)
+        rows.append(("exact unfolded positive pool=%d" % pool,
+                     propagation_work(net, vt, 0.0, "exact")))
+    with open(KMEDOIDS) as fh:
+        ast = parse_user_program(fh.read())
+    for label, scheme, kwargs in (
+            ("hybrid folded positive pool=10", "positive", dict(pool=10)),
+            ("hybrid folded mutex", "mutex", dict(mutex_encoding="selector")),
+            ("hybrid folded markov n=16", "markov", dict(n=16))):
+        kwargs.setdefault("n", 20)
+        ds = gen_correlations(scheme=scheme, group=4, l=2, seed=0,
+                              iterations=3, **kwargs)
+        tr = translate_to_event_program(ast, ds)
+        f = ground_folded(tr.program, (tr.loop_final_pattern("Centre"),),
+                          set(ds.vartable.index))
+        rows.append((label, propagation_work(build_network(f), ds.vartable,
+                                             0.1, "hybrid")))
+    print("%-32s %-8s %-6s %-7s %s" % ("instance", "branches", "init",
+                                       "assign", "assign writes by kind"))
+    for label, (branches, init_writes, kinds) in rows:
+        print("%-32s %-8d %-6d %-7d %s" % (
+            label, branches, init_writes, sum(kinds.values()),
+            " ".join("%s=%d" % kv for kv in kinds.most_common())))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
@@ -129,6 +191,7 @@ def main():
     table_schemes(args.seed, args.epsilon)
     table_certain(args.seed)
     table_setup()
+    table_propagation()
 
 
 if __name__ == "__main__":

@@ -10,16 +10,17 @@ bottom-up; every mask write is recorded on an undo trail so the depth-first
 search can backtrack in O(changes).
 
 Each ``MaskState`` keeps one list ``masks`` over instance slots: a Boolean
-slot holds ``UNKNOWN``, ``MASK_TRUE`` or ``MASK_FALSE``, a numeric slot a
-``NumMask``.  The node's kind code says which a slot holds.  A scalar mask's
-interval ends are floats, a vector mask's are tuples of floats, one per
-component.  A rule whose result is certainly undefined returns ``UNDEF``,
-except ``_guard`` and ``_condval``, which keep their interval.  The rules
-keep one invariant: a mask that may be defined has its static kind's shape,
-and no rule reads the interval of a mask whose ``may_def`` is False.
+slot holds ``UNKNOWN``, ``MASK_TRUE`` or ``MASK_FALSE`` (those three objects,
+so an identity test tells them apart), a numeric slot a ``NumMask``.  A
+scalar mask's interval ends are floats, a vector mask's are tuples of
+floats, one per component.  A rule whose result is certainly undefined
+returns ``UNDEF``, except ``_guard`` and ``_condval``, which keep their
+interval.  The rules keep one invariant: a mask that may be defined has its
+static kind's shape, and no rule reads the interval of a mask whose
+``may_def`` is False.
 
-Propagation is levelized.  Each (node, iteration) instance has a flat slot
-index, ``EventNetwork.slot``: ``t*N + id`` for in-loop nodes and ``id`` for
+Each (node, iteration) instance has a flat slot index,
+``EventNetwork.slot``: ``t*N + id`` for in-loop nodes and ``id`` for
 iteration-independent (base) nodes.  That index is topological, because
 every child slot is smaller than the slot that reads it:
 
@@ -31,25 +32,35 @@ every child slot is smaller than the slot that reads it:
     ``t=0``, and its ``source`` at ``t-1`` after that, whose slot (base or
     in-loop) is below ``t*N``.
 
-The first ``MaskState`` on a network compiles it into ``SlotTables``: an
-integer kind code per node, and per slot a tuple of child slots, with the
-carry nodes' iteration shift already expanded, and a tuple of parent slots,
-its inverse.  Building them outside ``build_network`` keeps that work
-out of network construction; every mask state on the network, one per
-worker, shares them read-only.  An assignment drains dirty slots from a
-min-heap.  A slot is pushed at most once per assignment, because a stamp
-list marks the assignment that last queued it.  Since every push is of a
-parent of the slot just popped, slots pop in rising order.  So each
-instance is recomputed once, after all of its changed children, and is
-written at most once per assignment.
+The first ``MaskState`` on a network compiles it into ``SlotTables``: per
+slot a tuple of child slots, with the carry nodes' iteration shift already
+expanded, a tuple of parent slots, its inverse, a level, and the rule and
+node that compute its mask, an atom's rule already chosen by its
+comparison.  Building them outside ``build_network`` keeps that work out of
+network construction; every mask state on the network, one per worker,
+shares them read-only.  The first state also leaves its initial masks
+there, and every later state loads them instead of computing them again.
+
+Propagation is levelized.  A slot's level is 0 without children, else one
+more than its highest child's.  An assignment appends each dirty slot to
+its state's list for that level and drains the lists in rising level
+order, so each instance is recomputed once, from the final masks of all of
+its changed children, and is written at most once per assignment.  A stamp
+list marks the assignment that last queued each slot, so a slot is queued
+at most once.  A decided slot's stamp is ``DECIDED``, above every
+assignment's, so it is never queued: masks only tighten, and a decided
+mask cannot change until a revert, which drops the stamp of every slot it
+restores.  The order within a level is the order of queueing; it moves
+neither a mask nor a bound, since each slot reads only final child masks and
+each target is credited at most once per assignment.
 
 The search picks its next variable by how many undecided instances lie
 above it, so ``MaskState.unknown_bits`` keeps one bit per instance slot that
 is still undecided: a Boolean mask that is UNKNOWN, or a numeric mask that
 still allows two outcomes (a defined value and the undefined element, or two
-defined values).  Every slot starts undecided, and writes only clear bits,
-because masks only tighten: an assignment skips decided instances, and
-initialisation writes each instance once.  A checkpoint therefore carries
+defined values).  Initialisation sets the bits of the instances it leaves
+undecided.  After it, writes only clear bits, because masks only tighten and
+an assignment never queues a decided instance.  A checkpoint carries
 the bits with the trail length, and reverting restores them in one step.
 
 Networks come in two modes.  *Unfolded* networks instantiate every loop
@@ -63,8 +74,8 @@ the iteration bound.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
@@ -83,6 +94,9 @@ NumMask = namedtuple("NumMask", "lo hi may_undef may_def")
 UNDEF = NumMask(0.0, 0.0, True, False)  # certainly undefined
 
 UNKNOWN, MASK_TRUE, MASK_FALSE = 0, 1, 2
+
+# the ``MaskState.queued`` stamp of a decided slot, above every epoch
+DECIDED = sys.maxsize
 
 
 def _decided(m):
@@ -160,40 +174,30 @@ class EventNetwork:
         return "\n".join(out) + "\n"
 
 
-# the mask kinds in code order, each computed by its rule
-# ``MaskState._<kind>`` (both carry kinds by ``_carry``); the Boolean kinds
-# come first, so a code below NUMERIC marks a Boolean node
-_KINDS = ("and", "or", "not", "atom", "carry_bool", "const", "var",
-          "condval", "guard", "add", "mul", "dist", "inv", "pow", "carry_num")
-_CODES = {kind: code for code, kind in enumerate(_KINDS)}
-NUMERIC = _CODES["condval"]
-
-
-def _kind_code(node):
-    if node.kind == "loop":  # a carry node copies a mask of either kind
-        return _CODES["carry_bool" if node.vkind == "b" else "carry_num"]
-    return _CODES[node.kind]
-
-
 class SlotTables:
     """An event network flattened over its (node, iteration) instance slots.
 
-    ``codes[nid]`` is node ``nid``'s kind code.  ``children[slot]`` holds the
-    slots a slot's mask is computed from, in the node's child order; a carry
-    node reads its initial declaration at ``t=0`` and its source at ``t-1``
-    after that.  ``parents[slot]`` holds the slots that read it, in rising
-    order: the inverse of ``children``.  Slots that no instance uses (a base
-    node's slot at ``t>0``) have neither.  Every edge rises: a child's slot
-    is smaller than its parent's.
+    ``children[slot]`` holds the slots a slot's mask is computed from, in
+    the node's child order; a carry node reads its initial declaration at
+    ``t=0`` and its source at ``t-1`` after that.  ``parents[slot]`` holds
+    the slots that read it, in rising order: the inverse of ``children``.
+    ``level[slot]`` is 0 for a slot without children, else one more than
+    its highest child's.  ``rules[slot](state, nodes[slot], children[slot])``
+    computes the slot's mask; the rule is picked per node when the tables
+    are built (``_rule_of``).  Slots that no instance uses (a base node's
+    slot at ``t>0``) have no edges, and their rule and node are None.  Every
+    edge rises: a child's slot is smaller than its parent's.  ``initial``
+    holds the masks before any assignment (``MaskState._init_masks``).
     """
 
-    __slots__ = ("codes", "children", "parents")
+    __slots__ = ("children", "parents", "level", "rules", "nodes", "initial")
 
     def __init__(self, net):
         nodes, N, T, slot_of = net.nodes, len(net.nodes), net.T, net.slot
-        self.codes = [_kind_code(node) for node in nodes]
         children = [()] * (N * T)
+        rules, snodes = [None] * (N * T), [None] * (N * T)
         for node in nodes:
+            rule = _rule_of(node, nodes)
             for t in range(T) if node.in_loop else (0,):
                 if node.kind != "loop":
                     kids, kt = node.children, t
@@ -201,13 +205,22 @@ class SlotTables:
                     kids, kt = (node.payload["init"],), 0
                 else:
                     kids, kt = (node.payload["source"],), t - 1
-                children[t * N + node.id] = tuple([slot_of(c, kt) for c in kids])
+                idx = t * N + node.id
+                children[idx] = tuple([slot_of(c, kt) for c in kids])
+                rules[idx], snodes[idx] = rule, node
         parents = [[] for _ in children]
-        for slot, kids in enumerate(children):
+        level = [0] * len(children)
+        for slot, kids in enumerate(children):  # children first: slots rise
             for c in kids:
                 parents[c].append(slot)
+                if level[c] >= level[slot]:
+                    level[slot] = level[c] + 1
         self.children = children
         self.parents = [tuple(out) for out in parents]
+        self.level = level
+        self.rules = rules
+        self.nodes = snodes
+        self.initial = None  # set by the first MaskState on the network
 
 
 _NODE_KINDS = {Const: "const", Not: "not", And: "and", Or: "or", Atom: "atom",
@@ -467,7 +480,7 @@ class MaskState:
         self.N = len(net.nodes)
         self.T = net.T
         size = self.N * self.T
-        self.masks = [UNKNOWN] * size  # numeric slots are set by _init_masks
+        self.masks = [UNKNOWN] * size
         self.trail = []
         self.stats = Stats()
         self.problower = [0.0] * len(net.targets)
@@ -476,19 +489,15 @@ class MaskState:
         # the running job started (``distributed._Runner.execute``)
         self.credited = [0.0] * len(net.targets)
         self.taken = [0.0] * len(net.targets)
-        # every instance starts undecided: all N slots of iteration 0, and
-        # the in-loop slots of each later iteration
-        loop_bits = sum(1 << nid for nid, node in enumerate(net.nodes)
-                        if node.in_loop)
-        self.unknown_bits = (1 << self.N) - 1
-        for t in range(1, self.T):
-            self.unknown_bits |= loop_bits << (t * self.N)
         self.target_at = {}
         for i, (nid, t, _eid) in enumerate(net.targets):
             self.target_at.setdefault(net.slot(nid, t), []).append(i)
-        # a slot is queued in the current assignment iff its stamp is epoch
+        # a slot is queued in the current assignment iff its stamp is epoch;
+        # a decided slot's stamp is DECIDED, above every epoch
         self.queued = [0] * size
         self.epoch = 0
+        # the dirty slots of the running assignment, one list per level
+        self.levels = [[] for _ in range(max(self.tables.level) + 1)]
         self._init_masks()
 
     # --- indexing -----------------------------------------------------------
@@ -504,29 +513,38 @@ class MaskState:
     # --- initialisation ------------------------------------------------------
 
     def _init_masks(self):
+        """Load every instance's mask before any assignment, and credit the
+        targets it decides.  The first state on a network computes the
+        masks and keeps a copy in ``SlotTables.initial`` for the rest (one
+        per worker)."""
+        tables = self.tables
+        if tables.initial is None:
+            tables.initial = self._initial_masks()
+        masks, unknown, writes = tables.initial
+        self.load_masks((masks, unknown))
+        for idx in self.target_at:
+            if masks[idx] != UNKNOWN:
+                self._credit(idx, masks[idx], 1.0)
+        self.stats.propagations += writes
+
+    def _initial_masks(self):
         # slots are topological, so computing each instance once, in slot
-        # order, reaches the initial fixpoint without any parent cascades;
-        # nothing reverts below it, so it leaves no trail
-        N, masks = self.N, self.masks
-        codes, children = self.tables.codes, self.tables.children
-        unknown, writes = self.unknown_bits, 0
-        for t in range(self.T):
-            for nid, node in enumerate(self.net.nodes):
-                if t and not node.in_loop:
-                    continue
-                idx = t * N + nid
-                code = codes[nid]
-                new = _RULES[code](self, node, children[idx])
-                if code < NUMERIC:
-                    if new == UNKNOWN:
-                        continue
-                    self._credit(idx, new, 1.0)
+        # order, reaches the initial fixpoint without any parent cascades
+        masks = self.masks
+        children, nodes = self.tables.children, self.tables.nodes
+        undecided, writes = bytearray((len(masks) + 7) >> 3), 0
+        for idx, rule in enumerate(self.tables.rules):
+            if rule is None:
+                continue  # no instance uses the slot
+            node = nodes[idx]
+            new = rule(self, node, children[idx])
+            if new is not UNKNOWN:
                 masks[idx] = new
                 writes += 1
-                if code < NUMERIC or _decided(new):
-                    unknown &= ~(1 << idx)
-        self.unknown_bits = unknown
-        self.stats.propagations += writes
+                if node.vkind == "b" or _decided(new):
+                    continue
+            undecided[idx >> 3] |= 1 << (idx & 7)
+        return list(masks), int.from_bytes(undecided, "little"), writes
 
     # --- trail ----------------------------------------------------------------
 
@@ -535,10 +553,13 @@ class MaskState:
         return len(self.trail), self.unknown_bits
 
     def revert(self, mark):
+        """Undo every write after ``mark``.  Each went to an undecided slot,
+        so the slot's stamp drops below every epoch again."""
         size, self.unknown_bits = mark
-        trail, masks = self.trail, self.masks
+        trail, masks, queued = self.trail, self.masks, self.queued
         for idx, old in reversed(trail[size:]):
             masks[idx] = old
+            queued[idx] = 0
         del trail[size:]
 
     def save_masks(self):
@@ -546,9 +567,15 @@ class MaskState:
         return list(self.masks), self.unknown_bits
 
     def load_masks(self, saved):
-        """Resume from what ``save_masks`` returned, with an empty trail."""
-        masks, self.unknown_bits = saved
+        """Resume from what ``save_masks`` returned, with an empty trail.
+
+        The decided stamps are rebuilt from the undecided bits: the saving
+        state's epochs mean nothing here."""
+        masks, unknown = saved
         self.masks[:] = masks
+        self.unknown_bits = unknown
+        bits = bin(unknown)[:1:-1].ljust(len(masks), "0")
+        self.queued[:] = [0 if bit == "1" else DECIDED for bit in bits]
         self.trail.clear()
 
     # --- assignment & propagation ----------------------------------------------
@@ -556,67 +583,63 @@ class MaskState:
     def assign(self, var_name, value, p):
         """Assign a variable, then bring every instance above it up to date.
 
-        Dirty slots are drained from a min-heap.  The slot index is
-        topological (see the module docstring), so a slot is popped only
-        after every changed child below it, and is recomputed once per
-        assignment; its stamp in ``queued`` keeps it from being pushed
-        twice.  Its parents are queued only if its mask changed.
+        Dirty slots wait in one list per level (``SlotTables.level``), and
+        the levels drain in rising order, so a slot is recomputed once, after
+        every changed child below it; its stamp in ``queued`` keeps it from
+        being queued twice.  A decided slot is never queued, because its
+        stamp is DECIDED.  Its parents are queued only if its mask changed.
         """
         nid = self.net.var_nodes.get(var_name)
         if nid is None:
             return  # variable unused by the network
-        masks, trail = self.masks, self.trail
+        masks, trail, queued = self.masks, self.trail, self.queued
         if masks[nid] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
         new = MASK_TRUE if value else MASK_FALSE
+        start = len(trail)
         trail.append((nid, UNKNOWN))
         masks[nid] = new
+        queued[nid] = DECIDED
         self._credit(nid, new, p)
-        unknown, writes = self.unknown_bits & ~(1 << nid), 1
-        N, nodes, target_at = self.N, self.net.nodes, self.target_at
+        unknown = self.unknown_bits ^ (1 << nid)  # its bit is set: undecided
+        target_at = self.target_at
         tables = self.tables
-        codes, children, parents = tables.codes, tables.children, tables.parents
-        queued, rules, pop, push = self.queued, _RULES, heappop, heappush
+        rules, nodes, children = tables.rules, tables.nodes, tables.children
+        parents, level = tables.parents, tables.level
+        levels = self.levels
         self.epoch = epoch = self.epoch + 1
-        heap = []
         for q in parents[nid]:
-            if queued[q] != epoch:
+            if queued[q] < epoch:
                 queued[q] = epoch
-                heap.append(q)
-        heapify(heap)
+                levels[level[q]].append(q)
         try:
-            while heap:
-                idx = pop(heap)
-                nid = idx % N
-                code = codes[nid]
-                old = masks[idx]
-                if code < NUMERIC:
-                    if old != UNKNOWN:
+            for dirty in levels:
+                for idx in dirty:  # undecided: nothing decided is queued
+                    old = masks[idx]
+                    new = rules[idx](self, nodes[idx], children[idx])
+                    if new is old:
                         continue
-                    new = rules[code](self, nodes[nid], children[idx])
-                    if new == UNKNOWN:
-                        continue
-                    unknown ^= 1 << idx  # the bit is set: it was undecided
-                    if idx in target_at:
-                        self._credit(idx, new, p)
-                else:
-                    if not old.may_def or (not old.may_undef and old.lo == old.hi):
-                        continue  # decided
-                    new = rules[code](self, nodes[nid], children[idx])
-                    if new == old:
-                        continue
-                    if not new.may_def or (not new.may_undef and new.lo == new.hi):
+                    if old is UNKNOWN:  # a Boolean slot, now decided
+                        queued[idx] = DECIDED
                         unknown ^= 1 << idx
-                trail.append((idx, old))
-                masks[idx] = new
-                writes += 1
-                for q in parents[idx]:
-                    if queued[q] != epoch:
-                        queued[q] = epoch
-                        push(heap, q)
-        finally:
+                        if idx in target_at:
+                            self._credit(idx, new, p)
+                    elif new == old:
+                        continue
+                    elif not new.may_def or (not new.may_undef and new.lo == new.hi):
+                        queued[idx] = DECIDED
+                        unknown ^= 1 << idx
+                    trail.append((idx, old))
+                    masks[idx] = new
+                    for q in parents[idx]:
+                        if queued[q] < epoch:
+                            queued[q] = epoch
+                            levels[level[q]].append(q)
+        finally:  # a rule that raised leaves slots queued
+            for dirty in levels:
+                dirty.clear()
             self.unknown_bits = unknown
-            self.stats.propagations += writes
+            self.stats.propagations += len(trail) - start
 
     def _credit(self, idx, value, p):
         """Move the bounds of the targets at slot ``idx``, now decided."""
@@ -630,39 +653,62 @@ class MaskState:
 
     # --- mask rules ----------------------------------------------------------------
     #
-    # One method per kind in ``_KINDS``: ``rule(state, node, kids)`` computes
+    # One method per node kind, both carry kinds sharing ``_carry`` and atoms
+    # split by comparison (``_rule_of``): ``rule(state, node, kids)`` computes
     # an instance's mask from its child slots ``kids`` (``SlotTables.children``).
 
-    def _atom(self, node, kids):
-        a = self.masks[kids[0]]
-        b = self.masks[kids[1]]
-        # a side that is certainly undefined makes the comparison true
-        if not a.may_def or not b.may_def:
+    # one atom rule per comparison; a side that is certainly undefined makes
+    # the comparison true, and it fails only where both sides are defined
+
+    def _le(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or a.hi <= b.lo:
             return MASK_TRUE
-        op = node.payload
-        if isinstance(a.lo, tuple):  # both sides are vectors: op is '='
-            if a.lo == a.hi and b.lo == b.hi and a.lo == b.lo:
-                return MASK_TRUE
-            disjoint = any(x_hi < y_lo or y_hi < x_lo
-                           for x_lo, x_hi, y_lo, y_hi in
-                           zip(a.lo, a.hi, b.lo, b.hi))
-            if disjoint and not a.may_undef and not b.may_undef:
-                return MASK_FALSE
+        if a.lo > b.hi and not (a.may_undef or b.may_undef):
+            return MASK_FALSE
+        return UNKNOWN
+
+    def _lt(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or a.hi < b.lo:
+            return MASK_TRUE
+        if a.lo >= b.hi and not (a.may_undef or b.may_undef):
+            return MASK_FALSE
+        return UNKNOWN
+
+    def _ge(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or a.lo >= b.hi:
+            return MASK_TRUE
+        if a.hi < b.lo and not (a.may_undef or b.may_undef):
+            return MASK_FALSE
+        return UNKNOWN
+
+    def _gt(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or a.lo > b.hi:
+            return MASK_TRUE
+        if a.hi <= b.lo and not (a.may_undef or b.may_undef):
+            return MASK_FALSE
+        return UNKNOWN
+
+    def _eq(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or a.lo == a.hi == b.lo == b.hi:
+            return MASK_TRUE
+        if (a.hi < b.lo or b.hi < a.lo) and not (a.may_undef or b.may_undef):
+            return MASK_FALSE
+        return UNKNOWN
+
+    def _vector_eq(self, node, kids):
+        a, b = self.masks[kids[0]], self.masks[kids[1]]
+        if not (a.may_def and b.may_def) or (a.lo == a.hi and b.lo == b.hi
+                                             and a.lo == b.lo):
+            return MASK_TRUE
+        if a.may_undef or b.may_undef:
             return UNKNOWN
-        if op == "<=":
-            holds, fails = a.hi <= b.lo, a.lo > b.hi
-        elif op == "<":
-            holds, fails = a.hi < b.lo, a.lo >= b.hi
-        elif op == ">=":
-            holds, fails = a.lo >= b.hi, a.hi < b.lo
-        elif op == ">":
-            holds, fails = a.lo > b.hi, a.hi <= b.lo
-        else:  # '='
-            holds = a.lo == a.hi == b.lo == b.hi
-            fails = a.hi < b.lo or b.hi < a.lo
-        if holds:
-            return MASK_TRUE
-        if fails and not a.may_undef and not b.may_undef:
+        if any(x_hi < y_lo or y_hi < x_lo
+               for x_lo, x_hi, y_lo, y_hi in zip(a.lo, a.hi, b.lo, b.hi)):
             return MASK_FALSE
         return UNKNOWN
 
@@ -811,5 +857,20 @@ class MaskState:
         return NumMask(lo, hi, any(m.may_undef for m in masks), True)
 
 
-# the mask rule of each kind code
-_RULES = tuple(getattr(MaskState, "_" + kind.split("_")[0]) for kind in _KINDS)
+# the mask rule of each node kind; a carry node ("loop") copies a mask of
+# either kind, and an atom's rule depends on its comparison (``_rule_of``)
+_RULES = {kind: getattr(MaskState, "_" + kind) for kind in (
+    "and", "or", "not", "const", "var", "condval", "guard", "add", "mul",
+    "dist", "inv", "pow")}
+_RULES["loop"] = MaskState._carry
+_ATOM_RULES = {"<=": MaskState._le, "<": MaskState._lt, ">=": MaskState._ge,
+               ">": MaskState._gt, "=": MaskState._eq}
+
+
+def _rule_of(node, nodes):
+    """The mask rule of ``node``'s instances: ``rule(state, node, kids)``."""
+    if node.kind != "atom":
+        return _RULES[node.kind]
+    if nodes[node.children[0]].vkind == "v":  # vectors compare by '=' only
+        return MaskState._vector_eq
+    return _ATOM_RULES[node.payload]

@@ -17,7 +17,7 @@ from manyworlds.eventprog import (
     parse_event_program, render_eid,
 )
 from manyworlds import network
-from manyworlds.compile import Search, compile_targets
+from manyworlds.compile import Search, compile_targets, finish_result
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import (
     MASK_FALSE, MASK_TRUE, UNKNOWN, MaskState, NetworkError, build_network,
@@ -249,18 +249,18 @@ def test_each_instance_written_at_most_once_per_assign(line_dataset, folded):
     assert max(most) == 1
 
 
+def _decided_mask(m):
+    return m != UNKNOWN if type(m) is int else not (
+        m.may_def and (m.may_undef or m.lo != m.hi))
+
+
 def _undecided_bits(st_):
     """The undecided-instance bits, recomputed from the masks."""
     bits = 0
     for nid, node in enumerate(st_.net.nodes):
         for t in range(st_.T if node.in_loop else 1):
             idx = t * st_.N + nid
-            if node.vkind == "b":
-                undecided = st_.masks[idx] == UNKNOWN
-            else:
-                m = st_.masks[idx]
-                undecided = m.may_def and (m.may_undef or m.lo != m.hi)
-            bits |= undecided << idx
+            bits |= (not _decided_mask(st_.masks[idx])) << idx
     return bits
 
 
@@ -352,6 +352,7 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         up = Counter((c, p) for c in range(size) for p in tables.parents[c])
         assert down == up  # each table is the other's inverse
         assert all(c < s for c, s in down)  # every edge rises
+        assert all(tables.level[c] < tables.level[s] for c, s in down)
         for s in range(size):  # a slot has edges only if an instance uses it
             if s >= N and not net.nodes[s % N].in_loop:
                 assert tables.children[s] == tables.parents[s] == ()
@@ -511,37 +512,158 @@ def test_sharing_builds_the_network_of_unshared_trees(request, source, family):
         assert build_network(f).dump() == build_network(copy).dump()
 
 
+def test_later_states_load_the_initial_masks(line_dataset):
+    # a second state on a network loads the first state's initial masks,
+    # which the first state's assignments must leave as they were
+    twins = zip(_line_networks(line_dataset) + _random_networks(range(6)),
+                _line_networks(line_dataset) + _random_networks(range(6)))
+    for net, twin in twins:
+        first = MaskState(net)
+        for name in list(net.var_nodes)[:3]:
+            first.assign(name, True, 0.5)
+        later, fresh = MaskState(net), MaskState(twin)
+        for attr in ("masks", "unknown_bits", "queued", "problower",
+                     "probupper", "credited", "taken"):
+            assert getattr(later, attr) == getattr(fresh, attr), attr
+        assert later.stats.as_dict() == fresh.stats.as_dict()
+
+
+def _watch_rules(st_, watch):
+    """Make every rule call on ``st_``'s network call ``watch(state, slot)``
+    first.  The tables are shared by the network's states."""
+    rules = st_.tables.rules
+
+    def watched(idx, rule):
+        def call(state, node, kids):
+            watch(state, idx)
+            return rule(state, node, kids)
+        return call
+
+    for idx, rule in enumerate(rules):
+        if rule is not None:
+            rules[idx] = watched(idx, rule)
+
+
 @pytest.mark.parametrize("folded", [False, True])
-def test_each_slot_queued_at_most_once_per_assign(line_dataset, folded,
-                                                  monkeypatch):
+def test_each_slot_queued_at_most_once_per_assign(line_dataset, folded):
     net = _line_networks(line_dataset)[folded]
     st_ = MaskState(net)
-    pushed = []
-    plain_heapify, plain_push = network.heapify, network.heappush
+    queued = []
 
-    def heapify(heap):
-        pushed.extend(heap)
-        plain_heapify(heap)
+    class Recording(list):
+        def append(self, slot):
+            queued.append(slot)
+            super().append(slot)
 
-    def heappush(heap, slot):
-        pushed.append(slot)
-        plain_push(heap, slot)
-
-    monkeypatch.setattr(network, "heapify", heapify)
-    monkeypatch.setattr(network, "heappush", heappush)
+    st_.levels[:] = [Recording() for _ in st_.levels]
+    decided_calls = []
+    _watch_rules(st_, lambda state, idx: decided_calls.append(idx)
+                 if _decided_mask(state.masks[idx]) else None)
     plain_assign = st_.assign
     per_assign = []
 
     def counted_assign(*args):
-        del pushed[:]
+        del queued[:]
         plain_assign(*args)
-        per_assign.append(len(pushed) - len(set(pushed)))
+        per_assign.append(len(queued) - len(set(queued)))
 
     st_.assign = counted_assign
     search = Search(net, line_dataset.vartable, 0.0, "exact", state=st_)
     search.preassign_certain()
     search.run()
     assert len(per_assign) > 10 and max(per_assign) == 0
+    assert decided_calls == []  # no rule runs on a decided instance
+
+
+def _worn_state(net, vt):
+    """A state that has run a whole exact search: its epoch is high."""
+    st_ = MaskState(net)
+    Search(net, vt, 0.0, "exact", state=st_).run()
+    return st_
+
+
+def _finish_exact(net, vt, st_, prefix):
+    """The exact search below ``prefix``, already assigned on ``st_``:
+    the masks and undecided bits after its next assignment, then the
+    ``float.hex`` bounds and mask writes of the whole search below it."""
+    nt = len(net.targets)
+    st_.problower[:], st_.probupper[:] = [0.0] * nt, [1.0] * nt
+    search = Search(net, vt, 0.0, "exact", state=st_)
+    name = search.next_variable()
+    mark = st_.checkpoint()
+    st_.assign(name, True, 1.0)
+    after = (list(st_.masks), st_.unknown_bits)
+    st_.revert(mark)
+    writes = st_.stats.propagations
+    for value in (True, False):
+        search.explore(prefix + ((name, value),), 0.5, 0.0, len(prefix) + 1)
+        st_.revert(mark)
+    bounds = [(lo.hex(), hi.hex())
+              for lo, hi in zip(st_.problower, st_.probupper)]
+    return after, bounds, st_.stats.propagations - writes
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_saved_masks_resume_on_a_state_of_any_epoch(line_dataset, folded):
+    net = _line_networks(line_dataset)[folded]
+    vt = line_dataset.vartable
+    prefix = (("x1", True), ("x3", False))
+    # a worn state hands off to a fresh one, and a fresh one to a worn one
+    for saver, loader in ((_worn_state(net, vt), MaskState(net)),
+                          (MaskState(net), _worn_state(net, vt))):
+        for name, value in prefix:
+            saver.assign(name, value, 0.5)
+        assert abs(saver.epoch - loader.epoch) > 10
+        loader.load_masks(saver.save_masks())
+        assert loader.masks == saver.masks
+        assert loader.unknown_bits == saver.unknown_bits
+        assert loader.trail == []
+        assert (_finish_exact(net, vt, loader, prefix)
+                == _finish_exact(net, vt, saver, prefix))
+
+
+def test_fault_inside_an_assign_reverts_cleanly(line_dataset):
+    prog, meta = build_kmedoids_program(line_dataset)
+    vt = line_dataset.vartable
+    g = ground(prog, (meta["targets"],), set(vt.index))
+    reference = [(tb.eid, tb.lower.hex(), tb.upper.hex())
+                 for tb in compile_targets(build_network(g), vt, 0.0,
+                                           "exact").targets]
+    st_ = MaskState(build_network(g))
+    calls = []
+    _watch_rules(st_, lambda state, idx: calls.append(idx))
+    for name in vt.names():  # count the rule calls of one descent
+        st_.assign(name, True, 0.5)
+    total = len(calls)
+    assert total > 50
+    for k in (1, 2, total // 3, total // 2, total - 1, total):
+        net = build_network(g)
+        st_ = MaskState(net)
+        mark = st_.checkpoint()
+        before = (list(st_.masks), st_.unknown_bits,
+                  [q == network.DECIDED for q in st_.queued])
+        calls = []
+
+        def fault(state, idx):  # raises on the k-th call only
+            calls.append(idx)
+            if len(calls) == k:
+                raise RuntimeError("fault in rule call %d" % k)
+
+        _watch_rules(st_, fault)
+        bounds = list(st_.problower), list(st_.probupper)
+        with pytest.raises(RuntimeError):
+            for name in vt.names():
+                st_.assign(name, True, 0.5)
+        # as a job's retry does: the masks by the trail, the bounds by copy
+        st_.revert(mark)
+        st_.problower[:], st_.probupper[:] = bounds
+        assert (list(st_.masks), st_.unknown_bits,
+                [q == network.DECIDED for q in st_.queued]) == before
+        assert all(not dirty for dirty in st_.levels)
+        search = Search(net, vt, 0.0, "exact", state=st_)
+        search.run()
+        assert [(tb.eid, tb.lower.hex(), tb.upper.hex())
+                for tb in finish_result(search).targets] == reference
 
 
 # --- every c-value kind --------------------------------------------------------
