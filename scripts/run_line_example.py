@@ -24,8 +24,7 @@ def main():
 
     print("worlds (o0..o3 on a line at 0, 2, 5, 9; two clusters):")
     for i, rep in enumerate(world_reports(g, ds.vartable, spec)):
-        world = "".join("T" if rep.valuation[x] else "f"
-                        for x in ds.vartable.names())
+        world = "".join("T" if v else "f" for v in rep.valuation.values())
         print("  %2d %s p=%.4f objects=%s clusters=%s medoids=%s"
               % (i, world, rep.probability, rep.objects, rep.clusters,
                  rep.medoids))

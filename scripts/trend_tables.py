@@ -4,7 +4,9 @@
 Five tables, mirroring the performance questions the engine is built
 around.  All numbers are deterministic work counts, not timings:
 
-  1. exact vs the naive per-world baseline as the variable count grows;
+  1. exact vs the naive per-world baseline as the variable count grows:
+     2^m worlds of the whole table, and the 2^r worlds of the r variables
+     the network reads, which the oracle walks;
   2. the approximation schemes on the three correlation patterns;
   3. hybrid work as the certain-point fraction grows;
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
@@ -45,13 +47,14 @@ def instance(scheme, seed, n=20, group=4, l=2, iters=3, certain=0.0,
 
 def table_scaling(seed):
     print("== exact work vs naive enumeration (positive scheme, n=20) ==")
-    print("%-6s %-10s %-14s %-14s" % ("m", "branches", "propagations",
-                                      "naive_evals"))
+    print("%-6s %-10s %-14s %-14s %-14s" % ("m", "branches", "propagations",
+                                            "naive_evals", "oracle_worlds"))
     for m in (8, 12, 16, 20):
         net, vt = instance("positive", seed, pool=m)
         r = compile_targets(net, vt, 0.0, "exact")
-        print("%-6d %-10d %-14d %-14d" % (m, r.stats.branches,
-                                          r.stats.propagations, 2 ** m))
+        print("%-6d %-10d %-14d %-14d %-14d" % (
+            m, r.stats.branches, r.stats.propagations, 2 ** m,
+            2 ** len(net.var_nodes)))
 
 
 def table_schemes(seed, epsilon):

@@ -48,7 +48,6 @@ class Params:
     k: int = 2
     iterations: int = 3
     medoids: tuple = ()
-    init_style: str = "first-existing"  # or "plain"
     power: int = None  # Hadamard exponent for graph-clustering programs
 
 
@@ -78,15 +77,13 @@ class Dataset:
     def medoid_preference(self, i):
         """Index order in which cluster i picks its initial medoid.
 
-        The configured index first; under the default "first-existing" style
-        the remaining non-primary indices follow in descending order, so a
-        missing primary falls back deterministically to an existing point.
+        The configured index first, then the remaining non-primary indices
+        in descending order, so a missing primary falls back
+        deterministically to an existing point.
         """
-        primary = self.params.medoids[i]
-        if self.params.init_style == "plain":
-            return [primary]
         taken = set(self.params.medoids)
-        return [primary] + [j for j in range(self.n - 1, -1, -1) if j not in taken]
+        return [self.params.medoids[i]] + [
+            j for j in range(self.n - 1, -1, -1) if j not in taken]
 
     def initial_medoid(self, i):
         """Cluster i's initial medoid as a c-value: the coordinates of the
@@ -110,7 +107,6 @@ class Dataset:
                 "k": self.params.k,
                 "iter": self.params.iterations,
                 "medoids": list(self.params.medoids),
-                "init": self.params.init_style,
             },
         }
         if self.params.power is not None:
@@ -130,11 +126,13 @@ class Dataset:
     def from_json(cls, doc):
         vt = VarTable(tuple((v["id"], float(v["p"])) for v in doc["vars"]))
         params = doc.get("params", {})
+        if params.get("init", "first-existing") != "first-existing":
+            raise DatasetError("init must be \"first-existing\", got %r"
+                               % params["init"])
         p = Params(
             k=int(params.get("k", 2)),
             iterations=int(params.get("iter", 3)),
             medoids=tuple(params.get("medoids", ())),
-            init_style=params.get("init", "first-existing"),
             power=params.get("power"),
         )
         known = set(vt.index)

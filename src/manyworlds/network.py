@@ -763,9 +763,10 @@ class MaskState:
         c = self.masks[kids[1]]
         if g == MASK_TRUE:
             return c
-        if g == MASK_FALSE:
-            return NumMask(c.lo, c.hi, True, False)
-        return NumMask(c.lo, c.hi, True, c.may_def)
+        may_def = c.may_def and g != MASK_FALSE
+        if c.may_undef and may_def == c.may_def:
+            return c  # the guard leaves the body's mask as it is
+        return NumMask(c.lo, c.hi, True, may_def)
 
     def _inv(self, node, kids):
         c = self.masks[kids[0]]

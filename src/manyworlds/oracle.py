@@ -1,16 +1,17 @@
 """Ground truth by exhaustive enumeration of possible worlds.
 
-Evaluates grounded programs in every total valuation and aggregates exact
-probabilities; also runs user programs operationally in a single world.  This
-is both the correctness oracle for the compiler and the naive baseline that
-pays one full program evaluation per world (2^m evaluations for m variables).
-Declarations are evaluated with ``events.evaluate``, the one per-world
-evaluator, resolving references by lookup into the values computed so far.
+Evaluates grounded programs in every world of the variables they read and
+aggregates exact probabilities; also runs user programs operationally in a
+single world.  This is both the correctness oracle for the compiler and the
+naive baseline that pays one evaluation per world: 2^r worlds for the r read
+variables of probability strictly between 0 and 1.  An unread variable
+marginalises to one; a certain one holds its sure value.  Declarations are
+evaluated with ``events.evaluate``, the one per-world evaluator.
 
-Enumeration walks worlds in Gray-code order (``enumerate_worlds``) so
+``_Program.worlds`` is the one world walk, read by ``oracle_probabilities``
+and ``world_reports``.  It follows ``enumerate_worlds``' Gray-code order, so
 consecutive worlds differ in a single variable and only the declarations
-downstream of that variable are re-evaluated; the aggregated numbers are
-identical to a plain in-order sweep.
+downstream of it are re-evaluated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 
 from . import events as ev
 from .events import (
-    U, VU, Ref, Var, ext_add, ext_compare, ext_dist, ext_inv, ext_mul, ext_pow,
+    U, VU, Ref, Var, VarTable, ext_add, ext_compare, ext_dist, ext_inv,
+    ext_mul, ext_pow,
 )
 from . import userlang as ul
 
@@ -67,68 +69,66 @@ class _Program:
         for c in ev.children_of(e):
             self._collect(c, out, dep_sets)
 
-    def _lookup(self, values):
-        pos = self.pos
-        return lambda name: values[pos[name]]
-
     def eval_all(self, valuation):
         values = [None] * len(self.exprs)
-        ref = self._lookup(values)
-        for i, expr in enumerate(self.exprs):
-            values[i] = ev.evaluate(expr, valuation, ref)
+        self._eval(valuation, values, range(len(values)))
         return values
 
-    def reeval(self, valuation, values, var):
-        ref = self._lookup(values)
-        for i in self.var_deps.get(var, ()):
-            values[i] = ev.evaluate(self.exprs[i], valuation, ref)
+    def _eval(self, valuation, values, which):
+        """Re-evaluate the declarations at positions ``which``, in order."""
+        pos, exprs = self.pos, self.exprs
+
+        def ref(name):
+            return values[pos[name]]
+        for i in which:
+            values[i] = ev.evaluate(exprs[i], valuation, ref)
+
+    def worlds(self, vartable, cap=DEFAULT_WORLD_CAP):
+        """Yield (valuation, mass, values) for each world of the variables
+        the declarations read, in ``enumerate_worlds`` order; ``values`` is
+        one list of the declarations' values, updated in place."""
+        read = VarTable(tuple(v for v in vartable.vars if v[0] in self.var_deps))
+        for nu, mass, flipped in enumerate_worlds(read, cap):
+            if flipped is None:  # the first world
+                values = self.eval_all(nu)
+            else:
+                self._eval(nu, values, self.var_deps[flipped])
+            yield nu, mass, values
 
 
 @dataclass
 class OracleResult:
     probabilities: dict
-    evaluations: int
+    evaluations: int  # worlds walked
     total_mass: float
 
 
 def enumerate_worlds(vartable, cap=DEFAULT_WORLD_CAP):
     """Yield (valuation, probability, flipped_var) in Gray-code order.
 
-    The first world assigns every variable False; ``flipped_var`` is None for
-    it and names the single variable toggled since the previous world after.
+    Only the variables whose probability lies strictly between 0 and 1 are
+    walked; every other one holds its sure value in every world, since a
+    world that puts it at its impossible value has mass 0.  The first world
+    sets every walked variable False; ``flipped_var`` is None for it and
+    names the single variable toggled since the previous world after.
     """
-    m = len(vartable)
+    walked = [(n, p) for n, p in vartable.vars if 0.0 < p < 1.0]
+    m = len(walked)
     if m > cap:
         raise OracleError(
             "refusing to enumerate 2^%d worlds (cap is 2^%d); raise the cap "
             "explicitly if this is intended" % (m, cap))
-    names = vartable.names()
-    nu = {n: False for n in names}
+    nu = {n: p == 1.0 for n, p in vartable.vars}
     pr = 1.0
-    zeros = 0
-    for _n, p in vartable.vars:
-        f = 1.0 - p
-        if f == 0.0:
-            zeros += 1
-        else:
-            pr *= f
-    yield dict(nu), (0.0 if zeros else pr), None
+    for _n, p in walked:
+        pr *= 1.0 - p
+    yield dict(nu), pr, None
     for g in range(1, 1 << m):
-        bit = (g & -g).bit_length() - 1
-        name = names[bit]
-        p_true = vartable.p_true(name)
-        old = p_true if nu[name] else 1.0 - p_true
+        name, p = walked[(g & -g).bit_length() - 1]
+        pr /= p if nu[name] else 1.0 - p
         nu[name] = not nu[name]
-        new = p_true if nu[name] else 1.0 - p_true
-        if old == 0.0:
-            zeros -= 1
-        else:
-            pr /= old
-        if new == 0.0:
-            zeros += 1
-        else:
-            pr *= new
-        yield dict(nu), (0.0 if zeros else pr), name
+        pr *= p if nu[name] else 1.0 - p
+        yield dict(nu), pr, name
 
 
 def oracle_probabilities(grounded, vartable, targets=None, cap=DEFAULT_WORLD_CAP):
@@ -138,17 +138,14 @@ def oracle_probabilities(grounded, vartable, targets=None, cap=DEFAULT_WORLD_CAP
     tpos = [prog.pos[t] for t in targets]
     sums = [0.0] * len(targets)
     total = 0.0
-    values = None
-    for nu, w, flipped in enumerate_worlds(vartable, cap):
-        if flipped is None:
-            values = prog.eval_all(nu)
-        else:
-            prog.reeval(nu, values, flipped)
+    walked = 0
+    for _nu, w, values in prog.worlds(vartable, cap):
+        walked += 1
         total += w
         for j, tp in enumerate(tpos):
             if values[tp] is True:
                 sums[j] += w
-    return OracleResult(dict(zip(targets, sums)), 1 << len(vartable), total)
+    return OracleResult(dict(zip(targets, sums)), walked, total)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +170,14 @@ def per_world_report(grounded, vartable, valuation, cluster_spec=None):
     ``{"objects": {label: eid}, "membership": {(i, l): eid},
     "centres": {(i, l): eid}, "k": int}``.
     """
-    return _report(_Program(grounded), vartable, valuation, cluster_spec)
+    prog = _Program(grounded)
+    return _report(prog, valuation, ev.world_probability(valuation, vartable),
+                   prog.eval_all(valuation), cluster_spec)
 
 
-def _report(prog, vartable, valuation, cluster_spec):
-    values = dict(zip(prog.eids, prog.eval_all(valuation)))
-    report = WorldReport(dict(valuation),
-                         ev.world_probability(valuation, vartable), values)
+def _report(prog, valuation, probability, values, cluster_spec):
+    values = dict(zip(prog.eids, values))
+    report = WorldReport(dict(valuation), probability, values)
     if cluster_spec:
         objects = sorted(l for l, eid in cluster_spec["objects"].items()
                          if values[eid] is True)
@@ -197,15 +195,11 @@ def _report(prog, vartable, valuation, cluster_spec):
 
 
 def world_reports(grounded, vartable, cluster_spec=None, cap=DEFAULT_WORLD_CAP):
-    """All per-world reports, in plain binary enumeration order."""
-    m = len(vartable)
-    if m > cap:
-        raise OracleError("refusing to enumerate 2^%d worlds (cap is 2^%d)" % (m, cap))
-    names = vartable.names()
-    prog = _Program(grounded)  # one dependency analysis for all 2^m worlds
-    for w in range(1 << m):
-        nu = {names[j]: bool((w >> j) & 1) for j in range(m)}
-        yield _report(prog, vartable, nu, cluster_spec)
+    """One report per world the oracle walks, in its order; a valuation
+    names only the variables the declarations read."""
+    prog = _Program(grounded)
+    for nu, mass, values in prog.worlds(vartable, cap):
+        yield _report(prog, nu, mass, values, cluster_spec)
 
 
 # ---------------------------------------------------------------------------

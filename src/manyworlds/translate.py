@@ -124,6 +124,7 @@ class _Translator:
 
     def run(self, program):
         self.loop_final = {}
+        self.reassigned = ul.reassigned_names(program.items)  # never consts
         items = self.translate_block(program.items, counter=None)
         final = {}
         for name, st in self.vars.items():
@@ -234,15 +235,17 @@ class _Translator:
             out.extend(self._copy_decls(v, st.path, exit_path))
         return out
 
-    def _copy_decls(self, name, to_path, from_path):
-        """Copy one version to another; arrays copy element-wise under loops."""
+    def _copy_decls(self, name, to_path, from_path, source=None):
+        """Copy a version of ``source`` (default ``name``) to a version of
+        ``name``; arrays copy element-wise under loops."""
         st = self.vars[name]
+        source = source or name
         if not st.is_array:
-            return [Decl(name, tuple(to_path), Ref(name, tuple(from_path)))]
+            return [Decl(name, tuple(to_path), Ref(source, tuple(from_path)))]
         cs = [self.fresh_counter() for _ in st.dims]
         idx = [Affine.var(c) for c in cs]
         decl = Decl(name, tuple(list(to_path) + idx),
-                    Ref(name, tuple(list(from_path) + idx)))
+                    Ref(source, tuple(list(from_path) + idx)))
         item = decl
         for c, size in zip(reversed(cs), reversed(st.dims)):
             item = Loop(c, 0, size, (item,))
@@ -284,11 +287,11 @@ class _Translator:
             else:
                 values = (ds.params.k, ds.params.iterations)
             for n, v in zip(names, values):
-                self.consts[n] = int(v)
+                out.extend(self.bind_int(n, int(v), ctx))
             return out
         if item.func == "loadData":
             obj_var = item.targets[0]
-            self.consts[item.targets[1]] = ds.n
+            out.extend(self.bind_int(item.targets[1], ds.n, ctx))
             st = self.bump(obj_var, ctx)
             st.dims = [ds.n]
             st.kind = "vec"
@@ -358,7 +361,8 @@ class _Translator:
         expr = item.expr
         if isinstance(expr, ul.ULit) and isinstance(expr.value, int) \
                 and not isinstance(expr.value, bool):
-            self.consts.setdefault(name, expr.value)
+            if name not in self.reassigned:
+                self.consts[name] = expr.value
         if isinstance(expr, ul.UArrayInit):
             st = self.bump(name, ctx)
             st.dims = [self.const_value(expr.size, item)]
@@ -372,11 +376,20 @@ class _Translator:
             st = self.bump(name, ctx)
             st.dims = src_dims
             st.kind = src_kind
-            return self._copy_decls(name, st.path, src_path)
+            return self._copy_decls(name, st.path, src_path, expr.name)
         body, kind = self.expr(expr)
         st = self.bump(name, ctx)
         st.kind = kind
         return [Decl(name, tuple(st.path), body)]
+
+    def bind_int(self, name, value, ctx):
+        """A name bound once to an integer is a constant; a reassigned one
+        is a variable, versioned like any other."""
+        if name not in self.reassigned:
+            self.consts[name] = value
+            return []
+        st = self.bump(name, ctx)
+        return [Decl(name, tuple(st.path), CondVal(TRUE, value))]
 
     def tie_break(self, name, call, ctx):
         src_name = call.args[0].name

@@ -516,12 +516,32 @@ BOOL, INT, REAL, VEC = VType("bool"), VType("int"), VType("real"), VType("vec")
 UNKNOWN_T = VType("unknown")
 
 
+def _bindings(items):
+    """(name, statement) for each name a statement binds, in loops too."""
+    for item in items:
+        if isinstance(item, UFor):
+            yield from _bindings(item.body)
+        elif isinstance(item, UExtCall):
+            for name in item.targets:
+                yield name, item
+        elif isinstance(item.target, UName):
+            yield item.target.name, item
+
+
+def reassigned_names(items):
+    """Names bound by more than one statement: never integer constants."""
+    seen, again = set(), set()
+    for name, _item in _bindings(items):
+        (again if name in seen else seen).add(name)
+    return again
+
+
 class _Validator:
     def __init__(self):
         self.diags = []
         self.env = {}        # name -> VType
         self.const_int = {}  # names usable as range bounds
-        self.reassigned = set()
+        self.comp_vars = []  # comprehension variables in scope
         self.loop_vars = []
 
     def report(self, rule, message, node):
@@ -529,25 +549,12 @@ class _Validator:
                                      getattr(node, "line", 0), getattr(node, "col", 0)))
 
     def run(self, program):
-        self._scan_bindings(program.items, set())
+        for name, item in _bindings(program.items):
+            if name == "Obj":
+                self.report("reserved-name", "Obj names the data's lineage", item)
+        self.reassigned = reassigned_names(program.items)
         self._block(program.items, top=True)
         return self.diags
-
-    def _scan_bindings(self, items, seen):
-        for item in items:
-            if isinstance(item, UFor):
-                self._scan_bindings(item.body, seen)
-                continue
-            if isinstance(item, UExtCall):
-                names = item.targets
-            else:
-                names = [item.target.name] if isinstance(item.target, UName) else []
-            for name in names:
-                if name == "Obj":
-                    self.report("reserved-name", "Obj names the data's lineage", item)
-                if name in seen:
-                    self.reassigned.add(name)
-                seen.add(name)
 
     def _block(self, items, top=False):
         for item in items:
@@ -597,10 +604,14 @@ class _Validator:
         self.loop_vars.pop()
 
     def _const_bound(self, e):
+        """An integer constant to the translator (``const_value``): a
+        literal, a comprehension variable (one value per expanded element)
+        or a name bound once to an integer."""
         if isinstance(e, ULit) and isinstance(e.value, int) and not isinstance(e.value, bool):
             return True
         if isinstance(e, UName):
-            return e.name in self.const_int and e.name not in self.reassigned
+            return e.name in self.comp_vars or (
+                e.name in self.const_int and e.name not in self.reassigned)
         return False
 
     def _assign(self, item):
@@ -692,6 +703,8 @@ class _Validator:
             if e.op == "*":
                 if "vec" in (lt.base, rt.base):
                     self.report("mul-type", "use scalar_mult for vector scaling", e)
+                elif "bool" in (lt.base, rt.base) or "array" in (lt.base, rt.base):
+                    self.report("mul-type", "product over a Boolean or an array", e)
                 return REAL if "real" in (lt.base, rt.base) else lt
             if lt.base == "vec" and rt.base == "vec":
                 return VEC
@@ -700,12 +713,17 @@ class _Validator:
             return REAL if "real" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
+            if not self._const_bound(e.size):
+                self.report("array-size", "array size is not an integer constant", e)
             return VType("array")
         if k is UCall:
             ats = [self._type(a) for a in e.args]
             if e.func == "pow":
                 if len(e.args) != 2 or not ats[0].scalarish() or not ats[1].scalarish():
                     self.report("call-type", "pow takes two scalars", e)
+                elif not self._const_bound(e.args[1]):
+                    self.report("pow-exponent",
+                                "pow exponent is not an integer constant", e)
                 return REAL
             if e.func == "invert":
                 if len(e.args) != 1 or not ats[0].scalarish():
@@ -740,11 +758,13 @@ class _Validator:
         had = comp.var in self.env
         old = self.env.get(comp.var)
         self.env[comp.var] = INT
+        self.comp_vars.append(comp.var)
         body_t = self._type(comp.expr)
         if comp.cond is not None:
             ct = self._type(comp.cond)
             if ct.base not in ("bool", "unknown"):
                 self.report("filter-type", "comprehension filter is not Boolean", comp)
+        self.comp_vars.pop()
         if had:
             self.env[comp.var] = old
         else:

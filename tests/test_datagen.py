@@ -136,6 +136,17 @@ def test_medoids_must_be_k_point_indices(line_dataset, medoids):
         Dataset.from_json(doc)
 
 
+def test_init_field_is_first_existing_or_absent(line_dataset):
+    doc = line_dataset.to_json()
+    assert "init" not in doc["params"]
+    want = Dataset.from_json(doc).to_json()
+    doc["params"]["init"] = "first-existing"
+    assert Dataset.from_json(doc).to_json() == want
+    doc["params"]["init"] = "plain"
+    with pytest.raises(DatasetError, match="init"):
+        Dataset.from_json(doc)
+
+
 def test_dataset_event_rewriters_keep_their_errors():
     from manyworlds.datagen import Params, Point, _points_to_refs, parse_event_text
     from manyworlds.events import And, Atom, CondVal, Not, Or, Ref, TRUE, Var, VarTable

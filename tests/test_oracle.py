@@ -1,6 +1,8 @@
 import pytest
 
-from manyworlds.events import Or, Var, VarTable, TRUE
+from manyworlds.events import (
+    And, Not, Or, Var, VarTable, TRUE, world_probability,
+)
 from manyworlds.eventprog import EventProgram, decl, ground
 from manyworlds.kmedoids import (
     build_kmedoids_program, cluster_spec, direct_kmedoids, example_line_dataset,
@@ -37,7 +39,7 @@ def test_world_mass_sums_to_one(line_dataset):
 
 def test_cap_refusal():
     vt = VarTable(tuple(("v%d" % i, 0.5) for i in range(5)))
-    p = EventProgram((decl("E", (), Var("v0")),))
+    p = EventProgram((decl("E", (), Or(tuple(Var(n) for n in vt.names()))),))
     g = ground(p, ("E",), variables=set(vt.index))
     with pytest.raises(OracleError, match="cap"):
         oracle_probabilities(g, vt, ["E"], cap=4)
@@ -60,9 +62,33 @@ def test_gray_order_covers_all_worlds():
 
 def test_extreme_probabilities_zero_mass_side():
     vt = VarTable.of(("a", 1.0), ("b", 0.5))
-    masses = [pr for _nu, pr, _f in enumerate_worlds(vt)]
-    assert abs(sum(masses) - 1.0) < 1e-12
-    assert sum(1 for m in masses if m == 0.0) == 2
+    worlds = list(enumerate_worlds(vt))
+    assert all(nu["a"] is True for nu, _pr, _f in worlds)
+    assert len(worlds) == 2
+    assert abs(sum(pr for _nu, pr, _f in worlds) - 1.0) < 1e-12
+
+
+def test_walk_skips_unread_and_certain_variables():
+    vt = VarTable.of(("a", 0.3), ("b", 0.6), ("unread", 0.5), ("sure", 1.0))
+    p = EventProgram((
+        decl("E", (), Or((Var("a"), Var("b")))),
+        decl("F", (), And((Var("b"), Var("sure")))),
+        decl("G", (), Or((Var("a"), Not(Var("sure"))))),
+    ))
+    g = ground(p, ("E", "F", "G"), variables=set(vt.index))
+    res = oracle_probabilities(g, vt)
+    assert res.evaluations == 4  # a and b; unread marginalises, sure is fixed
+    assert len(list(world_reports(g, vt))) == 4
+    names = vt.names()
+    brute = dict.fromkeys(g.targets, 0.0)
+    for w in range(1 << len(names)):
+        nu = {n: bool((w >> j) & 1) for j, n in enumerate(names)}
+        rep = per_world_report(g, vt, nu)
+        for t in g.targets:
+            if rep.values[t] is True:
+                brute[t] += world_probability(nu, vt)
+    for t in g.targets:
+        assert abs(res.probabilities[t] - brute[t]) < 1e-12
 
 
 def test_example_worlds_reproduce_depicted_clusterings(line_dataset):
@@ -125,9 +151,7 @@ def test_world_reports_analyse_the_program_once(line_dataset, monkeypatch):
     monkeypatch.setattr(oracle, "_Program", lambda gp: built.append(gp) or real(gp))
     reports = list(world_reports(g, vt, cluster_spec(meta)))
     assert len(built) == 1
-    names = vt.names()
-    assert [r.valuation for r in reports] == [
-        {n: bool((w >> j) & 1) for j, n in enumerate(names)}
-        for w in range(1 << len(names))]
+    assert [(r.valuation, r.probability) for r in reports] == [
+        (nu, pr) for nu, pr, _f in enumerate_worlds(vt)]
     assert [r.values for r in reports] == [r.values for r in singles]
     assert [r.clusters for r in reports] == [r.clusters for r in singles]

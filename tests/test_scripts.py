@@ -11,6 +11,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ["scripts/distributed_demo.py", "--n", "8", "--pool", "4"],
     ["scripts/run_line_example.py"],
     ["scripts/trend_tables.py"],
+    # the benchmark's own self-test: every entry point it wraps still exists
+    ["bench/selftest.py"],
 ])
 def test_example_script_runs(argv):
     env = dict(os.environ)

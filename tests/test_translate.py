@@ -78,6 +78,31 @@ def test_versioning_final_value_is_17():
     assert env["M"] == 17
 
 
+@pytest.mark.parametrize("src", [
+    # B = A copies A's elements
+    "A = [None] * 2\nA[0] = True\nA[1] = False\nB = A\n",
+    # each expanded element binds a comprehension variable to one integer
+    "S = reduce_sum([pow(2, j) for j in range(0, 3)])\n",
+    "n = 3\nS = reduce_sum([reduce_sum([1 for k in range(0, j)])"
+    " for j in range(0, n)])\n",
+    # a reassigned parameter is a variable, read before its reassignment
+    "(k, it) = loadParams()\nS = k + 1\nk = 5\n",
+], ids=["array-copy", "pow-by-comprehension-variable",
+        "nested-comprehension-bound", "reassigned-parameter"])
+def test_world_free_program_matches_interpreter(src):
+    ast = parse_user_program(src)
+    tr = translate_to_event_program(ast, _empty_dataset())
+    g = ground(tr.program, ("*",), variables=set())
+    vals = dict(zip(g.decls, _Program(g).eval_all({})))
+    env = interpret_user_program(ast, _empty_dataset(), {})
+    for var, (_path, dims, _kind) in tr.final_paths.items():
+        for idx in itertools.product(*(range(d) for d in dims)):
+            want = env[var]
+            for i in idx:
+                want = want[i]
+            assert values_close(vals[tr.final_eid(var, *idx)], want), (var, idx)
+
+
 def test_array_flattening_counts():
     src = """
 M = [None] * 2

@@ -78,6 +78,22 @@ for i in range(0, n):
     assert any(d.rule == "range-bound" for d in diags)
 
 
+@pytest.mark.parametrize("src,rule", [
+    # the interpreter gives z = 81: x is 4 there, not a constant 2
+    ("x = 2\ny = 3\nx = 4\nz = pow(y, x)\n", "pow-exponent"),
+    # B would get A's two elements, not m's final three
+    ("m = 2\nA = [None] * m\nm = 3\nB = [None] * m\nB = A\n", "array-size"),
+], ids=["pow-exponent", "array-size"])
+def test_reassigned_name_not_a_constant(src, rule):
+    diags = validate_user_program(parse_user_program(src))
+    assert diags and all(d.rule == rule for d in diags)
+
+
+def test_boolean_product_flagged():
+    diags = validate_user_program(parse_user_program("x = True * 2\n"))
+    assert [d.rule for d in diags] == ["mul-type"]
+
+
 def test_undeclared_identifier_flagged():
     p = parse_user_program("M = Q + 1")
     diags = validate_user_program(p)
