@@ -24,8 +24,8 @@ from .compile import ConfigError, compile_targets
 from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
-    Decl, EventProgram, Loop, emit_event_program, emit_grounded, ground,
-    ground_folded, parse_event_program,
+    Decl, EventProgram, Loop, ProgramSyntaxError, emit_event_program,
+    emit_grounded, ground, ground_folded, parse_event_program,
 )
 from .events import TypeMismatch
 from .network import NetworkError, build_network
@@ -33,8 +33,7 @@ from .oracle import OracleError, oracle_probabilities, world_reports
 from .randprog import random_instance
 from .translate import translate_to_event_program
 from .userlang import (
-    UserSyntaxError, format_user_program, parse_user_program,
-    validate_user_program,
+    format_user_program, parse_user_program, validate_user_program,
 )
 
 MODES = ("naive", "exact", "eager", "lazy", "hybrid", "exact-d", "hybrid-d")
@@ -129,7 +128,7 @@ def _load_pipeline(args):
             with open(args.program) as fh:
                 text = fh.read()
             ast = parse_user_program(text, filename=args.program)
-        except UserSyntaxError as exc:
+        except ProgramSyntaxError as exc:
             raise CliError("parse", str(exc))
         stages["ast"] = lambda: format_user_program(ast)
         diags = validate_user_program(ast)

@@ -28,8 +28,8 @@ from .events import (
     Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE, first_true,
     map_children,
 )
-from .eventprog import (_LineParser, _tokenize_line, decl, format_expr,
-                        ProgramSyntaxError, ref)
+from .eventprog import (EventParser, ProgramSyntaxError, decl, format_expr,
+                        ref)
 
 
 class DatasetError(Exception):
@@ -160,9 +160,9 @@ class Dataset:
 def parse_event_text(text, variables, point_ids=()):
     """Parse an event string over ``& | ! ( )``, variables and point ids."""
     try:
-        parser = _LineParser(_tokenize_line(text, 1), 1, {})
+        parser = EventParser(text, 1)
         expr = parser.parse_event()
-        if parser.peek()[0] != "eof":
+        if not parser.done():
             raise DatasetError("trailing tokens in event %r" % text)
     except ProgramSyntaxError as exc:
         raise DatasetError("bad event %r: %s" % (text, exc))

@@ -15,17 +15,24 @@ accepted and emitted:
     forall it in 0..2:          # iterates it = 0, 1  (upper bound exclusive)
       InCl[0,it] := Obj[0] & [ dist(O[0], M[0,it-1]) <= dist(O[0], M[1,it-1]) ]
 
+A line with an unclosed parenthesis or bracket continues onto the next; a
+syntax error gives its line and column.
+
 Event syntax: ``|``, ``&``, ``!``, ``true``, ``false``, ``[ cval cmp cval ]``
 atoms, and ``all(j,lo,hi,e)`` / ``any(j,lo,hi,e)`` bounded folds (expanded at
 parse time).  C-value syntax: ``event ? value`` guards (value: number, vector
 ``[x,y]``, or parenthesised c-value), ``+``, ``*``, ``inv(c)``, ``pow(c,n)``,
 ``dist(c,c)`` and ``sum(j,lo,hi,c)`` / ``prod(j,lo,hi,c)`` folds.
+
+The source reader (``TokenCursor``, the logical lines and the indentation
+blocks of ``parse_blocks``, ``ProgramSyntaxError``) is the user language's
+too: each language adds only its statement and expression rules.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
@@ -39,11 +46,12 @@ class GroundError(Exception):
 
 
 class ProgramSyntaxError(Exception):
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
+    """A syntax error in either source language: the event language or the
+    user language (``userlang``)."""
+
+    def __init__(self, message, line, col=0, filename="<input>"):
+        self.line, self.col, self.filename = line, col, filename
+        super().__init__("%s:%d:%d: %s" % (filename, line, col, message))
 
 
 # ---------------------------------------------------------------------------
@@ -464,162 +472,262 @@ def _bind(e, env):
 
 
 # ---------------------------------------------------------------------------
-# Textual format: parser
+# Source reader: tokens, logical lines and indentation blocks, shared with
+# the user language
 # ---------------------------------------------------------------------------
 
 _TOKEN_RX = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|==|\.\.|:=|[-+*?&|!<>=\[\](),:]))"
+    r"|(?P<op><=|>=|==|\.\.|:=|[-+*?&|!<>=\[\](),:])|(?P<bad>\S))"
 )
 
 
-def _tokenize_line(text, lineno):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RX.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ProgramSyntaxError("unexpected character %r" % text[pos], lineno)
-        if m.lastgroup == "num":
-            tok = m.group("num")
-            out.append(("num", float(tok) if "." in tok else int(tok)))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            out.append(("op", "=" if op == "==" else op))
-        pos = m.end()
-    return out
+class TokenCursor:
+    """A walk over the tokens of one logical line.
 
+    Tokens are (kind, value) pairs: ``num`` (an int or a float), ``name``
+    or ``op``, and a last ``("eof", None)`` that ``next`` never passes.
+    ``cols`` holds each token's column in the line's text, counted from 1
+    (0 for the end).  A language's parser subclasses this and adds
+    ``statement(headers)``, its rule for one line (see ``parse_blocks``).
+    """
 
-class _LineParser:
-    """Parses one declaration's right-hand side."""
+    def __init__(self, text, line, filename="<input>"):
+        self.line, self.filename = line, filename
+        self.toks, self.cols, self.i = [], [], 0
+        for m in _TOKEN_RX.finditer(text):
+            kind = m.lastgroup
+            value, col = m.group(kind), m.start(kind) + 1
+            if kind == "bad":
+                raise ProgramSyntaxError("unexpected character %r" % value, line,
+                                         col, filename)
+            if kind == "num":
+                value = float(value) if "." in value else int(value)
+            self.toks.append((kind, value))
+            self.cols.append(col)
+        self.toks.append(("eof", None))
+        self.cols.append(0)
 
-    def __init__(self, tokens, lineno, counters):
-        self.toks = tokens
-        self.i = 0
-        self.lineno = lineno
-        self.counters = counters  # active loop counter names
+    def error(self, message, col=None):
+        """Raise at ``col``, by default the last token read."""
+        if col is None:
+            col = self.cols[self.i - 1] if self.i else 1
+        raise ProgramSyntaxError(message, self.line, col, self.filename)
 
-    def error(self, msg):
-        raise ProgramSyntaxError(msg, self.lineno)
+    def col(self):
+        return self.cols[self.i]
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", None)
+        return self.toks[self.i]
 
     def next(self):
-        tok = self.peek()
-        self.i += 1
+        tok = self.toks[self.i]
+        if tok[0] != "eof":
+            self.i += 1
         return tok
 
-    def expect_op(self, op):
-        t, v = self.next()
-        if t != "op" or v != op:
-            self.error("expected %r, found %r" % (op, v))
+    def done(self):
+        return self.toks[self.i][0] == "eof"
 
-    def at_op(self, op):
-        t, v = self.peek()
-        return t == "op" and v == op
+    def at(self, kind, value=None):
+        t, v = self.toks[self.i]
+        return t == kind and (value is None or v == value)
 
-    def eat_op(self, op):
-        if self.at_op(op):
+    def eat(self, kind, value=None):
+        if self.at(kind, value):
             self.i += 1
             return True
         return False
 
+    def expect(self, kind, value=None):
+        col = self.col()
+        t, v = self.next()
+        if t != kind or (value is not None and v != value):
+            self.error("expected %s, found %r" % (value or kind, v), col)
+        return v
+
+
+def _logical_lines(text, filename="<input>"):
+    """(line, indent, text) for each logical line of ``text``.
+
+    Comments and blank lines are dropped, and a line with an unclosed
+    parenthesis or bracket continues onto the next physical line.
+    """
+    lines, pending = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0].rstrip()
+        if not code.strip():
+            continue
+        if pending is None:
+            pending = (lineno, len(code) - len(code.lstrip()), code.strip())
+        else:
+            pending = (pending[0], pending[1], pending[2] + " " + code.strip())
+        body = pending[2]
+        if body.count("(") + body.count("[") <= body.count(")") + body.count("]"):
+            lines.append(pending)
+            pending = None
+    if pending is not None:
+        raise ProgramSyntaxError("unclosed bracket at end of input", pending[0], 1,
+                                 filename)
+    return lines
+
+
+def parse_blocks(text, parser, filename="<input>"):
+    """The items of ``text``, nested by indentation.
+
+    Each logical line is read by ``parser(text, line, filename)
+    .statement(headers)``, given the block headers that enclose it,
+    outermost first.  It returns ``(item, False)``, or ``(header, True)``
+    for a block header, whose ``body`` the more indented lines after it
+    fill.
+    """
+    lines = _logical_lines(text, filename)
+    items, pos = _block(lines, 0, lines[0][1] if lines else 0, parser, (),
+                        filename)
+    if pos != len(lines):
+        raise ProgramSyntaxError("inconsistent dedent", lines[pos][0], 1, filename)
+    return tuple(items)
+
+
+def _block(lines, pos, indent, parser, headers, filename):
+    """The items of the block at ``indent`` from ``lines[pos]`` on, and the
+    position after it."""
+    items = []
+    while pos < len(lines):
+        line, ind, code = lines[pos]
+        if ind < indent:
+            break
+        if ind > indent:
+            raise ProgramSyntaxError("unexpected indentation", line, ind + 1,
+                                     filename)
+        item, opens = parser(code, line, filename).statement(headers)
+        pos += 1
+        if opens:
+            body = []
+            if pos < len(lines) and lines[pos][1] > indent:
+                body, pos = _block(lines, pos, lines[pos][1], parser,
+                                   headers + (item,), filename)
+            item = replace(item, body=tuple(body))
+        items.append(item)
+    return items, pos
+
+
+# ---------------------------------------------------------------------------
+# Textual format: parser
+# ---------------------------------------------------------------------------
+
+# fold -> (node over the expanded bodies, value of an empty fold); an empty
+# sum is undefined, an empty product one
+_FOLDS = {"all": (And, TRUE), "any": (Or, FALSE),
+          "sum": (Add, CondVal(FALSE, 0)), "prod": (Mul, CondVal(TRUE, 1))}
+
+
+class EventParser(TokenCursor):
+    """The event language's rules over one logical line."""
+
+    counters = frozenset()  # loop and fold counters in scope
+
+    def statement(self, headers):
+        """A declaration ``EID := expr`` or a ``forall c in lo..hi:`` header."""
+        self.counters = frozenset(h.counter for h in headers)
+        name = self.expect("name")
+        if name == "forall" and self.at("name"):
+            counter = self.next()[1]
+            self.expect("name", "in")
+            lo, hi = self.parse_range("..")
+            self.expect("op", ":")
+            item, opens = Loop(counter, lo, hi, ()), True
+        else:
+            indices = self.parse_indices()
+            self.expect("op", ":=")
+            item, opens = Decl(name, indices, self.parse_decl_body()), False
+        if not self.done():
+            self.error("trailing tokens after expression")
+        return item, opens
+
+    def parse_range(self, sep):
+        lo = self.parse_index_expr()
+        self.expect("op", sep)
+        hi = self.parse_index_expr()
+        if not lo.is_const() or not hi.is_const():
+            self.error("range bounds must be constant")
+        return lo.const, hi.const
+
+    def parse_fold(self):
+        """``all``/``any(j, lo, hi, event)`` or ``sum``/``prod(j, lo, hi,
+        cval)``, expanded over ``j`` at parse time."""
+        combine, empty = _FOLDS[self.next()[1]]
+        self.expect("op", "(")
+        counter = self.expect("name")
+        self.expect("op", ",")
+        lo, hi = self.parse_range(",")
+        self.expect("op", ",")
+        saved = self.counters
+        self.counters = saved | {counter}
+        body = self.parse_event() if combine in (And, Or) else self.parse_cval()
+        self.expect("op", ")")
+        self.counters = saved
+        exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
+        return combine(exprs) if exprs else empty
+
     # --- events -----------------------------------------------------------
 
     def parse_event(self):
-        e = self.parse_conj()
-        parts = [e]
-        while self.eat_op("|"):
+        parts = [self.parse_conj()]
+        while self.eat("op", "|"):
             parts.append(self.parse_conj())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_conj(self):
         parts = [self.parse_neg()]
-        while self.eat_op("&"):
+        while self.eat("op", "&"):
             parts.append(self.parse_neg())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_neg(self):
-        if self.eat_op("!"):
+        if self.eat("op", "!"):
             return Not(self.parse_neg())
         return self.parse_event_primary()
 
     def parse_event_primary(self):
         t, v = self.peek()
-        if t == "op" and v == "(":
-            self.next()
+        if self.eat("op", "("):
             e = self.parse_event()
-            self.expect_op(")")
+            self.expect("op", ")")
             return e
         if t == "op" and v == "[":
             return self.parse_atom()
         if t == "name":
-            if v == "true":
-                self.next()
-                return TRUE
-            if v == "false":
-                self.next()
-                return FALSE
-            if v == "all" or v == "any":
-                return self.parse_event_fold(v)
+            if v in ("all", "any"):
+                return self.parse_fold()
             self.next()
-            indices = self.parse_indices()
-            return Ref(v, indices)
+            if v in ("true", "false"):
+                return TRUE if v == "true" else FALSE
+            return Ref(v, self.parse_indices())
         self.error("expected an event, found %r" % (v,))
 
-    def parse_event_fold(self, which):
-        self.next()
-        self.expect_op("(")
-        saved = self.counters
-        counter, lo, hi = self.parse_fold_header()
-        body = self.parse_event()
-        self.expect_op(")")
-        self.counters = saved
-        exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
-        if not exprs:
-            return TRUE if which == "all" else FALSE
-        return And(exprs) if which == "all" else Or(exprs)
-
-    def parse_fold_header(self):
-        t, counter = self.next()
-        if t != "name":
-            self.error("fold counter expected")
-        self.expect_op(",")
-        lo = self.parse_index_expr()
-        self.expect_op(",")
-        hi = self.parse_index_expr()
-        self.expect_op(",")
-        if not lo.is_const() or not hi.is_const():
-            self.error("fold bounds must be constant")
-        self.counters = dict(self.counters)
-        self.counters[counter] = None
-        return counter, lo.const, hi.const
-
     def parse_atom(self):
-        self.expect_op("[")
+        self.expect("op", "[")
         left = self.parse_cval()
         t, v = self.next()
-        if t != "op" or v not in COMPARATORS:
+        op = "=" if v == "==" else v
+        if t != "op" or op not in COMPARATORS:
             self.error("expected comparator, found %r" % (v,))
         right = self.parse_cval()
-        self.expect_op("]")
-        return Atom(v, left, right)
+        self.expect("op", "]")
+        return Atom(op, left, right)
 
     # --- c-values ----------------------------------------------------------
 
     def parse_cval(self):
         parts = [self.parse_cval_term()]
-        while self.eat_op("+"):
+        while self.eat("op", "+"):
             parts.append(self.parse_cval_term())
         return parts[0] if len(parts) == 1 else Add(tuple(parts))
 
     def parse_cval_term(self):
         parts = [self.parse_cval_primary()]
-        while self.eat_op("*"):
+        while self.eat("op", "*"):
             parts.append(self.parse_cval_primary())
         return parts[0] if len(parts) == 1 else Mul(tuple(parts))
 
@@ -631,67 +739,51 @@ class _LineParser:
             return CondVal(TRUE, self.parse_vector())
         if t == "name" and v == "inv":
             self.next()
-            self.expect_op("(")
+            self.expect("op", "(")
             c = self.parse_cval()
-            self.expect_op(")")
+            self.expect("op", ")")
             return Inv(c)
         if t == "name" and v == "pow":
             self.next()
-            self.expect_op("(")
+            self.expect("op", "(")
             c = self.parse_cval()
-            self.expect_op(",")
+            self.expect("op", ",")
             n = self.parse_number()
-            self.expect_op(")")
+            self.expect("op", ")")
             if not isinstance(n, int):
                 self.error("power exponent must be an integer")
             return Pow(c, n)
         if t == "name" and v == "dist":
             self.next()
-            self.expect_op("(")
+            self.expect("op", "(")
             a = self.parse_cval()
-            self.expect_op(",")
+            self.expect("op", ",")
             b = self.parse_cval()
-            self.expect_op(")")
+            self.expect("op", ")")
             return Dist(a, b)
         if t == "name" and v in ("sum", "prod"):
-            return self.parse_cval_fold(v)
+            return self.parse_fold()
         # otherwise: an event followed by '?', or a parenthesised c-value
         return self.parse_guarded()
 
-    def parse_cval_fold(self, which):
-        self.next()
-        self.expect_op("(")
-        saved = self.counters
-        counter, lo, hi = self.parse_fold_header()
-        body = self.parse_cval()
-        self.expect_op(")")
-        self.counters = saved
-        exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
-        if not exprs:
-            # empty sum is undefined, empty product is one
-            if which == "sum":
-                return CondVal(FALSE, 0)
-            return CondVal(TRUE, 1)
-        return Add(exprs) if which == "sum" else Mul(exprs)
-
     def parse_guarded(self):
-        if self.at_op("("):
+        if self.at("op", "("):
             # Could be "(event) ? value" or a parenthesised c-value.
             saved = self.i
             self.next()
             try:
                 inner = self.parse_cval()
-                self.expect_op(")")
+                self.expect("op", ")")
                 return inner
             except ProgramSyntaxError:
                 self.i = saved
             self.next()
             guard = self.parse_event()
-            self.expect_op(")")
-            self.expect_op("?")
+            self.expect("op", ")")
+            self.expect("op", "?")
             return self._guard_body(guard)
         guard = self.parse_event()
-        if self.eat_op("?"):
+        if self.eat("op", "?"):
             return self._guard_body(guard)
         if isinstance(guard, Ref):
             return guard  # reference to a c-value declaration
@@ -711,24 +803,23 @@ class _LineParser:
         return Guard(guard, body)
 
     def parse_value(self):
-        t, v = self.peek()
-        if t == "op" and v == "[":
+        if self.at("op", "["):
             return self.parse_vector()
         return self.parse_number()
 
     def parse_number(self):
-        neg = self.eat_op("-")
+        neg = self.eat("op", "-")
         t, v = self.next()
         if t != "num":
             self.error("expected a number, found %r" % (v,))
         return -v if neg else v
 
     def parse_vector(self):
-        self.expect_op("[")
+        self.expect("op", "[")
         values = [self.parse_number()]
-        while self.eat_op(","):
+        while self.eat("op", ","):
             values.append(self.parse_number())
-        self.expect_op("]")
+        self.expect("op", "]")
         return tuple(float(x) for x in values)
 
     def parse_decl_body(self):
@@ -736,7 +827,7 @@ class _LineParser:
         saved = self.i
         try:
             c = self.parse_cval()
-            if self.peek()[0] == "eof":
+            if self.done():
                 return c
         except ProgramSyntaxError:
             pass
@@ -746,27 +837,26 @@ class _LineParser:
     # --- indices ------------------------------------------------------------
 
     def parse_indices(self):
-        if not self.at_op("["):
+        if not self.eat("op", "["):
             return ()
-        self.next()
         out = [self.parse_index_expr()]
-        while self.eat_op(","):
+        while self.eat("op", ","):
             out.append(self.parse_index_expr())
-        self.expect_op("]")
+        self.expect("op", "]")
         return tuple(out)
 
     def parse_index_expr(self):
         e = self.parse_index_term()
         while True:
-            if self.eat_op("+"):
+            if self.eat("op", "+"):
                 e = e.plus(self.parse_index_term())
-            elif self.eat_op("-"):
+            elif self.eat("op", "-"):
                 e = e.plus(self.parse_index_term().times(-1))
             else:
                 return e
 
     def parse_index_term(self):
-        if self.eat_op("-"):
+        if self.eat("op", "-"):
             return self.parse_index_term().times(-1)
         t, v = self.next()
         if t == "num":
@@ -779,7 +869,7 @@ class _LineParser:
             value = Affine.var(v)
         else:
             self.error("bad index expression near %r" % (v,))
-        if self.eat_op("*"):
+        if self.eat("op", "*"):
             t2, v2 = self.next()
             if t == "num" and t2 == "name":
                 if v2 not in self.counters:
@@ -793,61 +883,7 @@ class _LineParser:
 
 def parse_event_program(text):
     """Parse the line-oriented event program format."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
-            continue
-        indent = len(stripped) - len(stripped.lstrip())
-        lines.append((lineno, indent, stripped.strip()))
-
-    items, pos = _parse_block(lines, 0, lines[0][1] if lines else 0, {})
-    if pos != len(lines):
-        raise ProgramSyntaxError("dedent below program level", lines[pos][0])
-    return EventProgram(tuple(items))
-
-
-def _parse_block(lines, pos, indent, counters):
-    """The items of the block at ``indent`` from ``lines[pos]`` on, and the
-    position after it."""
-    items = []
-    while pos < len(lines):
-        lineno, ind, text_line = lines[pos]
-        if ind < indent:
-            break
-        if ind > indent:
-            raise ProgramSyntaxError("unexpected indentation", lineno)
-        m = re.match(
-            r"forall\s+([A-Za-z_][A-Za-z0-9_]*)\s+in\s+(-?\d+)\s*\.\.\s*(-?\d+)\s*:$",
-            text_line)
-        if m:
-            pos += 1
-            counter, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-            sub = dict(counters)
-            sub[counter] = None
-            if pos < len(lines) and lines[pos][1] > indent:
-                body, pos = _parse_block(lines, pos, lines[pos][1], sub)
-            else:
-                body = []
-            items.append(Loop(counter, lo, hi, tuple(body)))
-            continue
-        if ":=" not in text_line:
-            raise ProgramSyntaxError("expected 'EID := expr'", lineno)
-        lhs_text, rhs_text = text_line.split(":=", 1)
-        lp = _LineParser(_tokenize_line(lhs_text, lineno), lineno, counters)
-        t, name = lp.next()
-        if t != "name":
-            raise ProgramSyntaxError("bad declaration head", lineno)
-        indices = lp.parse_indices()
-        if lp.peek()[0] != "eof":
-            raise ProgramSyntaxError("trailing tokens in declaration head", lineno)
-        rp = _LineParser(_tokenize_line(rhs_text, lineno), lineno, counters)
-        expr = rp.parse_decl_body()
-        if rp.peek()[0] != "eof":
-            raise ProgramSyntaxError("trailing tokens after expression", lineno)
-        items.append(Decl(name, indices, expr))
-        pos += 1
-    return items, pos
+    return EventProgram(parse_blocks(text, EventParser))
 
 
 # ---------------------------------------------------------------------------

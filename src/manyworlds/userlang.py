@@ -8,18 +8,21 @@ literals, identifiers, array initialisation ``[None] * n``, comparisons,
 through the abstract calls ``loadData()``, ``loadParams()`` and ``init()``,
 bound to a dataset at translation time.  ``Obj`` is reserved: it names the
 points' lineage events, which ``loadData()`` declares.
+
+Tokens, logical lines (a statement continues while a bracket is open),
+indentation blocks and ``ProgramSyntaxError`` come from the source reader
+in ``eventprog``, which the event language uses too; this module adds only
+the statement and expression rules.  The validator reports what the
+translator cannot express: indices other than loop counters, comprehension
+variables and constants under ``+`` and ``*`` by a constant, and components
+of a feature vector.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-
-class UserSyntaxError(Exception):
-    def __init__(self, message, line, col=0, filename="<input>"):
-        self.line, self.col, self.filename = line, col, filename
-        super().__init__("%s:%d:%d: %s" % (filename, line, col, message))
+from .eventprog import TokenCursor, parse_blocks
 
 
 @dataclass
@@ -151,163 +154,141 @@ EXT_FUNCS = ("loadData", "loadParams", "init")
 COMPARE_OPS = ("<=", ">=", "==", "<", ">")
 
 
-# --- lexer --------------------------------------------------------------------
-
-_TOK = re.compile(
-    r"(?P<num>\d+\.\d+|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|==|[-+*()\[\],:<>=])|(?P<ws>\s+)|(?P<bad>.)"
-)
+# --- parser -------------------------------------------------------------------
 
 
-def _lex_line(text, lineno, filename):
-    toks = []
-    for m in _TOK.finditer(text):
-        kind = m.lastgroup
-        col = m.start() + 1
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise UserSyntaxError("unexpected character %r" % m.group(), lineno, col,
-                                  filename)
-        if kind == "num":
-            s = m.group()
-            toks.append(("num", float(s) if "." in s else int(s), lineno, col))
-        elif kind == "name":
-            toks.append(("name", m.group(), lineno, col))
-        else:
-            toks.append(("op", m.group(), lineno, col))
-    return toks
+class _Parser(TokenCursor):
+    """The user language's rules over one logical line."""
 
+    def statement(self, headers):
+        """A ``for`` header, an external call or an assignment."""
+        line = self.line
+        if self.eat("name", "for"):
+            var = self.expect("name")
+            self.expect("name", "in")
+            lo, hi = self.parse_range()
+            self.expect("op", ":")
+            if not self.done():
+                self.error("trailing tokens after ':'")
+            return UFor(var, lo, hi, (), line), True
+        if self.eat("op", "("):
+            names = [self.expect("name")]
+            while self.eat("op", ","):
+                names.append(self.expect("name"))
+            self.expect("op", ")")
+            self.expect("op", "=")
+            func = self.expect("name")
+            if func not in EXT_FUNCS:
+                self.error("unknown external call %r" % func)
+            self.parse_call_end()
+            return UExtCall(tuple(names), func, line), False
+        target = self.parse_indexing(UName(self.expect("name"), line, 1))
+        self.expect("op", "=")
+        if self.at("name") and self.peek()[1] in EXT_FUNCS:
+            func = self.next()[1]
+            self.parse_call_end()
+            if not isinstance(target, UName):
+                self.error("external call must bind a plain name")
+            return UExtCall((target.name,), func, line), False
+        expr = self.parse_expr()
+        if not self.done():
+            self.error("trailing tokens after expression")
+        return UAssign(target, expr, line), False
 
-class _Parser:
-    def __init__(self, toks, lineno, filename):
-        self.toks = toks
-        self.i = 0
-        self.lineno = lineno
-        self.filename = filename
-
-    def error(self, msg, col=None):
-        if col is None:
-            col = self.toks[self.i - 1][3] if 0 < self.i <= len(self.toks) else 1
-        raise UserSyntaxError(msg, self.lineno, col, self.filename)
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", None, self.lineno, 0)
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def at(self, kind, value=None):
-        t, v, _l, _c = self.peek()
-        return t == kind and (value is None or v == value)
-
-    def eat(self, kind, value=None):
-        if self.at(kind, value):
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, kind, value=None):
-        t, v, _l, c = self.next()
-        if t != kind or (value is not None and v != value):
-            self.error("expected %s, found %r" % (value or kind, v), c)
-        return v
-
-    def done(self):
-        return self.i >= len(self.toks)
+    def parse_call_end(self):
+        """The ``()`` that ends an external call's line."""
+        self.expect("op", "(")
+        self.expect("op", ")")
+        if not self.done():
+            self.error("trailing tokens")
 
     # expressions: compare > additive > multiplicative > primary
 
     def parse_expr(self):
         left = self.parse_additive()
-        t, v, line, col = self.peek()
+        t, v = self.peek()
         if t == "op" and v in COMPARE_OPS:
+            col = self.col()
             self.next()
-            right = self.parse_additive()
-            return UCompare(v, left, right, line, col)
+            return UCompare(v, left, self.parse_additive(), self.line, col)
         return left
 
     def parse_additive(self):
         e = self.parse_multiplicative()
         while self.at("op", "+"):
-            _t, _v, line, col = self.next()
-            e = UBinOp("+", e, self.parse_multiplicative(), line, col)
+            col = self.col()
+            self.next()
+            e = UBinOp("+", e, self.parse_multiplicative(), self.line, col)
         return e
 
     def parse_multiplicative(self):
         e = self.parse_primary()
         while self.at("op", "*"):
-            _t, _v, line, col = self.next()
-            e = UBinOp("*", e, self.parse_primary(), line, col)
+            col = self.col()
+            self.next()
+            e = UBinOp("*", e, self.parse_primary(), self.line, col)
         return e
 
     def parse_primary(self):
-        t, v, line, col = self.peek()
+        line, col = self.line, self.col()
+        t, v = self.next()
         if t == "num":
-            self.next()
             return self.parse_indexing(ULit(v, line, col))
         if t == "op" and v == "-":
-            self.next()
-            t2, v2, l2, c2 = self.next()
-            if t2 != "num":
-                self.error("expected a number after '-'", c2)
-            return ULit(-v2, l2, c2)
+            col = self.col()
+            t, v = self.next()
+            if t != "num":
+                self.error("expected a number after '-'", col)
+            return ULit(-v, line, col)
         if t == "op" and v == "(":
-            self.next()
             e = self.parse_expr()
             self.expect("op", ")")
             return self.parse_indexing(e)
         if t == "op" and v == "[":
             # [None] * size
-            self.next()
             self.expect("name", "None")
             self.expect("op", "]")
             self.expect("op", "*")
-            size = self.parse_primary()
-            return UArrayInit(size, line, col)
+            return UArrayInit(self.parse_primary(), line, col)
         if t == "name":
             if v in ("True", "False"):
-                self.next()
                 return ULit(v == "True", line, col)
             if v in REDUCERS:
-                return self.parse_reduce()
+                return self.parse_reduce(v, col)
             if v in ("pow", "invert", "dist", "scalar_mult") or v in TIE_FUNCS:
-                return self.parse_call()
-            self.next()
+                return self.parse_call(v, col)
             return self.parse_indexing(UName(v, line, col))
         self.error("unexpected token %r" % (v,), col)
 
     def parse_indexing(self, base):
         while self.at("op", "["):
-            _t, _v, line, col = self.next()
+            col = self.col()
+            self.next()
             idx = self.parse_expr()
             self.expect("op", "]")
-            base = UIndex(base, idx, line, col)
+            base = UIndex(base, idx, self.line, col)
         return base
 
-    def parse_call(self):
-        t, func, line, col = self.next()
+    def parse_call(self, func, col):
         self.expect("op", "(")
         args = [self.parse_expr()]
         while self.eat("op", ","):
             args.append(self.parse_expr())
         self.expect("op", ")")
-        return UCall(func, tuple(args), line, col)
+        return UCall(func, tuple(args), self.line, col)
 
-    def parse_reduce(self):
-        t, func, line, col = self.next()
+    def parse_reduce(self, func, col):
         self.expect("op", "(")
         if not self.at("op", "["):
-            _t, _v, _l, c = self.peek()
-            self.error("%s requires a list comprehension, not a named array" % func, c)
+            self.error("%s requires a list comprehension, not a named array" % func,
+                       self.col())
         comp = self.parse_comprehension()
         self.expect("op", ")")
-        return UReduce(func, comp, line, col)
+        return UReduce(func, comp, self.line, col)
 
     def parse_comprehension(self):
-        _t, _v, line, col = self.next()  # '['
+        col = self.col()
+        self.next()  # '['
         if self.at("name", "None"):
             self.error("expected a comprehension, found array initialiser", col)
         expr = self.parse_expr()
@@ -319,7 +300,7 @@ class _Parser:
         if self.eat("name", "if"):
             cond = self.parse_expr()
         self.expect("op", "]")
-        return UComprehension(expr, var, lo, hi, cond, line, col)
+        return UComprehension(expr, var, lo, hi, cond, self.line, col)
 
     def parse_range(self):
         self.expect("name", "range")
@@ -332,100 +313,12 @@ class _Parser:
 
 
 def parse_user_program(text, filename="<input>"):
-    """Parse source text; raises UserSyntaxError with line/column on failure.
+    """Parse source text; raises ProgramSyntaxError with line/column on failure.
 
     A statement continues onto following physical lines while it has an
     unclosed parenthesis or bracket, as in the Python it resembles.
     """
-    lines = []
-    pending = None  # (lineno, indent, text, open_depth)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0].rstrip()
-        if not code.strip():
-            continue
-        if pending is None:
-            indent = len(code) - len(code.lstrip())
-            start, body = lineno, code.strip()
-        else:
-            start, indent, body = pending[0], pending[1], pending[2] + " " + code.strip()
-        depth = body.count("(") - body.count(")") + body.count("[") - body.count("]")
-        if depth > 0:
-            pending = (start, indent, body)
-            continue
-        pending = None
-        lines.append((start, indent, body))
-    if pending is not None:
-        raise UserSyntaxError("unclosed bracket at end of input", pending[0], 1,
-                              filename)
-    items, pos = _parse_block(lines, 0, lines[0][1] if lines else 0, filename)
-    if pos != len(lines):
-        raise UserSyntaxError("inconsistent dedent", lines[pos][0], 1, filename)
-    return UProgram(tuple(items))
-
-
-def _parse_block(lines, pos, indent, filename):
-    """The statements of the block at ``indent`` from ``lines[pos]`` on, and
-    the position after it."""
-    items = []
-    while pos < len(lines):
-        lineno, ind, code = lines[pos]
-        if ind < indent:
-            break
-        if ind > indent:
-            raise UserSyntaxError("unexpected indentation", lineno, ind + 1, filename)
-        toks = _lex_line(code, lineno, filename)
-        p = _Parser(toks, lineno, filename)
-        if p.at("name", "for"):
-            p.next()
-            var = p.expect("name")
-            p.expect("name", "in")
-            lo, hi = p.parse_range()
-            p.expect("op", ":")
-            if not p.done():
-                p.error("trailing tokens after ':'")
-            pos += 1
-            if pos < len(lines) and lines[pos][1] > indent:
-                body, pos = _parse_block(lines, pos, lines[pos][1], filename)
-            else:
-                body = []
-            items.append(UFor(var, lo, hi, tuple(body), lineno))
-            continue
-        items.append(_parse_statement(p, lineno, filename))
-        pos += 1
-    return items, pos
-
-
-def _parse_statement(p, lineno, filename):
-    if p.at("op", "("):
-        p.next()
-        names = [p.expect("name")]
-        while p.eat("op", ","):
-            names.append(p.expect("name"))
-        p.expect("op", ")")
-        p.expect("op", "=")
-        func = p.expect("name")
-        if func not in EXT_FUNCS:
-            p.error("unknown external call %r" % func)
-        p.expect("op", "(")
-        p.expect("op", ")")
-        if not p.done():
-            p.error("trailing tokens")
-        return UExtCall(tuple(names), func, lineno)
-    target = p.parse_indexing(UName(p.expect("name"), lineno, 1))
-    p.expect("op", "=")
-    if p.at("name") and p.peek()[1] in EXT_FUNCS:
-        func = p.next()[1]
-        p.expect("op", "(")
-        p.expect("op", ")")
-        if not p.done():
-            p.error("trailing tokens")
-        if not isinstance(target, UName):
-            p.error("external call must bind a plain name")
-        return UExtCall((target.name,), func, lineno)
-    expr = p.parse_expr()
-    if not p.done():
-        p.error("trailing tokens after expression")
-    return UAssign(target, expr, lineno)
+    return UProgram(parse_blocks(text, _Parser, filename))
 
 
 # --- pretty printer --------------------------------------------------------------
@@ -541,8 +434,9 @@ class _Validator:
         self.diags = []
         self.env = {}        # name -> VType
         self.const_int = {}  # names usable as range bounds
-        self.comp_vars = []  # comprehension variables in scope
-        self.loop_vars = []
+        # loop counters ("affine") and comprehension variables ("const", one
+        # value per expanded element) in scope
+        self.index_vars = {}
 
     def report(self, rule, message, node):
         self.diags.append(Diagnostic(rule, message,
@@ -597,11 +491,12 @@ class _Validator:
                 self.report("range-bound",
                             "%s range bound is not an integer constant" % which, item)
         self.env[item.var] = INT
-        self.loop_vars.append(item.var)
         if item.var in self.reassigned:
             self.report("counter-assign", "loop counter %r is reassigned" % item.var, item)
+        outer = self.index_vars
+        self.index_vars = {**outer, item.var: "affine"}
         self._block(item.body)
-        self.loop_vars.pop()
+        self.index_vars = outer
 
     def _const_bound(self, e):
         """An integer constant to the translator (``const_value``): a
@@ -610,9 +505,29 @@ class _Validator:
         if isinstance(e, ULit) and isinstance(e.value, int) and not isinstance(e.value, bool):
             return True
         if isinstance(e, UName):
-            return e.name in self.comp_vars or (
+            return self.index_vars.get(e.name) == "const" or (
                 e.name in self.const_int and e.name not in self.reassigned)
         return False
+
+    def _index_form(self, e):
+        """Index ``e`` as ``translate.index_expr`` reads it: "const",
+        "affine" (it reads a loop counter) or None (it cannot express it).
+        It takes counters, comprehension variables and constants, under
+        ``+`` and under ``*`` by a constant."""
+        if isinstance(e, UBinOp):
+            forms = {self._index_form(e.left), self._index_form(e.right)}
+            if None in forms or (e.op == "*" and "const" not in forms):
+                return None
+            return "affine" if "affine" in forms else "const"
+        if isinstance(e, UName) and e.name in self.index_vars:
+            return self.index_vars[e.name]
+        return "const" if self._const_bound(e) else None
+
+    def _check_index(self, idx, node):
+        if self._index_form(idx) is None:
+            self.report("index-form",
+                        "array index is not affine in loop counters and constants",
+                        node)
 
     def _assign(self, item):
         t = self._type(item.expr)
@@ -649,6 +564,7 @@ class _Validator:
             it = self._type(idx)
             if not it.scalarish():
                 self.report("index-type", "array index is not an integer", item)
+            self._check_index(idx, item)
             if at.base != "array":
                 if isinstance(item.expr, UArrayInit) or at.base == "unknown":
                     at = UNKNOWN_T
@@ -683,11 +599,13 @@ class _Validator:
         if k is UIndex:
             bt = self._type(e.base)
             self._type(e.index)
+            self._check_index(e.index, e)
             if bt.base == "array":
                 return bt.elem if bt.elem is not None else UNKNOWN_T
             if bt.base == "vec":
-                return REAL
-            if bt.base != "unknown":
+                # the event language has no component projection
+                self.report("vec-index", "indexing a feature vector", e)
+            elif bt.base != "unknown":
                 self.report("index-arity", "indexing a non-array", e)
             return UNKNOWN_T
         if k is UCompare:
@@ -708,8 +626,9 @@ class _Validator:
                 return REAL if "real" in (lt.base, rt.base) else lt
             if lt.base == "vec" and rt.base == "vec":
                 return VEC
-            if "bool" in (lt.base, rt.base) or "array" in (lt.base, rt.base):
-                self.report("sum-type", "sum over %s" % lt.base, e)
+            bad = [t.base for t in (lt, rt) if t.base in ("bool", "array")]
+            if bad:
+                self.report("sum-type", "sum over %s" % bad[0], e)
             return REAL if "real" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
@@ -758,13 +677,14 @@ class _Validator:
         had = comp.var in self.env
         old = self.env.get(comp.var)
         self.env[comp.var] = INT
-        self.comp_vars.append(comp.var)
+        outer = self.index_vars
+        self.index_vars = {**outer, comp.var: "const"}
         body_t = self._type(comp.expr)
         if comp.cond is not None:
             ct = self._type(comp.cond)
             if ct.base not in ("bool", "unknown"):
                 self.report("filter-type", "comprehension filter is not Boolean", comp)
-        self.comp_vars.pop()
+        self.index_vars = outer
         if had:
             self.env[comp.var] = old
         else:

@@ -1,12 +1,17 @@
+import os
+import re
+
 import pytest
 
+from conftest import FIXTURES
 from manyworlds.events import (
     Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
     TypeMismatch, Var, TRUE, eval_cval, eval_event,
 )
 from manyworlds.eventprog import (
-    Affine, Decl, EventProgram, GroundError, Loop, decl, emit_event_program,
-    emit_grounded, ground, ground_folded, parse_event_program, ref,
+    Affine, Decl, EventProgram, GroundError, Loop, ProgramSyntaxError, decl,
+    emit_event_program, emit_grounded, ground, ground_folded,
+    parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 
@@ -277,3 +282,36 @@ def test_ground_reads_kinds_of_earlier_declarations():
 def test_ground_reports_unresolved_names_before_kind_errors(expr):
     with pytest.raises(GroundError, match="unresolved reference 'Missing'"):
         ground(EventProgram((decl("A", (), expr),)), ("A",), variables={"x"})
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    ("A := true\nB := x1 $ x2\n", 2, 9, "unexpected character"),
+    ("A[?] := true\n", 1, 3, "bad index expression"),
+    ("A := true\nB := [ A ? 1.0 ]\n", 2, 16, "expected comparator"),
+    ("A := x1 x2\n", 1, 6, "trailing tokens"),
+    ("A := true\n  B := false\n", 2, 3, "unexpected indentation"),
+    ("forall i in 0..2:\n  A[i] := all(j, 0, i, x1)\n", 2, 19,
+     "bounds must be constant"),
+], ids=["character", "index", "comparator", "trailing", "indentation",
+        "fold-bounds"])
+def test_event_program_syntax_errors(text, line, col, message):
+    with pytest.raises(ProgramSyntaxError, match=message) as info:
+        parse_event_program(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_event_program_line_continues_across_an_open_bracket():
+    joined = parse_event_program("A := (x1 | x2) & x3\nB := !A\n")
+    assert parse_event_program("A := (x1 |\n  x2) & x3\nB := !A\n") == joined
+    with pytest.raises(ProgramSyntaxError, match="unclosed bracket"):
+        parse_event_program("A := (x1 |\n")
+
+
+def test_readme_event_program_parses():
+    # the documented syntax is the syntax the parser accepts
+    with open(os.path.join(FIXTURES, "..", "..", "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("**Event program**"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    program = parse_event_program(block)
+    assert [type(item) for item in program.items] == [Decl, Decl, Loop]

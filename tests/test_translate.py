@@ -10,7 +10,7 @@ from manyworlds.events import (
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, Loop, emit_event_program, ground, ground_folded,
-    ref,
+    parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.oracle import _Program, interpret_user_program
@@ -152,12 +152,16 @@ def test_semantics_preservation_all_worlds(request, src_fixture, check_vars,
                     assert values_close(got, want), (ds.meta, w, var, idx)
 
 
-def test_graph_flow_semantics(graphflow_src):
+def _graph_dataset():
     vt = VarTable.of(("x1", 0.5),)
     pts = [Point("o%d" % i, (float(i),), Var("x1")) for i in range(3)]
     mat = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]
-    ds = Dataset(vt, pts, Params(k=1, iterations=2, medoids=(0,), power=2),
-                 matrix=mat)
+    return Dataset(vt, pts, Params(k=1, iterations=2, medoids=(0,), power=2),
+                   matrix=mat)
+
+
+def test_graph_flow_semantics(graphflow_src):
+    ds = _graph_dataset()
     ast = parse_user_program(graphflow_src)
     tr = translate_to_event_program(ast, ds)
     g = ground(tr.program, ("*",), variables={"x1"})
@@ -169,6 +173,17 @@ def test_graph_flow_semantics(graphflow_src):
             for b in range(3):
                 assert values_close(vals[tr.final_eid("M", a, b)],
                                     env["M"][a][b])
+
+
+@pytest.mark.parametrize("src_fixture", ["kmedoids_src", "kmeans_src",
+                                         "graphflow_src"])
+def test_emitted_event_program_grounds_the_same(request, src_fixture,
+                                                line_dataset):
+    ds = _graph_dataset() if src_fixture == "graphflow_src" else line_dataset
+    ast = parse_user_program(request.getfixturevalue(src_fixture))
+    program = translate_to_event_program(ast, ds).program
+    reparsed = parse_event_program(emit_event_program(program))
+    assert ground(reparsed) == ground(program)
 
 
 def test_reduce_filter_neutrality():

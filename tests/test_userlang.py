@@ -1,8 +1,9 @@
 import pytest
 
+from manyworlds.eventprog import ProgramSyntaxError
 from manyworlds.userlang import (
-    UAssign, UExtCall, UFor, UserSyntaxError, format_user_program,
-    parse_user_program, validate_user_program,
+    UAssign, UExtCall, UFor, format_user_program, parse_user_program,
+    validate_user_program,
 )
 
 
@@ -32,14 +33,14 @@ def test_graph_flow_program_validates(graphflow_src):
 
 
 def test_reduce_requires_comprehension():
-    with pytest.raises(UserSyntaxError, match="list comprehension"):
+    with pytest.raises(ProgramSyntaxError, match="list comprehension"):
         parse_user_program("A = reduce_and(B)")
 
 
 def test_syntax_error_carries_position():
     try:
         parse_user_program("M = = 3")
-    except UserSyntaxError as exc:
+    except ProgramSyntaxError as exc:
         assert exc.line == 1
     else:
         raise AssertionError("expected a syntax error")
@@ -92,6 +93,45 @@ def test_reassigned_name_not_a_constant(src, rule):
 def test_boolean_product_flagged():
     diags = validate_user_program(parse_user_program("x = True * 2\n"))
     assert [d.rule for d in diags] == ["mul-type"]
+
+
+def test_sum_type_names_the_offending_operand():
+    diags = validate_user_program(parse_user_program("x = 1 + True\n"))
+    assert [(d.rule, d.message) for d in diags] == [("sum-type", "sum over bool")]
+
+
+def test_feature_vector_component_flagged():
+    # the event language has no component projection of a feature vector
+    diags = validate_user_program(parse_user_program(
+        "(O, n) = loadData()\nx = O[0][0]\n"))
+    assert [d.rule for d in diags] == ["vec-index"]
+
+
+@pytest.mark.parametrize("src", [
+    # a reassigned name is neither a counter nor a constant
+    "x = 0\nx = 1\nA = [None] * 2\nA[0] = 5\nA[x] = 7\n",
+    "x = 0\nx = 1\nA = [None] * 2\nA[0] = 5\nB = A[x]\n",
+    # a product of two loop counters is not affine
+    "A = [None] * 4\nfor i in range(0, 2):\n for j in range(0, 2):\n"
+    "  A[i * j] = 1\n",
+], ids=["write", "read", "counter-product"])
+def test_index_the_translator_cannot_express_flagged(src):
+    diags = validate_user_program(parse_user_program(src))
+    assert [d.rule for d in diags] == ["index-form"]
+
+
+def test_affine_indices_validate():
+    # counters, comprehension variables and constants, with + and * by a
+    # constant
+    src = """
+k = 2
+A = [None] * 8
+for i in range(0, 2):
+ A[2 * i + 1] = 1
+ A[k * i + k] = 2
+ B = reduce_sum([A[j * i + 1] for j in range(0, 2)])
+"""
+    assert not validate_user_program(parse_user_program(src))
 
 
 def test_undeclared_identifier_flagged():
