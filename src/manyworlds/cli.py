@@ -144,7 +144,7 @@ def _load_pipeline(args):
     elif args.event_program:
         try:
             with open(args.event_program) as fh:
-                program = parse_event_program(fh.read())
+                program = parse_event_program(fh.read(), args.event_program)
         except Exception as exc:
             raise CliError("parse", str(exc))
         default_targets = None

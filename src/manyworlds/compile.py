@@ -99,11 +99,13 @@ def ancestor_bits(net):
 
 
 class Search:
-    """One depth-first compilation run over a private mask state.
+    """Depth-first compilation over a private mask state, whose ``stats``
+    takes the search's account: work, decided mass and pruned mass.
 
     ``forker``, which the distributed driver sets, intercepts descents into
-    subtrees whose root depth is a multiple of ``job_depth``; it is None for
-    plain sequential compilation.
+    subtrees whose root depth is a multiple of ``job_depth``, as
+    ``forker(search, prefix, pr, E, depth)``; it is None for plain
+    sequential compilation.
     """
 
     def __init__(self, net, vartable, epsilon, scheme, state=None,
@@ -120,7 +122,6 @@ class Search:
         self.eps = epsilon
         self.scheme = scheme
         self.state = state or MaskState(net)
-        self.stats = self.state.stats
         self.on_branch = on_branch
         self.forker = None
         self.job_depth = job_depth
@@ -130,7 +131,6 @@ class Search:
         # table order; a variable is assigned iff its slot's mask is decided
         self.vars = [(name, net.var_nodes[name], anc[name])
                      for name, _p in vartable.vars if name in net.var_nodes]
-        self.pruned_mass = 0.0
         # deepest level at which forking into a new job still makes sense:
         # one level per variable of the network that is not certain
         self.fork_limit = sum(1 for name, _slot, _bits in self.vars
@@ -211,17 +211,18 @@ class Search:
         with mass ``pr`` and budget ``E``; returns the residual budget."""
         # lazy never forfeits subtrees up front; its entire allowance is
         # realised by the early-stop tests below
+        stats = self.state.stats  # a job run in place swaps it in and out
         if self.eps > 0.0 and self.scheme != "lazy" and E >= pr:
-            self.stats.pruned += 1
-            self.pruned_mass += pr
+            stats.pruned += 1
+            stats.pruned_mass += pr
             return E - pr
-        self.stats.branches += 1
+        stats.branches += 1
         if prefix:
             self.state.assign(*prefix[-1], pr)
         if self.on_branch is not None:
             self.on_branch(self.state)
         if self.all_resolved():
-            self.stats.leaves += 1
+            stats.leaves += 1
             return E
         x = self.next_variable()
         if x is None:
@@ -245,7 +246,7 @@ class Search:
         child_prefix = prefix + ((x, value),)
         if self.forker is not None and self.job_depth \
                 and depth % self.job_depth == 0 and depth < self.fork_limit:
-            res = self.forker(child_prefix, pr, E, depth)
+            res = self.forker(self, child_prefix, pr, E, depth)
             if res is not None:
                 return res
             return 0.0  # asynchronous fork: residual not yet known
@@ -288,5 +289,5 @@ def finish_result(search):
     st = search.state
     out = [checked_bounds(eid, st.problower[i], st.probupper[i])
            for i, (_nid, _t, eid) in enumerate(search.net.targets)]
-    return CompileResult(out, search.stats, search.scheme, search.eps,
-                         search.pruned_mass)
+    return CompileResult(out, st.stats, search.scheme, search.eps,
+                         st.stats.pruned_mass)

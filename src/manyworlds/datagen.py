@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from .events import (
-    Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE, first_true,
-    map_children,
+    Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE,
+    declared_values, first_true, map_children,
 )
 from .eventprog import (EventParser, ProgramSyntaxError, decl, format_expr,
                         ref)
@@ -63,9 +63,12 @@ class Dataset:
     def n(self):
         return len(self.points)
 
-    def event_env(self):
-        """Resolve point-id references: maps point id -> its event expression."""
-        return {p.id: p.event for p in self.points}
+    def exists(self, valuation):
+        """Per point, whether it exists in the world ``valuation``.  A
+        point's event may name earlier points."""
+        values = declared_values(valuation,
+                                 {p.id: p.event for p in self.points})
+        return [values[p.id] for p in self.points]
 
     def lineage(self):
         """``Obj[l] := <point l's event>`` for each point; a point-id

@@ -3,17 +3,19 @@
 A job owns the subtree rooted at a branch prefix.  While exploring, a job
 forks a child job whenever a descent would cross a depth that is a multiple
 of the job depth ``d``.  Every job, queued or run in place, commits its
-own account to a ledger: its work, the mass it pruned and the mass its own
-branches decided, summed in its own visit order, never that of the jobs it
-forked.  The ledger counts it as a job; commits are serialized and
-idempotent per job id, so re-running a failed job is safe.  The result is
-the seed bounds plus every commit.  No account depends on where a job's
-forks ran, so in exact mode the bounds, the work and the commit log (in
-job-id order) are the same bits at every worker count and on every run;
-hybrid work still depends on thread timing, through the budget pool.
+own account to a ledger: one ``Stats`` with its work, the mass it pruned
+and the mass its own branches decided, summed in its own visit order,
+never that of the jobs it forked.  The ledger counts it as a job; commits
+are serialized and idempotent per job id, so re-running a failed job is
+safe.  The result is the seed bounds plus every commit.  No account
+depends on where a job's forks ran, so in exact mode the bounds, the work
+and the commit log (in job-id order) are the same bits at every worker
+count and on every run; hybrid work still depends on thread timing,
+through the budget pool.
 
-One runner serves every worker count; each worker owns one mask state.  The
-fork policy is the only scheduling decision.  A forked job goes to the
+One runner serves every worker count; each worker owns one ``Search`` and
+runs every job on it, with the job's account swapped onto its mask state.
+The fork policy is the only scheduling decision.  A forked job goes to the
 queue only while idle workers outnumber queued jobs, with a copy of the
 fork-time masks to resume from, and gets its base budget share; the
 residual budget of each finished queued job goes to a pool that queued
@@ -36,13 +38,12 @@ Forfeiting only widens exploration.
 
 from __future__ import annotations
 
-import functools
 import math
 import queue
 import threading
 
 from .compile import CompileResult, ConfigError, Search, checked_bounds
-from .network import MaskState, Stats
+from .network import Stats
 
 
 def max_job_count(m, d):
@@ -57,7 +58,7 @@ def _job_id(prefix):
 
 
 class _Ledger:
-    """Serialized commit point for bounds, budget pool, pruned mass and log."""
+    """Serialized commit point for bounds, budget pool, accounts and log."""
 
     def __init__(self, lower, upper, stats):
         self.lock = threading.Lock()
@@ -66,10 +67,9 @@ class _Ledger:
         # summed afresh from the seed and the log
         self.lower, self.upper = list(lower), list(upper)
         self.pool = 0.0
-        self.pruned_mass = 0.0
         self.committed = set()
         self.log = []
-        self.stats = stats  # the probe's: each job adds its work to it
+        self.stats = stats  # the probe's: each job adds its account to it
 
     def snapshot(self):
         with self.lock:
@@ -80,28 +80,30 @@ class _Ledger:
             out, self.pool = self.pool, 0.0
             return out
 
-    def commit(self, job_id, prefix, lo_delta, up_delta, residual, pruned, stats):
+    def commit(self, job_id, prefix, account, residual):
+        """Add a job's ``Stats`` and residual budget, once per job id."""
         with self.lock:
             if job_id in self.committed:
                 return False
             self.committed.add(job_id)
-            for i, (dl, du) in enumerate(zip(lo_delta, up_delta)):
+            up_delta = [-m for m in account.taken]
+            for i, (dl, du) in enumerate(zip(account.credited, up_delta)):
                 self.lower[i] += dl
                 self.upper[i] += du
             self.pool += residual
-            self.pruned_mass += pruned
             self.log.append({
                 "job": job_id,
                 "prefix": [[n, bool(v)] for n, v in prefix],
-                "lower_delta": list(lo_delta),
-                "upper_delta": list(up_delta),
+                "lower_delta": list(account.credited),
+                "upper_delta": up_delta,
             })
             s = self.stats
             s.jobs += 1
-            s.branches += stats.branches
-            s.leaves += stats.leaves
-            s.pruned += stats.pruned
-            s.propagations += stats.propagations
+            s.branches += account.branches
+            s.leaves += account.leaves
+            s.pruned += account.pruned
+            s.propagations += account.propagations
+            s.pruned_mass += account.pruned_mass
             return True
 
 
@@ -123,28 +125,30 @@ def run_distributed(net, vartable, epsilon, scheme="hybrid", workers=1,
         raise ConfigError("workers and job depth must be >= 1")
     # Count the variable-independent decisions (initial masks plus certain
     # variables) exactly once, on a probe state; the root job resumes from it.
-    probe = Search(net, vartable, epsilon, scheme)
+    probe = Search(net, vartable, epsilon, scheme, job_depth=job_depth)
     probe.preassign_certain()
     probe.check_targets_reachable()
-    ledger = _Ledger(probe.state.problower, probe.state.probupper, probe.stats)
+    ledger = _Ledger(probe.state.problower, probe.state.probupper,
+                     probe.state.stats)
 
     if not probe.all_resolved():
         runner = _Runner(net, vartable, epsilon, scheme, workers, job_depth,
                          fault_hook, max_retries, ledger)
         runner.run({"id": "root", "prefix": (), "pr": 1.0,
                     "base": 2.0 * epsilon, "depth": 0,
-                    "masks": probe.state.save_masks()}, probe.state)
+                    "masks": probe.state.save_masks()}, probe)
     if commit_log is not None:
         commit_log.extend(sorted(ledger.log, key=lambda r: r["job"]))
     return _result_from_ledger(net, ledger, scheme, epsilon)
 
 
 class _Runner:
-    """The job runner; the calling thread is worker 0, on the probe's state.
+    """The job runner.  Each worker runs every job on its one ``Search``;
+    the calling thread is worker 0, on the probe.
 
-    Methods, not nested functions: a fork function and a job function that
-    refer to each other form a cycle, which keeps the run alive until the
-    next full collection.
+    Methods, not nested functions, and no reference to a search: a search
+    gets ``fork`` as its forker and passes itself in.  A cycle would keep
+    the run alive until the next full collection.
     """
 
     def __init__(self, net, vt, epsilon, scheme, workers, job_depth,
@@ -162,21 +166,24 @@ class _Runner:
         self.retries = {}
         self.failures = []
 
-    def run(self, root, state):
+    def run(self, root, probe):
         self.queued = 1
         self.work.put(root)
-        threads = [threading.Thread(target=self.worker_loop,
-                                    args=(MaskState(self.net),), daemon=True)
+        threads = [threading.Thread(
+            target=self.worker_loop, daemon=True,
+            args=(Search(self.net, self.vt, self.epsilon, self.scheme,
+                         job_depth=self.job_depth),))
                    for _ in range(self.workers - 1)]
         for t in threads:
             t.start()
-        self.worker_loop(state)
+        self.worker_loop(probe)
         for t in threads:
             t.join()
         if self.failures:
             raise self.failures[0]
 
-    def worker_loop(self, state):
+    def worker_loop(self, search):
+        search.forker = self.fork
         while True:
             job = self.work.get()
             if job is None:
@@ -185,7 +192,7 @@ class _Runner:
                 self.idle -= 1
                 self.queued -= 1
             try:
-                self.execute(job, state)
+                self.execute(job, search)
             except Exception as exc:
                 self.retry(job, exc)
             with self.lock:
@@ -206,24 +213,21 @@ class _Runner:
             self.queued += 1
         self.work.put(job)
 
-    def execute(self, job, state):
-        """Run ``job`` on ``state`` and commit its own account.
+    def execute(self, job, search):
+        """Run ``job`` on ``search`` and commit its own account.
 
-        Its work and mass go to a fresh ``Stats`` and fresh ``credited`` and
-        ``taken`` lists on ``state``, its pruned mass to its own ``Search``;
-        the forker's come back after.  A queued job carries fork-time masks
-        and resumes from them; any other runs in place.  Returns the residual
+        The job's account is a fresh ``Stats`` on the search's state; the
+        forker's comes back after.  A queued job carries fork-time masks and
+        resumes from them; any other runs in place.  Returns the residual
         budget, or None once another attempt of the job has committed."""
         if job["id"] in self.ledger.committed:
             return None  # an earlier attempt ran it: its change is committed
         if self.fault_hook is not None:
             self.fault_hook(job["id"])
-        nt = len(state.problower)
-        forker = state.stats, state.credited, state.taken
-        state.stats, state.credited, state.taken = Stats(), [0.0] * nt, [0.0] * nt
+        state = search.state
+        forker = state.stats
+        state.stats = Stats(len(state.problower))
         try:
-            search = Search(self.net, self.vt, self.epsilon, self.scheme,
-                            state=state, job_depth=self.job_depth)
             ledger = self.ledger
             queued = "masks" in job
             budget = job["base"]
@@ -232,21 +236,18 @@ class _Runner:
                 state.problower[:], state.probupper[:] = ledger.snapshot()
                 if self.epsilon > 0.0:
                     budget += ledger.drain_pool()
-            search.forker = functools.partial(self.fork, state)
             prefix = job["prefix"]
             residual = search.explore(prefix, job["pr"], budget, job["depth"])
             # a queued job's residual goes to the pool; one run in place
             # returns it to its forker and must not hand it out twice
             to_pool = residual if queued else 0.0
-            if ledger.commit(job["id"], prefix, state.credited,
-                             [-m for m in state.taken], to_pool,
-                             search.pruned_mass, state.stats):
+            if ledger.commit(job["id"], prefix, state.stats, to_pool):
                 return residual
             return None
         finally:
-            state.stats, state.credited, state.taken = forker
+            state.stats = forker
 
-    def fork(self, state, prefix, pr, E, depth):
+    def fork(self, search, prefix, pr, E, depth):
         """``Search.forker``: queue the job for an idle worker, or run it in
         place and return its residual budget (None: none comes back)."""
         job = {"id": _job_id(prefix), "prefix": prefix, "pr": pr,
@@ -255,6 +256,7 @@ class _Runner:
             hand_off = self.idle > self.queued
             if hand_off:
                 self.queued += 1
+        state = search.state
         if hand_off:  # the job resumes from the masks before its variable
             job["masks"] = state.save_masks()
             self.work.put(job)
@@ -262,7 +264,7 @@ class _Runner:
         mark = state.checkpoint()
         lower, upper = list(state.problower), list(state.probupper)
         try:
-            return self.execute(job, state)
+            return self.execute(job, search)
         except Exception as exc:
             # undo the attempt and queue the job, so the retry is charged
             # to the job that failed and not to its forker
@@ -282,4 +284,5 @@ def _result_from_ledger(net, ledger, scheme, epsilon):
         upper = math.fsum([ledger.seed_upper[i]]
                           + [r["upper_delta"][i] for r in ledger.log])
         out.append(checked_bounds(eid, lower, upper))
-    return CompileResult(out, ledger.stats, scheme, epsilon, ledger.pruned_mass)
+    return CompileResult(out, ledger.stats, scheme, epsilon,
+                         ledger.stats.pruned_mass)

@@ -642,7 +642,7 @@ class EventParser(TokenCursor):
             self.expect("op", ":=")
             item, opens = Decl(name, indices, self.parse_decl_body()), False
         if not self.done():
-            self.error("trailing tokens after expression")
+            self.error("trailing tokens after expression", self.col())
         return item, opens
 
     def parse_range(self, sep):
@@ -881,9 +881,10 @@ class EventParser(TokenCursor):
         return value
 
 
-def parse_event_program(text):
-    """Parse the line-oriented event program format."""
-    return EventProgram(parse_blocks(text, EventParser))
+def parse_event_program(text, filename="<input>"):
+    """Parse the line-oriented event program format; syntax errors name
+    ``filename``."""
+    return EventProgram(parse_blocks(text, EventParser, filename))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ every expression into a random variable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -30,10 +31,6 @@ class EventError(Exception):
 
 class ResolutionError(EventError):
     """Unresolved variable or event identifier."""
-
-
-class CycleError(EventError):
-    """Event identifier references form a cycle."""
 
 
 class TypeMismatch(EventError):
@@ -340,8 +337,8 @@ def first_true(events):
 def evaluate(e, nu, ref):
     """Extended value of ``e`` in the world ``nu``.
 
-    ``ref(name)`` supplies the value of a grounded identifier; callers decide
-    how (cycle-checked resolution, or a lookup into precomputed values).
+    ``ref(name)`` supplies the value of a grounded identifier, a lookup
+    into values computed before (``declared_values``).
     """
     kind = type(e)
     if kind is Var:
@@ -395,38 +392,36 @@ def evaluate(e, nu, ref):
     raise TypeError("not an expression: %r" % (e,))
 
 
-class _Evaluator:
-    """Cycle-checked resolution of grounded identifiers in one world.
+def _lookup(values, name):
+    try:
+        return values[name]
+    except KeyError:
+        raise ResolutionError("unresolved identifier %r" % name) from None
 
-    ``env`` maps grounded identifiers to their defining expressions; each
-    identifier is evaluated at most once per world and cycles are detected.
+
+def declared_values(valuation, env):
+    """The value of every identifier of ``env`` in the world ``valuation``.
+
+    One pass in declaration order: a declaration reads only earlier ones
+    (``eventprog.ground``, ``Dataset.from_json`` and ``Dataset.lineage``
+    keep that order), so a reference to an unknown or later identifier
+    raises ResolutionError.
     """
+    values = {}
+    ref = functools.partial(_lookup, values)
+    for name, e in env.items():
+        values[name] = evaluate(e, valuation, ref)
+    return values
 
-    __slots__ = ("valuation", "env", "cache", "in_progress")
 
-    def __init__(self, valuation, env):
-        self.valuation = valuation
-        self.env = env or {}
-        self.cache = {}
-        self.in_progress = set()
-
-    def resolve(self, name):
-        if name in self.cache:
-            return self.cache[name]
-        if name not in self.env:
-            raise ResolutionError("unresolved identifier %r" % name)
-        if name in self.in_progress:
-            raise CycleError("identifier cycle through %r" % name)
-        self.in_progress.add(name)
-        value = evaluate(self.env[name], self.valuation, self.resolve)
-        self.in_progress.discard(name)
-        self.cache[name] = value
-        return value
+def _evaluate_in(e, valuation, env):
+    values = declared_values(valuation, env or {})
+    return evaluate(e, valuation, functools.partial(_lookup, values))
 
 
 def eval_event(e, valuation, env=None):
     """Truth value of an event expression in the world ``valuation``."""
-    result = evaluate(e, valuation, _Evaluator(valuation, env).resolve)
+    result = _evaluate_in(e, valuation, env)
     if not isinstance(result, bool):
         raise TypeMismatch("expression is not an event: %r" % (e,))
     return result
@@ -434,7 +429,7 @@ def eval_event(e, valuation, env=None):
 
 def eval_cval(c, valuation, env=None):
     """Extended value of a c-value expression in the world ``valuation``."""
-    result = evaluate(c, valuation, _Evaluator(valuation, env).resolve)
+    result = _evaluate_in(c, valuation, env)
     if isinstance(result, bool):
         raise TypeMismatch("expression is not a c-value: %r" % (c,))
     return result

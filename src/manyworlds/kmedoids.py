@@ -135,10 +135,7 @@ def direct_kmedoids(dataset, valuation):
     (missing medoid, empty cluster) hold vacuously.  Returns (clusters,
     medoids) where clusters is a list of k sorted member-index lists.
     """
-    from .events import eval_event
-
-    env = dataset.event_env()
-    exists = [eval_event(p.event, valuation, env) for p in dataset.points]
+    exists = dataset.exists(valuation)
     pts = [tuple(p.coords) for p in dataset.points]
     n, k, T = dataset.n, dataset.params.k, dataset.params.iterations
 

@@ -447,15 +447,23 @@ def _ipow(lo, hi, n):
 
 
 class Stats:
-    __slots__ = ("branches", "leaves", "pruned", "propagations", "jobs", "replays")
+    """The account of a search or of one job: its work counts, the mass it
+    credited to each target's lower bound and took from its upper bound,
+    and the mass its budget forfeited in pruned subtrees."""
 
-    def __init__(self):
+    __slots__ = ("branches", "leaves", "pruned", "propagations", "jobs", "replays",
+                 "credited", "taken", "pruned_mass")
+
+    def __init__(self, targets):
         self.branches = 0
         self.leaves = 0
         self.pruned = 0
         self.propagations = 0
         self.jobs = 0
         self.replays = 0
+        self.credited = [0.0] * targets
+        self.taken = [0.0] * targets
+        self.pruned_mass = 0.0
 
     def as_dict(self):
         return {
@@ -482,13 +490,9 @@ class MaskState:
         size = self.N * self.T
         self.masks = [UNKNOWN] * size
         self.trail = []
-        self.stats = Stats()
+        self.stats = Stats(len(net.targets))
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
-        # per target, the mass credited to lower and taken from upper since
-        # the running job started (``distributed._Runner.execute``)
-        self.credited = [0.0] * len(net.targets)
-        self.taken = [0.0] * len(net.targets)
         self.target_at = {}
         for i, (nid, t, _eid) in enumerate(net.targets):
             self.target_at.setdefault(net.slot(nid, t), []).append(i)
@@ -646,10 +650,10 @@ class MaskState:
         for ti in self.target_at.get(idx, ()):
             if value == MASK_TRUE:
                 self.problower[ti] += p
-                self.credited[ti] += p
+                self.stats.credited[ti] += p
             else:
                 self.probupper[ti] -= p
-                self.taken[ti] += p
+                self.stats.taken[ti] += p
 
     # --- mask rules ----------------------------------------------------------------
     #

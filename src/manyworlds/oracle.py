@@ -222,8 +222,7 @@ class _Interp:
 
     def __init__(self, dataset, valuation):
         self.ds = dataset
-        self.nu = valuation
-        self.point_events = dataset.event_env()  # they may name earlier points
+        self.exists = dataset.exists(valuation)
         self.env = {}
 
     def run(self, program):
@@ -246,12 +245,8 @@ class _Interp:
     def bind_ext(self, item):
         ds = self.ds
         if item.func == "loadData":
-            objects = []
-            for point in ds.points:
-                if ev.eval_event(point.event, self.nu, self.point_events):
-                    objects.append(tuple(point.coords))
-                else:
-                    objects.append(VU)
+            objects = [tuple(point.coords) if there else VU
+                       for point, there in zip(ds.points, self.exists)]
             vals = [objects, len(objects)]
             if len(item.targets) == 3:
                 vals = [objects, len(objects), [list(row) for row in ds.matrix]]
@@ -269,9 +264,8 @@ class _Interp:
 
     def initial_medoid(self, i):
         for l in self.ds.medoid_preference(i):
-            point = self.ds.points[l]
-            if ev.eval_event(point.event, self.nu, self.point_events):
-                return tuple(point.coords)
+            if self.exists[l]:
+                return tuple(self.ds.points[l].coords)
         return VU
 
     def int_value(self, e):

@@ -156,17 +156,8 @@ class _Translator:
         return out
 
     def _versioned_by(self, item):
-        if isinstance(item, ul.UAssign) and isinstance(item.target, ul.UName):
-            return [item.target.name]
-        if isinstance(item, ul.UExtCall):
-            return list(item.targets)
-        if isinstance(item, ul.UFor):
-            seen = {}  # first-assignment order
-            for it2 in item.body:
-                for v in self._versioned_by(it2):
-                    seen[v] = True
-            return list(seen)
-        return []
+        """The names ``item`` binds, in loops too, in first-binding order."""
+        return list(dict.fromkeys(name for name, _ in ul._bindings([item])))
 
     def bump(self, name, block):
         """Consume an assignment slot; returns the variable's state."""

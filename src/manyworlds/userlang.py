@@ -169,7 +169,7 @@ class _Parser(TokenCursor):
             lo, hi = self.parse_range()
             self.expect("op", ":")
             if not self.done():
-                self.error("trailing tokens after ':'")
+                self.error("trailing tokens after ':'", self.col())
             return UFor(var, lo, hi, (), line), True
         if self.eat("op", "("):
             names = [self.expect("name")]
@@ -192,7 +192,7 @@ class _Parser(TokenCursor):
             return UExtCall((target.name,), func, line), False
         expr = self.parse_expr()
         if not self.done():
-            self.error("trailing tokens after expression")
+            self.error("trailing tokens after expression", self.col())
         return UAssign(target, expr, line), False
 
     def parse_call_end(self):
@@ -200,7 +200,7 @@ class _Parser(TokenCursor):
         self.expect("op", "(")
         self.expect("op", ")")
         if not self.done():
-            self.error("trailing tokens")
+            self.error("trailing tokens", self.col())
 
     # expressions: compare > additive > multiplicative > primary
 

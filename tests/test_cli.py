@@ -198,6 +198,16 @@ def test_parse_error_exit_code(capsys, line_json, tmp_path):
     assert "parse" in err
 
 
+def test_event_program_parse_error_names_the_file(capsys, line_json,
+                                                  tmp_path):
+    bad = tmp_path / "bad.events"
+    bad.write_text("A := true\nB := x1 $ x2\n")
+    code, _, err = _run(capsys, "run", "--event-program", str(bad), "--data",
+                        line_json)
+    assert (code, err) == (
+        2, "error: parse: %s:2:9: unexpected character '$'\n" % bad)
+
+
 @pytest.mark.parametrize("sum_body,folded,target,message", [
     ("2.0", False, "C[1]", "network: target 'C[1]' is not an event"),
     ("2.0", True, "C[1]", "network: target 'C[1]' is not an event"),

@@ -216,7 +216,7 @@ def test_planted_gap_in_finished_search_and_ledger(gap, raises):
     search = Search(net, vt, 0.0, "exact")
     search.run()
     search.state.problower[0] = search.state.probupper[0] + gap
-    ledger = _Ledger([0.25 + gap], [0.25], search.stats)
+    ledger = _Ledger([0.25 + gap], [0.25], search.state.stats)
     for finish in (lambda: finish_result(search),
                    lambda: _result_from_ledger(net, ledger, "exact", 0.0)):
         if raises:

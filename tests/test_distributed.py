@@ -281,10 +281,11 @@ def test_ledger_result_does_not_depend_on_commit_order():
     deltas = {"a": 0.1, "b": 0.2, "c": 0.3}
     results = []
     for order in ("abc", "cba"):
-        ledger = _Ledger([0.0], [1.0], Stats())
+        ledger = _Ledger([0.0], [1.0], Stats(1))
         for job in order:
-            ledger.commit(job, (), [deltas[job]], [-deltas[job] / 3], 0.0,
-                          0.0, Stats())
+            account = Stats(1)
+            account.credited[0], account.taken[0] = deltas[job], deltas[job] / 3
+            ledger.commit(job, (), account, 0.0)
         tb, = _result_from_ledger(net, ledger, "exact", 0.0).targets
         results.append((repr(tb.lower), repr(tb.upper)))
     assert results[0] == results[1]
@@ -339,6 +340,55 @@ def test_fault_after_a_fork(workers, job_depth, monkeypatch):
                         job_depth=job_depth, commit_log=log)
     assert fired
     assert len(log) == d.stats.jobs <= max_job_count(len(vt), job_depth)
+    for a, b in zip(seq.targets, d.targets):
+        assert abs(a.lower - b.lower) < 1e-9
+        assert abs(a.upper - b.upper) < 1e-9
+
+
+def _account_masks_and_bounds(state):
+    st = state.stats
+    return (st, st.as_dict(), list(st.credited), list(st.taken),
+            st.pruned_mass, list(state.masks), state.unknown_bits,
+            len(state.trail), list(state.problower), list(state.probupper))
+
+
+@pytest.mark.parametrize("job_depth", [1, 2])
+def test_failed_job_in_place_leaves_its_forker_untouched(job_depth,
+                                                         monkeypatch):
+    # the first job forked at depth ``job_depth`` raises once it has
+    # branched (at job depth 1, after jobs it forked have committed); its
+    # forker's account, masks and bounds are exactly as before the fork
+    from manyworlds.distributed import _Runner
+    net, vt, g = _clustering_net()
+    seq = compile_targets(net, vt, 0.0, "exact")
+    explore, fork = Search.explore, _Runner.fork
+    failed, checked = [], []
+
+    def faulty_explore(self, prefix, pr, E, depth):
+        res = explore(self, prefix, pr, E, depth)
+        if depth == job_depth and not failed:
+            failed.append(self.state.stats.branches)
+            raise RuntimeError("injected failure")
+        return res
+
+    def watched_fork(self, search, prefix, pr, E, depth):
+        before, n = _account_masks_and_bounds(search.state), len(failed)
+        res = fork(self, search, prefix, pr, E, depth)
+        if len(failed) > n:
+            assert res is None
+            checked.append((before, _account_masks_and_bounds(search.state)))
+        return res
+
+    monkeypatch.setattr(Search, "explore", faulty_explore)
+    monkeypatch.setattr(_Runner, "fork", watched_fork)
+    log = []
+    d = run_distributed(net, vt, 0.0, "exact", workers=1,
+                        job_depth=job_depth, commit_log=log)
+    assert failed[0] > 0  # the job branched before it failed
+    (before, after), = checked
+    assert before[0] is after[0]
+    assert before[1:] == after[1:]
+    assert len(log) == d.stats.jobs
     for a, b in zip(seq.targets, d.targets):
         assert abs(a.lower - b.lower) < 1e-9
         assert abs(a.upper - b.upper) < 1e-9

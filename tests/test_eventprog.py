@@ -288,7 +288,7 @@ def test_ground_reports_unresolved_names_before_kind_errors(expr):
     ("A := true\nB := x1 $ x2\n", 2, 9, "unexpected character"),
     ("A[?] := true\n", 1, 3, "bad index expression"),
     ("A := true\nB := [ A ? 1.0 ]\n", 2, 16, "expected comparator"),
-    ("A := x1 x2\n", 1, 6, "trailing tokens"),
+    ("A := x1 x2\n", 1, 9, "trailing tokens"),
     ("A := true\n  B := false\n", 2, 3, "unexpected indentation"),
     ("forall i in 0..2:\n  A[i] := all(j, 0, i, x1)\n", 2, 19,
      "bounds must be constant"),

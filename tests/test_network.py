@@ -523,8 +523,10 @@ def test_later_states_load_the_initial_masks(line_dataset):
             first.assign(name, True, 0.5)
         later, fresh = MaskState(net), MaskState(twin)
         for attr in ("masks", "unknown_bits", "queued", "problower",
-                     "probupper", "credited", "taken"):
+                     "probupper"):
             assert getattr(later, attr) == getattr(fresh, attr), attr
+        for attr in ("credited", "taken", "pruned_mass"):
+            assert getattr(later.stats, attr) == getattr(fresh.stats, attr), attr
         assert later.stats.as_dict() == fresh.stats.as_dict()
 
 

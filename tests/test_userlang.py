@@ -46,6 +46,17 @@ def test_syntax_error_carries_position():
         raise AssertionError("expected a syntax error")
 
 
+@pytest.mark.parametrize("text,col,message", [
+    ("x = a & b", 7, "trailing tokens after expression"),
+    ("(k, T) = loadParams() x", 23, "trailing tokens"),
+    ("for i in range(0, 2): y", 23, "trailing tokens after ':'"),
+], ids=["expression", "external-call", "for-header"])
+def test_trailing_tokens_point_at_the_first_one(text, col, message):
+    with pytest.raises(ProgramSyntaxError, match=message) as info:
+        parse_user_program(text)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
 def test_comments_and_blank_lines():
     p = parse_user_program("""
 # leading comment
