@@ -25,7 +25,7 @@ from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
     Decl, EventProgram, Loop, ProgramSyntaxError, emit_event_program,
-    emit_grounded, ground, ground_folded, parse_event_program,
+    ground, ground_folded, parse_event_program,
 )
 from .events import TypeMismatch
 from .network import NetworkError, build_network
@@ -163,13 +163,14 @@ def _load_pipeline(args):
         if args.folded:
             grounded = ground_folded(program, patterns, variables)
             # the base declarations, then the body over the symbolic counter
-            stages["grounded"] = lambda: emit_event_program(EventProgram(
-                tuple(Decl(eid, (), e) for eid, e in grounded.base.items())
-                + (Loop(grounded.counter, 0, grounded.count,
-                        tuple(Decl(*entry) for entry in grounded.body)),)))
+            decls, body = grounded.base, (Loop(
+                grounded.counter, 0, grounded.count,
+                tuple(Decl(*entry) for entry in grounded.body)),)
         else:
             grounded = ground(program, patterns, variables)
-            stages["grounded"] = lambda: emit_grounded(grounded)
+            decls, body = grounded.decls, ()
+        stages["grounded"] = lambda: emit_event_program(EventProgram(
+            tuple(Decl(eid, (), e) for eid, e in decls.items()) + body))
     except Exception as exc:
         raise CliError("ground", str(exc))
     return grounded, dataset, stages, patterns

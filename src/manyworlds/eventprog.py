@@ -963,10 +963,3 @@ def _emit_items(items, depth, out):
             if item.indices:
                 head += "[%s]" % ",".join(str(ix) for ix in item.indices)
             out.append("%s%s := %s" % (pad, head, format_expr(item.expr)))
-
-
-def emit_grounded(grounded):
-    out = []
-    for eid, expr in grounded.decls.items():
-        out.append("%s := %s" % (eid, format_expr(expr)))
-    return "\n".join(out) + "\n"

@@ -252,7 +252,7 @@ class _Interp:
                 vals = [objects, len(objects), [list(row) for row in ds.matrix]]
         elif item.func == "loadParams":
             vals = [ds.params.k, ds.params.iterations]
-            if len(item.targets) == 2 and getattr(ds.params, "power", None) is not None:
+            if len(item.targets) == 2 and ds.params.power is not None:
                 vals = [ds.params.power, ds.params.iterations]
         else:  # init
             vals = [[self.initial_medoid(i) for i in range(ds.params.k)]]

@@ -111,10 +111,7 @@ class _Block:
 class _Translator:
     def __init__(self, dataset):
         self.ds = dataset
-        self.consts = {}       # names with compile-time integer values
         self.vars = {}         # name -> _VarState
-        self.counters = set()  # active loop counters
-        self.subst = {}        # comprehension variables -> int
         self.stack = []        # active _Block chain, outermost first
         self.block_ids = 0
         self.fresh = 0
@@ -124,7 +121,7 @@ class _Translator:
 
     def run(self, program):
         self.loop_final = {}
-        self.reassigned = ul.reassigned_names(program.items)  # never consts
+        self.scope = ul.Scope(program.items)
         items = self.translate_block(program.items, counter=None)
         final = {}
         for name, st in self.vars.items():
@@ -195,8 +192,6 @@ class _Translator:
         hi = self.const_value(item.hi, item)
         if hi <= lo:
             return []  # an empty loop leaves every variable untouched
-        if item.var in self.counters or item.var in self.consts:
-            raise TranslateError("loop counter %r shadows an existing name" % item.var)
         out = []
         versioned = self._versioned_by(item)
         carry = [v for v in versioned
@@ -206,9 +201,8 @@ class _Translator:
             st = self.vars[v]
             self._align_var(v, st)
             out.extend(self._copy_decls(v, list(st.path) + [Affine(-1)], st.path))
-        self.counters.add(item.var)
-        body = self.translate_block(item.body, item.var)
-        self.counters.discard(item.var)
+        with self.scope.local(item.var):
+            body = self.translate_block(item.body, item.var)
         out.append(Loop(item.var, lo, hi, tuple(body)))
         # leaving the block: copy each assigned variable's last inner version
         # into the next outer slot
@@ -273,7 +267,7 @@ class _Translator:
         out = []
         if item.func == "loadParams":
             names = item.targets
-            if getattr(ds.params, "power", None) is not None:
+            if ds.params.power is not None:
                 values = (ds.params.power, ds.params.iterations)
             else:
                 values = (ds.params.k, ds.params.iterations)
@@ -322,14 +316,7 @@ class _Translator:
         target = item.target
         if isinstance(target, ul.UName):
             return self.whole_assign(item, ctx)
-        chain = []
-        base = target
-        while isinstance(base, ul.UIndex):
-            chain.append(base.index)
-            base = base.base
-        if not isinstance(base, ul.UName):
-            raise TranslateError("unsupported assignment target")
-        chain.reverse()
+        base, chain = ul.index_chain(target)
         st = self.vars.get(base.name)
         if st is None:
             raise TranslateError("array %r used before initialisation" % base.name)
@@ -350,10 +337,7 @@ class _Translator:
     def whole_assign(self, item, ctx):
         name = item.target.name
         expr = item.expr
-        if isinstance(expr, ul.ULit) and isinstance(expr.value, int) \
-                and not isinstance(expr.value, bool):
-            if name not in self.reassigned:
-                self.consts[name] = expr.value
+        self.scope.assign(name, expr)
         if isinstance(expr, ul.UArrayInit):
             st = self.bump(name, ctx)
             st.dims = [self.const_value(expr.size, item)]
@@ -376,27 +360,22 @@ class _Translator:
     def bind_int(self, name, value, ctx):
         """A name bound once to an integer is a constant; a reassigned one
         is a variable, versioned like any other."""
-        if name not in self.reassigned:
-            self.consts[name] = value
+        if self.scope.bind(name, value):
             return []
         st = self.bump(name, ctx)
         return [Decl(name, tuple(st.path), CondVal(TRUE, value))]
 
     def tie_break(self, name, call, ctx):
         src_name = call.args[0].name
-        if src_name not in self.vars or not self.vars[src_name].is_array:
-            raise TranslateError("%s over a non-array" % call.func)
         src, src_path = self.read_path(src_name)
         dims = list(src.dims)
+        if len(dims) != (1 if call.func == "breakTies" else 2):
+            raise TranslateError("%s over %d dimensions" % (call.func, len(dims)))
         st = self.bump(name, ctx)
         st.dims = dims
         st.kind = "bool"
         if call.func == "breakTies":
-            if len(dims) != 1:
-                raise TranslateError("breakTies needs a one-dimensional array")
             keys, c = [[Affine(j)] for j in range(dims[0])], None
-        elif len(dims) != 2:
-            raise TranslateError("%s needs a two-dimensional array" % call.func)
         else:
             # the keys run along the tied index; a fresh counter loops over
             # the other one
@@ -416,37 +395,17 @@ class _Translator:
     # --- expressions -----------------------------------------------------------------
 
     def const_value(self, e, where):
-        if isinstance(e, ul.ULit) and isinstance(e.value, int) \
-                and not isinstance(e.value, bool):
-            return e.value
-        if isinstance(e, ul.UName):
-            if e.name in self.subst:
-                return self.subst[e.name]
-            if e.name in self.consts:
-                return self.consts[e.name]
-        raise TranslateError(
-            "line %d: bound is not an integer constant" % getattr(where, "line", 0))
+        value = self.scope.const(e)
+        if value is None:
+            raise TranslateError(
+                "line %d: bound is not an integer constant" % getattr(where, "line", 0))
+        return value
 
     def index_expr(self, e):
-        if isinstance(e, ul.ULit) and isinstance(e.value, int):
-            return Affine(e.value)
-        if isinstance(e, ul.UName):
-            if e.name in self.subst:
-                return Affine(self.subst[e.name])
-            if e.name in self.counters:
-                return Affine.var(e.name)
-            if e.name in self.consts:
-                return Affine(self.consts[e.name])
-            raise TranslateError("index %r is not a counter or constant" % e.name)
-        if isinstance(e, ul.UBinOp):
-            l, r = self.index_expr(e.left), self.index_expr(e.right)
-            if e.op == "+":
-                return l.plus(r)
-            if l.is_const():
-                return r.times(l.const)
-            if r.is_const():
-                return l.times(r.const)
-        raise TranslateError("unsupported index expression")
+        index = self.scope.index(e)
+        if index is None:
+            raise TranslateError("unsupported index expression")
+        return index
 
     def expr(self, e):
         """Translate an expression; returns (event-or-cval, element kind)."""
@@ -456,27 +415,22 @@ class _Translator:
                 return (TRUE if e.value else FALSE), "bool"
             return CondVal(TRUE, e.value), "num"
         if k is ul.UName:
-            if e.name in self.subst:
-                return CondVal(TRUE, self.subst[e.name]), "num"
-            if e.name in self.counters:
-                return CondVal(TRUE, Affine.var(e.name)), "num"
+            scope = self.scope
+            if e.name in scope.locals:  # a counter or a comprehension variable
+                value = scope.locals[e.name]
+                return CondVal(TRUE, Affine.var(e.name) if value is None else value), "num"
             if e.name in self.vars:
                 st, path = self.read_path(e.name)
                 if st.is_array:
                     raise TranslateError("array %r used as a value" % e.name)
                 return Ref(e.name, tuple(path)), st.kind
-            if e.name in self.consts:
-                return CondVal(TRUE, self.consts[e.name]), "num"
+            if e.name in scope.consts:
+                return CondVal(TRUE, scope.consts[e.name]), "num"
             raise TranslateError("undefined identifier %r" % e.name)
         if k is ul.UIndex:
-            chain = []
-            base = e
-            while isinstance(base, ul.UIndex):
-                chain.append(base.index)
-                base = base.base
+            base, chain = ul.index_chain(e)
             if not isinstance(base, ul.UName) or base.name not in self.vars:
                 raise TranslateError("indexing a non-array")
-            chain.reverse()
             st, path = self.read_path(base.name)
             idx = [self.index_expr(c) for c in chain]
             return Ref(base.name, tuple(path + idx)), st.kind
@@ -524,20 +478,17 @@ class _Translator:
         comp = e.comp
         lo = self.const_value(comp.lo, comp)
         hi = self.const_value(comp.hi, comp)
-        if comp.var in self.subst or comp.var in self.counters:
-            raise TranslateError("comprehension variable %r shadows" % comp.var)
         parts = []
         kind = "num"
         for v in range(lo, hi):
-            self.subst[comp.var] = v
-            cond = None
-            if comp.cond is not None:
-                cond, ck = self.expr(comp.cond)
-                if ck != "bool":
-                    raise TranslateError("comprehension filter is not Boolean")
-            body, kind = self.expr(comp.expr)
+            with self.scope.local(comp.var, v):
+                cond = None
+                if comp.cond is not None:
+                    cond, ck = self.expr(comp.cond)
+                    if ck != "bool":
+                        raise TranslateError("comprehension filter is not Boolean")
+                body, kind = self.expr(comp.expr)
             parts.append((cond, body))
-            del self.subst[comp.var]
         func = e.func
         if func == "reduce_and":
             if not parts:

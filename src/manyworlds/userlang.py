@@ -12,17 +12,25 @@ points' lineage events, which ``loadData()`` declares.
 Tokens, logical lines (a statement continues while a bracket is open),
 indentation blocks and ``ProgramSyntaxError`` come from the source reader
 in ``eventprog``, which the event language uses too; this module adds only
-the statement and expression rules.  The validator reports what the
-translator cannot express: indices other than loop counters, comprehension
-variables and constants under ``+`` and ``*`` by a constant, and components
-of a feature vector.
+the statement and expression rules.
+
+``Scope`` is the one model of a program's integer names (constants, loop
+counters, comprehension variables), read by the validator and by
+``translate``.  The validator reports each program the translator cannot
+give the interpreter's meaning: a bound that is not a constant, an index
+not affine in counters and constants, a loop counter whose name is bound
+before its loop or inside it, a counter read after its loop, a
+tie-breaking call anywhere but ``B = breakTies*(A)`` over a named array of
+its dimension, indexing what is not a named array, and a component of a
+feature vector.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .eventprog import TokenCursor, parse_blocks
+from .eventprog import Affine, TokenCursor, parse_blocks
 
 
 @dataclass
@@ -421,22 +429,92 @@ def _bindings(items):
             yield item.target.name, item
 
 
-def reassigned_names(items):
-    """Names bound by more than one statement: never integer constants."""
-    seen, again = set(), set()
-    for name, _item in _bindings(items):
-        (again if name in seen else seen).add(name)
-    return again
+def index_chain(e):
+    """``(base, indices)`` of ``base[i][j]``, the first index first."""
+    indices = []
+    while isinstance(e, UIndex):
+        indices.append(e.index)
+        e = e.base
+    indices.reverse()
+    return e, indices
+
+
+class Scope:
+    """The integer names of one program.  A name bound by one statement to
+    an integer (a literal, or a data integer of ``loadData``/``loadParams``)
+    is a constant; a loop counter is symbolic inside its loop; a
+    comprehension variable holds one integer per element and hides any outer
+    binding of its name.  An index is affine: counters, comprehension
+    variables and constants under ``+``, and under ``*`` by a constant."""
+
+    def __init__(self, items):
+        seen, self.reassigned = set(), set()  # bound more than once: not constants
+        for name, _item in _bindings(items):
+            (self.reassigned if name in seen else seen).add(name)
+        self.consts = {}  # name -> int
+        self.locals = {}  # loop counter -> None, comprehension variable -> int
+
+    def bind(self, name, value):
+        """Make ``name`` the constant ``value`` unless it is reassigned;
+        returns whether it did."""
+        if name in self.reassigned:
+            return False
+        self.consts[name] = value
+        return True
+
+    def assign(self, name, e):
+        """Record ``name = e``: an integer literal may make a constant."""
+        if isinstance(e, ULit) and type(e.value) is int:
+            self.bind(name, e.value)
+
+    @contextmanager
+    def local(self, name, value=None):
+        """Bind a loop counter (``value`` None) or a comprehension variable
+        for the body of the ``with``."""
+        outer = self.locals
+        self.locals = {**outer, name: value}
+        try:
+            yield
+        finally:
+            self.locals = outer
+
+    def const(self, e):
+        """The integer ``e`` denotes as a bound, or None if not a constant."""
+        if isinstance(e, ULit):
+            return e.value if type(e.value) is int else None
+        if isinstance(e, UName):
+            if e.name in self.locals:
+                return self.locals[e.name]
+            return self.consts.get(e.name)
+        return None
+
+    def index(self, e):
+        """Index ``e`` as an ``Affine``, or None if it is not one."""
+        if isinstance(e, UBinOp):
+            l, r = self.index(e.left), self.index(e.right)
+            if l is None or r is None:
+                return None
+            if e.op == "+":
+                return l.plus(r)
+            if l.is_const():
+                return r.times(l.const)
+            return l.times(r.const) if r.is_const() else None
+        if isinstance(e, UName) and e.name in self.locals:
+            value = self.locals[e.name]
+            return Affine.var(e.name) if value is None else Affine(value)
+        value = self.const(e)
+        return None if value is None else Affine(value)
+
+
+# The validator's stand-in for an integer it cannot know (a data integer, an
+# element's value): it asks only if a bound is constant and an index affine.
+_UNKNOWN_INT = (1 << 31) - 1
 
 
 class _Validator:
     def __init__(self):
         self.diags = []
-        self.env = {}        # name -> VType
-        self.const_int = {}  # names usable as range bounds
-        # loop counters ("affine") and comprehension variables ("const", one
-        # value per expanded element) in scope
-        self.index_vars = {}
+        self.env = {}  # name -> VType
 
     def report(self, rule, message, node):
         self.diags.append(Diagnostic(rule, message,
@@ -446,7 +524,7 @@ class _Validator:
         for name, item in _bindings(program.items):
             if name == "Obj":
                 self.report("reserved-name", "Obj names the data's lineage", item)
-        self.reassigned = reassigned_names(program.items)
+        self.scope = Scope(program.items)
         self._block(program.items, top=True)
         return self.diags
 
@@ -483,97 +561,76 @@ class _Validator:
         for name, t in zip(item.targets, types):
             self.env[name] = t
             if t.base == "int":
-                self.const_int[name] = None
+                self.scope.bind(name, _UNKNOWN_INT)
 
     def _for(self, item):
-        for bound, which in ((item.lo, "lower"), (item.hi, "upper")):
-            if not self._const_bound(bound):
-                self.report("range-bound",
-                            "%s range bound is not an integer constant" % which, item)
-        self.env[item.var] = INT
-        if item.var in self.reassigned:
-            self.report("counter-assign", "loop counter %r is reassigned" % item.var, item)
-        outer = self.index_vars
-        self.index_vars = {**outer, item.var: "affine"}
-        self._block(item.body)
-        self.index_vars = outer
+        self._check_bounds(item, "range")
+        if item.var in self.env or item.var in self.scope.locals \
+                or item.var in (name for name, _ in _bindings(item.body)):
+            self.report("counter-assign",
+                        "loop counter %r is bound before its loop or in its body"
+                        % item.var, item)
+        with self.scope.local(item.var):
+            self._block(item.body)
 
-    def _const_bound(self, e):
-        """An integer constant to the translator (``const_value``): a
-        literal, a comprehension variable (one value per expanded element)
-        or a name bound once to an integer."""
-        if isinstance(e, ULit) and isinstance(e.value, int) and not isinstance(e.value, bool):
-            return True
-        if isinstance(e, UName):
-            return self.index_vars.get(e.name) == "const" or (
-                e.name in self.const_int and e.name not in self.reassigned)
-        return False
-
-    def _index_form(self, e):
-        """Index ``e`` as ``translate.index_expr`` reads it: "const",
-        "affine" (it reads a loop counter) or None (it cannot express it).
-        It takes counters, comprehension variables and constants, under
-        ``+`` and under ``*`` by a constant."""
-        if isinstance(e, UBinOp):
-            forms = {self._index_form(e.left), self._index_form(e.right)}
-            if None in forms or (e.op == "*" and "const" not in forms):
-                return None
-            return "affine" if "affine" in forms else "const"
-        if isinstance(e, UName) and e.name in self.index_vars:
-            return self.index_vars[e.name]
-        return "const" if self._const_bound(e) else None
+    def _check_bounds(self, node, what):
+        for bound, which in ((node.lo, "lower"), (node.hi, "upper")):
+            if self.scope.const(bound) is None:
+                self.report("range-bound", "%s %s bound is not an integer constant"
+                            % (which, what), node)
 
     def _check_index(self, idx, node):
-        if self._index_form(idx) is None:
+        if self.scope.index(idx) is None:
             self.report("index-form",
                         "array index is not affine in loop counters and constants",
                         node)
 
     def _assign(self, item):
-        t = self._type(item.expr)
-        target = item.target
+        target, expr = item.target, item.expr
         if isinstance(target, UName):
-            if isinstance(item.expr, ULit) and isinstance(item.expr.value, int) \
-                    and not isinstance(item.expr.value, bool) \
-                    and target.name not in self.reassigned:
-                self.const_int[target.name] = item.expr.value
-            if isinstance(item.expr, UCall) and item.expr.func in TIE_FUNCS:
-                arg = item.expr.args[0]
-                if not isinstance(arg, UName):
-                    self.report("breakties-arg", "tie-breaking takes an array name",
-                                item.expr)
+            if isinstance(expr, UCall) and expr.func in TIE_FUNCS:
+                t = self._tie_type(expr)
+            else:
+                t = self._type(expr)
+            self.scope.assign(target.name, expr)
             self.env[target.name] = t
             return
-        # element assignment: walk the index chain
-        chain = []
-        base = target
-        while isinstance(base, UIndex):
-            chain.append(base.index)
-            base = base.base
-        if not isinstance(base, UName):
-            self.report("assign-target", "assignment target must be a name or element",
-                        item)
-            return
+        t = self._type(expr)
+        base, indices = index_chain(target)
         if base.name not in self.env:
             self.report("array-init", "array %r assigned before initialisation" % base.name,
                         item)
             self.env[base.name] = VType("array", t)
             return
         at = self.env[base.name]
-        for idx in reversed(chain):
-            it = self._type(idx)
-            if not it.scalarish():
+        for idx in indices:
+            if not self._type(idx).scalarish():
                 self.report("index-type", "array index is not an integer", item)
             self._check_index(idx, item)
             if at.base != "array":
-                if isinstance(item.expr, UArrayInit) or at.base == "unknown":
-                    at = UNKNOWN_T
+                if isinstance(expr, UArrayInit) or at.base == "unknown":
                     break
                 self.report("index-arity", "too many indices for %r" % base.name, item)
                 return
             at = at.elem if at.elem is not None else UNKNOWN_T
-        if isinstance(item.expr, UArrayInit):
-            self._update_shape(base.name, len(chain))
+        if isinstance(expr, UArrayInit):
+            self._update_shape(base.name, len(indices))
+
+    def _tie_type(self, call):
+        """``B = breakTies*(A)``: the tie-breaking calls' one position."""
+        ats = [self._type(a) for a in call.args]
+        if len(call.args) != 1:
+            self.report("call-type", "%s takes one array" % call.func, call)
+            return UNKNOWN_T
+        want = 1 if call.func == "breakTies" else 2
+        depth, t = 0, ats[0]
+        while t is not None and t.base == "array":
+            depth, t = depth + 1, t.elem
+        if not isinstance(call.args[0], UName) or (
+                ats[0].base != "unknown" and depth != want):
+            self.report("breakties-arg", "%s takes the name of a %d-dimensional array"
+                        % (call.func, want), call)
+        return ats[0]
 
     def _update_shape(self, name, depth):
         """Element-level ``[None] * n`` writes extend the array's recorded shape."""
@@ -592,6 +649,8 @@ class _Validator:
                 return BOOL
             return INT if isinstance(e.value, int) else REAL
         if k is UName:
+            if e.name in self.scope.locals:  # a counter or a comprehension variable
+                return INT
             if e.name not in self.env:
                 self.report("undefined-id", "use of undeclared identifier %r" % e.name, e)
                 return UNKNOWN_T
@@ -600,13 +659,13 @@ class _Validator:
             bt = self._type(e.base)
             self._type(e.index)
             self._check_index(e.index, e)
-            if bt.base == "array":
+            if bt.base == "array" and isinstance(e.base, (UName, UIndex)):
                 return bt.elem if bt.elem is not None else UNKNOWN_T
             if bt.base == "vec":
                 # the event language has no component projection
                 self.report("vec-index", "indexing a feature vector", e)
             elif bt.base != "unknown":
-                self.report("index-arity", "indexing a non-array", e)
+                self.report("index-arity", "indexing what is not a named array", e)
             return UNKNOWN_T
         if k is UCompare:
             lt, rt = self._type(e.left), self._type(e.right)
@@ -632,7 +691,7 @@ class _Validator:
             return REAL if "real" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
-            if not self._const_bound(e.size):
+            if self.scope.const(e.size) is None:
                 self.report("array-size", "array size is not an integer constant", e)
             return VType("array")
         if k is UCall:
@@ -640,7 +699,7 @@ class _Validator:
             if e.func == "pow":
                 if len(e.args) != 2 or not ats[0].scalarish() or not ats[1].scalarish():
                     self.report("call-type", "pow takes two scalars", e)
-                elif not self._const_bound(e.args[1]):
+                elif self.scope.const(e.args[1]) is None:
                     self.report("pow-exponent",
                                 "pow exponent is not an integer constant", e)
                 return REAL
@@ -658,9 +717,9 @@ class _Validator:
                     self.report("call-type", "scalar_mult takes a scalar and a vector", e)
                 return VEC
             if e.func in TIE_FUNCS:
-                if len(e.args) != 1:
-                    self.report("call-type", "%s takes one array" % e.func, e)
-                return ats[0] if ats else UNKNOWN_T
+                self.report("breakties-arg", "%s is only the whole right-hand side "
+                            "of an assignment to a name" % e.func, e)
+                return UNKNOWN_T
             self.report("call-type", "unknown function %r" % e.func, e)
             return UNKNOWN_T
         if k is UReduce:
@@ -669,26 +728,12 @@ class _Validator:
 
     def _reduce_type(self, e):
         comp = e.comp
-        for bound, which in ((comp.lo, "lower"), (comp.hi, "upper")):
-            if not self._const_bound(bound):
-                self.report("range-bound",
-                            "%s comprehension bound is not an integer constant" % which,
-                            comp)
-        had = comp.var in self.env
-        old = self.env.get(comp.var)
-        self.env[comp.var] = INT
-        outer = self.index_vars
-        self.index_vars = {**outer, comp.var: "const"}
-        body_t = self._type(comp.expr)
-        if comp.cond is not None:
-            ct = self._type(comp.cond)
-            if ct.base not in ("bool", "unknown"):
+        self._check_bounds(comp, "comprehension")
+        with self.scope.local(comp.var, _UNKNOWN_INT):
+            body_t = self._type(comp.expr)
+            if comp.cond is not None and \
+                    self._type(comp.cond).base not in ("bool", "unknown"):
                 self.report("filter-type", "comprehension filter is not Boolean", comp)
-        self.index_vars = outer
-        if had:
-            self.env[comp.var] = old
-        else:
-            del self.env[comp.var]
         if body_t.base == "array":
             self.report("comprehension-dim",
                         "comprehension may only build one-dimensional arrays of "

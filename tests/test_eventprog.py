@@ -10,7 +10,7 @@ from manyworlds.events import (
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, ProgramSyntaxError, decl,
-    emit_event_program, emit_grounded, ground, ground_folded,
+    emit_event_program, ground, ground_folded,
     parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
@@ -109,7 +109,8 @@ def test_grounded_emission_parses_back():
     ds = example_line_dataset()
     prog, meta = build_kmedoids_program(ds)
     g = ground(prog, (meta["targets"],), variables=set(ds.vartable.index))
-    text = emit_grounded(g)
+    text = emit_event_program(EventProgram(
+        tuple(Decl(eid, (), e) for eid, e in g.decls.items())))
     p2 = parse_event_program(text)
     g2 = ground(p2, (meta["targets"],), variables=set(ds.vartable.index))
     assert list(g.decls) == list(g2.decls)

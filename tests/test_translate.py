@@ -103,6 +103,32 @@ def test_world_free_program_matches_interpreter(src):
             assert values_close(vals[tr.final_eid(var, *idx)], want), (var, idx)
 
 
+@pytest.mark.parametrize("src", [
+    "s = [None] * 3\nfor i in range(0, 3):\n"
+    " s[i] = reduce_sum([dist(O[i], O[0]) for i in range(0, 3)])\n",
+    "s = reduce_sum([reduce_sum([dist(O[j], O[0]) for j in range(0, 2)])"
+    " + dist(O[j], O[1]) for j in range(0, 3)])\n",
+    "x = dist(O[0], O[1])\n"
+    "s = reduce_sum([dist(O[x], O[0]) for x in range(0, 3)]) + x\n",
+], ids=["loop-counter", "comprehension-variable", "variable"])
+def test_comprehension_variable_hides_an_outer_name(src, line_dataset):
+    """The comprehension's name reads its element; the outer binding
+    returns after it, in every world of the line fixture."""
+    ds = line_dataset
+    ast = parse_user_program("(O, n) = loadData()\n" + src)
+    tr = translate_to_event_program(ast, ds)
+    prog = _Program(ground(tr.program, ("*",), variables=set(ds.vartable.index)))
+    names = ds.vartable.names()
+    for w in range(1 << len(names)):
+        nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
+        env = interpret_user_program(ast, ds, nu)
+        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        want = env["s"] if isinstance(env["s"], list) else [env["s"]]
+        got = [vals[tr.final_eid("s", *idx)] for idx in
+               itertools.product(*(range(d) for d in tr.final_paths["s"][1]))]
+        assert values_close(got, want), w
+
+
 def test_array_flattening_counts():
     src = """
 M = [None] * 2

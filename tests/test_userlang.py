@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from manyworlds import userlang
 from manyworlds.eventprog import ProgramSyntaxError
 from manyworlds.userlang import (
     UAssign, UExtCall, UFor, format_user_program, parse_user_program,
@@ -215,3 +218,87 @@ def test_pretty_print_fixpoint(kmedoids_src, kmeans_src, graphflow_src):
         ast2 = parse_user_program(printed)
         assert ast1 == ast2
         assert format_user_program(ast2) == printed
+
+
+# --- one program per validator rule ------------------------------------------------
+
+DATA = "(O, n) = loadData()\n"
+
+RULE_PROGRAMS = {
+    "array-init": "A[0] = 1\n",
+    "array-size": "m = 2\nm = 3\nA = [None] * m\n",
+    "breakties-arg": "a = 1\nB = breakTies(a)\n",
+    "call-type": "x = invert(1 <= 2)\n",
+    "compare-type": DATA + "b = O[0] <= O[1]\n",
+    "comprehension-dim":
+        "(O, n, W) = loadData()\nS = reduce_sum([W[i] for i in range(0, 2)])\n",
+    "counter-assign": "for i in range(0, 2):\n for i in range(0, 2):\n  x = i\n",
+    "ext-arity": "(a, b, c) = loadParams()\n",
+    "ext-top-level": "for i in range(0, 2):\n M = init()\n",
+    "filter-type": "S = reduce_sum([1 for i in range(0, 2) if 3])\n",
+    "index-arity": "x = 1\ny = x[0]\n",
+    "index-form":
+        "A = [None] * 4\nfor i in range(0, 2):\n for j in range(0, 2):\n  A[i * j] = 1\n",
+    "index-type": "A = [None] * 2\nA[1 <= 2] = 1\n",
+    "mul-type": "x = True * 2\n",
+    "pow-exponent": DATA + "x = pow(2, dist(O[0], O[1]))\n",
+    "range-bound": DATA + "d = dist(O[0], O[1])\nfor i in range(0, d):\n x = i\n",
+    "reduce-type": "b = reduce_and([1 for i in range(0, 2)])\n",
+    "reserved-name": "Obj = 1 <= 2\n",
+    "sum-type": "x = 1 + True\n",
+    "undefined-id": "x = y + 1\n",
+    "vec-index": DATA + "x = O[0][0]\n",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_PROGRAMS))
+def test_each_rule_has_a_program_that_breaks_it(rule):
+    diags = validate_user_program(parse_user_program(RULE_PROGRAMS[rule]))
+    assert diags and diags[0].rule == rule, diags
+
+
+def test_rule_table_names_every_rule():
+    with open(userlang.__file__) as fh:
+        reported = set(re.findall(r'report\(\s*"([a-z-]+)"', fh.read()))
+    assert reported == set(RULE_PROGRAMS)
+
+
+# --- the scope of loop counters ---------------------------------------------------
+
+
+@pytest.mark.parametrize("src,rule", [
+    (DATA + "for n in range(0, 2):\n x = n\n", "counter-assign"),
+    ("for i in range(0, 2):\n for i in range(0, 2):\n  x = i\n", "counter-assign"),
+    ("i = 5\nfor i in range(0, 2):\n x = i\n", "counter-assign"),
+    # the interpreter gives z = 1 in every world; the translation read x as U
+    (DATA + "x = dist(O[0], O[1])\nfor x in range(0, 2):\n y = x\nz = x\n",
+     "counter-assign"),
+    # the interpreter gives s = 10; the translation read i as the counter
+    ("s = 0\nfor i in range(0, 2):\n i = 5\n s = s + i\n", "counter-assign"),
+    ("for i in range(0, 2):\n x = i\ny = i\n", "undefined-id"),
+], ids=["data-integer", "nested-counter", "constant", "variable",
+        "assigned-in-body", "read-after-loop"])
+def test_loop_counter_scope(src, rule):
+    diags = validate_user_program(parse_user_program(src))
+    assert [d.rule for d in diags] == [rule]
+
+
+# --- tie-breaking calls and what may be indexed --------------------------------------
+
+ROW = "A = [None] * 2\nA[0] = 1 <= 2\nA[1] = 1 <= 2\n"
+GRID = ("A = [None] * 2\nfor i in range(0, 2):\n A[i] = [None] * 2\n"
+        " for j in range(0, 2):\n  A[i][j] = 1 <= 2\n")
+
+
+@pytest.mark.parametrize("src,rule", [
+    (ROW + "B = [None] * 2\nB[0] = breakTies(A)\n", "breakties-arg"),
+    (GRID + "B = breakTies(A)\n", "breakties-arg"),
+    (ROW + "B = breakTies1(A)\n", "breakties-arg"),
+    ("a = 1\nB = breakTies2(a)\n", "breakties-arg"),
+    (ROW + "x = (breakTies(A))[0]\n", "breakties-arg"),
+    ("x = ([None] * 2)[0]\n", "index-arity"),
+], ids=["element-target", "two-dimensional", "one-dimensional", "scalar",
+        "indexed-call", "indexed-initialiser"])
+def test_what_the_translator_cannot_break_ties_over_or_index(src, rule):
+    diags = validate_user_program(parse_user_program(src))
+    assert [d.rule for d in diags] == [rule]
