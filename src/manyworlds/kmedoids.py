@@ -138,9 +138,8 @@ def direct_kmedoids(dataset, valuation):
     exists = dataset.exists(valuation)
     pts = [tuple(p.coords) for p in dataset.points]
     n, k, T = dataset.n, dataset.params.k, dataset.params.iterations
-
-    def d(a, b):
-        return math.sqrt(sum((x - y) ** 2 for x, y in zip(pts[a], pts[b])))
+    d = [[math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))) for b in pts]
+         for a in pts]
 
     meds = []
     for i in range(k):
@@ -152,7 +151,7 @@ def direct_kmedoids(dataset, valuation):
         meds.append(chosen)
 
     def med_dist(l, i):
-        return None if meds[i] is None else d(l, meds[i])
+        return None if meds[i] is None else d[l][meds[i]]
 
     clusters = [[] for _ in range(k)]
     for _t in range(T):
@@ -181,7 +180,7 @@ def direct_kmedoids(dataset, valuation):
             sums = {}
             for l in range(n):
                 if exists[l] and members:
-                    sums[l] = sum(d(l, p) for p in members)
+                    sums[l] = sum(d[l][p] for p in members)
             best = None
             for l in members:
                 if all(sums[l] <= sums[p] for p in sums):

@@ -16,8 +16,15 @@ tie-breaking forms expand into prefix-exclusion events (the first true entry
 of a tied group survives).  ``reduce_*`` calls over comprehensions expand
 into n-ary connectives, sums and products; comprehension filters become
 guards chosen so that a filtered-out element is neutral for the reduction.
-``loadData()`` declares each point's event once, as ``kmedoids`` does
-(``Dataset.lineage``); the objects and ``init()``'s medoid chains name it.
+The first ``loadData()`` or ``init()`` declares each point's event once, as
+``kmedoids`` does (``Dataset.lineage``); the objects and ``init()``'s medoid
+chains name it.
+
+``userlang``'s validator is the one gate: ``translate_to_event_program``
+refuses a program it reports, and the translator assumes all it checks.
+The translator raises only for what depends on the dataset (a matrix the
+dataset lacks, a name bound only in a loop whose range is empty) and for
+its own internal invariants.
 """
 
 from __future__ import annotations
@@ -47,10 +54,6 @@ class _VarState:
         self.dims = []       # array dimension sizes (ints)
         self.kind = "num"    # element kind: 'bool' | 'num' | 'vec'
         self.block_of = []   # block id per path component
-
-    @property
-    def is_array(self):
-        return bool(self.dims)
 
 
 @dataclass
@@ -115,7 +118,7 @@ class _Translator:
         self.stack = []        # active _Block chain, outermost first
         self.block_ids = 0
         self.fresh = 0
-        self.loaded = False    # loadData() has declared the points' lineage
+        self.loaded = False    # the points' lineage is declared
 
     # --- entry point ---------------------------------------------------------
 
@@ -167,7 +170,10 @@ class _Translator:
 
     def read_path(self, name):
         """Current version path for a read of ``name``."""
-        st = self.vars[name]
+        st = self.vars.get(name)
+        if st is None:  # the validator saw a binding, in a loop run zero times
+            raise TranslateError("%r is bound only in a loop whose range is empty"
+                                 % name)
         self._align_var(name, st)
         return st, list(st.path)
 
@@ -188,8 +194,7 @@ class _Translator:
             st.block_of.append(block.id)
 
     def translate_for(self, item, outer):
-        lo = self.const_value(item.lo, item)
-        hi = self.const_value(item.hi, item)
+        lo, hi = self.scope.const(item.lo), self.scope.const(item.hi)
         if hi <= lo:
             return []  # an empty loop leaves every variable untouched
         out = []
@@ -220,17 +225,16 @@ class _Translator:
             out.extend(self._copy_decls(v, st.path, exit_path))
         return out
 
-    def _copy_decls(self, name, to_path, from_path, source=None):
-        """Copy a version of ``source`` (default ``name``) to a version of
-        ``name``; arrays copy element-wise under loops."""
+    def _copy_decls(self, name, to_path, from_path):
+        """Copy one version of ``name`` to another; arrays copy element-wise
+        under loops."""
         st = self.vars[name]
-        source = source or name
-        if not st.is_array:
-            return [Decl(name, tuple(to_path), Ref(source, tuple(from_path)))]
+        if not st.dims:
+            return [Decl(name, tuple(to_path), Ref(name, tuple(from_path)))]
         cs = [self.fresh_counter() for _ in st.dims]
         idx = [Affine.var(c) for c in cs]
         decl = Decl(name, tuple(list(to_path) + idx),
-                    Ref(source, tuple(list(from_path) + idx)))
+                    Ref(name, tuple(list(from_path) + idx)))
         item = decl
         for c, size in zip(reversed(cs), reversed(st.dims)):
             item = Loop(c, 0, size, (item,))
@@ -280,9 +284,7 @@ class _Translator:
             st = self.bump(obj_var, ctx)
             st.dims = [ds.n]
             st.kind = "vec"
-            if not self.loaded:
-                out.extend(ds.lineage())
-                self.loaded = True
+            out.extend(self.lineage())
             for l, p in enumerate(ds.points):
                 out.append(Decl(obj_var, tuple(list(st.path) + [Affine(l)]),
                                 CondVal(ref("Obj", l), tuple(p.coords))))
@@ -300,15 +302,21 @@ class _Translator:
                             CondVal(TRUE, float(ds.matrix[i][j]))))
             return out
         # init(): initial representatives from the configured preference chains
-        if not self.loaded:
-            raise TranslateError("init() requires loadData() first")
         var = item.targets[0]
         st = self.bump(var, ctx)
         st.dims = [ds.params.k]
         st.kind = "vec"
-        return [Decl(var, tuple(list(st.path) + [Affine(i)]),
-                     ds.initial_medoid(i))
-                for i in range(ds.params.k)]
+        return self.lineage() + [Decl(var, tuple(list(st.path) + [Affine(i)]),
+                                      ds.initial_medoid(i))
+                                 for i in range(ds.params.k)]
+
+    def lineage(self):
+        """The points' lineage, declared where ``loadData()`` or ``init()``
+        first needs it."""
+        if self.loaded:
+            return []
+        self.loaded = True
+        return self.ds.lineage()
 
     # --- statements ----------------------------------------------------------------
 
@@ -317,19 +325,12 @@ class _Translator:
         if isinstance(target, ul.UName):
             return self.whole_assign(item, ctx)
         base, chain = ul.index_chain(target)
-        st = self.vars.get(base.name)
-        if st is None:
-            raise TranslateError("array %r used before initialisation" % base.name)
-        if isinstance(item.expr, ul.UArrayInit):
-            size = self.const_value(item.expr.size, item)
-            depth = len(chain)
-            if len(st.dims) <= depth:
-                st.dims = st.dims[:depth] + [size]
-            elif st.dims[depth] != size:
-                raise TranslateError("inconsistent size for %r" % base.name)
-            return []
         st, path = self.read_path(base.name)
-        idx = [self.index_expr(c) for c in chain]
+        if isinstance(item.expr, ul.UArrayInit):
+            if len(st.dims) == len(chain):
+                st.dims.append(self.scope.const(item.expr.size))
+            return []
+        idx = [self.scope.index(c) for c in chain]
         expr, kind = self.expr(item.expr)
         st.kind = kind
         return [Decl(base.name, tuple(path + idx), expr)]
@@ -340,18 +341,10 @@ class _Translator:
         self.scope.assign(name, expr)
         if isinstance(expr, ul.UArrayInit):
             st = self.bump(name, ctx)
-            st.dims = [self.const_value(expr.size, item)]
+            st.dims = [self.scope.const(expr.size)]
             return []
         if isinstance(expr, ul.UCall) and expr.func in ul.TIE_FUNCS:
             return self.tie_break(name, expr, ctx)
-        if isinstance(expr, ul.UName) and expr.name in self.vars \
-                and self.vars[expr.name].is_array:
-            src, src_path = self.read_path(expr.name)
-            src_dims, src_kind = list(src.dims), src.kind
-            st = self.bump(name, ctx)
-            st.dims = src_dims
-            st.kind = src_kind
-            return self._copy_decls(name, st.path, src_path, expr.name)
         body, kind = self.expr(expr)
         st = self.bump(name, ctx)
         st.kind = kind
@@ -369,8 +362,6 @@ class _Translator:
         src_name = call.args[0].name
         src, src_path = self.read_path(src_name)
         dims = list(src.dims)
-        if len(dims) != (1 if call.func == "breakTies" else 2):
-            raise TranslateError("%s over %d dimensions" % (call.func, len(dims)))
         st = self.bump(name, ctx)
         st.dims = dims
         st.kind = "bool"
@@ -394,19 +385,6 @@ class _Translator:
 
     # --- expressions -----------------------------------------------------------------
 
-    def const_value(self, e, where):
-        value = self.scope.const(e)
-        if value is None:
-            raise TranslateError(
-                "line %d: bound is not an integer constant" % getattr(where, "line", 0))
-        return value
-
-    def index_expr(self, e):
-        index = self.scope.index(e)
-        if index is None:
-            raise TranslateError("unsupported index expression")
-        return index
-
     def expr(self, e):
         """Translate an expression; returns (event-or-cval, element kind)."""
         k = type(e)
@@ -419,74 +397,45 @@ class _Translator:
             if e.name in scope.locals:  # a counter or a comprehension variable
                 value = scope.locals[e.name]
                 return CondVal(TRUE, Affine.var(e.name) if value is None else value), "num"
-            if e.name in self.vars:
-                st, path = self.read_path(e.name)
-                if st.is_array:
-                    raise TranslateError("array %r used as a value" % e.name)
-                return Ref(e.name, tuple(path)), st.kind
-            if e.name in scope.consts:
+            if e.name in scope.consts and e.name not in self.vars:
                 return CondVal(TRUE, scope.consts[e.name]), "num"
-            raise TranslateError("undefined identifier %r" % e.name)
+            st, path = self.read_path(e.name)
+            return Ref(e.name, tuple(path)), st.kind
         if k is ul.UIndex:
             base, chain = ul.index_chain(e)
-            if not isinstance(base, ul.UName) or base.name not in self.vars:
-                raise TranslateError("indexing a non-array")
             st, path = self.read_path(base.name)
-            idx = [self.index_expr(c) for c in chain]
+            idx = [self.scope.index(c) for c in chain]
             return Ref(base.name, tuple(path + idx)), st.kind
         if k is ul.UCompare:
-            l, _ = self.cval(e.left)
-            r, _ = self.cval(e.right)
-            return Atom(OP_MAP[e.op], l, r), "bool"
+            return Atom(OP_MAP[e.op], self.expr(e.left)[0], self.expr(e.right)[0]), "bool"
         if k is ul.UBinOp:
-            l, lk = self.cval(e.left)
-            r, rk = self.cval(e.right)
+            l, lk = self.expr(e.left)
+            r, rk = self.expr(e.right)
             if e.op == "+":
                 kind = "vec" if "vec" in (lk, rk) else "num"
                 return Add((l, r)), kind
             return Mul((l, r)), "num"
         if k is ul.UCall:
             return self.call(e)
-        if k is ul.UReduce:
-            return self.reduce(e)
-        raise TranslateError("unsupported expression %r" % (e,))
-
-    def cval(self, e):
-        out, kind = self.expr(e)
-        if kind == "bool":
-            raise TranslateError("Boolean value in numeric position")
-        return out, kind
+        return self.reduce(e)
 
     def call(self, e):
         if e.func == "pow":
-            c, _ = self.cval(e.args[0])
-            return Pow(c, self.const_value(e.args[1], e)), "num"
+            return Pow(self.expr(e.args[0])[0], self.scope.const(e.args[1])), "num"
+        args = tuple(self.expr(a)[0] for a in e.args)
         if e.func == "invert":
-            c, _ = self.cval(e.args[0])
-            return Inv(c), "num"
+            return Inv(*args), "num"
         if e.func == "dist":
-            a, _ = self.cval(e.args[0])
-            b, _ = self.cval(e.args[1])
-            return Dist(a, b), "num"
-        if e.func == "scalar_mult":
-            a, _ = self.cval(e.args[0])
-            b, _ = self.cval(e.args[1])
-            return Mul((a, b)), "vec"
-        raise TranslateError("call %r not valid in expressions" % e.func)
+            return Dist(*args), "num"
+        return Mul(args), "vec"  # scalar_mult
 
     def reduce(self, e):
         comp = e.comp
-        lo = self.const_value(comp.lo, comp)
-        hi = self.const_value(comp.hi, comp)
         parts = []
         kind = "num"
-        for v in range(lo, hi):
+        for v in range(self.scope.const(comp.lo), self.scope.const(comp.hi)):
             with self.scope.local(comp.var, v):
-                cond = None
-                if comp.cond is not None:
-                    cond, ck = self.expr(comp.cond)
-                    if ck != "bool":
-                        raise TranslateError("comprehension filter is not Boolean")
+                cond = None if comp.cond is None else self.expr(comp.cond)[0]
                 body, kind = self.expr(comp.expr)
             parts.append((cond, body))
         func = e.func

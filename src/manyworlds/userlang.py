@@ -16,13 +16,18 @@ the statement and expression rules.
 
 ``Scope`` is the one model of a program's integer names (constants, loop
 counters, comprehension variables), read by the validator and by
-``translate``.  The validator reports each program the translator cannot
-give the interpreter's meaning: a bound that is not a constant, an index
-not affine in counters and constants, a loop counter whose name is bound
-before its loop or inside it, a counter read after its loop, a
-tie-breaking call anywhere but ``B = breakTies*(A)`` over a named array of
-its dimension, indexing what is not a named array, and a component of a
-feature vector.
+``translate``.  The validator is the one gate for which programs
+translate: it reports each program the translator cannot give the
+interpreter's meaning, and the translator checks none of it again.  It
+reports a bound that is not a constant, an index not affine in counters
+and constants, a loop counter whose name is bound before its loop or
+inside it, a counter read after its loop, a tie-breaking call anywhere but
+``B = breakTies*(A)`` over a named Boolean array of its dimension, indexing
+what is not a named array, a component of a feature vector, and an array
+used as a value.  It records each array's element kind and, where
+constant, its size at each depth, so it also reports an element of another
+kind than the array's earlier ones, rows of different sizes, and an element
+read where its kind does not fit.
 """
 
 from __future__ import annotations
@@ -402,10 +407,15 @@ def format_user_program(program):
 @dataclass
 class VType:
     base: str  # 'bool' | 'int' | 'real' | 'vec' | 'array' | 'unknown'
-    elem: object = None
+    elem: object = None  # an array's element type, None until one is written
+    size: int = None     # an array's size, where it is a constant
 
     def scalarish(self):
         return self.base in ("int", "real", "unknown")
+
+    def kind(self):
+        """The base, with int and real one numeric kind."""
+        return "num" if self.base in ("int", "real") else self.base
 
     def __repr__(self):
         if self.base == "array":
@@ -561,7 +571,8 @@ class _Validator:
         for name, t in zip(item.targets, types):
             self.env[name] = t
             if t.base == "int":
-                self.scope.bind(name, _UNKNOWN_INT)
+                # one stand-in per data integer, so sizes from two differ
+                self.scope.bind(name, _UNKNOWN_INT - len(self.scope.consts))
 
     def _for(self, item):
         self._check_bounds(item, "range")
@@ -587,15 +598,18 @@ class _Validator:
 
     def _assign(self, item):
         target, expr = item.target, item.expr
+        if isinstance(target, UName) and isinstance(expr, UCall) \
+                and expr.func in TIE_FUNCS:
+            t = self._tie_type(expr)
+        else:
+            t = self._type(expr)
+            if t.base == "array" and not isinstance(expr, UArrayInit):
+                self.report("array-value", "an array is used as a value", item)
+                t = UNKNOWN_T
         if isinstance(target, UName):
-            if isinstance(expr, UCall) and expr.func in TIE_FUNCS:
-                t = self._tie_type(expr)
-            else:
-                t = self._type(expr)
             self.scope.assign(target.name, expr)
             self.env[target.name] = t
             return
-        t = self._type(expr)
         base, indices = index_chain(target)
         if base.name not in self.env:
             self.report("array-init", "array %r assigned before initialisation" % base.name,
@@ -607,14 +621,19 @@ class _Validator:
             if not self._type(idx).scalarish():
                 self.report("index-type", "array index is not an integer", item)
             self._check_index(idx, item)
-            if at.base != "array":
-                if isinstance(expr, UArrayInit) or at.base == "unknown":
-                    break
-                self.report("index-arity", "too many indices for %r" % base.name, item)
+            if at is None or at.base != "array":  # None: an element not yet written
+                if at is None or at.base != "unknown":
+                    self.report("index-arity", "too many indices for %r" % base.name, item)
                 return
-            at = at.elem if at.elem is not None else UNKNOWN_T
-        if isinstance(expr, UArrayInit):
-            self._update_shape(base.name, len(indices))
+            array, at = at, at.elem
+        # ``at`` is the element type recorded so far, ``t`` the written one
+        if at is None or at.base == "unknown":
+            array.elem = t
+        elif t.base != "unknown" and t.kind() != at.kind():
+            self.report("element-kind", "%s element written to an array of %s elements"
+                        % (t.kind(), at.kind()), item)
+        elif t.base == "array" and None not in (t.size, at.size) and t.size != at.size:
+            self.report("array-size", "rows of %r have different sizes" % base.name, item)
 
     def _tie_type(self, call):
         """``B = breakTies*(A)``: the tie-breaking calls' one position."""
@@ -624,23 +643,12 @@ class _Validator:
             return UNKNOWN_T
         want = 1 if call.func == "breakTies" else 2
         depth, t = 0, ats[0]
-        while t is not None and t.base == "array":
-            depth, t = depth + 1, t.elem
-        if not isinstance(call.args[0], UName) or (
-                ats[0].base != "unknown" and depth != want):
-            self.report("breakties-arg", "%s takes the name of a %d-dimensional array"
-                        % (call.func, want), call)
+        while t.base == "array":
+            depth, t = depth + 1, t.elem or UNKNOWN_T
+        if not isinstance(call.args[0], UName) or depth != want or t.base != "bool":
+            self.report("breakties-arg", "%s takes the name of a %d-dimensional array "
+                        "of Booleans" % (call.func, want), call)
         return ats[0]
-
-    def _update_shape(self, name, depth):
-        """Element-level ``[None] * n`` writes extend the array's recorded shape."""
-        node = self.env.get(name)
-        for _ in range(depth):
-            if node is None or node.base != "array":
-                return
-            if node.elem is None:
-                node.elem = VType("array")
-            node = node.elem
 
     def _type(self, e):
         k = type(e)
@@ -691,9 +699,10 @@ class _Validator:
             return REAL if "real" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
-            if self.scope.const(e.size) is None:
+            size = self.scope.const(e.size)
+            if size is None:
                 self.report("array-size", "array size is not an integer constant", e)
-            return VType("array")
+            return VType("array", size=size)
         if k is UCall:
             ats = [self._type(a) for a in e.args]
             if e.func == "pow":

@@ -15,7 +15,7 @@ from manyworlds.eventprog import (
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.oracle import _Program, interpret_user_program
 from manyworlds.translate import TranslateError, translate_to_event_program
-from manyworlds.userlang import parse_user_program
+from manyworlds.userlang import parse_user_program, validate_user_program
 
 VERSIONING_SRC = """
 M = 7
@@ -78,29 +78,35 @@ def test_versioning_final_value_is_17():
     assert env["M"] == 17
 
 
+def _assert_matches_interpreter(ast, ds):
+    """Every element of every variable's final version equals the
+    interpreter's value, in every world of ``ds``."""
+    tr = translate_to_event_program(ast, ds)
+    prog = _Program(ground(tr.program, ("*",), variables=set(ds.vartable.index)))
+    names = ds.vartable.names()
+    for w in range(1 << len(names)):
+        nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
+        env = interpret_user_program(ast, ds, nu)
+        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        for var, (_path, dims, _kind) in tr.final_paths.items():
+            for idx in itertools.product(*(range(d) for d in dims)):
+                want = env[var]
+                for i in idx:
+                    want = want[i]
+                assert values_close(vals[tr.final_eid(var, *idx)], want), (w, var, idx)
+
+
 @pytest.mark.parametrize("src", [
-    # B = A copies A's elements
-    "A = [None] * 2\nA[0] = True\nA[1] = False\nB = A\n",
     # each expanded element binds a comprehension variable to one integer
     "S = reduce_sum([pow(2, j) for j in range(0, 3)])\n",
     "n = 3\nS = reduce_sum([reduce_sum([1 for k in range(0, j)])"
     " for j in range(0, n)])\n",
     # a reassigned parameter is a variable, read before its reassignment
     "(k, it) = loadParams()\nS = k + 1\nk = 5\n",
-], ids=["array-copy", "pow-by-comprehension-variable",
-        "nested-comprehension-bound", "reassigned-parameter"])
+], ids=["pow-by-comprehension-variable", "nested-comprehension-bound",
+        "reassigned-parameter"])
 def test_world_free_program_matches_interpreter(src):
-    ast = parse_user_program(src)
-    tr = translate_to_event_program(ast, _empty_dataset())
-    g = ground(tr.program, ("*",), variables=set())
-    vals = dict(zip(g.decls, _Program(g).eval_all({})))
-    env = interpret_user_program(ast, _empty_dataset(), {})
-    for var, (_path, dims, _kind) in tr.final_paths.items():
-        for idx in itertools.product(*(range(d) for d in dims)):
-            want = env[var]
-            for i in idx:
-                want = want[i]
-            assert values_close(vals[tr.final_eid(var, *idx)], want), (var, idx)
+    _assert_matches_interpreter(parse_user_program(src), _empty_dataset())
 
 
 @pytest.mark.parametrize("src", [
@@ -237,13 +243,52 @@ N = reduce_count([1 for i in range(0,1) if B])
     assert eval_cval(g.decls[tr.final_eid("N")], {}, g.decls) == 1 == env["N"]
 
 
-def test_unresolved_dataset_binding():
+def test_unresolved_dataset_binding(line_dataset):
     src = "(O, n, W) = loadData()\nS = W[0][0]\n"
     with pytest.raises(TranslateError, match="matrix"):
         translate_to_event_program(parse_user_program(src), _empty_dataset())
-    with pytest.raises(TranslateError, match="init\\(\\) requires loadData"):
-        translate_to_event_program(parse_user_program("M = init()\n"),
-                                   _empty_dataset())
+    # init() before any loadData() declares the points' lineage itself
+    _assert_matches_interpreter(parse_user_program("M = init()\n"), line_dataset)
+
+
+def test_name_bound_only_in_an_empty_loop():
+    src = "(O, n) = loadData()\nfor i in range(0, n):\n x = 1\ny = x\n"
+    with pytest.raises(TranslateError, match="'x' is bound only in a loop"):
+        translate_to_event_program(parse_user_program(src), _empty_dataset())
+
+
+# --- the validator is the one gate ------------------------------------------------
+
+ROW = "A = [None] * 2\n"
+LOAD = "(O, n) = loadData()\n"
+
+
+@pytest.mark.parametrize("src,rule", [
+    # the interpreter aliases B to A, so x = 5
+    (ROW + "A[0] = 1\nA[1] = 2\nB = A\nB[0] = 5\nx = A[0]\n", "array-value"),
+    (ROW + "for i in range(0, 2):\n A[i] = [None] * 2\n"
+     " for j in range(0, 2):\n  A[i][j] = 1\nX = A[0]\n", "array-value"),
+    (ROW + "A[0] = 3\nA[1] = 0\nB = breakTies(A)\n", "breakties-arg"),
+    (ROW + "A[0] = 3\nA[1] = 0\n"
+     "S = reduce_sum([1 for i in range(0, 2) if A[i]])\n", "filter-type"),
+    (ROW + "A[0] = [None] * 2\nA[1] = [None] * 3\n", "array-size"),
+    (ROW + "A[0] = 1 <= 2\nx = invert(A[0])\n", "call-type"),
+    (ROW + "A[0] = 1 <= 2\nx = A[0] + 1\n", "sum-type"),
+    (ROW + "A[0] = 3\nA[1] = 0\nb = reduce_and([A[i] for i in range(0, 2)])\n",
+     "reduce-type"),
+    (LOAD + "M = [None] * 2\nM[0] = O[0]\nM[1] = O[1]\nb = M[0] <= M[1]\n",
+     "compare-type"),
+    ("M = init()\n" + LOAD + "d = dist(O[0], M[1])\n", None),
+], ids=["alias", "row-read", "numeric-breakties", "numeric-filter", "ragged-rows",
+        "invert-boolean-element", "boolean-element-sum", "reduce-and-numbers",
+        "vector-element-order", "init-before-load"])
+def test_validator_reports_what_does_not_translate(src, rule, line_dataset):
+    """Each program is reported under its rule, or it translates, grounds and
+    equals the interpreter in every world of the line fixture."""
+    ast = parse_user_program(src)
+    assert [d.rule for d in validate_user_program(ast)] == ([rule] if rule else [])
+    if rule is None:
+        _assert_matches_interpreter(ast, line_dataset)
 
 
 # --- lineage: each point's event declared once ------------------------------------
