@@ -14,8 +14,9 @@ around.  All numbers are deterministic work counts, not timings:
      nodes, distinct grounded objects and network nodes, the work that the
      setup seconds pay for;
   5. the propagation work of the benchmark's exact-unfolded and
-     anytime-folded searches: branches, and mask writes by node kind, read
-     off the undo trail after each assignment.
+     anytime-folded searches: branches, mask writes by node kind, read
+     off the undo trail after each assignment, and the guards and atoms
+     evaluated inside their readers (fused), which write no mask.
 """
 
 import argparse
@@ -128,7 +129,8 @@ def table_setup():
 
 
 def propagation_work(net, vt, epsilon, scheme):
-    """(branches, initial writes, writes by node kind) of one search.
+    """(branches, initial writes, writes by node kind, fused evaluations)
+    of one search.
 
     Each assignment's writes are the trail entries it appended, so the
     tally needs no counter inside the propagation loop."""
@@ -148,7 +150,7 @@ def propagation_work(net, vt, epsilon, scheme):
     if not search.all_resolved():
         search.run()
     assert init_writes + sum(kinds.values()) == state.stats.propagations
-    return state.stats.branches, init_writes, kinds
+    return state.stats.branches, init_writes, kinds, state.stats.fused
 
 
 def table_propagation():
@@ -177,11 +179,12 @@ def table_propagation():
                           set(ds.vartable.index))
         rows.append((label, propagation_work(build_network(f), ds.vartable,
                                              0.1, "hybrid")))
-    print("%-32s %-8s %-6s %-7s %s" % ("instance", "branches", "init",
-                                       "assign", "assign writes by kind"))
-    for label, (branches, init_writes, kinds) in rows:
-        print("%-32s %-8d %-6d %-7d %s" % (
-            label, branches, init_writes, sum(kinds.values()),
+    print("%-32s %-8s %-6s %-7s %-7s %s" % (
+        "instance", "branches", "init", "assign", "fused",
+        "assign writes by kind"))
+    for label, (branches, init_writes, kinds, fused) in rows:
+        print("%-32s %-8d %-6d %-7d %-7d %s" % (
+            label, branches, init_writes, sum(kinds.values()), fused,
             " ".join("%s=%d" % kv for kv in kinds.most_common())))
 
 

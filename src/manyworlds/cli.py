@@ -20,7 +20,7 @@ import json
 import sys
 import time
 
-from .compile import ConfigError, compile_targets
+from .compile import BOUNDS_TOLERANCE, ConfigError, compile_targets
 from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
@@ -224,6 +224,10 @@ def cmd_run(args):
         else:
             result = compile_targets(net, dataset.vartable, args.epsilon, args.mode)
             report = result.as_dict()
+        if result.clamp:  # stderr, so that --out stays byte-stable
+            print("note: float dust clamped: a final bound moved by %r "
+                  "(tolerance %g)" % (result.clamp, BOUNDS_TOLERANCE),
+                  file=sys.stderr)
     elapsed = time.time() - t0
     report["mode"] = args.mode
 

@@ -26,6 +26,7 @@ from .network import MaskState, Stats, UNKNOWN
 SCHEMES = ("exact", "eager", "lazy", "hybrid")
 
 #: Float dust in final bounds that is clamped; anything larger is an error.
+#: The largest clamp of a run is kept as ``CompileResult.clamp``.
 BOUNDS_TOLERANCE = 1e-9
 
 
@@ -51,6 +52,7 @@ class CompileResult:
     scheme: str
     epsilon: float
     pruned_mass: float = 0.0
+    clamp: float = 0.0  # the most any final bound moved in checked_bounds
 
     def bounds(self, eid):
         for tb in self.targets:
@@ -69,24 +71,28 @@ class CompileResult:
 
 
 def ancestor_bits(net):
-    """Per-variable bitmask over the instance slots that lie above it.
+    """Per-variable bitmask over the kept instance slots that lie above it.
 
     A variable's own slot is included (it may be a target).  One pass in
     slot order, which is topological, gives each slot the set of variables
-    below it, as a small int with one bit per variable: the OR of its
-    children's sets.  The per-variable masks over slots are then read off
-    those sets.  The result is kept on the network.
+    below it, as a small int with one bit per variable, and ORs it into the
+    sets of the slots that read it (``SlotTables.parents``).  A fused slot
+    has no parents and no edges in, so it lies above no variable.  The
+    per-variable masks over slots are then read off those sets.  The result
+    is kept on the network.
     """
     if net.ancestors is not None:
         return net.ancestors
     tables = net.slot_tables()
     names = list(net.var_nodes)
-    below = [0] * len(tables.children)
+    below = [0] * len(tables.parents)
     for j, vid in enumerate(net.var_nodes.values()):
         below[vid] = 1 << j
-    for slot, kids in enumerate(tables.children):
-        for c in kids:
-            below[slot] |= below[c]
+    for slot, ups in enumerate(tables.parents):
+        vs = below[slot]
+        if vs:
+            for p in ups:
+                below[p] |= vs
     rows = [bytearray((len(below) + 7) // 8) for _ in names]
     for slot, vs in enumerate(below):
         while vs:
@@ -285,9 +291,21 @@ def checked_bounds(eid, lower, upper):
     return TargetBounds(eid, lo, hi)
 
 
+def checked_result(sums, stats, scheme, epsilon):
+    """The result of a run from its targets' summed (eid, lower, upper):
+    each pair goes through ``checked_bounds``, and the most any bound moved
+    there is kept as ``clamp``."""
+    out, clamp = [], 0.0
+    for eid, lower, upper in sums:
+        tb = checked_bounds(eid, lower, upper)
+        clamp = max(clamp, abs(tb.lower - lower), abs(tb.upper - upper))
+        out.append(tb)
+    return CompileResult(out, stats, scheme, epsilon, stats.pruned_mass, clamp)
+
+
 def finish_result(search):
     st = search.state
-    out = [checked_bounds(eid, st.problower[i], st.probupper[i])
-           for i, (_nid, _t, eid) in enumerate(search.net.targets)]
-    return CompileResult(out, st.stats, search.scheme, search.eps,
-                         st.stats.pruned_mass)
+    return checked_result(
+        [(eid, st.problower[i], st.probupper[i])
+         for i, (_nid, _t, eid) in enumerate(search.net.targets)],
+        st.stats, search.scheme, search.eps)

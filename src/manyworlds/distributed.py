@@ -42,7 +42,7 @@ import math
 import queue
 import threading
 
-from .compile import CompileResult, ConfigError, Search, checked_bounds
+from .compile import ConfigError, Search, checked_result
 from .network import Stats
 
 
@@ -103,6 +103,7 @@ class _Ledger:
             s.leaves += account.leaves
             s.pruned += account.pruned
             s.propagations += account.propagations
+            s.fused += account.fused
             s.pruned_mass += account.pruned_mass
             return True
 
@@ -276,13 +277,11 @@ class _Runner:
 
 
 def _result_from_ledger(net, ledger, scheme, epsilon):
-    out = []
-    for i, (_nid, _t, eid) in enumerate(net.targets):
-        # one rounding per sum: the result does not depend on commit order
-        lower = math.fsum([ledger.seed_lower[i]]
-                          + [r["lower_delta"][i] for r in ledger.log])
-        upper = math.fsum([ledger.seed_upper[i]]
-                          + [r["upper_delta"][i] for r in ledger.log])
-        out.append(checked_bounds(eid, lower, upper))
-    return CompileResult(out, ledger.stats, scheme, epsilon,
-                         ledger.stats.pruned_mass)
+    # one rounding per sum: the result does not depend on commit order
+    sums = [(eid,
+             math.fsum([ledger.seed_lower[i]]
+                       + [r["lower_delta"][i] for r in ledger.log]),
+             math.fsum([ledger.seed_upper[i]]
+                       + [r["upper_delta"][i] for r in ledger.log]))
+            for i, (_nid, _t, eid) in enumerate(net.targets)]
+    return checked_result(sums, ledger.stats, scheme, epsilon)

@@ -668,7 +668,11 @@ class _Validator:
             self._type(e.index)
             self._check_index(e.index, e)
             if bt.base == "array" and isinstance(e.base, (UName, UIndex)):
-                return bt.elem if bt.elem is not None else UNKNOWN_T
+                if bt.elem is None:  # grounding would find no declaration
+                    self.report("unwritten-read", "array element read before "
+                                "anything is written to its array", e)
+                    return UNKNOWN_T
+                return bt.elem
             if bt.base == "vec":
                 # the event language has no component projection
                 self.report("vec-index", "indexing a feature vector", e)

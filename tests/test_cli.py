@@ -135,6 +135,31 @@ def test_event_program_input_route(capsys, line_json, tmp_path):
     assert json.loads(_read(out_path))["targets"]
 
 
+def test_clamped_float_dust_is_reported_on_stderr(capsys, tmp_path):
+    # T is certain.  With these probabilities its lower bound sums to
+    # 1 + 2^-52 over the branches, and the clamp back to 1 is noted on
+    # stderr, not in --out; with halves every sum is exact
+    ep_path = tmp_path / "dust.events"
+    ep_path.write_text(
+        "T := (x0 & x1) | (x0 & !x1) | (!x0 & x2) | (!x0 & !x2)\n")
+    for ps, note in (((0.2, 0.1, 0.2), True), ((0.5, 0.5, 0.5), False)):
+        data_path = tmp_path / "dust.json"
+        data_path.write_text(json.dumps({
+            "vars": [{"id": "x%d" % i, "p": p} for i, p in enumerate(ps)],
+            "points": [], "params": {"k": 0, "medoids": []}}))
+        for mode in ("exact", "exact-d"):
+            out_path = tmp_path / ("%s.json" % mode)
+            code, _, err = _run(capsys, "run", "--event-program", str(ep_path),
+                                "--data", str(data_path), "--mode", mode,
+                                "--targets", "T", "--out", str(out_path))
+            assert code == 0
+            assert ("clamped" in err and repr(2.0 ** -52) in err) == note, err
+            report = json.loads(_read(out_path))
+            assert report["targets"] == [
+                {"eid": "T", "lower": 1.0, "upper": 1.0}]
+            assert "clamp" not in json.dumps(report)
+
+
 def test_distributed_modes(capsys, line_json, tmp_path):
     a_path = str(tmp_path / "seq.json")
     b_path = str(tmp_path / "dist.json")

@@ -180,7 +180,16 @@ def test_stats_report_format():
     vt = VarTable.of(("x", 0.5),)
     r = compile_targets(net, vt, 0.0, "exact")
     text = r.stats.report()
-    assert "branches=" in text and "propagations=" in text
+    assert "branches=" in text and "propagations=" in text and "fused=" in text
+
+
+def test_fused_evaluations_repeat_from_run_to_run():
+    prog, vt, targets = random_instance(42, max_vars=8)  # sums of guards
+    g = ground(prog, targets, variables=set(vt.index))
+    net = build_network(g)
+    runs = [compile_targets(again, vt, 0.0, "exact").stats.as_dict()
+            for again in (net, net, build_network(g))]
+    assert runs[0]["fused"] > 0 and runs[0] == runs[1] == runs[2]
 
 
 def test_decided_at_initialisation():
@@ -223,8 +232,10 @@ def test_planted_gap_in_finished_search_and_ledger(gap, raises):
             with pytest.raises(BoundsError, match="T"):
                 finish()
         else:
-            tb = finish().targets[0]
+            result = finish()
+            tb = result.targets[0]
             assert tb.lower == tb.upper
+            assert 0.0 < result.clamp <= gap  # the crossing met half way
 
 
 def _reference_ancestor_bits(net):
@@ -272,5 +283,11 @@ def test_ancestor_bits_match_upward_search(line_dataset):
         prog, (meta["targets"],), set(line_dataset.vartable.index))))
     assert nets[-1].T == 3
     for net in nets:
-        assert ancestor_bits(net) == _reference_ancestor_bits(net)
+        # restated over the kept slots: a fused slot lies above no variable
+        rules, kept = net.slot_tables().rules, 0
+        for slot, rule in enumerate(rules):
+            kept |= (rule is not None) << slot
+        assert ancestor_bits(net) == {
+            name: bits & kept
+            for name, bits in _reference_ancestor_bits(net).items()}
         assert ancestor_bits(net) is ancestor_bits(net)  # computed once

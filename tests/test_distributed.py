@@ -223,13 +223,15 @@ def test_scheme_restriction():
 @pytest.mark.parametrize("workers", [2, 4])
 def test_pool_does_no_extra_work(workers):
     # jobs resume from the masks copied at fork time: nothing is replayed,
-    # and the pool writes exactly the masks the one-worker run writes
+    # and the pool writes exactly the masks the one-worker run writes and
+    # evaluates exactly its fused guards and atoms
     net, vt, g = _clustering_net()
     one = run_distributed(net, vt, 0.0, "exact", workers=1, job_depth=2)
     d = run_distributed(net, vt, 0.0, "exact", workers=workers, job_depth=2)
     assert d.stats.jobs > 1
     assert d.stats.replays == 0
     assert d.stats.propagations == one.stats.propagations
+    assert d.stats.fused == one.stats.fused > 0
     assert d.stats.branches == one.stats.branches
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +183,27 @@ def test_bound_monotonicity_within_branch(seed):
             prev[eid] = nm
 
 
+def test_mask_of_a_fused_named_guard():
+    # E3 and E4 are guards read only by E6 = E3 + E4: both are fused, and
+    # ``mask_of`` computes their masks from their children
+    prog, vt, targets = random_instance(42, max_vars=8)
+    g = ground(prog, targets, variables=set(vt.index))
+    net = build_network(g)
+    guards = [net.node_of_eid[eid] for eid in ("E3", "E4")]
+    assert all(net.nodes[nid].kind == "guard" for nid in guards)
+    assert all(net.slot_tables().rules[nid] is None for nid in guards)
+    names, rng = vt.names(), random.Random(42)
+    for _ in range(6):
+        st_ = MaskState(net)
+        partial = {n: rng.random() < 0.5
+                   for n in rng.sample(names, rng.randint(0, len(names)))}
+        for n, v in partial.items():
+            st_.assign(n, v, 1.0)
+        assert all(type(st_.mask_of(nid, 0)) is network.NumMask
+                   for nid in guards)
+        _check_masks_against_worlds(net, st_, g, names, partial)
+
+
 def test_folded_node_count_constant_and_unfolded_grows(line_dataset):
     counts = []
     for T in (1, 2, 3):
@@ -255,12 +277,14 @@ def _decided_mask(m):
 
 
 def _undecided_bits(st_):
-    """The undecided-instance bits, recomputed from the masks."""
-    bits = 0
+    """The undecided bits of the kept instances, recomputed from the masks;
+    a fused instance has no mask and no bit."""
+    bits, rules = 0, st_.tables.rules
     for nid, node in enumerate(st_.net.nodes):
         for t in range(st_.T if node.in_loop else 1):
             idx = t * st_.N + nid
-            bits |= (not _decided_mask(st_.masks[idx])) << idx
+            if rules[idx] is not None:
+                bits |= (not _decided_mask(st_.masks[idx])) << idx
     return bits
 
 
@@ -340,7 +364,41 @@ def _base_source_network():
     return build_network(fp)
 
 
+def _reads(tables, slot):
+    """The slots whose masks the rule of ``slot`` reads, from its argument."""
+    rule, kids = tables.rules[slot], tables.children[slot]
+    if rule is None:
+        return set()
+    if rule is MaskState._guarded_sum:
+        return {c for pair in kids for c in pair}
+    if rule is MaskState._and_atoms:
+        plain, atoms = kids
+        return set(plain).union(*(args for _rule, _node, args in atoms))
+    return set(kids)
+
+
+def _instance_kids(net, slot):
+    """The child slots of ``slot``'s node in the unfused graph."""
+    N = len(net.nodes)
+    node, t = net.nodes[slot % N], slot // N
+    if node.kind == "loop":
+        return ((net.slot(node.payload["init"], 0),) if t == 0
+                else (net.slot(node.payload["source"], t - 1),))
+    return tuple(net.slot(c, t) for c in node.children)
+
+
+def _fused_slots(net):
+    """The used slots that have no rule: the guards and atoms fused into
+    their readers."""
+    tables = net.slot_tables()
+    return [t * len(net.nodes) + node.id for node in net.nodes
+            for t in (range(net.T) if node.in_loop else (0,))
+            if tables.rules[t * len(net.nodes) + node.id] is None]
+
+
 def test_slot_tables_mirror_the_graph(line_dataset):
+    # restated over the kept slots: a kept slot's edges are the slots its
+    # rule reads, its own children's and those of the slots fused into it
     nets = _line_networks(line_dataset) + _random_networks(range(12))
     nets.append(_base_source_network())
     assert [net.T for net in nets[:2]] == [1, 3]
@@ -348,18 +406,127 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         tables = net.slot_tables()
         N, size = len(net.nodes), len(net.nodes) * net.T
         assert len(tables.children) == len(tables.parents) == size
-        down = Counter((c, s) for s in range(size) for c in tables.children[s])
-        up = Counter((c, p) for c in range(size) for p in tables.parents[c])
+        down = {(c, s) for s in range(size) for c in _reads(tables, s)}
+        up = {(c, p) for c in range(size) for p in tables.parents[c]}
         assert down == up  # each table is the other's inverse
+        assert all(list(ups) == sorted(ups) for ups in tables.parents)
         assert all(c < s for c, s in down)  # every edge rises
         assert all(tables.level[c] < tables.level[s] for c, s in down)
         for s in range(size):  # a slot has edges only if an instance uses it
             if s >= N and not net.nodes[s % N].in_loop:
                 assert tables.children[s] == tables.parents[s] == ()
-        for nid, node in enumerate(net.nodes):
-            if node.kind != "loop":
-                assert tables.children[nid] == node.children
+        fused = set(_fused_slots(net))
+        for slot, rule in enumerate(tables.rules):
+            if rule is None:
+                continue
+            kids = _instance_kids(net, slot)
+            if rule is MaskState._guarded_sum:
+                assert tables.children[slot] == tuple(
+                    _instance_kids(net, g) for g in kids)
+            elif rule is MaskState._and_atoms:
+                plain, atoms = tables.children[slot]
+                assert plain == tuple(c for c in kids if c not in fused)
+                assert [args for _rule, _node, args in atoms] == [
+                    _instance_kids(net, c) for c in kids if c in fused]
+            else:
+                assert tables.children[slot] == kids
+                assert not fused & set(kids)
         assert net.slot_tables() is tables  # built once, then shared
+
+
+def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
+    nets = _line_networks(line_dataset) + _random_networks(range(12))
+    assert all(_fused_slots(net) for net in nets[:2])
+    for net in nets:
+        tables, fused = net.slot_tables(), _fused_slots(net)
+        targets = {net.slot(nid, t) for nid, t, _eid in net.targets}
+        for slot in fused:
+            node = net.nodes[slot % len(net.nodes)]
+            assert node.kind in ("guard", "atom") and slot not in targets
+            assert tables.nodes[slot] is None
+            assert tables.children[slot] == tables.parents[slot] == ()
+            assert not any(slot in ups for ups in tables.parents)
+        st_ = MaskState(net)
+        written = set()
+        plain_assign = st_.assign
+
+        def assign(*args):
+            start = len(st_.trail)
+            plain_assign(*args)
+            written.update(idx for idx, _old in st_.trail[start:])
+
+        st_.assign = assign
+        vt = VarTable(tuple((name, 0.4) for name in sorted(net.var_nodes)))
+        Search(net, vt, 0.0, "exact", state=st_).run()
+        for slot in fused:
+            assert not st_.unknown_bits >> slot & 1
+            assert slot not in written
+
+
+def _unfused_mask(st_, slot):
+    """The mask of a kept slot as the unfused network computes it: each
+    guard or atom fused into it runs its own rule into a copy of the masks,
+    and the slot's node then runs its plain rule over them."""
+    net, rules = st_.net, st_.tables.rules
+    node, kids = net.nodes[slot % len(net.nodes)], _instance_kids(net, slot)
+    copy = SimpleNamespace(masks=list(st_.masks))
+    for c in kids:
+        if rules[c] is None:
+            child = net.nodes[c % len(net.nodes)]
+            copy.masks[c] = network._rule_of(child, net.nodes)(
+                copy, child, _instance_kids(net, c))
+    return network._rule_of(node, net.nodes)(copy, node, kids)
+
+
+def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
+    cases = [(net, line_dataset.vartable, eps, scheme)
+             for net in _line_networks(line_dataset)
+             for eps, scheme in ((0.0, "exact"), (0.1, "hybrid"))]
+    for seed in range(40):
+        for make in (random_instance, _every_kind_instance):
+            prog, vt, targets = make(seed, max_vars=5)
+            net = build_network(ground(prog, targets, variables=set(vt.index)))
+            cases.append((net, vt, 0.0, "exact"))
+    checked = Counter()
+
+    def check(st_):
+        tables = st_.tables
+        probe = SimpleNamespace(masks=st_.masks, stats=network.Stats(0))
+        for slot, rule in enumerate(tables.rules):
+            if rule in (MaskState._guarded_sum, MaskState._and_atoms):
+                fused = rule(probe, tables.nodes[slot], tables.children[slot])
+                assert repr(fused) == repr(_unfused_mask(st_, slot)), slot
+                checked[rule.__name__] += 1
+
+    for net, vt, eps, scheme in cases:
+        search = Search(net, vt, eps, scheme, on_branch=check)
+        check(search.state)  # the initial masks
+        search.preassign_certain()
+        search.run()
+    assert checked["_guarded_sum"] > 1000 and checked["_and_atoms"] > 1000
+
+
+def test_targets_and_shared_operands_are_not_fused():
+    atom = Atom("<=", CondVal(Var("x"), 1.0), CondVal(TRUE, 0.5))
+    guard = Guard(Var("y"), CondVal(Var("z"), 2.0))
+    base = (("A", atom), ("G", guard),
+            ("S", Add((Ref("G"), Guard(Var("x"), CondVal(TRUE, 1.0))))),
+            ("T", And((Ref("A"), Atom(">", Ref("S"), CondVal(TRUE, 2.5))))))
+
+    def fused(extra, targets):
+        program = EventProgram(tuple(decl(eid, (), e) for eid, e in base + extra))
+        net = build_network(ground(program, targets, {"x", "y", "z"}))
+        slots = set(_fused_slots(net))
+        return {eid for eid, nid in net.node_of_eid.items() if nid in slots}
+
+    assert fused((), ("T",)) == {"A", "G"}
+    assert fused((), ("T", "A")) == {"G"}  # a target atom
+    # an atom with a second reader, or read twice by one conjunction
+    assert fused((("U", And((Ref("A"), Var("z")))),), ("T", "U")) == {"G"}
+    assert fused((("U", And((Ref("A"), Ref("A")))),), ("T", "U")) == {"G"}
+    # a guard with a second reader: neither it nor its sum's other guard
+    assert fused((("V", Add((Ref("G"), CondVal(TRUE, 1.0)))),),
+                 ("T",)) == {"A"}
 
 
 def test_carried_base_source_reaches_every_iteration():

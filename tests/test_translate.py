@@ -279,9 +279,13 @@ LOAD = "(O, n) = loadData()\n"
     (LOAD + "M = [None] * 2\nM[0] = O[0]\nM[1] = O[1]\nb = M[0] <= M[1]\n",
      "compare-type"),
     ("M = init()\n" + LOAD + "d = dist(O[0], M[1])\n", None),
+    (ROW + "x = A[0]\n", "unwritten-read"),
+    (ROW + "for i in range(0, 2):\n x = A[i]\n A[i] = 1\n", "unwritten-read"),
+    (ROW + "A[0] = 1\nA[1] = 2\nfor i in range(0, 2):\n x = A[i]\n", None),
 ], ids=["alias", "row-read", "numeric-breakties", "numeric-filter", "ragged-rows",
         "invert-boolean-element", "boolean-element-sum", "reduce-and-numbers",
-        "vector-element-order", "init-before-load"])
+        "vector-element-order", "init-before-load", "unwritten-array",
+        "unwritten-before-loop-write", "written-before-loop"])
 def test_validator_reports_what_does_not_translate(src, rule, line_dataset):
     """Each program is reported under its rule, or it translates, grounds and
     equals the interpreter in every world of the line fixture."""

@@ -250,6 +250,8 @@ RULE_PROGRAMS = {
     "reserved-name": "Obj = 1 <= 2\n",
     "sum-type": "x = 1 + True\n",
     "undefined-id": "x = y + 1\n",
+    # the interpreter reads None; grounding finds no declaration of A[0]
+    "unwritten-read": "A = [None] * 2\nx = A[0]\n",
     "vec-index": DATA + "x = O[0][0]\n",
 }
 
