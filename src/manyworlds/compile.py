@@ -51,7 +51,6 @@ class CompileResult:
     stats: Stats
     scheme: str
     epsilon: float
-    pruned_mass: float = 0.0
     clamp: float = 0.0  # the most any final bound moved in checked_bounds
 
     def bounds(self, eid):
@@ -300,7 +299,7 @@ def checked_result(sums, stats, scheme, epsilon):
         tb = checked_bounds(eid, lower, upper)
         clamp = max(clamp, abs(tb.lower - lower), abs(tb.upper - upper))
         out.append(tb)
-    return CompileResult(out, stats, scheme, epsilon, stats.pruned_mass, clamp)
+    return CompileResult(out, stats, scheme, epsilon, clamp)
 
 
 def finish_result(search):

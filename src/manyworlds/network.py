@@ -33,26 +33,28 @@ every child slot is smaller than the slot that reads it:
     in-loop) is below ``t*N``.
 
 The first ``MaskState`` on a network compiles it into ``SlotTables``: per
-slot the rule and node that compute its mask, an atom's rule already chosen
-by its comparison, the rule's argument (its child slots, with the carry
-nodes' iteration shift already expanded), the slots that read its mask, and
-a level.  Building them outside ``build_network`` keeps that work out of
-network construction; every mask state on the network, one per worker,
-shares them read-only.  The first state also leaves its initial masks
+slot the rule and node that compute its mask (one rule per node kind, an
+atom's chosen by its comparison), the rule's argument (its child slots,
+with the carry nodes' iteration shift already expanded), the slots that
+read its mask, and a level.  Building them outside ``build_network`` keeps
+that work out of network construction; every mask state on the network,
+one per worker, shares them read-only.  The first state also leaves its initial masks
 there, and every later state loads them instead of computing them again.
 
-The tables fuse a guard or an atom that is not a target and has exactly
-one reader into that reader: a scalar ``add`` whose children are all such
-guards computes their masks inside its own rule (``_guarded_sum``), and an
-``and`` computes its fused atoms inside its rule (``_and_atoms``).  The
-fused rule applies the guard's and the sum's float operations in the same
-order, and a conjunction does not depend on the order of its operands, so
-every kept mask is the same bits as without fusion.  A fused slot has no
-rule, no parents and no mask: it is never written and never queued, and its
-reader is queued by the fused slot's children instead.  ``mask_of`` computes
-a fused instance's mask on demand, from its node's rule over its children.
-On the benchmark's k-medoids networks every atom and every guard under a
-scalar sum is fused, and a search writes 75-77% fewer masks than without.
+The tables *fuse* a guard whose one reader is an ``add``, and an atom whose
+one reader is an ``and``, when it is not a target: the reader's rule
+computes it inline.  Fusion shapes the reader's argument, not its rule.  A
+sum's terms are kept child slots or a fused guard's (condition, body) slot
+pair, in child order, and ``_add`` applies ``_guard``'s operations to a
+pair in the same order as over a guard's mask.  A conjunction's argument is
+its plain child slots and its fused atoms, and its value does not depend on
+the order of its operands.  So every kept mask is the same bits as without
+fusion.  A fused slot has no rule, no parents and no mask: it is never
+written and never queued, and its reader is queued by the fused slot's
+children instead.  ``mask_of`` computes a fused instance's mask on demand,
+from its node's rule over its children.  On the benchmark's k-medoids
+networks every atom and every guard is fused, and a search writes 76-80%
+fewer masks than without.
 
 Propagation is levelized.  A slot's level is 0 if its rule reads no mask,
 else one more than the highest level it reads.  An assignment appends each dirty slot to
@@ -197,14 +199,15 @@ class SlotTables:
     slots, in the node's child order, where a carry node reads its initial
     declaration at ``t=0`` and its source at ``t-1`` after that.
 
-    A guard or an atom that is not a target and has exactly one reader is
-    *fused* into that reader when the reader is a scalar ``add`` whose
-    children are all such guards, or an ``and``:
+    A slot that is not a target is *fused* into its one reader when it is
+    a guard read by an ``add`` or an atom read by an ``and``.  The reader
+    keeps its kind's rule, and its argument takes the fused slot in:
 
-      * the ``add`` gets ``_guarded_sum``, and ``children`` holds one
-        (condition slot, body slot) pair per guard;
-      * the ``and`` gets ``_and_atoms``, and ``children`` holds its plain
-        child slots and one ``(rule, node, kids)`` item per fused atom.
+      * an ``add``'s argument holds one term per child, in child order: the
+        child's slot, or a fused guard's (condition slot, body slot) pair;
+      * an ``and``'s argument is always (plain child slots, fused atoms),
+        with one ``(rule, node, kids)`` item per fused atom, so ``()`` when
+        no atom is fused.
 
     A fused slot has no rule, no node, no children and no parents, so its
     mask is never written and it has no undecided bit.  ``parents[slot]``
@@ -243,36 +246,31 @@ class SlotTables:
         targets = {slot_of(nid, t) for nid, t, _eid in net.targets}
 
         # one reader: no other rule needs the slot's mask; not a target: its
-        # mask credits the bounds.  The children of a fused slot stay kept,
-        # since only sums and conjunctions fuse, and neither is a guard's or
-        # an atom's child.
+        # mask credits the bounds.  A fused slot's children stay kept: a slot
+        # fuses only into a sum or a conjunction, and a guard or an atom is
+        # neither.
         def fusable(c, kind):
             return (snodes[c].kind == kind and readers[c] == 1
                     and c not in targets)
 
         reads = list(children)  # the slots each kept rule reads
         for slot, node in enumerate(snodes):
-            if node is None:
+            if node is None or node.kind not in ("add", "and"):
                 continue
             kids = children[slot]
-            if node.kind == "add" and node.vkind == "s" and all(
-                    fusable(c, "guard") for c in kids):
-                fused = kids
-                children[slot] = tuple([children[c] for c in kids])
-                rules[slot] = MaskState._guarded_sum
-            elif node.kind == "and":
-                fused = [c for c in kids if fusable(c, "atom")]
-                if not fused:
-                    continue
-                children[slot] = (
-                    tuple([c for c in kids if c not in fused]),
-                    tuple([(rules[c], snodes[c], children[c]) for c in fused]))
-                rules[slot] = MaskState._and_atoms
+            into = [c for c in kids
+                    if fusable(c, "guard" if node.kind == "add" else "atom")]
+            if node.kind == "add":
+                children[slot] = tuple(
+                    [children[c] if c in into else c for c in kids])
             else:
-                continue
-            reads[slot] = tuple(dict.fromkeys(
-                [g for c in kids for g in (children[c] if c in fused else (c,))]))
-            for c in fused:
+                children[slot] = (
+                    tuple([c for c in kids if c not in into]),
+                    tuple([(rules[c], snodes[c], children[c]) for c in into]))
+            if into:
+                reads[slot] = tuple(dict.fromkeys(
+                    [g for c in kids for g in (children[c] if c in into else (c,))]))
+            for c in into:
                 children[c] = reads[c] = ()
                 rules[c] = snodes[c] = None
         parents = [[] for _ in reads]
@@ -557,9 +555,7 @@ class MaskState:
     def __init__(self, net: EventNetwork):
         self.net = net
         self.tables = net.slot_tables()
-        self.N = len(net.nodes)
-        self.T = net.T
-        size = self.N * self.T
+        size = len(self.tables.rules)
         self.masks = [UNKNOWN] * size
         self.trail = []
         self.stats = Stats(len(net.targets))
@@ -802,21 +798,10 @@ class MaskState:
         return UNKNOWN
 
     def _and(self, node, kids):
-        masks = self.masks
-        all_true = True
-        for c in kids:
-            v = masks[c]
-            if v == MASK_FALSE:
-                return MASK_FALSE
-            if v != MASK_TRUE:
-                all_true = False
-        return MASK_TRUE if all_true else UNKNOWN
-
-    def _and_atoms(self, node, kids):
-        """``_and`` over plain child slots and the atoms fused into it,
-        given as (plain slots, ((rule, atom node, atom kids), ...)).  A
-        conjunction does not depend on the order of its operands, so the
-        plain slots are read first and the atoms run only if none is false."""
+        """A conjunction over (plain child slots, fused atoms), each fused
+        atom a ``(rule, atom node, atom kids)`` item.  Its value does not
+        depend on the order of its operands, so the plain slots are read
+        first and the atoms run only if none of those is false."""
         plain, atoms = kids
         masks = self.masks
         all_true = True
@@ -826,16 +811,15 @@ class MaskState:
                 return MASK_FALSE
             if v != MASK_TRUE:
                 all_true = False
-        n = 0
-        for rule, atom, args in atoms:
-            n += 1
+        for n, (rule, atom, args) in enumerate(atoms, 1):
             v = rule(self, atom, args)
             if v == MASK_FALSE:
                 self.stats.fused += n
                 return MASK_FALSE
             if v != MASK_TRUE:
                 all_true = False
-        self.stats.fused += n
+        if atoms:
+            self.stats.fused += len(atoms)
         return MASK_TRUE if all_true else UNKNOWN
 
     def _or(self, node, kids):
@@ -917,66 +901,56 @@ class MaskState:
         return NumMask(math.sqrt(sq_lo), math.sqrt(sq_hi),
                        a.may_undef or b.may_undef, True)
 
-    def _add(self, node, kids):
-        masks = [self.masks[c] for c in kids]
-        defined = [m for m in masks if m.may_def]
-        if not defined:
-            return UNDEF
-        may_undef = all(m.may_undef for m in masks)
-        if node.vkind == "v":
-            dim = len(defined[0].lo)
-            lo = [0.0] * dim
-            hi = [0.0] * dim
-            for m in defined:
-                for i in range(dim):
-                    if m.may_undef:
-                        lo[i] += min(0.0, m.lo[i])
-                        hi[i] += max(0.0, m.hi[i])
-                    else:
-                        lo[i] += m.lo[i]
-                        hi[i] += m.hi[i]
-            return NumMask(tuple(lo), tuple(hi), may_undef, True)
-        lo = hi = 0.0
-        for m in defined:
-            if m.may_undef:
-                lo += min(0.0, m.lo)
-                hi += max(0.0, m.hi)
-            else:
-                lo += m.lo
-                hi += m.hi
-        return NumMask(lo, hi, may_undef, True)
-
-    def _guarded_sum(self, node, pairs):
-        """``_add`` over ``_guard`` of each (condition, body) slot pair: the
-        float operations of both rules, in the same order, so the mask is
-        the same bits.  A guard's mask keeps its body's interval; it may be
-        undefined unless its condition is true, and may be defined only if
-        its body may be and its condition is not false."""
+    def _add(self, node, terms):
+        """The sum of ``terms`` in child order, each a kept child slot or
+        the (condition, body) slot pair of a guard fused into the sum.  A
+        pair applies ``_guard``'s operations inline: the guard keeps its
+        body's interval, may be undefined unless its condition is true, and
+        may be defined only if its body may be and its condition is not
+        false.  So the mask is the same bits as ``_add`` over ``_guard``'s
+        masks.  An undefined term adds nothing; one that may be undefined
+        adds its interval widened to 0."""
         masks = self.masks
-        self.stats.fused += len(pairs)
+        vector = node.vkind == "v"
         lo = hi = 0.0
-        defined, may_undef = False, True
-        for g, c in pairs:
-            g, c = masks[g], masks[c]
-            if g == MASK_TRUE:
-                mu = c.may_undef
-                if not mu:
-                    may_undef = False
-            elif g == MASK_FALSE:
-                continue  # certainly undefined: adds nothing
+        defined, may_undef, pairs = False, True, 0
+        for term in terms:
+            if term.__class__ is int:
+                m = masks[term]
+                mu = m.may_undef
             else:
-                mu = True
-            if not c.may_def:
+                pairs += 1
+                g, m = masks[term[0]], masks[term[1]]
+                if g == MASK_FALSE:
+                    continue  # certainly undefined
+                mu = m.may_undef if g == MASK_TRUE else True
+            if not mu:
+                may_undef = False
+            if not m.may_def:
                 continue
+            if not vector:
+                if mu:
+                    lo += min(0.0, m.lo)
+                    hi += max(0.0, m.hi)
+                else:
+                    lo += m.lo
+                    hi += m.hi
+            else:  # component by component, in the same order
+                if not defined:
+                    lo = hi = (0.0,) * len(m.lo)
+                if mu:
+                    lo = [x + min(0.0, y) for x, y in zip(lo, m.lo)]
+                    hi = [x + max(0.0, y) for x, y in zip(hi, m.hi)]
+                else:
+                    lo = [x + y for x, y in zip(lo, m.lo)]
+                    hi = [x + y for x, y in zip(hi, m.hi)]
             defined = True
-            if mu:
-                lo += min(0.0, c.lo)
-                hi += max(0.0, c.hi)
-            else:
-                lo += c.lo
-                hi += c.hi
+        if pairs:
+            self.stats.fused += pairs
         if not defined:
             return UNDEF
+        if vector:
+            lo, hi = tuple(lo), tuple(hi)
         return NumMask(lo, hi, may_undef, True)
 
     def _mul(self, node, kids):

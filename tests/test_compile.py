@@ -166,13 +166,14 @@ def test_hybrid_budget_conservation():
         net = build_network(g)
         for eps in (0.05, 0.2):
             r = compile_targets(net, vt, eps, "hybrid")
-            assert r.pruned_mass <= 2 * eps + 1e-12
+            assert r.stats.pruned_mass <= 2 * eps + 1e-12
             for workers in (1, 2):
                 d = run_distributed(net, vt, eps, "hybrid", workers=workers,
                                     job_depth=2)
-                assert d.pruned_mass <= 2 * eps + 1e-12
+                assert d.stats.pruned_mass <= 2 * eps + 1e-12
                 if workers == 1:
-                    assert abs(d.pruned_mass - r.pruned_mass) <= 1e-12
+                    assert abs(d.stats.pruned_mass
+                               - r.stats.pruned_mass) <= 1e-12
 
 
 def test_stats_report_format():

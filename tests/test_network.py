@@ -279,10 +279,10 @@ def _decided_mask(m):
 def _undecided_bits(st_):
     """The undecided bits of the kept instances, recomputed from the masks;
     a fused instance has no mask and no bit."""
-    bits, rules = 0, st_.tables.rules
-    for nid, node in enumerate(st_.net.nodes):
-        for t in range(st_.T if node.in_loop else 1):
-            idx = t * st_.N + nid
+    net, bits, rules = st_.net, 0, st_.tables.rules
+    for nid, node in enumerate(net.nodes):
+        for t in range(net.T if node.in_loop else 1):
+            idx = net.slot(nid, t)
             if rules[idx] is not None:
                 bits |= (not _decided_mask(st_.masks[idx])) << idx
     return bits
@@ -365,13 +365,16 @@ def _base_source_network():
 
 
 def _reads(tables, slot):
-    """The slots whose masks the rule of ``slot`` reads, from its argument."""
-    rule, kids = tables.rules[slot], tables.children[slot]
-    if rule is None:
+    """The slots whose masks the rule of ``slot`` reads, from its argument:
+    a sum's terms are slots or fused guards' (condition, body) pairs, and a
+    conjunction's argument is (plain slots, fused atoms)."""
+    node, kids = tables.nodes[slot], tables.children[slot]
+    if node is None:
         return set()
-    if rule is MaskState._guarded_sum:
-        return {c for pair in kids for c in pair}
-    if rule is MaskState._and_atoms:
+    if node.kind == "add":
+        return {c for term in kids
+                for c in (term if type(term) is tuple else (term,))}
+    if node.kind == "and":
         plain, atoms = kids
         return set(plain).union(*(args for _rule, _node, args in atoms))
     return set(kids)
@@ -416,14 +419,19 @@ def test_slot_tables_mirror_the_graph(line_dataset):
             if s >= N and not net.nodes[s % N].in_loop:
                 assert tables.children[s] == tables.parents[s] == ()
         fused = set(_fused_slots(net))
-        for slot, rule in enumerate(tables.rules):
-            if rule is None:
+        for slot, node in enumerate(tables.nodes):
+            if node is None:
                 continue
+            # one rule per node kind: fusion shapes the argument only
+            assert tables.rules[slot] is network._rule_of(node, net.nodes)
             kids = _instance_kids(net, slot)
-            if rule is MaskState._guarded_sum:
+            kinds = {net.nodes[c % N].kind for c in kids if c in fused}
+            if node.kind == "add":
+                assert kinds <= {"guard"}
                 assert tables.children[slot] == tuple(
-                    _instance_kids(net, g) for g in kids)
-            elif rule is MaskState._and_atoms:
+                    _instance_kids(net, c) if c in fused else c for c in kids)
+            elif node.kind == "and":
+                assert kinds <= {"atom"}
                 plain, atoms = tables.children[slot]
                 assert plain == tuple(c for c in kids if c not in fused)
                 assert [args for _rule, _node, args in atoms] == [
@@ -463,6 +471,21 @@ def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
             assert slot not in written
 
 
+def test_line_kmedoids_networks_keep_no_guard(line_dataset):
+    # every guard of the k-medoids encoding has one reader, a sum: the
+    # scalar cost sums' and the vector medoid sums' guards are all fused
+    for net in _line_networks(line_dataset):
+        tables = net.slot_tables()
+        guards = [slot for slot in _fused_slots(net)
+                  if net.nodes[slot % len(net.nodes)].kind == "guard"]
+        assert guards
+        assert not any(node is not None and node.kind == "guard"
+                       for node in tables.nodes)
+        shapes = {_fused_shape(node, kids)
+                  for node, kids in zip(tables.nodes, tables.children)}
+        assert {"scalar pairs", "vector pairs"} <= shapes
+
+
 def _unfused_mask(st_, slot):
     """The mask of a kept slot as the unfused network computes it: each
     guard or atom fused into it runs its own rule into a copy of the masks,
@@ -475,7 +498,26 @@ def _unfused_mask(st_, slot):
             child = net.nodes[c % len(net.nodes)]
             copy.masks[c] = network._rule_of(child, net.nodes)(
                 copy, child, _instance_kids(net, c))
+    if node.kind == "and":
+        kids = (kids, ())
     return network._rule_of(node, net.nodes)(copy, node, kids)
+
+
+def _fused_shape(node, kids):
+    """How a kept sum or conjunction takes in fused slots, from its rule's
+    argument, or None when nothing is fused into it."""
+    if node is None:
+        return None
+    if node.kind == "and":
+        return "and with atoms" if kids[1] else None
+    if node.kind != "add":
+        return None
+    pairs = sum(type(term) is tuple for term in kids)
+    if not pairs:
+        return None
+    if pairs < len(kids):
+        return "pairs and slots"
+    return "vector pairs" if node.vkind == "v" else "scalar pairs"
 
 
 def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
@@ -492,18 +534,21 @@ def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
     def check(st_):
         tables = st_.tables
         probe = SimpleNamespace(masks=st_.masks, stats=network.Stats(0))
-        for slot, rule in enumerate(tables.rules):
-            if rule in (MaskState._guarded_sum, MaskState._and_atoms):
-                fused = rule(probe, tables.nodes[slot], tables.children[slot])
+        for slot, node in enumerate(tables.nodes):
+            kids = tables.children[slot]
+            shape = _fused_shape(node, kids)
+            if shape:
+                fused = tables.rules[slot](probe, node, kids)
                 assert repr(fused) == repr(_unfused_mask(st_, slot)), slot
-                checked[rule.__name__] += 1
+                checked[shape] += 1
 
     for net, vt, eps, scheme in cases:
         search = Search(net, vt, eps, scheme, on_branch=check)
         check(search.state)  # the initial masks
         search.preassign_certain()
         search.run()
-    assert checked["_guarded_sum"] > 1000 and checked["_and_atoms"] > 1000
+    assert all(checked[shape] for shape in (
+        "scalar pairs", "vector pairs", "pairs and slots", "and with atoms"))
 
 
 def test_targets_and_shared_operands_are_not_fused():
@@ -513,9 +558,12 @@ def test_targets_and_shared_operands_are_not_fused():
             ("S", Add((Ref("G"), Guard(Var("x"), CondVal(TRUE, 1.0))))),
             ("T", And((Ref("A"), Atom(">", Ref("S"), CondVal(TRUE, 2.5))))))
 
-    def fused(extra, targets):
+    def network_of(extra, targets):
         program = EventProgram(tuple(decl(eid, (), e) for eid, e in base + extra))
-        net = build_network(ground(program, targets, {"x", "y", "z"}))
+        return build_network(ground(program, targets, {"x", "y", "z"}))
+
+    def fused(extra, targets):
+        net = network_of(extra, targets)
         slots = set(_fused_slots(net))
         return {eid for eid, nid in net.node_of_eid.items() if nid in slots}
 
@@ -524,9 +572,15 @@ def test_targets_and_shared_operands_are_not_fused():
     # an atom with a second reader, or read twice by one conjunction
     assert fused((("U", And((Ref("A"), Var("z")))),), ("T", "U")) == {"G"}
     assert fused((("U", And((Ref("A"), Ref("A")))),), ("T", "U")) == {"G"}
-    # a guard with a second reader: neither it nor its sum's other guard
-    assert fused((("V", Add((Ref("G"), CondVal(TRUE, 1.0)))),),
-                 ("T",)) == {"A"}
+    # a guard with a second reader stays kept; its sum's other guard, read
+    # by that sum only, is fused next to it
+    extra = (("V", Add((Ref("G"), CondVal(TRUE, 1.0)))),)
+    assert fused(extra, ("T",)) == {"A"}
+    net = network_of(extra, ("T",))
+    shared, other = net.nodes[net.node_of_eid["S"]].children
+    assert set(_fused_slots(net)) & {shared, other} == {other}
+    assert net.slot_tables().children[net.node_of_eid["S"]] == (
+        shared, net.nodes[other].children)
 
 
 def test_carried_base_source_reaches_every_iteration():
