@@ -6,7 +6,8 @@ Subcommands:
          pick a pipeline stage to emit or compute target probabilities with
          one of: naive, exact, eager, lazy, hybrid, exact-d, hybrid-d
   gen    generate a correlated dataset (positive / mutex / markov schemes)
-  check  sweep seeded random event programs: exact compilation vs enumeration
+  check  sweep seeded random event programs: exact, and exact-d at 1 and 2
+         workers, vs enumeration; exact-d must give the same bits at both
 
 Reports go to stdout as a small table; ``--out`` additionally writes a
 machine-readable JSON document (stable bytes for fixed inputs; wall-clock
@@ -99,7 +100,7 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("check", help="exact-vs-enumeration equivalence sweep")
+    c = sub.add_parser("check", help="exact and exact-d vs enumeration sweep")
     c.add_argument("--count", type=int, default=50)
     c.add_argument("--max-vars", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
@@ -316,15 +317,20 @@ def cmd_check(args):
         prog, vt, targets = random_instance(seed, max_vars=args.max_vars)
         g = ground(prog, targets, variables=set(vt.index))
         net = build_network(g)
-        cr = compile_targets(net, vt, 0.0, "exact")
-        ores = oracle_probabilities(g, vt, targets)
-        worst = max(max(abs(tb.lower - ores.probabilities[tb.eid]),
-                        abs(tb.upper - ores.probabilities[tb.eid]))
-                    for tb in cr.targets)
-        ok = worst < 1e-9
+        expected = oracle_probabilities(g, vt, targets).probabilities
+        runs = [compile_targets(net, vt, 0.0, "exact")] + [
+            run_distributed(net, vt, 0.0, "exact", workers=w, job_depth=2)
+            for w in (1, 2)]
+        worst = max(abs(bound - expected[tb.eid]) for result in runs
+                    for tb in result.targets for bound in (tb.lower, tb.upper))
+        bits = [[(tb.lower.hex(), tb.upper.hex()) for tb in result.targets]
+                for result in runs[1:]]
+        ok = worst < 1e-9 and bits[0] == bits[1]
         bad += not ok
+        status = ("ok" if ok else "FAIL" if bits[0] == bits[1]
+                  else "FAIL: exact-d bounds differ at 1 and 2 workers")
         print("seed=%-6d vars=%-3d targets=%-2d err=%.2e %s" %
-              (seed, len(vt), len(targets), worst, "ok" if ok else "FAIL"))
+              (seed, len(vt), len(targets), worst, status))
     print("%d/%d instances matched" % (args.count - bad, args.count))
     return 1 if bad else 0
 

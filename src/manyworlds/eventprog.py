@@ -21,8 +21,9 @@ syntax error gives its line and column.
 Event syntax: ``|``, ``&``, ``!``, ``true``, ``false``, ``[ cval cmp cval ]``
 atoms, and ``all(j,lo,hi,e)`` / ``any(j,lo,hi,e)`` bounded folds (expanded at
 parse time).  C-value syntax: ``event ? value`` guards (value: number, vector
-``[x,y]``, or parenthesised c-value), ``+``, ``*``, ``inv(c)``, ``pow(c,n)``,
-``dist(c,c)`` and ``sum(j,lo,hi,c)`` / ``prod(j,lo,hi,c)`` folds.
+``[x,y]``, or parenthesised c-value), ``+``, ``*``, ``pow(c,n)``, ``inv(c)``
+(read as ``pow(c,-1)``), ``dist(c,c)`` and ``sum(j,lo,hi,c)`` /
+``prod(j,lo,hi,c)`` folds.
 
 The source reader (``TokenCursor``, the logical lines and the indentation
 blocks of ``parse_blocks``, ``ProgramSyntaxError``) is the user language's
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .events import (
-    Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
+    Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow, Ref,
     Var, FALSE, TRUE, COMPARATORS, TypeMismatch, children_of, kind_rule,
     map_children,
 )
@@ -742,7 +743,7 @@ class EventParser(TokenCursor):
             self.expect("op", "(")
             c = self.parse_cval()
             self.expect("op", ")")
-            return Inv(c)
+            return Pow(c, -1)
         if t == "name" and v == "pow":
             self.next()
             self.expect("op", "(")
@@ -930,8 +931,6 @@ def format_expr(e):
         return " + ".join(_wrap(c, (Add,)) for c in e.children)
     if kind is Mul:
         return " * ".join(_wrap(c, (Add, Mul)) for c in e.children)
-    if kind is Inv:
-        return "inv(%s)" % format_expr(e.child)
     if kind is Pow:
         return "pow(%s, %d)" % (format_expr(e.child), e.exponent)
     if kind is Dist:

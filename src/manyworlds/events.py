@@ -10,7 +10,11 @@ well-typed expression evaluates totally in every world:
 
     U + x == x          VU + xs == xs
     U * x == U          U * xs == VU        a * VU == VU        VU * xs == U
-    inv(0) == U         comparisons with an undefined operand are True
+    pow(0, -1) == U     comparisons with an undefined operand are True
+
+The inverse is ``pow(x, -1)``, and every negative power of 0 is ``U``.
+``power`` computes each power, for the per-world evaluator and for the
+network's intervals alike.
 
 A total assignment of the random variables (a *world*) plus these rules give
 each expression a single value; weighting worlds by the variable table turns
@@ -101,14 +105,10 @@ def ext_mul(a, b):
     return a * b
 
 
-def ext_inv(a):
-    if a is U:
-        return U
-    if is_vector_like(a):
-        raise TypeMismatch("inverse of a vector")
-    if a == 0:
-        return U
-    return 1.0 / a
+def power(x, n):
+    """``x ** n`` for a defined scalar ``x``; the inverse (``n == -1``) is
+    ``1.0 / x``, which gives ``inf`` where ``x ** -1`` overflows."""
+    return 1.0 / x if n == -1 else x ** n
 
 
 def ext_pow(a, n):
@@ -116,11 +116,9 @@ def ext_pow(a, n):
         return U
     if is_vector_like(a):
         raise TypeMismatch("power of a vector")
-    if n < 0:
-        if a == 0:
-            return U
-        return float(a) ** n
-    return a ** n
+    if n < 0 and a == 0:
+        return U
+    return power(a, n)
 
 
 def ext_dist(a, b):
@@ -216,8 +214,8 @@ def world_probability(valuation, vartable):
 # Event expressions (Boolean):
 #   Const, Var, Ref, Atom, Not, And, Or
 # Conditional values:
-#   CondVal (guarded constant), Guard (guarded c-value), Add, Mul, Inv,
-#   Pow, Dist
+#   CondVal (guarded constant), Guard (guarded c-value), Add, Mul,
+#   Pow (the inverse is ``Pow(c, -1)``), Dist
 #
 # Ref nodes name either another event declaration (by grounded identifier)
 # or, before grounding, a parametrised identifier; see eventprog.py.
@@ -296,11 +294,6 @@ class Add:
 @dataclass(frozen=True)
 class Mul:
     children: tuple
-
-
-@dataclass(frozen=True)
-class Inv:
-    child: object
 
 
 @dataclass(frozen=True)
@@ -383,8 +376,6 @@ def evaluate(e, nu, ref):
         for c in e.children[1:]:
             acc = ext_mul(acc, evaluate(c, nu, ref))
         return acc
-    if kind is Inv:
-        return ext_inv(evaluate(e.child, nu, ref))
     if kind is Pow:
         return ext_pow(evaluate(e.child, nu, ref), e.exponent)
     if kind is Dist:
@@ -484,10 +475,9 @@ def kind_rule(e, ks, env_kinds):
             elif "v" in (k, ck):
                 k = "v"
         return k
-    if kind in (Inv, Pow):
+    if kind is Pow:
         if ks[0] != "s":
-            raise TypeMismatch("inverse requires a scalar" if kind is Inv
-                               else "power requires a scalar")
+            raise TypeMismatch("power requires a scalar")
         return "s"
     if kind is Dist:
         if ks != ["v", "v"]:
@@ -511,7 +501,7 @@ def children_of(e):
         return (e.guard,)
     if kind is Guard:
         return (e.guard, e.body)
-    if kind in (Inv, Pow):
+    if kind is Pow:
         return (e.child,)
     if kind is Dist:
         return (e.left, e.right)
@@ -537,8 +527,6 @@ def map_children(e, f):
         return CondVal(f(e.guard), e.value)
     if kind is Guard:
         return Guard(f(e.guard), f(e.body))
-    if kind is Inv:
-        return Inv(f(e.child))
     if kind is Pow:
         return Pow(f(e.child), e.exponent)
     if kind is Dist:

@@ -1,7 +1,10 @@
 """Event networks: shared-subexpression DAGs with partial-knowledge masks.
 
 Structurally identical subexpressions of a grounded program are represented
-by a single node.  During compilation each node carries a *mask*: a tri-state
+by a single node.  A conjunction or disjunction keeps each distinct operand
+once, and an atom compares by ``<=``, ``<`` or ``=`` only: ``a >= b`` is
+built as ``b <= a`` and ``a > b`` as ``b < a``, so both spellings share a
+node.  During compilation each node carries a *mask*: a tri-state
 truth value for Boolean nodes, and for numeric (c-value) nodes an interval
 ``[lo, hi]`` over the defined outcomes plus two flags, ``may_undef`` (the
 undefined element is still a possible outcome) and ``may_def`` (a defined
@@ -94,8 +97,8 @@ import sys
 from collections import namedtuple
 
 from .events import (
-    Add, And, Atom, CondVal, Const, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
-    TypeMismatch, Var, children_of, kind_rule,
+    Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow, Ref,
+    TypeMismatch, Var, children_of, kind_rule, power,
 )
 from .eventprog import Affine, FoldedProgram, GroundedProgram, render_eid
 
@@ -290,7 +293,8 @@ class SlotTables:
 
 _NODE_KINDS = {Const: "const", Not: "not", And: "and", Or: "or", Atom: "atom",
                CondVal: "condval", Guard: "guard", Add: "add", Mul: "mul",
-               Inv: "inv", Pow: "pow", Dist: "dist"}
+               Pow: "pow", Dist: "dist"}
+_MIRRORED = {">=": "<=", ">": "<"}
 
 
 def _build_expr(net, e, in_loop, resolve_ref, built):
@@ -328,6 +332,10 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
         payload = e.value
     elif kind is Atom:
         payload = e.op
+        if payload in _MIRRORED:  # a >= b is b <= a, and a > b is b < a
+            payload, cs = _MIRRORED[payload], cs[::-1]
+    elif kind in (And, Or):  # idempotent: a repeated operand adds nothing
+        cs = tuple(dict.fromkeys(cs))
     elif kind is Pow:
         payload = e.exponent
     elif kind is CondVal:
@@ -473,36 +481,26 @@ def _imul(alo, ahi, blo, bhi):
     return min(c1, c2, c3, c4), max(c1, c2, c3, c4)
 
 
-def _iinv(lo, hi):
-    if lo > 0 or hi < 0:
-        return (1.0 / hi if hi != 0 else -INF), (1.0 / lo if lo != 0 else INF)
-    if lo == 0 and hi > 0:
-        return 1.0 / hi, INF
-    if hi == 0 and lo < 0:
-        return -INF, 1.0 / lo
-    return -INF, INF
-
-
 def _ipow(lo, hi, n):
     if n == 0:
         return 1.0, 1.0
     if n < 0:
         # x ** n is monotone on each side of 0 and unbounded towards it; a
-        # finite end is x ** n itself, as the oracle computes it, so a
+        # finite end is ``power(x, n)``, as the oracle computes it, so a
         # decided mask holds the oracle's value to the bit
         if lo > 0.0 or hi < 0.0:
-            a, b = lo ** n, hi ** n
+            a, b = power(lo, n), power(hi, n)
             return min(a, b), max(a, b)
         if lo == 0.0 and hi > 0.0:
-            return hi ** n, INF
+            return power(hi, n), INF
         if lo < 0.0 and hi == 0.0:
-            return (-INF, lo ** n) if n % 2 else (lo ** n, INF)
+            return (-INF, power(lo, n)) if n % 2 else (power(lo, n), INF)
         return (-INF, INF) if n % 2 else (0.0, INF)
     if n % 2 == 1:
-        return lo ** n, hi ** n
+        return power(lo, n), power(hi, n)
     a, b = abs(lo), abs(hi)
-    high = max(a, b) ** n
-    low = 0.0 if lo <= 0 <= hi else min(a, b) ** n
+    high = power(max(a, b), n)
+    low = 0.0 if lo <= 0 <= hi else power(min(a, b), n)
     return low, high
 
 
@@ -761,22 +759,6 @@ class MaskState:
             return MASK_FALSE
         return UNKNOWN
 
-    def _ge(self, node, kids):
-        a, b = self.masks[kids[0]], self.masks[kids[1]]
-        if not (a.may_def and b.may_def) or a.lo >= b.hi:
-            return MASK_TRUE
-        if a.hi < b.lo and not (a.may_undef or b.may_undef):
-            return MASK_FALSE
-        return UNKNOWN
-
-    def _gt(self, node, kids):
-        a, b = self.masks[kids[0]], self.masks[kids[1]]
-        if not (a.may_def and b.may_def) or a.lo > b.hi:
-            return MASK_TRUE
-        if a.hi <= b.lo and not (a.may_undef or b.may_undef):
-            return MASK_FALSE
-        return UNKNOWN
-
     def _eq(self, node, kids):
         a, b = self.masks[kids[0]], self.masks[kids[1]]
         if not (a.may_def and b.may_def) or a.lo == a.hi == b.lo == b.hi:
@@ -866,13 +848,6 @@ class MaskState:
         if c.may_undef and may_def == c.may_def:
             return c  # the guard leaves the body's mask as it is
         return NumMask(c.lo, c.hi, True, may_def)
-
-    def _inv(self, node, kids):
-        c = self.masks[kids[0]]
-        if not c.may_def or (c.lo == c.hi == 0.0 and not c.may_undef):
-            return UNDEF
-        lo, hi = _iinv(c.lo, c.hi)
-        return NumMask(lo, hi, c.may_undef or c.lo <= 0.0 <= c.hi, True)
 
     def _pow(self, node, kids):
         c = self.masks[kids[0]]
@@ -984,10 +959,9 @@ class MaskState:
 # either kind, and an atom's rule depends on its comparison (``_rule_of``)
 _RULES = {kind: getattr(MaskState, "_" + kind) for kind in (
     "and", "or", "not", "const", "var", "condval", "guard", "add", "mul",
-    "dist", "inv", "pow")}
+    "dist", "pow")}
 _RULES["loop"] = MaskState._carry
-_ATOM_RULES = {"<=": MaskState._le, "<": MaskState._lt, ">=": MaskState._ge,
-               ">": MaskState._gt, "=": MaskState._eq}
+_ATOM_RULES = {"<=": MaskState._le, "<": MaskState._lt, "=": MaskState._eq}
 
 
 def _rule_of(node, nodes):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import events as ev
 from .events import (
-    U, VU, Ref, Var, VarTable, ext_add, ext_compare, ext_dist, ext_inv,
+    U, VU, Ref, Var, VarTable, ext_add, ext_compare, ext_dist,
     ext_mul, ext_pow,
 )
 from . import userlang as ul
@@ -321,7 +321,7 @@ class _Interp:
         if e.func == "pow":
             return ext_pow(self.eval(e.args[0]), self.int_value(e.args[1]))
         if e.func == "invert":
-            return ext_inv(self.eval(e.args[0]))
+            return ext_pow(self.eval(e.args[0]), -1)
         if e.func == "dist":
             return ext_dist(self.eval(e.args[0]), self.eval(e.args[1]))
         if e.func == "scalar_mult":

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .events import (
-    Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
+    Add, And, Atom, CondVal, Dist, Guard, Mul, Not, Or, Pow, Ref,
     FALSE, TRUE, first_true,
 )
 from .eventprog import Affine, Decl, EventProgram, Loop, ref, render_eid
@@ -424,7 +424,7 @@ class _Translator:
             return Pow(self.expr(e.args[0])[0], self.scope.const(e.args[1])), "num"
         args = tuple(self.expr(a)[0] for a in e.args)
         if e.func == "invert":
-            return Inv(*args), "num"
+            return Pow(args[0], -1), "num"
         if e.func == "dist":
             return Dist(*args), "num"
         return Mul(args), "vec"  # scalar_mult

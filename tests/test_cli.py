@@ -1,11 +1,13 @@
 import gc
 import json
+import math
 import os
 import warnings
 
 import pytest
 
 from conftest import FIXTURES
+from manyworlds import cli
 from manyworlds.cli import main
 from manyworlds.kmedoids import example_line_dataset
 
@@ -287,7 +289,24 @@ def test_gen_then_run_pipeline(capsys, tmp_path):
     assert code == 0
 
 
-def test_check_subcommand(capsys):
+def test_check_subcommand(capsys, monkeypatch):
     code, out, _ = _run(capsys, "check", "--count", "5", "--max-vars", "6")
     assert code == 0
     assert "5/5 instances matched" in out
+    # exact-d runs at 1 and 2 workers; bounds one ulp apart fail the check
+    def nudged(net, vt, epsilon, scheme, workers, job_depth):
+        result = run_distributed(net, vt, epsilon, scheme, workers=workers,
+                                 job_depth=job_depth)
+        calls.append((scheme, workers, job_depth))
+        if workers == 2:
+            tb = result.targets[0]
+            tb.upper = math.nextafter(tb.upper, 0.0)
+        return result
+
+    run_distributed, calls = cli.run_distributed, []
+    monkeypatch.setattr(cli, "run_distributed", nudged)
+    code, out, _ = _run(capsys, "check", "--count", "2", "--max-vars", "6")
+    assert code == 1
+    assert calls == [("exact", 1, 2), ("exact", 2, 2)] * 2
+    assert out.count("FAIL: exact-d bounds differ at 1 and 2 workers") == 2
+    assert "0/2 instances matched" in out

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import FIXTURES
 from manyworlds.events import (
-    Add, And, Atom, CondVal, Dist, Guard, Inv, Mul, Not, Or, Pow, Ref,
+    Add, And, Atom, CondVal, Dist, Guard, Mul, Not, Or, Pow, Ref,
     TypeMismatch, Var, TRUE, eval_cval, eval_event,
 )
 from manyworlds.eventprog import (
@@ -103,6 +103,12 @@ forall it in 0..2:
     p1 = parse_event_program(text)
     p2 = parse_event_program(emit_event_program(p1))
     assert p1 == p2
+
+
+def test_inv_reads_as_a_power_of_minus_one():
+    p = parse_event_program("S := (x1 ? 2.0)\nP := inv(S)\nQ := pow(S, -1)\n")
+    assert p.items[1].expr == Pow(Ref("S"), -1) == p.items[2].expr
+    assert "P := pow(S, -1)\n" in emit_event_program(p)
 
 
 def test_grounded_emission_parses_back():
@@ -261,7 +267,8 @@ _S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))
     (Add((_S, _V)), "sum over mixed kinds"),
     (Add((_S, Var("x"))), "sum over mixed kinds"),
     (Mul((_S, Var("x"))), "product over events"),
-    (Inv(_V), "inverse requires a scalar"),
+    pytest.param(Pow(_V, -1), "power requires a scalar",
+                 id="-an inverse requires a scalar"),
     (Pow(_V, 2), "power requires a scalar"),
     (Dist(_V, _S), "dist requires vector operands"),
 ], ids=lambda v: v if isinstance(v, str) else "")
