@@ -16,24 +16,32 @@ around.  All numbers are deterministic work counts, not timings:
   5. the propagation work of the benchmark's exact-unfolded and
      anytime-folded searches: branches, mask writes by node kind, read
      off the undo trail after each assignment, and the guards and atoms
-     evaluated inside their readers (fused), which write no mask.
+     evaluated inside their readers (fused), which write no mask;
+  6. fingerprints of the benchmark's queries, one row per query of a
+     pass: hashes of the network's ``dump()``, of the grounded program's
+     text and of the targets' bounds in ``float.hex``, the counted work,
+     and the query's contract violations.  A change that claims to keep
+     the work and the answers prints the same table as its parent.
 """
 
 import argparse
+import hashlib
 import os
+import sys
 from collections import Counter
 
 from manyworlds.compile import Search, compile_targets
 from manyworlds.datagen import gen_correlations
-from manyworlds.eventprog import ground, ground_folded
+from manyworlds.eventprog import emit_event_program, ground, ground_folded
 from manyworlds.events import children_of
 from manyworlds.kmedoids import build_kmedoids_program
 from manyworlds.network import MaskState, build_network
+from manyworlds.oracle import oracle_probabilities
 from manyworlds.translate import translate_to_event_program
 from manyworlds.userlang import parse_user_program
 
-KMEDOIDS = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tests", "fixtures", "kmedoids.prog")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KMEDOIDS = os.path.join(ROOT, "tests", "fixtures", "kmedoids.prog")
 
 
 def instance(scheme, seed, n=20, group=4, l=2, iters=3, certain=0.0,
@@ -120,7 +128,7 @@ def table_setup():
         tr = translate_to_event_program(ast, ds)
         f = ground_folded(tr.program, (tr.loop_final_pattern("Centre"),),
                           set(ds.vartable.index))
-        rows.append((label, list(f.base.values()) + [e for _, _, e in f.body],
+        rows.append((label, list(f.base.values()) + [d.expr for d in f.body],
                      f))
     for label, roots, grounded in rows:
         size, distinct = tree_counts(roots)
@@ -188,16 +196,61 @@ def table_propagation():
             " ".join("%s=%d" % kv for kv in kinds.most_common())))
 
 
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def table_fingerprints(seed):
+    # the benchmark's own instances and queries (bench/workloads.py), at
+    # the full size and the given workload seed
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    import workloads
+    print("\n== fingerprints of the benchmark's queries (seed %d) ==" % seed)
+    print("%-15s %-28s %-2s %-12s %-12s %-8s %-7s %-6s %-6s %-6s %-4s "
+          "%-12s %s" % ("workload", "instance", "w", "dump", "grounded",
+                        "branches", "writes", "fused", "leaves", "pruned",
+                        "jobs", "bounds", "violations"))
+    for workload in workloads.WORKLOADS:
+        instances = workloads.make_instances(
+            workload, seed, "full", oracle_probabilities)
+        for inst, workers in workloads.query_plan(workload, instances):
+            ds = inst.dataset
+            variables = set(ds.vartable.index)
+            if workload == "anytime-folded":
+                tr = workloads._translate(inst.source, ds)
+                grounded = ground_folded(
+                    tr.program, (workloads._target_pattern(tr),), variables)
+            else:
+                prog, meta = build_kmedoids_program(ds)
+                grounded = ground(prog, (meta["targets"],), variables)
+            _setup, result = workloads.QUERIES[workload](inst, workers)
+            s = result.stats
+            bounds = " ".join("%s %s %s" % (tb.eid, tb.lower.hex(),
+                                            tb.upper.hex())
+                              for tb in result.targets)
+            print("%-15s %-28s %-2d %-12s %-12s %-8d %-7d %-6d %-6d %-6d "
+                  "%-4d %-12s %d" % (
+                      workload, inst.label, workers,
+                      digest(build_network(grounded).dump()),
+                      digest(emit_event_program(grounded.as_program())),
+                      s.branches, s.propagations, s.fused, s.leaves,
+                      s.pruned, s.jobs, digest(bounds),
+                      len(workloads.violations(workload, inst, result))))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epsilon", type=float, default=0.01)
+    ap.add_argument("--bench-seed", type=int, default=1,
+                    help="the workload seed of the fingerprint table")
     args = ap.parse_args()
     table_scaling(args.seed)
     table_schemes(args.seed, args.epsilon)
     table_certain(args.seed)
     table_setup()
     table_propagation()
+    table_fingerprints(args.bench_seed)
 
 
 if __name__ == "__main__":

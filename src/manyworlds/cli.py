@@ -25,8 +25,8 @@ from .compile import BOUNDS_TOLERANCE, ConfigError, compile_targets
 from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
-    Decl, EventProgram, Loop, ProgramSyntaxError, emit_event_program,
-    ground, ground_folded, parse_event_program,
+    ProgramSyntaxError, emit_event_program, ground, ground_folded,
+    parse_event_program,
 )
 from .events import TypeMismatch
 from .network import NetworkError, build_network
@@ -161,17 +161,9 @@ def _load_pipeline(args):
         patterns = ("*",)
 
     try:
-        if args.folded:
-            grounded = ground_folded(program, patterns, variables)
-            # the base declarations, then the body over the symbolic counter
-            decls, body = grounded.base, (Loop(
-                grounded.counter, 0, grounded.count,
-                tuple(Decl(*entry) for entry in grounded.body)),)
-        else:
-            grounded = ground(program, patterns, variables)
-            decls, body = grounded.decls, ()
-        stages["grounded"] = lambda: emit_event_program(EventProgram(
-            tuple(Decl(eid, (), e) for eid, e in decls.items()) + body))
+        grounded = (ground_folded if args.folded else ground)(
+            program, patterns, variables)
+        stages["grounded"] = lambda: emit_event_program(grounded.as_program())
     except Exception as exc:
         raise CliError("ground", str(exc))
     return grounded, dataset, stages, patterns

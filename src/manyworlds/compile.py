@@ -155,10 +155,10 @@ class Search:
                 raise ConfigError(
                     "variable %r is not in the variable table" % name)
         masks = self.state.masks
-        for i, (nid, t, eid) in enumerate(self.net.targets):
-            if self.state.target_mask(i) != UNKNOWN:
+        for target, eid in self.net.targets:
+            if masks[target] != UNKNOWN:
                 continue
-            bit = 1 << self.net.slot(nid, t)
+            bit = 1 << target
             if not any(bits & bit for _name, slot, bits in self.vars
                        if masks[slot] == UNKNOWN):
                 raise ConfigError(
@@ -178,8 +178,9 @@ class Search:
     def all_resolved(self):
         two_eps = 2.0 * self.eps
         st = self.state
-        for i in range(self.nt):
-            if st.target_mask(i) != UNKNOWN:
+        masks = st.masks
+        for i, (slot, _eid) in enumerate(self.net.targets):
+            if masks[slot] != UNKNOWN:
                 continue
             if st.probupper[i] - st.problower[i] <= two_eps:
                 continue
@@ -306,5 +307,5 @@ def finish_result(search):
     st = search.state
     return checked_result(
         [(eid, st.problower[i], st.probupper[i])
-         for i, (_nid, _t, eid) in enumerate(search.net.targets)],
+         for i, (_slot, eid) in enumerate(search.net.targets)],
         st.stats, search.scheme, search.eps)

@@ -283,5 +283,5 @@ def _result_from_ledger(net, ledger, scheme, epsilon):
                        + [r["lower_delta"][i] for r in ledger.log]),
              math.fsum([ledger.seed_upper[i]]
                        + [r["upper_delta"][i] for r in ledger.log]))
-            for i, (_nid, _t, eid) in enumerate(net.targets)]
+            for i, (_slot, eid) in enumerate(net.targets)]
     return checked_result(sums, ledger.stats, scheme, epsilon)

@@ -197,6 +197,14 @@ class GroundedProgram:
     decls: dict  # eid -> expression (references are grounded Refs)
     targets: list = field(default_factory=list)
 
+    def as_program(self):
+        """The grounded declarations as an event program without loops."""
+        return EventProgram(_plain(self.decls))
+
+
+def _plain(decls):
+    return tuple(Decl(eid, (), e) for eid, e in decls.items())
+
 
 def glob_to_regex(pattern):
     """Glob with ``*`` and ``?`` wildcards; everything else literal."""
@@ -392,7 +400,7 @@ class FoldedProgram:
     """Grounding that keeps the outermost loop's counter symbolic.
 
     ``base`` holds the grounded declarations outside the loop; ``body`` holds
-    the loop body instantiated over all inner counters, with indices still
+    the loop body's declarations over all inner counters, with indices still
     affine in the loop counter.  References in body expressions resolve either
     to the same iteration, to the previous one, or to base declarations.
     """
@@ -400,12 +408,13 @@ class FoldedProgram:
     counter: str
     count: int
     base: dict  # eid -> grounded expr
-    body: list  # list of (name, indices tuple of Affine, expr)
-    targets: list = field(default_factory=list)  # body positions, final iteration
+    body: tuple  # of Decl
+    targets: list = field(default_factory=list)  # final-iteration eids
 
-    def body_eid(self, entry, t):
-        name, indices, _ = entry
-        return render_eid(name, [ix.eval({self.counter: t}) for ix in indices])
+    def as_program(self):
+        """The base declarations, then the body in a loop over the counter."""
+        return EventProgram(_plain(self.base) + (
+            Loop(self.counter, 0, self.count, self.body),))
 
 
 def _weight(item):
@@ -428,42 +437,35 @@ def ground_folded(program, target_patterns=("*",), variables=None):
         raise GroundError("folded grounding requires a top-level loop")
     loop = max(loops, key=_weight)
     split = program.items.index(loop)
-    trailing = program.items[split + 1:]
     base = ground(EventProgram(program.items[:split]), (), variables)
-    if trailing:
-        tail_names = [item.eid_under(env) for item, env in _instances(trailing, {})]
-        for pat in ([target_patterns] if isinstance(target_patterns, str)
-                    else target_patterns):
-            rx = glob_to_regex(pat)
-            for eid in tail_names:
-                if rx.match(eid):
-                    raise GroundError(
-                        "folded target %r lies after the folded loop" % eid)
+    tail = [item.eid_under(env)
+            for item, env in _instances(program.items[split + 1:], {})]
 
     # bare names in the body resolve against the base declarations, as in
     # ``ground``; indices and values stay affine in the loop counter
     binder = _Grounder(base.decls, variables, bind=True)
-    body = [(item.name, tuple(ix.bind(env) for ix in item.indices),
-             binder.walk(item.expr, env)[0])
-            for item, env in _instances(loop.body, {})]
+    body = tuple(Decl(item.name, tuple(ix.bind(env) for ix in item.indices),
+                      binder.walk(item.expr, env)[0])
+                 for item, env in _instances(loop.body, {}))
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
-    for name, indices, expr in body:
-        eid0 = render_eid(name, [ix.eval({loop.counter: loop.lo}) for ix in indices])
+    for d in body:
+        eid0 = d.eid_under({loop.counter: 0})
         if eid0 in base.decls:
             raise GroundError("identifier %r assigned twice" % eid0)
-    prog = FoldedProgram(loop.counter, loop.hi - loop.lo, base.decls, body)
 
-    # Resolve target patterns against the final iteration plus base decls.
-    final_eids = {prog.body_eid(entry, prog.count - 1): i for i, entry in enumerate(prog.body)}
-    all_names = list(base.decls.keys()) + list(final_eids.keys())
-    chosen = match_targets(all_names, target_patterns)
-    for eid in chosen:
-        if eid not in final_eids:
+    # targets: final-iteration declarations, chosen among every name
+    final = [d.eid_under({loop.counter: loop.hi - 1}) for d in body]
+    targets = match_targets(list(base.decls) + final + tail, target_patterns)
+    tail, final = set(tail), set(final)
+    for eid in targets:
+        if eid in tail:
+            raise GroundError("folded target %r lies after the folded loop" % eid)
+    for eid in targets:
+        if eid not in final:
             raise GroundError(
                 "folded target %r is not a final-iteration declaration" % eid)
-    prog.targets = [final_eids[e] for e in chosen]
-    return prog
+    return FoldedProgram(loop.counter, loop.hi, base.decls, body, targets)
 
 
 def _bind(e, env):

@@ -100,7 +100,7 @@ from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow, Ref,
     TypeMismatch, Var, children_of, kind_rule, power,
 )
-from .eventprog import Affine, FoldedProgram, GroundedProgram, render_eid
+from .eventprog import Affine, FoldedProgram, render_eid
 
 INF = float("inf")
 
@@ -145,7 +145,7 @@ class EventNetwork:
         self._intern = {}
         self.node_of_eid = {}
         self.var_nodes = {}  # var name -> node id
-        self.targets = []  # list of (node_id, t, eid)
+        self.targets = []  # (instance slot, eid) per target
         self.slots = None  # SlotTables, built by slot_tables() on first use
         self.ancestors = None  # filled by compile.ancestor_bits
 
@@ -246,7 +246,7 @@ class SlotTables:
                 rules[idx], snodes[idx] = rule, node
                 for c in kids:
                     readers[c] += 1
-        targets = {slot_of(nid, t) for nid, t, _eid in net.targets}
+        targets = {slot for slot, _eid in net.targets}
 
         # one reader: no other rule needs the slot's mask; not a target: its
         # mask credits the bounds.  A fused slot's children stay kept: a slot
@@ -341,11 +341,8 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
     elif kind is CondVal:
         payload = e.value
         if isinstance(payload, Affine):
-            if not payload.is_const():
-                raise NetworkError(
-                    "folded mode cannot share a value that depends on a "
-                    "loop counter: %s" % payload)
-            payload = payload.const
+            raise NetworkError("folded mode cannot share a value that depends "
+                               "on a loop counter: %s" % payload)
         payload = (tuple(float(x) for x in payload)
                    if isinstance(payload, tuple) else float(payload))
     elif not cs and kind in (Add, Mul):
@@ -366,49 +363,50 @@ def _unknown_ref(e):
 
 
 def build_network(grounded):
-    """Build an event network from a grounded or folded program."""
-    if isinstance(grounded, FoldedProgram):
-        return _build_folded(grounded)
-    return _build_unfolded(grounded)
+    """Build an event network from a grounded or folded program.
 
-
-def _build_unfolded(grounded: GroundedProgram):
-    net = EventNetwork(1)
+    The declarations outside a folded loop are built as a grounded
+    program's are, then the loop body once (``_build_body``).  Each target
+    is the slot of its eid's node at the last iteration.
+    """
+    folded = isinstance(grounded, FoldedProgram)
+    net = EventNetwork(grounded.count if folded else 1)
     built = {}  # id(grounded object) -> node id, for this call only
-    for eid, expr in grounded.decls.items():
+    for eid, expr in (grounded.base if folded else grounded.decls).items():
         net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref, built)
+    final = _build_body(net, grounded, built) if folded else net.node_of_eid
     for eid in grounded.targets:
-        nid = net.node_of_eid[eid]
+        nid = final[eid]
         if net.nodes[nid].vkind != "b":
             raise NetworkError("target %r is not an event" % eid)
-        net.targets.append((nid, 0, eid))
+        net.targets.append((net.slot(nid, net.T - 1), eid))
     return net
 
 
-def _build_folded(folded: FoldedProgram):
-    net = EventNetwork(folded.count)
+def _build_body(net, folded, built):
+    """Build a folded program's body once for every iteration, and return
+    the node of each of its final-iteration eids.
+
+    A body reference with constant indices names a base declaration; one
+    affine in the loop counter names a body declaration of the same
+    iteration, built before it, or of the previous iteration, through a
+    carry node that reads the declaration's iteration-0 eid from the base
+    at ``t=0``.
+    """
     counter = folded.counter
-
-    built = {}  # id(grounded object) -> node id, for this call only
-    for eid, expr in folded.base.items():
-        net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref, built)
-
-    # Index the body families for same-iteration and carried references.
-    same_map = {}
-    prev_map = {}
-    for pos, (name, indices, _expr) in enumerate(folded.body):
-        same_map[(name, indices)] = pos
-        shifted = tuple(ix.shift(counter, -1) for ix in indices)
-        prev_map[(name, shifted)] = pos
+    same_map, prev_map = {}, {}  # (name, indices) -> body position
+    for pos, d in enumerate(folded.body):
+        same_map[d.name, d.indices] = pos
+        prev_map[d.name, tuple(ix.shift(counter, -1) for ix in d.indices)] = pos
 
     body_nodes = [None] * len(folded.body)
-    carry = {}  # family position -> loop node id
+    carry = {}  # body position -> loop node id
 
     def make_carry(pos, ref_indices):
         nid = carry.get(pos)
         if nid is not None:
             return nid
-        init_eid = render_eid(folded.body[pos][0],
+        init_eid = render_eid(folded.body[pos].name,
                               [ix.eval({counter: 0}) for ix in ref_indices])
         init_id = net.node_of_eid.get(init_eid)
         if init_id is None:
@@ -445,24 +443,18 @@ def _build_folded(folded: FoldedProgram):
             "folded mode supports references to the same or previous "
             "iteration only: %s[%s]" % (e.name, ",".join(str(i) for i in e.indices)))
 
-    for pos, (_name, _indices, expr) in enumerate(folded.body):
-        body_nodes[pos] = _build_expr(net, expr, True, resolve_body, built)
+    for pos, d in enumerate(folded.body):
+        body_nodes[pos] = _build_expr(net, d.expr, True, resolve_body, built)
 
     for pos, nid in carry.items():
         source = body_nodes[pos]
         if net.nodes[source].vkind != net.nodes[nid].vkind:
             raise TypeMismatch(
                 "carried family %r changes kind in the loop"
-                % folded.body[pos][0])
+                % folded.body[pos].name)
         net.nodes[nid].payload["source"] = source
-
-    for pos in folded.targets:
-        nid = body_nodes[pos]
-        eid = folded.body_eid(folded.body[pos], folded.count - 1)
-        if net.nodes[nid].vkind != "b":
-            raise NetworkError("target %r is not an event" % eid)
-        net.targets.append((nid, folded.count - 1, eid))
-    return net
+    last = {counter: folded.count - 1}
+    return {d.eid_under(last): nid for d, nid in zip(folded.body, body_nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +552,8 @@ class MaskState:
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
         self.target_at = {}
-        for i, (nid, t, _eid) in enumerate(net.targets):
-            self.target_at.setdefault(net.slot(nid, t), []).append(i)
+        for i, (slot, _eid) in enumerate(net.targets):
+            self.target_at.setdefault(slot, []).append(i)
         # a slot is queued in the current assignment iff its stamp is epoch;
         # a decided slot's stamp is DECIDED, above every epoch
         self.queued = [0] * size
@@ -583,10 +575,6 @@ class MaskState:
         node = net.nodes[nid]
         return _rule_of(node, net.nodes)(
             self, node, tuple([net.slot(c, t) for c in node.children]))
-
-    def target_mask(self, i):
-        nid, t, _ = self.net.targets[i]
-        return self.mask_of(nid, t)
 
     # --- initialisation ------------------------------------------------------
 

@@ -279,7 +279,7 @@ def test_ledger_result_does_not_depend_on_commit_order():
     from types import SimpleNamespace
     from manyworlds.distributed import _Ledger, _result_from_ledger
     from manyworlds.network import Stats
-    net = SimpleNamespace(targets=[(0, 0, "T")])
+    net = SimpleNamespace(targets=[(0, "T")])
     deltas = {"a": 0.1, "b": 0.2, "c": 0.3}
     results = []
     for order in ("abc", "cba"):

@@ -447,7 +447,7 @@ def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
     assert all(_fused_slots(net) for net in nets[:2])
     for net in nets:
         tables, fused = net.slot_tables(), _fused_slots(net)
-        targets = {net.slot(nid, t) for nid, t, _eid in net.targets}
+        targets = {slot for slot, _eid in net.targets}
         for slot in fused:
             node = net.nodes[slot % len(net.nodes)]
             assert node.kind in ("guard", "atom") and slot not in targets
@@ -769,7 +769,8 @@ def test_sharing_builds_the_network_of_unshared_trees(request, source, family):
         f = ground_folded(tr.program, pattern, variables)
         copy = FoldedProgram(
             f.counter, f.count, {eid: _unshared(e) for eid, e in f.base.items()},
-            [(name, ix, _unshared(e)) for name, ix, e in f.body], f.targets)
+            tuple(dataclasses.replace(d, expr=_unshared(d.expr)) for d in f.body),
+            f.targets)
         assert build_network(f).dump() == build_network(copy).dump()
 
 
