@@ -20,8 +20,9 @@ around.  All numbers are deterministic work counts, not timings:
   6. fingerprints of the benchmark's queries, one row per query of a
      pass: hashes of the network's ``dump()``, of the grounded program's
      text and of the targets' bounds in ``float.hex``, the counted work,
-     and the query's contract violations.  A change that claims to keep
-     the work and the answers prints the same table as its parent.
+     and the query's contract violations, at workload seeds 1 and 2.  A
+     change that claims to keep the work and the answers prints the same
+     table as its parent.
 """
 
 import argparse
@@ -42,6 +43,8 @@ from manyworlds.userlang import parse_user_program
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KMEDOIDS = os.path.join(ROOT, "tests", "fixtures", "kmedoids.prog")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+import workloads  # noqa: E402  (bench/workloads.py)
 
 
 def instance(scheme, seed, n=20, group=4, l=2, iters=3, certain=0.0,
@@ -201,10 +204,7 @@ def digest(text):
 
 
 def table_fingerprints(seed):
-    # the benchmark's own instances and queries (bench/workloads.py), at
-    # the full size and the given workload seed
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
-    import workloads
+    # the benchmark's own instances and queries, at the full size
     print("\n== fingerprints of the benchmark's queries (seed %d) ==" % seed)
     print("%-15s %-28s %-2s %-12s %-12s %-8s %-7s %-6s %-6s %-6s %-4s "
           "%-12s %s" % ("workload", "instance", "w", "dump", "grounded",
@@ -242,15 +242,14 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epsilon", type=float, default=0.01)
-    ap.add_argument("--bench-seed", type=int, default=1,
-                    help="the workload seed of the fingerprint table")
     args = ap.parse_args()
     table_scaling(args.seed)
     table_schemes(args.seed, args.epsilon)
     table_certain(args.seed)
     table_setup()
     table_propagation()
-    table_fingerprints(args.bench_seed)
+    for seed in (1, 2):
+        table_fingerprints(seed)
 
 
 if __name__ == "__main__":

@@ -438,8 +438,6 @@ def ground_folded(program, target_patterns=("*",), variables=None):
     loop = max(loops, key=_weight)
     split = program.items.index(loop)
     base = ground(EventProgram(program.items[:split]), (), variables)
-    tail = [item.eid_under(env)
-            for item, env in _instances(program.items[split + 1:], {})]
 
     # bare names in the body resolve against the base declarations, as in
     # ``ground``; indices and values stay affine in the loop counter
@@ -454,8 +452,12 @@ def ground_folded(program, target_patterns=("*",), variables=None):
         if eid0 in base.decls:
             raise GroundError("identifier %r assigned twice" % eid0)
 
-    # targets: final-iteration declarations, chosen among every name
+    # targets are final-iteration eids, in match_targets' order over the
+    # base then the body; names after the loop are matched too, so that
+    # selecting one is reported as such
     final = [d.eid_under({loop.counter: loop.hi - 1}) for d in body]
+    tail = [item.eid_under(env)
+            for item, env in _instances(program.items[split + 1:], {})]
     targets = match_targets(list(base.decls) + final + tail, target_patterns)
     tail, final = set(tail), set(final)
     for eid in targets:
@@ -902,8 +904,6 @@ def _fmt_value(v):
         return str(v)
     if isinstance(v, bool):
         raise TypeError("boolean in value position")
-    if isinstance(v, float) and v.is_integer():
-        return repr(v)
     return repr(v)
 
 

@@ -14,7 +14,8 @@ well-typed expression evaluates totally in every world:
 
 The inverse is ``pow(x, -1)``, and every negative power of 0 is ``U``.
 ``power`` computes each power, for the per-world evaluator and for the
-network's intervals alike.
+network's intervals alike.  A power that overflows, a distance's squares
+included, is ``inf``, or ``-inf`` for a negative base and an odd exponent.
 
 A total assignment of the random variables (a *world*) plus these rules give
 each expression a single value; weighting worlds by the variable table turns
@@ -107,8 +108,15 @@ def ext_mul(a, b):
 
 def power(x, n):
     """``x ** n`` for a defined scalar ``x``; the inverse (``n == -1``) is
-    ``1.0 / x``, which gives ``inf`` where ``x ** -1`` overflows."""
-    return 1.0 / x if n == -1 else x ** n
+    ``1.0 / x``.  A power that overflows is infinite, as ``1.0 / x`` is
+    where ``x ** -1`` overflows: negative only for a negative ``x`` and an
+    odd ``n``."""
+    if n == -1:
+        return 1.0 / x
+    try:
+        return x ** n
+    except OverflowError:
+        return -math.inf if x < 0 and n % 2 else math.inf
 
 
 def ext_pow(a, n):
@@ -129,7 +137,7 @@ def ext_dist(a, b):
         raise TypeMismatch("dist requires vector operands")
     if len(a) != len(b):
         raise TypeMismatch("vector dimensions differ in dist")
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    return math.sqrt(sum(power(x - y, 2) for x, y in zip(a, b)))
 
 
 COMPARATORS = ("<=", ">=", "=", "<", ">")

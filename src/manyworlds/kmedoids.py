@@ -101,14 +101,12 @@ def build_kmedoids_program(dataset, cooccurrence=()):
 
     meta = {
         "k": k,
-        "iterations": T,
         "targets": "CentreB[*,*,%d]" % (T - 1),
         "objects": {l: "Obj[%d]" % l for l in range(n)},
         "membership": {(i, l): "InClB[%d,%d,%d]" % (i, l, T - 1)
                        for i in range(k) for l in range(n)},
         "centres": {(i, l): "CentreB[%d,%d,%d]" % (i, l, T - 1)
                     for i in range(k) for l in range(n)},
-        "cooccurrence": {(a, b): "Co[%d,%d]" % (a, b) for (a, b) in cooccurrence},
     }
     return EventProgram(tuple(items)), meta
 

@@ -450,10 +450,9 @@ class _Translator:
             items = tuple(b if c is None else And((c, b)) for c, b in parts)
             return (items[0] if len(items) == 1 else Or(items)), "bool"
         if func == "reduce_count":
-            if not parts:
-                return CondVal(FALSE, 0), "num"
-            items = tuple(CondVal(TRUE if c is None else c, 1) for c, _ in parts)
-            return Add(items), "num"
+            # a count of no kept element is 0, so the sum starts from a defined 0
+            return Add((CondVal(TRUE, 0),) + tuple(
+                CondVal(TRUE if c is None else c, 1) for c, _ in parts)), "num"
         if func == "reduce_mult":
             if not parts:
                 return CondVal(TRUE, 1), "num"

@@ -224,7 +224,7 @@ def test_criterion_7_folded_equals_unfolded():
         folded_nodes.add(len(net_f.nodes))
         cu = compile_targets(net_u, ds.vartable, 0.0, "exact")
         cf = compile_targets(net_f, ds.vartable, 0.0, "exact")
-        assert {t.eid for t in cu.targets} == {t.eid for t in cf.targets}
+        assert [t.eid for t in cu.targets] == [t.eid for t in cf.targets]
         by_eid = {t.eid: t for t in cu.targets}
         for b in cf.targets:
             a = by_eid[b.eid]
@@ -245,6 +245,7 @@ def test_criterion_7_folded_equals_unfolded():
                              ds.vartable, 0.0, "exact")
         cf = compile_targets(build_network(ground_folded(tr.program, (pat,), vs)),
                              ds.vartable, 0.0, "exact")
+        assert [t.eid for t in cu.targets] == [t.eid for t in cf.targets]
         by_eid = {t.eid: t for t in cu.targets}
         for b in cf.targets:
             a = by_eid[b.eid]

@@ -7,7 +7,7 @@ from manyworlds.events import (
     U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or,
     Pow, Ref, TypeMismatch, Var, VarTable, TRUE, FALSE, children_of, eval_cval,
     eval_event, ext_add, ext_compare, ext_dist, ext_mul, ext_pow,
-    evaluate, map_children, world_probability,
+    evaluate, map_children, power, world_probability,
 )
 
 
@@ -36,6 +36,16 @@ def test_inverse_is_one_over_x():
     # the inverse is the quotient on every layer
     assert ext_pow(1923.0, -1).hex() == (1.0 / 1923.0).hex()
     assert ext_pow(1e-320, -1) == math.inf  # ``1e-320 ** -1`` overflows
+
+
+def test_an_overflow_is_infinite():
+    # negative only for a negative base and an odd exponent
+    assert power(1e200, 3) == power(-1e200, 2) == power(1e-200, -2) == math.inf
+    assert power(-1e200, 3) == power(-1e-200, -3) == -math.inf
+    assert ext_dist((1e200, 0.0), (-1e200, 0.0)) == math.inf
+    # a square that does not overflow keeps its bits
+    assert ext_dist((0.1, 0.7), (0.3, 0.2)).hex() == math.sqrt(
+        (0.1 - 0.3) ** 2 + (0.7 - 0.2) ** 2).hex()
 
 
 scalars = st.one_of(st.just(U), st.floats(-50, 50, allow_nan=False))

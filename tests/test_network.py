@@ -228,6 +228,28 @@ forall it in 0..3:
         build_network(fp)
 
 
+def test_loop_value_of_an_inner_counter_is_a_constant():
+    # an inner counter is bound in each grounded body declaration, so its
+    # value is a constant there, and the folded route equals the unfolded
+    program = parse_event_program(
+        "A[-1] := (x0 ? 0.5)\n"
+        "forall it in 0..3:\n"
+        "  forall i in 0..2:\n"
+        "    C[i,it] := (x1 ? i) + A[it-1]\n"
+        "  A[it] := C[0,it] + C[1,it]\n"
+        "  B[it] := [ A[it] <= (x2 ? 4.0) ]\n")
+    variables = {"x0", "x1", "x2"}
+    vt = VarTable.of(("x0", 0.3), ("x1", 0.6), ("x2", 0.5))
+    folded = ground_folded(program, ("B[2]",), variables)
+    assert [d.expr.children[0].value for d in folded.body[:2]] == [0, 1]
+    unfolded = ground(program, ("B[2]",), variables)
+    bounds = [compile_targets(build_network(g), vt, 0.0, "exact").bounds("B[2]")
+              for g in (folded, unfolded)]
+    assert bounds[0] == bounds[1]
+    expected = oracle_probabilities(unfolded, vt).probabilities["B[2]"]
+    assert max(abs(b - expected) for b in bounds[0]) < 1e-12
+
+
 def test_network_dump_lines():
     p = EventProgram((decl("A", (), And((Var("x"), Var("y")))),))
     net = build_network(ground(p, ("A",)))
@@ -1015,12 +1037,19 @@ def _every_kind_instance(seed, max_vars=5):
     return EventProgram(tuple(decls)), vt, targets
 
 
+def _at_most_one(c):
+    """A program whose target ``T`` is ``[ c <= 1.0 ]``."""
+    return EventProgram((decl("T", (), Atom("<=", c, CondVal(TRUE, 1.0))),))
+
+
 # programs whose exact answer once differed from the oracle's: a vector sum
 # of two undefined scaled vectors, a power of a certain zero with a negative
 # exponent, and a negative power computed as a power of the inverse, one ulp
-# off the oracle's ``3.0 ** -3``; and one that both once failed on: the
-# inverse of 1e-320 is inf, where ``1e-320 ** -1`` overflows (built here, as
-# the tokenizer reads no exponent)
+# off the oracle's ``3.0 ** -3``; and ones that both once failed on: the
+# inverse of 1e-320 is inf, where ``1e-320 ** -1`` overflows, and every
+# other overflowing power, a distance's squares included, is inf, or -inf
+# for a negative base and an odd exponent (built here, as the tokenizer reads
+# no exponent)
 _ORACLE_CASES = {
     "vector-sum-of-undefined-products": (
         "S := ((a ? 2.0) * (b ? [1.0, 2.0])) + ((c ? 3.0) * (b ? [1.0, 2.0]))\n"
@@ -1035,6 +1064,19 @@ _ORACLE_CASES = {
     "inverse-of-a-subnormal": (
         EventProgram((decl("T", (), Atom(
             "<=", Pow(CondVal(Var("x0"), 1e-320), -1), CondVal(TRUE, 1.0))),)),
+        VarTable.of(("x0", 0.5)), 0.5),
+    "overflowing-negative-power": (
+        _at_most_one(Pow(CondVal(Var("x0"), 1e-200), -2)),
+        VarTable.of(("x0", 0.5)), 0.5),
+    "overflowing-power": (
+        _at_most_one(Pow(CondVal(Var("x0"), 1e200), 3)),
+        VarTable.of(("x0", 0.5)), 0.5),
+    "overflowing-odd-power-of-a-negative": (
+        _at_most_one(Pow(CondVal(Var("x0"), -1e200), 3)),
+        VarTable.of(("x0", 0.5)), 1.0),
+    "overflowing-distance": (
+        _at_most_one(Dist(CondVal(Var("x0"), (1e200, 0.0)),
+                          CondVal(TRUE, (-1e200, 0.0)))),
         VarTable.of(("x0", 0.5)), 0.5),
 }
 

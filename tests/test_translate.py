@@ -282,10 +282,15 @@ LOAD = "(O, n) = loadData()\n"
     (ROW + "x = A[0]\n", "unwritten-read"),
     (ROW + "for i in range(0, 2):\n x = A[i]\n A[i] = 1\n", "unwritten-read"),
     (ROW + "A[0] = 1\nA[1] = 2\nfor i in range(0, 2):\n x = A[i]\n", None),
+    # a count of no kept element is 0, so a comparison on it is decided
+    (LOAD + "c = reduce_count([1 for i in range(0, 0)])\nb = c < 0\n", None),
+    (ROW + "A[0] = 1 <= 0\nA[1] = 1 <= 0\n"
+     "c = reduce_count([1 for i in range(0, 2) if A[i]])\nb = c < 0\n", None),
 ], ids=["alias", "row-read", "numeric-breakties", "numeric-filter", "ragged-rows",
         "invert-boolean-element", "boolean-element-sum", "reduce-and-numbers",
         "vector-element-order", "init-before-load", "unwritten-array",
-        "unwritten-before-loop-write", "written-before-loop"])
+        "unwritten-before-loop-write", "written-before-loop", "count-of-none",
+        "count-of-filtered-out"])
 def test_validator_reports_what_does_not_translate(src, rule, line_dataset):
     """Each program is reported under its rule, or it translates, grounds and
     equals the interpreter in every world of the line fixture."""
