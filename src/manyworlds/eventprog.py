@@ -424,18 +424,24 @@ def _weight(item):
     return 1
 
 
+def folded_loop(program):
+    """The loop ``ground_folded`` folds: the top-level loop with the most
+    declarations, or None."""
+    return max((it for it in program.items if isinstance(it, Loop)),
+               key=_weight, default=None)
+
+
 def ground_folded(program, target_patterns=("*",), variables=None):
     """Ground for folded-loop evaluation.
 
-    The iteration dimension is the top-level loop with the most declarations;
-    everything before it (other loops included) grounds into the base layer.
-    Declarations after it cannot be represented in a folded network: they are
-    omitted, and selecting them as targets is an error.
+    The iteration dimension is ``folded_loop(program)``; everything before it
+    (other loops included) grounds into the base layer.  Declarations after
+    it cannot be represented in a folded network: they are omitted, and
+    selecting them as targets is an error.
     """
-    loops = [it for it in program.items if isinstance(it, Loop)]
-    if not loops:
+    loop = folded_loop(program)
+    if loop is None:
         raise GroundError("folded grounding requires a top-level loop")
-    loop = max(loops, key=_weight)
     split = program.items.index(loop)
     base = ground(EventProgram(program.items[:split]), (), variables)
 
@@ -447,10 +453,12 @@ def ground_folded(program, target_patterns=("*",), variables=None):
                  for item, env in _instances(loop.body, {}))
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
+    seen = set()
     for d in body:
         eid0 = d.eid_under({loop.counter: 0})
-        if eid0 in base.decls:
+        if eid0 in base.decls or eid0 in seen:
             raise GroundError("identifier %r assigned twice" % eid0)
+        seen.add(eid0)
 
     # targets are final-iteration eids, in match_targets' order over the
     # base then the body; names after the loop are matched too, so that

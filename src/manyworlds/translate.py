@@ -4,11 +4,14 @@ Mutable user variables become versioned identifier families.  Each block
 (the top level, and every loop body) gives a variable one version-path
 component; within a block the component counts that block's assignments, and
 inside a loop over counter ``c`` a variable with ``S`` assignment slots per
-iteration gets component ``S*c + s`` for its ``s``-th slot.  Entering a block
-whose body reads a variable before reassigning it emits a carry-in copy at
-component ``-1`` (which is exactly what ``S*c - 1`` resolves to at the first
-iteration); leaving a block appends a copy of the last inner version as the
-next outer version.  The result is single-assignment by construction.
+iteration gets component ``S*c + s`` for its ``s``-th slot.  A read that
+resolves to a loop body's version before the body's first assignment,
+``S*c - 1``, reads component ``-1`` at the first iteration: that read gives
+the loop a carry-in copy at ``-1``, emitted before it, and the copy reads the
+enclosing block's version by the same rule.  Leaving a block appends a copy
+of the last inner version as the next outer version, and a loop whose range
+is empty copies the current version into each slot it counts.  The result
+is single-assignment by construction.
 
 Arrays translate element-wise: a whole-array assignment opens a new version
 of the family, element writes declare that version's members, and the
@@ -35,7 +38,7 @@ from .events import (
     Add, And, Atom, CondVal, Dist, Guard, Mul, Not, Or, Pow, Ref,
     FALSE, TRUE, first_true,
 )
-from .eventprog import Affine, Decl, EventProgram, Loop, ref, render_eid
+from .eventprog import Affine, Decl, EventProgram, Loop, folded_loop, ref, render_eid
 from . import userlang as ul
 
 
@@ -61,8 +64,8 @@ class Translation:
     program: EventProgram
     final_paths: dict       # var -> (tuple of ints, dims, kind)
     loop_final_paths: dict
-    # var -> path of its last version inside the outermost loop (the version
-    # the trailing exit copy aliases); usable as a folded-network target
+    # var -> path of its last version inside the loop ``ground_folded`` folds
+    # (the version that loop's exit copy aliases); a folded-network target
 
     def final_eid(self, var, *indices):
         path, _dims, _k = self.final_paths[var]
@@ -83,13 +86,14 @@ def _pattern(var, entry):
 
 
 class _Block:
-    __slots__ = ("id", "counter", "slots", "next_slot")
+    __slots__ = ("id", "counter", "slots", "next_slot", "carry")
 
     def __init__(self, id, counter, slots):
         self.id = id
         self.counter = counter
         self.slots = slots
         self.next_slot = dict.fromkeys(slots, 0)
+        self.carry = {}  # name -> its carry-in copy, for a loop block
 
     def current_component(self, name):
         """Version component of ``name`` before its next slot in this block.
@@ -123,20 +127,23 @@ class _Translator:
     # --- entry point ---------------------------------------------------------
 
     def run(self, program):
-        self.loop_final = {}
+        self.loop_finals = {}  # id of a top-level Loop -> its exit versions
         self.scope = ul.Scope(program.items)
-        items = self.translate_block(program.items, counter=None)
+        _carry, items = self.translate_block(program.items, counter=None)
         final = {}
         for name, st in self.vars.items():
             if st.path:
                 final[name] = (tuple(c.eval({}) for c in st.path),
                                tuple(st.dims), st.kind)
-        return Translation(EventProgram(tuple(items)), final, self.loop_final)
+        program = EventProgram(tuple(items))
+        loop_final = self.loop_finals.get(id(folded_loop(program)), {})
+        return Translation(program, final, loop_final)
 
     # --- block machinery --------------------------------------------------------
 
     def translate_block(self, items, counter):
-        """Translate one block; returns the emitted program items."""
+        """Translate one block; returns its carry-in copies, in first-binding
+        order, and its emitted program items."""
         slots = {}
         for item in items:
             for v in self._versioned_by(item):
@@ -153,7 +160,7 @@ class _Translator:
             else:
                 out.extend(self.translate_assign(item, block))
         self.stack.pop()
-        return out
+        return [d for v in block.slots for d in block.carry.get(v, ())], out
 
     def _versioned_by(self, item):
         """The names ``item`` binds, in loops too, in first-binding order."""
@@ -170,12 +177,29 @@ class _Translator:
 
     def read_path(self, name):
         """Current version path for a read of ``name``."""
+        st = self.current(name)
+        self._carry_in(name, st, len(st.path) - 1)
+        return st, list(st.path)
+
+    def current(self, name):
+        """The state of ``name``, its path aligned to the enclosing blocks."""
         st = self.vars.get(name)
         if st is None:  # the validator saw a binding, in a loop run zero times
             raise TranslateError("%r is bound only in a loop whose range is empty"
                                  % name)
         self._align_var(name, st)
-        return st, list(st.path)
+        return st
+
+    def _carry_in(self, name, st, j):
+        """A read that resolves to loop block ``j``'s version before its first
+        assignment gives the block its carry-in copy, once per name; the copy
+        reads the enclosing block's version, so the rule continues outward."""
+        block = self.stack[j]
+        if block.counter is None or block.next_slot[name] or name in block.carry:
+            return
+        self._carry_in(name, st, j - 1)
+        block.carry[name] = self._copy_decls(
+            name, st.path[:j] + [Affine(-1)], st.path[:j])
 
     def _align_var(self, name, st):
         """Give ``name`` a version component for every enclosing block that
@@ -195,22 +219,24 @@ class _Translator:
 
     def translate_for(self, item, outer):
         lo, hi = self.scope.const(item.lo), self.scope.const(item.hi)
-        if hi <= lo:
-            return []  # an empty loop leaves every variable untouched
-        out = []
         versioned = self._versioned_by(item)
-        carry = [v for v in versioned
-                 if v in self.vars and self.vars[v].path
-                 and self._reads_before_write(item.body, v)]
-        for v in carry:
-            st = self.vars[v]
-            self._align_var(v, st)
-            out.extend(self._copy_decls(v, list(st.path) + [Affine(-1)], st.path))
+        if hi <= lo:
+            # an empty loop leaves every variable as it was: each slot the
+            # enclosing block counts for a bound name copies its current version
+            out = []
+            for v in versioned:
+                if v in self.vars:
+                    st, path = self.read_path(v)
+                    self.bump(v, outer)
+                    out.extend(self._copy_decls(v, st.path, path))
+            return out
         with self.scope.local(item.var):
-            body = self.translate_block(item.body, item.var)
-        out.append(Loop(item.var, lo, hi, tuple(body)))
+            carry, body = self.translate_block(item.body, item.var)
+        loop = Loop(item.var, lo, hi, tuple(body))
+        out = carry + [loop]
         # leaving the block: copy each assigned variable's last inner version
         # into the next outer slot
+        finals = {}
         for v in versioned:
             st = self.vars.get(v)
             if st is None or len(st.block_of) <= len(self.stack):
@@ -219,10 +245,12 @@ class _Translator:
             st.block_of.pop()
             exit_path = list(st.path) + [Affine(inner.eval({item.var: hi - 1}))]
             if len(self.stack) == 1:
-                self.loop_final[v] = (tuple(c.eval({}) for c in exit_path),
-                                      tuple(st.dims), st.kind)
+                finals[v] = (tuple(c.eval({}) for c in exit_path),
+                             tuple(st.dims), st.kind)
             self.bump(v, outer)
             out.extend(self._copy_decls(v, st.path, exit_path))
+        if finals:
+            self.loop_finals[id(loop)] = finals
         return out
 
     def _copy_decls(self, name, to_path, from_path):
@@ -243,26 +271,6 @@ class _Translator:
     def fresh_counter(self):
         self.fresh += 1
         return "_c%d" % self.fresh
-
-    def _reads_before_write(self, items, var):
-        for item in items:
-            if isinstance(item, ul.UFor):
-                if self._reads_before_write(item.body, var):
-                    return True
-                if var in self._versioned_by(item):
-                    return False
-                continue
-            if isinstance(item, ul.UAssign):
-                if _mentions(item.expr, var):
-                    return True
-                if not isinstance(item.target, ul.UName):
-                    # element write: index expressions cannot read arrays
-                    continue
-                if item.target.name == var:
-                    return False
-            if isinstance(item, ul.UExtCall) and var in item.targets:
-                return False
-        return False
 
     # --- external data ------------------------------------------------------------
 
@@ -324,8 +332,9 @@ class _Translator:
         target = item.target
         if isinstance(target, ul.UName):
             return self.whole_assign(item, ctx)
+        # an element write declares into the current version: not a read
         base, chain = ul.index_chain(target)
-        st, path = self.read_path(base.name)
+        st = self.current(base.name)
         if isinstance(item.expr, ul.UArrayInit):
             if len(st.dims) == len(chain):
                 st.dims.append(self.scope.const(item.expr.size))
@@ -333,7 +342,7 @@ class _Translator:
         idx = [self.scope.index(c) for c in chain]
         expr, kind = self.expr(item.expr)
         st.kind = kind
-        return [Decl(base.name, tuple(path + idx), expr)]
+        return [Decl(base.name, tuple(st.path + idx), expr)]
 
     def whole_assign(self, item, ctx):
         name = item.target.name
@@ -469,29 +478,6 @@ class _Translator:
             return CondVal(FALSE, 0), kind
         items = tuple(b if c is None else Guard(c, b) for c, b in parts)
         return Add(items), kind
-
-
-def _mentions(e, var):
-    k = type(e)
-    if k is ul.UName:
-        return e.name == var
-    if k is ul.ULit:
-        return False
-    if k is ul.UIndex:
-        return _mentions(e.base, var) or _mentions(e.index, var)
-    if k is ul.UCompare or k is ul.UBinOp:
-        return _mentions(e.left, var) or _mentions(e.right, var)
-    if k is ul.UArrayInit:
-        return _mentions(e.size, var)
-    if k is ul.UCall:
-        return any(_mentions(a, var) for a in e.args)
-    if k is ul.UReduce:
-        return _mentions(e.comp, var)
-    if k is ul.UComprehension:
-        if _mentions(e.expr, var) or _mentions(e.lo, var) or _mentions(e.hi, var):
-            return True
-        return e.cond is not None and _mentions(e.cond, var)
-    return False
 
 
 def translate_to_event_program(program, dataset):

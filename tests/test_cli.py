@@ -208,6 +208,31 @@ def test_folded_flag(capsys, line_json, tmp_path):
         assert abs(t["lower"] - ua[t["eid"]]["lower"]) < 1e-9
 
 
+TWO_LOOPS = """(O, n) = loadData()
+for it in range(0, 2):
+ A = [None] * n
+ for l in range(0, n):
+  A[l] = dist(O[l], O[0]) <= 1.5
+for j in range(0, 2):
+ G = [None] * 1
+ G[0] = A[0]
+"""
+
+
+def test_folded_defaults_are_the_folded_loops_finals(capsys, line_json,
+                                                     tmp_path):
+    # the it loop declares the most, so it is folded; the Boolean family of
+    # the later j loop is not a default target
+    prog = tmp_path / "two_loops.prog"
+    prog.write_text(TWO_LOOPS)
+    out_path = str(tmp_path / "f.json")
+    code, _, _ = _run(capsys, "run", "--program", str(prog), "--data",
+                      line_json, "--mode", "exact", "--folded", "--out", out_path)
+    assert code == 0
+    assert [t["eid"] for t in json.loads(_read(out_path))["targets"]] == [
+        "A[-1,1,%d]" % l for l in range(4)]
+
+
 def test_config_errors(capsys, line_json):
     code, _, err = _run(capsys, "run", "--program", PROG, "--data", line_json,
                         "--mode", "hybrid")

@@ -156,6 +156,15 @@ forall it in 0..3:
         ground_folded(parse_event_program(text), ("B[0]",), variables={"x1"})
 
 
+def test_folded_body_declaring_one_eid_twice_is_rejected():
+    # both routes refuse it, with the same message
+    prog = parse_event_program("forall it in 0..2:\n  B[it] := x0\n"
+                               "  B[it] := x1\n")
+    for grounder in (ground, ground_folded):
+        with pytest.raises(GroundError, match=r"identifier 'B\[0\]' assigned twice"):
+            grounder(prog, ("B[1]",), variables={"x0", "x1"})
+
+
 def test_affine_rendering_round_trip():
     for a in (Affine(3), Affine.of(-1, i=2), Affine.of(0, it=1), Affine.of(5, j=-3)):
         assert str(a)  # renders without error

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 
 import pytest
 
@@ -9,11 +10,11 @@ from manyworlds.events import (
     Add, Ref, Var, VarTable, children_of, eval_cval, eval_event,
 )
 from manyworlds.eventprog import (
-    Affine, Decl, EventProgram, Loop, emit_event_program, ground, ground_folded,
-    parse_event_program, ref,
+    Affine, Decl, EventProgram, GroundError, Loop, emit_event_program, ground,
+    ground_folded, parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
-from manyworlds.oracle import _Program, interpret_user_program
+from manyworlds.oracle import InterpError, _Program, interpret_user_program
 from manyworlds.translate import TranslateError, translate_to_event_program
 from manyworlds.userlang import parse_user_program, validate_user_program
 
@@ -103,8 +104,16 @@ def _assert_matches_interpreter(ast, ds):
     " for j in range(0, n)])\n",
     # a reassigned parameter is a variable, read before its reassignment
     "(k, it) = loadParams()\nS = k + 1\nk = 5\n",
+    # the slot an empty loop's binding counts in its block takes a copy of
+    # the current version, so later reads see the value from before
+    "x = 5\nfor it in range(0, 2):\n for j in range(0, 0):\n  x = 1\n y = x\n",
+    "x = 5\nfor j in range(0, 0):\n x = 1\ny = x\n",
+    "A = [None] * 2\nA[0] = 1\nA[1] = 2\nfor it in range(0, 2):\n"
+    " for j in range(0, 0):\n  A = [None] * 2\n  A[0] = 3\n  A[1] = 4\n"
+    " y = A[1]\n",
 ], ids=["pow-by-comprehension-variable", "nested-comprehension-bound",
-        "reassigned-parameter"])
+        "reassigned-parameter", "empty-loop-in-a-loop", "empty-loop",
+        "empty-loop-array"])
 def test_world_free_program_matches_interpreter(src):
     _assert_matches_interpreter(parse_user_program(src), _empty_dataset())
 
@@ -257,6 +266,79 @@ def test_name_bound_only_in_an_empty_loop():
         translate_to_event_program(parse_user_program(src), _empty_dataset())
 
 
+# --- a seeded sweep over versioning ---------------------------------------------
+
+_SCALARS = ("a", "b", "c")
+
+
+def _sweep_program(rng):
+    """A world-free program over the scalars ``a``, ``b``, ``c`` and an array
+    ``A`` of two elements, whose every whole assignment is followed by
+    writes of both elements from scalars.  Loops nest to depth 3 over ranges
+    of 0 to 3 iterations, so reads before writes, carries into nested loops
+    and empty ranges all occur."""
+    def expr():
+        y, z = rng.choice(_SCALARS), rng.choice(_SCALARS)
+        return rng.choice(["1", y, y + " + 1", y + " + " + z, "A[0]",
+                           "A[1] + " + y])
+
+    def block(depth, indent):
+        lines = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.35 and depth < 3:
+                lines.append("%sfor %s in range(0, %d):"
+                             % (indent, "ijk"[depth], rng.randint(0, 3)))
+                lines += block(depth + 1, indent + " ")
+            elif r < 0.5:
+                lines.append(indent + "A = [None] * 2")
+                lines += ["%sA[%d] = %s" % (indent, k, rng.choice(_SCALARS))
+                          for k in (0, 1)]
+            else:
+                lines.append("%s%s = %s" % (indent, rng.choice(_SCALARS), expr()))
+        return lines
+
+    lines = ["%s = %d" % (v, n) for n, v in enumerate(_SCALARS, 1)
+             if rng.random() < 0.7]
+    if rng.random() < 0.7:
+        lines += ["A = [None] * 2", "A[0] = 1", "A[1] = 2"]
+    return "\n".join(lines + block(0, "")) + "\n"
+
+
+def test_versioning_sweep_matches_interpreter():
+    """Each generated program the validator accepts either translates,
+    grounds and equals the interpreter in every final value, or fails in
+    the translator and in the interpreter alike."""
+    rng = random.Random(27)
+    ds = _empty_dataset()
+    kept = both_fail = 0
+    for _ in range(600):
+        src = _sweep_program(rng)
+        ast = parse_user_program(src)
+        if validate_user_program(ast):
+            continue
+        kept += 1
+        try:
+            env = interpret_user_program(ast, ds, {})
+        except InterpError:
+            env = None
+        try:
+            tr = translate_to_event_program(ast, ds)
+            g = ground(tr.program, ("*",), variables=set())
+        except (TranslateError, GroundError):
+            assert env is None, src
+            both_fail += 1
+            continue
+        assert env is not None, src
+        vals = dict(zip(g.decls, _Program(g).eval_all({})))
+        assert set(tr.final_paths) == {v for v in env if v in _SCALARS + ("A",)}
+        for var, (_path, dims, _kind) in tr.final_paths.items():
+            got = [vals[tr.final_eid(var, *idx)]
+                   for idx in itertools.product(*(range(d) for d in dims))]
+            assert got == (env[var] if dims else [env[var]]), (src, var)
+    assert kept >= 250 and 0 < both_fail < kept
+
+
 # --- the validator is the one gate ------------------------------------------------
 
 ROW = "A = [None] * 2\n"
@@ -286,11 +368,18 @@ LOAD = "(O, n) = loadData()\n"
     (LOAD + "c = reduce_count([1 for i in range(0, 0)])\nb = c < 0\n", None),
     (ROW + "A[0] = 1 <= 0\nA[1] = 1 <= 0\n"
      "c = reduce_count([1 for i in range(0, 2) if A[i]])\nb = c < 0\n", None),
+    (LOAD + "p = reduce_mult([dist(O[l], O[0]) + 1 for l in range(0, 3)])\n",
+     None),
+    (LOAD + "p = reduce_mult([dist(O[l], O[0]) + 1 for l in range(0, 3)"
+     " if dist(O[l], O[1]) <= 1])\n", None),
+    (LOAD + "v = O[0] + O[1]\nd = dist(v, O[2])\n", None),
+    (LOAD + "d = dist(O[0], O[1]) + -2.5\nb = d <= -1\n", None),
 ], ids=["alias", "row-read", "numeric-breakties", "numeric-filter", "ragged-rows",
         "invert-boolean-element", "boolean-element-sum", "reduce-and-numbers",
         "vector-element-order", "init-before-load", "unwritten-array",
         "unwritten-before-loop-write", "written-before-loop", "count-of-none",
-        "count-of-filtered-out"])
+        "count-of-filtered-out", "reduce-mult", "reduce-mult-filtered",
+        "vector-sum", "negative-literal"])
 def test_validator_reports_what_does_not_translate(src, rule, line_dataset):
     """Each program is reported under its rule, or it translates, grounds and
     equals the interpreter in every world of the line fixture."""
