@@ -11,7 +11,8 @@ around.  All numbers are deterministic work counts, not timings:
   3. hybrid work as the certain-point fraction grows;
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
      instances, and on folded markov data with 12 groups: grounded tree
-     nodes, distinct grounded objects and network nodes, the work that the
+     nodes, distinct grounded objects, network nodes and the calls of the
+     kind rule made by grounding + by the network build, the work that the
      setup seconds pay for;
   5. the propagation work of the benchmark's exact-unfolded and
      anytime-folded searches: branches, mask writes by node kind, read
@@ -31,6 +32,7 @@ import os
 import sys
 from collections import Counter
 
+from manyworlds import eventprog, events, network
 from manyworlds.compile import Search, compile_targets
 from manyworlds.datagen import gen_correlations
 from manyworlds.eventprog import emit_event_program, ground, ground_folded
@@ -104,20 +106,41 @@ def tree_counts(roots):
     return size, len(seen)
 
 
+def kind_rule_calls(run):
+    """``run()``, and the calls of ``events.kind_rule`` it makes through the
+    names that ``eventprog`` and ``network`` hold, where a module holds one."""
+    held = [m for m in (eventprog, network) if hasattr(m, "kind_rule")]
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return events.kind_rule(*args)
+
+    for module in held:
+        module.kind_rule = counted
+    try:
+        return run(), len(calls)
+    finally:
+        for module in held:
+            module.kind_rule = events.kind_rule
+
+
 def table_setup():
     # the benchmark's layouts (generator seeds 3 and 0), whose rotation of
     # the coordinates leaves these counts unchanged, then markov data with
     # 12 groups, where each group's event names the previous group's point
     print("\n== setup work per instance (benchmark layouts, markov n=48) ==")
-    print("%-36s %-8s %-9s %-8s" % ("instance", "tree", "distinct", "nodes"))
+    print("%-36s %-8s %-9s %-8s %s" % ("instance", "tree", "distinct",
+                                       "nodes", "kind_rule"))
     rows = []
     for pool in (8, 10):
         ds = gen_correlations(20, "positive", group=4, l=2, pool=pool, seed=3,
                               iterations=3)
         prog, meta = build_kmedoids_program(ds)
-        g = ground(prog, (meta["targets"],), variables=set(ds.vartable.index))
+        g, calls = kind_rule_calls(lambda: ground(
+            prog, (meta["targets"],), variables=set(ds.vartable.index)))
         rows.append(("unfolded positive n=20 pool=%d" % pool,
-                     g.decls.values(), g))
+                     g.decls.values(), g, calls))
     with open(KMEDOIDS) as fh:
         ast = parse_user_program(fh.read())
     for label, scheme, kwargs in (
@@ -129,14 +152,17 @@ def table_setup():
         ds = gen_correlations(scheme=scheme, group=4, l=2, seed=0,
                               iterations=3, **kwargs)
         tr = translate_to_event_program(ast, ds)
-        f = ground_folded(tr.program, (tr.loop_final_pattern("Centre"),),
-                          set(ds.vartable.index))
+        f, calls = kind_rule_calls(lambda: ground_folded(
+            tr.program, (tr.loop_final_pattern("Centre"),),
+            set(ds.vartable.index)))
         rows.append((label, list(f.base.values()) + [d.expr for d in f.body],
-                     f))
-    for label, roots, grounded in rows:
+                     f, calls))
+    for label, roots, grounded, ground_calls in rows:
         size, distinct = tree_counts(roots)
-        print("%-36s %-8d %-9d %-8d" % (label, size, distinct,
-                                        len(build_network(grounded).nodes)))
+        net, build_calls = kind_rule_calls(lambda: build_network(grounded))
+        print("%-36s %-8d %-9d %-8d %d+%d" % (label, size, distinct,
+                                              len(net.nodes), ground_calls,
+                                              build_calls))
 
 
 def propagation_work(net, vt, epsilon, scheme):

@@ -191,16 +191,16 @@ def cmd_run(args):
         return 0
 
     t0 = time.time()
-    if args.mode == "naive" and not args.emit_stage:
+    try:  # the program's one type check, in every mode
+        net = build_network(grounded)
+    except (NetworkError, TypeMismatch) as exc:
+        raise CliError("network", str(exc))
+    if args.emit_stage == "network":
+        _write_text(args.out, net.dump())
+        return 0
+    if args.mode == "naive":
         report = _run_naive(grounded, dataset)
     else:
-        try:
-            net = build_network(grounded)
-        except (NetworkError, TypeMismatch) as exc:
-            raise CliError("network", str(exc))
-        if args.emit_stage == "network":
-            _write_text(args.out, net.dump())
-            return 0
         if args.mode in ("exact-d", "hybrid-d"):
             scheme = "exact" if args.mode == "exact-d" else "hybrid"
             log = []

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow, Ref,
-    Var, FALSE, TRUE, COMPARATORS, TypeMismatch, children_of, kind_rule,
-    map_children,
+    Var, FALSE, TRUE, COMPARATORS, children_of, map_children,
 )
 
 
@@ -223,13 +222,12 @@ class _Grounder:
     """One call's grounding walk and its memos.
 
     ``walk(e, env)`` returns the source expression ``e`` grounded under the
-    counter binding ``env``, with its static kind.  Indices and counter
-    values are evaluated, or with ``bind`` only the counters ``env`` binds
-    are substituted (``Affine.bind``).  Bare names resolve against
-    ``declared`` and ``variables``, or stay as they are with ``declared``
-    None.  With ``kinds`` (grounded identifier -> kind) a node's kind rule
-    runs after its children's, so an error deeper in the tree is the one
-    reported; without, the kind is None.
+    counter binding ``env``.  Indices and counter values are evaluated, or
+    with ``bind`` only the counters ``env`` binds are substituted
+    (``Affine.bind``).  Bare names resolve against ``declared`` and
+    ``variables``, or stay as they are with ``declared`` None.  Grounding
+    does not type: ``network.build_network`` checks the kinds of the nodes
+    it builds, on the unfolded and the folded route alike.
 
     ``memo`` keeps, per source node and values of the counters it reads, the
     grounded subtrees that repeat over an enclosing loop because they do not
@@ -242,15 +240,14 @@ class _Grounder:
     caller's program keeps them alive for the call.
     """
 
-    def __init__(self, declared, variables, kinds=None, bind=False):
+    def __init__(self, declared, variables, bind=False):
         self.declared = declared
         self.variables = variables
-        self.kinds = kinds
         self.bind = bind
         # id(source node) -> the counters it reads; None if it names a bare
         # identifier
         self.reads = {}
-        self.memo = {}  # (id(source node), counter values) -> (expr, kind)
+        self.memo = {}  # (id(source node), counter values) -> expr
         self.refs = {}  # (name, index values) -> grounded Ref
 
     def walk(self, e, env):
@@ -286,7 +283,6 @@ class _Grounder:
             if hit is not None:
                 return hit
         kind = type(e)
-        ks = ()
         if kind is Ref and e.indices:
             if self.bind:
                 out = Ref(e.name, tuple(as_affine(ix).bind(env)
@@ -305,22 +301,12 @@ class _Grounder:
             value = e.value.bind(env) if self.bind else e.value.eval(env)
             if self.bind and value.is_const():
                 value = value.const
-            guard, gk = self._walk(e.guard, env)
-            out, ks = CondVal(guard, value), (gk,)
+            out = CondVal(self._walk(e.guard, env), value)
         else:
-            ks = []
-
-            def sub(c):
-                g, k = self._walk(c, env)
-                ks.append(k)
-                return g
-
-            out = map_children(e, sub)
-        result = (out, None if self.kinds is None
-                  else kind_rule(out, ks, self.kinds))
+            out = map_children(e, lambda c: self._walk(c, env))
         if key is not None:
-            self.memo[key] = result
-        return result
+            self.memo[key] = out
+        return out
 
     def _name(self, e):
         """A bare name as it resolves now: a declaration or a variable."""
@@ -356,19 +342,12 @@ def ground(program, target_patterns=("*",), variables=None):
     omitted, undeclared bare names are assumed to be variables.
     """
     decls = {}
-    kinds = {}  # eid -> 'b' | 's' | 'v', to type-check later declarations
-    grounder = _Grounder(decls, variables, kinds)
+    grounder = _Grounder(decls, variables)
     for item, env in _instances(program.items, {}):
         eid = item.eid_under(env)
         if eid in decls:
             raise GroundError("identifier %r assigned twice" % eid)
-        try:
-            decls[eid], kinds[eid] = grounder.walk(item.expr, env)
-        except TypeMismatch:
-            # an unresolved name anywhere in the declaration is the error
-            # reported, even when a kind error comes before it in the walk
-            _Grounder(decls, variables).walk(item.expr, env)
-            raise
+        decls[eid] = grounder.walk(item.expr, env)
     targets = match_targets(decls.keys(), target_patterns)
     return GroundedProgram(decls, targets)
 
@@ -449,21 +428,23 @@ def ground_folded(program, target_patterns=("*",), variables=None):
     # ``ground``; indices and values stay affine in the loop counter
     binder = _Grounder(base.decls, variables, bind=True)
     body = tuple(Decl(item.name, tuple(ix.bind(env) for ix in item.indices),
-                      binder.walk(item.expr, env)[0])
+                      binder.walk(item.expr, env))
                  for item, env in _instances(loop.body, {}))
     if loop.lo != 0:
         raise GroundError("folded loops must start at 0")
-    seen = set()
-    for d in body:
-        eid0 = d.eid_under({loop.counter: 0})
-        if eid0 in base.decls or eid0 in seen:
-            raise GroundError("identifier %r assigned twice" % eid0)
-        seen.add(eid0)
+    # every iteration's eids, in ``ground``'s order, so that a collision at
+    # any iteration is the one ``ground`` reports
+    seen, final = set(base.decls), []
+    for t in range(loop.hi):
+        final = [d.eid_under({loop.counter: t}) for d in body]
+        for eid in final:
+            if eid in seen:
+                raise GroundError("identifier %r assigned twice" % eid)
+            seen.add(eid)
 
     # targets are final-iteration eids, in match_targets' order over the
     # base then the body; names after the loop are matched too, so that
     # selecting one is reported as such
-    final = [d.eid_under({loop.counter: loop.hi - 1}) for d in body]
     tail = [item.eid_under(env)
             for item, env in _instances(program.items[split + 1:], {})]
     targets = match_targets(list(base.decls) + final + tail, target_patterns)
@@ -481,7 +462,7 @@ def ground_folded(program, target_patterns=("*",), variables=None):
 def _bind(e, env):
     """``e`` with the loop counters ``env`` binds substituted into its
     reference indices and counter values; other counters and names stay."""
-    return _Grounder(None, None, bind=True).walk(e, env)[0]
+    return _Grounder(None, None, bind=True).walk(e, env)
 
 
 # ---------------------------------------------------------------------------

@@ -439,16 +439,14 @@ def eval_cval(c, valuation, env=None):
 # ---------------------------------------------------------------------------
 
 
-def kind_rule(e, ks, env_kinds):
+def kind_rule(e, ks):
     """The static kind of a grounded node ``e``, given its children's kinds.
 
-    Raises TypeMismatch when the node is ill-typed.  ``env_kinds`` maps
-    grounded identifiers to their kinds.  ``eventprog.ground`` applies the
-    rule to each node as it grounds it, after the node's children.
+    Raises TypeMismatch when the node is ill-typed.  The one caller,
+    ``network._build_expr``, applies it once to each node it creates, after
+    the node's children, on the unfolded and the folded route alike.
     """
     kind = type(e)
-    if kind is Ref:
-        return env_kinds[e.name]
     if kind in (Const, Var, Not, And, Or):
         if any(k != "b" for k in ks):
             raise TypeMismatch("boolean connective over non-event")

@@ -302,11 +302,11 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
 
     A node built inside the loop body is iteration-dependent only when
     something below it is; otherwise it is shared with the base layer.  A
-    new node's kind comes from ``events.kind_rule``, the rule grounding
-    applies, so a folded body raises the same ``TypeMismatch`` as its
-    unfolded program.  ``built`` maps each grounded object built so far, by
-    identity, to its node, so an object that grounding shares is walked
-    once.  A reference to a grounded identifier is looked up in
+    new node's kind comes from ``events.kind_rule``: this is the one type
+    check of a program, so a folded body raises the same ``TypeMismatch``
+    as its unfolded program.  ``built`` maps each grounded object built so
+    far, by identity, to its node, so an object that grounding shares is
+    walked once.  A reference to a grounded identifier is looked up in
     ``node_of_eid``; ``resolve_ref`` resolves the others.
     """
     kind = type(e)
@@ -352,7 +352,7 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
     key = (name, payload, cs, loopy)
     nid = net._intern.get(key)
     if nid is None:
-        vkind = kind_rule(e, [nodes[c].vkind for c in cs], None)
+        vkind = kind_rule(e, [nodes[c].vkind for c in cs])
         nid = net._intern[key] = net._new_node(name, cs, payload, loopy, vkind)
     built[id(e)] = nid
     return nid

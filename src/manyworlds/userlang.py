@@ -380,25 +380,25 @@ def format_user_expr(e):
 
 def format_user_program(program):
     out = []
-
-    def emit(items, depth):
-        pad = " " * depth
-        for item in items:
-            if isinstance(item, UFor):
-                out.append("%sfor %s in range(%s, %s):" % (
-                    pad, item.var, format_user_expr(item.lo), format_user_expr(item.hi)))
-                emit(item.body, depth + 1)
-            elif isinstance(item, UExtCall):
-                if len(item.targets) == 1:
-                    out.append("%s%s = %s()" % (pad, item.targets[0], item.func))
-                else:
-                    out.append("%s(%s) = %s()" % (pad, ", ".join(item.targets), item.func))
-            else:
-                out.append("%s%s = %s" % (pad, format_user_expr(item.target),
-                                          format_user_expr(item.expr)))
-
-    emit(program.items, 0)
+    _emit_statements(program.items, 0, out)
     return "\n".join(out) + "\n"
+
+
+def _emit_statements(items, depth, out):
+    pad = " " * depth
+    for item in items:
+        if isinstance(item, UFor):
+            out.append("%sfor %s in range(%s, %s):" % (
+                pad, item.var, format_user_expr(item.lo), format_user_expr(item.hi)))
+            _emit_statements(item.body, depth + 1, out)
+        elif isinstance(item, UExtCall):
+            if len(item.targets) == 1:
+                out.append("%s%s = %s()" % (pad, item.targets[0], item.func))
+            else:
+                out.append("%s(%s) = %s()" % (pad, ", ".join(item.targets), item.func))
+        else:
+            out.append("%s%s = %s" % (pad, format_user_expr(item.target),
+                                      format_user_expr(item.expr)))
 
 
 # --- validator --------------------------------------------------------------------

@@ -260,21 +260,28 @@ def test_event_program_parse_error_names_the_file(capsys, line_json,
         2, "error: parse: %s:2:9: unexpected character '$'\n" % bad)
 
 
-@pytest.mark.parametrize("sum_body,folded,target,message", [
-    ("2.0", False, "C[1]", "network: target 'C[1]' is not an event"),
-    ("2.0", True, "C[1]", "network: target 'C[1]' is not an event"),
-    ("[1.0, 2.0]", False, "B[1]", "ground: sum over mixed kinds"),
-    ("[1.0, 2.0]", True, "B[1]", "network: sum over mixed kinds"),
-], ids=["not-event", "not-event-folded", "ill-typed", "ill-typed-folded"])
+@pytest.mark.parametrize("sum_body,flags,target,message", [
+    ("2.0", [], "C[1]", "network: target 'C[1]' is not an event"),
+    ("2.0", ["--folded"], "C[1]", "network: target 'C[1]' is not an event"),
+    ("2.0", ["--mode", "naive"], "C[1]",
+     "network: target 'C[1]' is not an event"),
+    ("[1.0, 2.0]", [], "B[1]", "network: sum over mixed kinds"),
+    ("[1.0, 2.0]", ["--folded"], "B[1]", "network: sum over mixed kinds"),
+    ("[1.0, 2.0]", ["--mode", "naive"], "B[1]",
+     "network: sum over mixed kinds"),
+], ids=["not-event", "not-event-folded", "not-event-naive", "ill-typed",
+        "ill-typed-folded", "ill-typed-naive"])
 def test_network_stage_errors_exit_2(capsys, line_json, tmp_path, sum_body,
-                                     folded, target, message):
+                                     flags, target, message):
+    # every mode builds the network, the program's one type check, before
+    # it computes: naive mode walks no world of a refused program
     ep_path = tmp_path / "prog.events"
     ep_path.write_text("forall it in 0..2:\n  B[it] := x1\n"
                        "  C[it] := (x1 ? 1.0) + (x2 ? %s)\n" % sum_body)
     argv = ["run", "--event-program", str(ep_path), "--data", line_json,
-            "--targets", target] + (["--folded"] if folded else [])
-    code, _, err = _run(capsys, *argv)
-    assert (code, err) == (2, "error: %s\n" % message)
+            "--targets", target] + flags
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_folded_carry_kind_mismatch_exit_2(capsys, line_json, tmp_path):

@@ -14,6 +14,7 @@ from manyworlds.eventprog import (
     parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
+from manyworlds.network import build_network
 
 
 def test_simple_loop_grounding():
@@ -138,7 +139,7 @@ B[-2] := x2
 forall it in 0..3:
   B[it] := B[it-2]
 """
-    from manyworlds.network import build_network, NetworkError
+    from manyworlds.network import NetworkError
     fp = ground_folded(parse_event_program(text), ("B[2]",), variables={"x1", "x2"})
     with pytest.raises(NetworkError, match="previous"):
         build_network(fp)
@@ -163,6 +164,23 @@ def test_folded_body_declaring_one_eid_twice_is_rejected():
     for grounder in (ground, ground_folded):
         with pytest.raises(GroundError, match=r"identifier 'B\[0\]' assigned twice"):
             grounder(prog, ("B[1]",), variables={"x0", "x1"})
+
+
+@pytest.mark.parametrize("count,body,eid", [
+    (2, "B[it] := x0\n  B[1] := x1", "B[1]"),
+    (2, "B[it] := x0\n  B[it+1] := x1", "B[1]"),
+    (2, "B[0] := x0", "B[0]"),
+    (3, "B[2*it] := x0\n  B[it+2] := x1", "B[2]"),
+], ids=["constant-second", "shifted", "constant-only", "scaled"])
+def test_folded_body_colliding_at_a_later_iteration_is_rejected(count, body,
+                                                                 eid):
+    # every iteration's eids are checked, so both routes report the eid
+    # that ``ground`` meets first
+    prog = parse_event_program("forall it in 0..%d:\n  %s\n" % (count, body))
+    message = "^%s$" % re.escape("identifier %r assigned twice" % eid)
+    for grounder in (ground, ground_folded):
+        with pytest.raises(GroundError, match=message):
+            grounder(prog, ("B*",), variables={"x0", "x1"})
 
 
 def test_affine_rendering_round_trip():
@@ -226,9 +244,10 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
     # what it closes over, such as the whole grounded program, until the next
     # full collection
     import gc
-    from manyworlds.network import build_network
     from manyworlds.translate import translate_to_event_program
-    from manyworlds.userlang import parse_user_program, validate_user_program
+    from manyworlds.userlang import (
+        format_user_program, parse_user_program, validate_user_program,
+    )
     ast = parse_user_program(kmedoids_src)
     tr = translate_to_event_program(ast, line_dataset)
     text = emit_event_program(tr.program)
@@ -238,6 +257,7 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
     folded = ground_folded(tr.program, (target,), vs)
     calls = {
         "parse_user_program": lambda: parse_user_program(kmedoids_src),
+        "format_user_program": lambda: format_user_program(ast),
         "validate_user_program": lambda: validate_user_program(ast),
         "translate_to_event_program":
             lambda: translate_to_event_program(ast, line_dataset),
@@ -282,23 +302,27 @@ _S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))
     (Dist(_V, _S), "dist requires vector operands"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_ground_rejects_ill_typed_declarations(expr, message):
+    # grounding does not type: the network builder is the one check
+    g = ground(EventProgram((decl("A", (), expr),)), ("A",))
     with pytest.raises(TypeMismatch, match="^%s$" % message):
-        ground(EventProgram((decl("A", (), expr),)), ("A",))
+        build_network(g)
 
 
-def test_ground_reads_kinds_of_earlier_declarations():
+def test_build_network_reads_kinds_of_earlier_declarations():
     p = EventProgram((decl("S", (), _S), decl("A", (), Or((Var("x"), Ref("S"))))))
+    g = ground(p, ("A",))
     with pytest.raises(TypeMismatch, match="^boolean connective over non-event$"):
-        ground(p, ("A",))
+        build_network(g)
 
 
-@pytest.mark.parametrize("expr", [
-    And((Not(_S), Ref("Missing"))),
-    And((Ref("Missing"), Not(_S))),
-], ids=["kind-error-first", "name-error-first"])
-def test_ground_reports_unresolved_names_before_kind_errors(expr):
+@pytest.mark.parametrize("items", [
+    (decl("A", (), And((Not(_S), Ref("Missing")))),),
+    (decl("A", (), And((Ref("Missing"), Not(_S)))),),
+    (decl("A", (), Not(_S)), decl("B", (), Ref("Missing"))),
+], ids=["kind-error-first", "name-error-first", "kind-error-declared-first"])
+def test_ground_reports_unresolved_names_before_kind_errors(items):
     with pytest.raises(GroundError, match="unresolved reference 'Missing'"):
-        ground(EventProgram((decl("A", (), expr),)), ("A",), variables={"x"})
+        ground(EventProgram(items), ("A",), variables={"x"})
 
 
 @pytest.mark.parametrize("text,line,col,message", [

@@ -672,7 +672,7 @@ def test_folded_body_is_typed_as_its_unfolded_program(body):
         "forall it in 0..2:\n  B[it] := x0\n  C[it] := %s\n" % body)
     variables = {"x0", "x1"}
     with pytest.raises(TypeMismatch) as unfolded:
-        ground(program, ("B[1]",), variables)
+        build_network(ground(program, ("B[1]",), variables))
     with pytest.raises(TypeMismatch,
                        match="^%s$" % re.escape(str(unfolded.value))):
         build_network(ground_folded(program, ("B[1]",), variables))
@@ -686,7 +686,7 @@ def test_folded_carry_has_the_kind_of_its_source():
         "  D[it] := [ C[it-1] <= (x1 ? 0.5) ]\n")
     variables = {"x1", "x2"}
     with pytest.raises(TypeMismatch, match="atom compares scalar with vector"):
-        ground(program, ("D[2]",), variables)
+        build_network(ground(program, ("D[2]",), variables))
     with pytest.raises(TypeMismatch, match="^carried family 'C' changes kind"):
         build_network(ground_folded(program, ("D[2]",), variables))
 
