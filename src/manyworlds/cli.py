@@ -6,8 +6,9 @@ Subcommands:
          pick a pipeline stage to emit or compute target probabilities with
          one of: naive, exact, eager, lazy, hybrid, exact-d, hybrid-d
   gen    generate a correlated dataset (positive / mutex / markov schemes)
-  check  sweep seeded random event programs: exact, and exact-d at 1 and 2
-         workers, vs enumeration; exact-d must give the same bits at both
+  check  sweep seeded random event programs: exact, exact-d at 1 and 2
+         workers, and exact on the program's text emitted and parsed back,
+         vs enumeration; exact-d must give the same bits at both
 
 Reports go to stdout as a small table; ``--out`` additionally writes a
 machine-readable JSON document (stable bytes for fixed inputs; wall-clock
@@ -25,8 +26,8 @@ from .compile import BOUNDS_TOLERANCE, ConfigError, compile_targets
 from .datagen import Dataset, gen_correlations
 from .distributed import max_job_count, run_distributed
 from .eventprog import (
-    ProgramSyntaxError, emit_event_program, ground, ground_folded,
-    parse_event_program,
+    GroundError, ProgramSyntaxError, emit_event_program, ground,
+    ground_folded, parse_event_program,
 )
 from .events import TypeMismatch
 from .network import NetworkError, build_network
@@ -100,7 +101,8 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("check", help="exact and exact-d vs enumeration sweep")
+    c = sub.add_parser("check", help="exact, exact-d and text route vs "
+                       "enumeration sweep")
     c.add_argument("--count", type=int, default=50)
     c.add_argument("--max-vars", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
@@ -317,14 +319,33 @@ def cmd_check(args):
                     for tb in result.targets for bound in (tb.lower, tb.upper))
         bits = [[(tb.lower.hex(), tb.upper.hex()) for tb in result.targets]
                 for result in runs[1:]]
-        ok = worst < 1e-9 and bits[0] == bits[1]
+        text = _text_route_failure(prog, vt, targets, expected)
+        ok = worst < 1e-9 and bits[0] == bits[1] and text is None
         bad += not ok
-        status = ("ok" if ok else "FAIL" if bits[0] == bits[1]
-                  else "FAIL: exact-d bounds differ at 1 and 2 workers")
+        status = ("ok" if ok
+                  else "FAIL: exact-d bounds differ at 1 and 2 workers"
+                  if bits[0] != bits[1] else "FAIL" if worst >= 1e-9
+                  else "FAIL: " + text)
         print("seed=%-6d vars=%-3d targets=%-2d err=%.2e %s" %
               (seed, len(vt), len(targets), worst, status))
     print("%d/%d instances matched" % (args.count - bad, args.count))
     return 1 if bad else 0
+
+
+def _text_route_failure(prog, vt, targets, expected):
+    """Why ``prog``'s text, emitted, parsed back, grounded and compiled
+    exactly, misses the oracle's ``expected``; None if it does not."""
+    try:
+        g = ground(parse_event_program(emit_event_program(prog)), targets,
+                   variables=set(vt.index))
+        result = compile_targets(build_network(g), vt, 0.0, "exact")
+    except (ProgramSyntaxError, GroundError, NetworkError,
+            TypeMismatch) as exc:
+        return "text route: %s" % exc
+    if any(abs(bound - expected[tb.eid]) >= 1e-9 for tb in result.targets
+           for bound in (tb.lower, tb.upper)):
+        return "text route bounds differ from the oracle"
+    return None
 
 
 if __name__ == "__main__":

@@ -164,7 +164,7 @@ def parse_event_text(text, variables, point_ids=()):
     """Parse an event string over ``& | ! ( )``, variables and point ids."""
     try:
         parser = EventParser(text, 1)
-        expr = parser.parse_event()
+        expr = parser.parse_expr()
         if not parser.done():
             raise DatasetError("trailing tokens in event %r" % text)
     except ProgramSyntaxError as exc:
@@ -181,9 +181,6 @@ def _resolve_names(e, variables, point_ids):
         if e.name in point_ids:
             return e
         raise DatasetError("unknown name %r in dataset event" % e.name)
-    if isinstance(e, Var):
-        return e if e.name in variables else _resolve_names(
-            Ref(e.name), variables, point_ids)
     if isinstance(e, (Const, Not, And, Or)):
         return map_children(e, lambda c: _resolve_names(c, variables, point_ids))
     raise DatasetError("dataset events must be propositional: %r" % (e,))

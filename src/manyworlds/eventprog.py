@@ -18,12 +18,13 @@ accepted and emitted:
 A line with an unclosed parenthesis or bracket continues onto the next; a
 syntax error gives its line and column.
 
-Event syntax: ``|``, ``&``, ``!``, ``true``, ``false``, ``[ cval cmp cval ]``
-atoms, and ``all(j,lo,hi,e)`` / ``any(j,lo,hi,e)`` bounded folds (expanded at
-parse time).  C-value syntax: ``event ? value`` guards (value: number, vector
-``[x,y]``, or parenthesised c-value), ``+``, ``*``, ``pow(c,n)``, ``inv(c)``
-(read as ``pow(c,-1)``), ``dist(c,c)`` and ``sum(j,lo,hi,c)`` /
-``prod(j,lo,hi,c)`` folds.
+Expressions have one grammar, loosest binding first: ``+``, ``*``,
+``event ? primary``, ``|``, ``&``, ``!``.  A primary is a number, a vector
+``[x,y]``, ``true``, ``false``, a name, a ``[ a cmp b ]`` atom, ``pow(c,n)``,
+``inv(c)`` (read as ``pow(c,-1)``), ``dist(c,c)``, an ``all``/``any``/``sum``/
+``prod(j,lo,hi,body)`` fold (expanded at parse time) or a parenthesised
+expression.  The parser does not tell events from c-values: the network
+builder does (``events.kind_rule``).
 
 The source reader (``TokenCursor``, the logical lines and the indentation
 blocks of ``parse_blocks``, ``ProgramSyntaxError``) is the user language's
@@ -634,7 +635,7 @@ class EventParser(TokenCursor):
         else:
             indices = self.parse_indices()
             self.expect("op", ":=")
-            item, opens = Decl(name, indices, self.parse_decl_body()), False
+            item, opens = Decl(name, indices, self.parse_expr()), False
         if not self.done():
             self.error("trailing tokens after expression", self.col())
         return item, opens
@@ -648,8 +649,8 @@ class EventParser(TokenCursor):
         return lo.const, hi.const
 
     def parse_fold(self):
-        """``all``/``any(j, lo, hi, event)`` or ``sum``/``prod(j, lo, hi,
-        cval)``, expanded over ``j`` at parse time."""
+        """``all``/``any``/``sum``/``prod(j, lo, hi, body)``, expanded over
+        ``j`` at parse time."""
         combine, empty = _FOLDS[self.next()[1]]
         self.expect("op", "(")
         counter = self.expect("name")
@@ -658,148 +659,118 @@ class EventParser(TokenCursor):
         self.expect("op", ",")
         saved = self.counters
         self.counters = saved | {counter}
-        body = self.parse_event() if combine in (And, Or) else self.parse_cval()
+        body = self.parse_expr()
         self.expect("op", ")")
         self.counters = saved
         exprs = tuple(_bind(body, {counter: v}) for v in range(lo, hi))
         return combine(exprs) if exprs else empty
 
-    # --- events -----------------------------------------------------------
+    # --- expressions, loosest binding first --------------------------------
 
-    def parse_event(self):
-        parts = [self.parse_conj()]
-        while self.eat("op", "|"):
-            parts.append(self.parse_conj())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+    def parse_expr(self):
+        return self._chain("+", Add, self.parse_product)
 
-    def parse_conj(self):
-        parts = [self.parse_neg()]
-        while self.eat("op", "&"):
-            parts.append(self.parse_neg())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+    def parse_product(self):
+        return self._chain("*", Mul, self.parse_guard)
 
-    def parse_neg(self):
-        if self.eat("op", "!"):
-            return Not(self.parse_neg())
-        return self.parse_event_primary()
-
-    def parse_event_primary(self):
+    def parse_guard(self):
+        """``event ? primary``, or the event alone.  A guarded constant
+        (``g ? 1.0``, ``g ? (true ? 1.0)``) is one ``CondVal``, and so is a
+        counter value ``g ? i``."""
+        guard = self.parse_or()
+        if not self.eat("op", "?"):
+            return guard
         t, v = self.peek()
-        if self.eat("op", "("):
-            e = self.parse_event()
-            self.expect("op", ")")
-            return e
-        if t == "op" and v == "[":
-            return self.parse_atom()
-        if t == "name":
-            if v in ("all", "any"):
-                return self.parse_fold()
-            self.next()
-            if v in ("true", "false"):
-                return TRUE if v == "true" else FALSE
-            return Ref(v, self.parse_indices())
-        self.error("expected an event, found %r" % (v,))
-
-    def parse_atom(self):
-        self.expect("op", "[")
-        left = self.parse_cval()
-        t, v = self.next()
-        op = "=" if v == "==" else v
-        if t != "op" or op not in COMPARATORS:
-            self.error("expected comparator, found %r" % (v,))
-        right = self.parse_cval()
-        self.expect("op", "]")
-        return Atom(op, left, right)
-
-    # --- c-values ----------------------------------------------------------
-
-    def parse_cval(self):
-        parts = [self.parse_cval_term()]
-        while self.eat("op", "+"):
-            parts.append(self.parse_cval_term())
-        return parts[0] if len(parts) == 1 else Add(tuple(parts))
-
-    def parse_cval_term(self):
-        parts = [self.parse_cval_primary()]
-        while self.eat("op", "*"):
-            parts.append(self.parse_cval_primary())
-        return parts[0] if len(parts) == 1 else Mul(tuple(parts))
-
-    def parse_cval_primary(self):
-        t, v = self.peek()
-        if t == "num" or (t == "op" and v == "-"):
-            return CondVal(TRUE, self.parse_number())
-        if t == "op" and v == "[":
-            return CondVal(TRUE, self.parse_vector())
-        if t == "name" and v == "inv":
-            self.next()
-            self.expect("op", "(")
-            c = self.parse_cval()
-            self.expect("op", ")")
-            return Pow(c, -1)
-        if t == "name" and v == "pow":
-            self.next()
-            self.expect("op", "(")
-            c = self.parse_cval()
-            self.expect("op", ",")
-            n = self.parse_number()
-            self.expect("op", ")")
-            if not isinstance(n, int):
-                self.error("power exponent must be an integer")
-            return Pow(c, n)
-        if t == "name" and v == "dist":
-            self.next()
-            self.expect("op", "(")
-            a = self.parse_cval()
-            self.expect("op", ",")
-            b = self.parse_cval()
-            self.expect("op", ")")
-            return Dist(a, b)
-        if t == "name" and v in ("sum", "prod"):
-            return self.parse_fold()
-        # otherwise: an event followed by '?', or a parenthesised c-value
-        return self.parse_guarded()
-
-    def parse_guarded(self):
-        if self.at("op", "("):
-            # Could be "(event) ? value" or a parenthesised c-value.
-            saved = self.i
-            self.next()
-            try:
-                inner = self.parse_cval()
-                self.expect("op", ")")
-                return inner
-            except ProgramSyntaxError:
-                self.i = saved
-            self.next()
-            guard = self.parse_event()
-            self.expect("op", ")")
-            self.expect("op", "?")
-            return self._guard_body(guard)
-        guard = self.parse_event()
-        if self.eat("op", "?"):
-            return self._guard_body(guard)
-        if isinstance(guard, Ref):
-            return guard  # reference to a c-value declaration
-        self.error("expected '?' after event in c-value position")
-
-    def _guard_body(self, guard):
-        t, v = self.peek()
-        if t == "num" or (t == "op" and v in ("-", "[")):
-            return CondVal(guard, self.parse_value())
         if t == "name" and v in self.counters:
-            # counter-valued constant, e.g.  true ? i
             self.next()
             return CondVal(guard, Affine.var(v))
-        body = self.parse_cval_primary()
+        body = self.parse_primary()
         if isinstance(body, CondVal) and body.guard is TRUE:
             return CondVal(guard, body.value)
         return Guard(guard, body)
 
-    def parse_value(self):
-        if self.at("op", "["):
-            return self.parse_vector()
-        return self.parse_number()
+    def parse_or(self):
+        return self._chain("|", Or, self.parse_and)
+
+    def parse_and(self):
+        return self._chain("&", And, self.parse_not)
+
+    def parse_not(self):
+        if self.eat("op", "!"):
+            return Not(self.parse_not())
+        return self.parse_primary()
+
+    def _chain(self, op, node, operand):
+        parts = [operand()]
+        while self.eat("op", op):
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else node(tuple(parts))
+
+    def parse_primary(self):
+        t, v = self.peek()
+        if self.eat("op", "("):
+            e = self.parse_expr()
+            self.expect("op", ")")
+            return e
+        if t == "num" or (t == "op" and v == "-"):
+            return CondVal(TRUE, self.parse_number())
+        if t == "op" and v == "[":
+            if self._at_vector():
+                return CondVal(TRUE, self.parse_vector())
+            return self.parse_atom()
+        if t == "name":
+            if v in _FOLDS:
+                return self.parse_fold()
+            if v in ("pow", "inv", "dist"):
+                return self.parse_call()
+            self.next()
+            if v in ("true", "false"):
+                return TRUE if v == "true" else FALSE
+            return Ref(v, self.parse_indices())
+        found = "end of line" if t == "eof" else repr(v)
+        self.error("expected an expression, found %s" % found,
+                   None if t == "eof" else self.col())
+
+    def _at_vector(self):
+        """Whether the ``[`` here opens a vector literal: a number, then
+        ``,`` or ``]``, follows it.  Otherwise it opens an atom."""
+        j = self.i + 1
+        if self.toks[j] == ("op", "-"):
+            j += 1
+        return (self.toks[j][0] == "num"
+                and self.toks[j + 1] in (("op", ","), ("op", "]")))
+
+    def parse_atom(self):
+        self.expect("op", "[")
+        left = self.parse_expr()
+        t, v = self.next()
+        op = "=" if v == "==" else v
+        if t != "op" or op not in COMPARATORS:
+            self.error("expected comparator, found %r" % (v,))
+        right = self.parse_expr()
+        self.expect("op", "]")
+        return Atom(op, left, right)
+
+    def parse_call(self):
+        """``pow(c, n)``, ``inv(c)`` (read as ``pow(c, -1)``) or
+        ``dist(c, c)``."""
+        name = self.next()[1]
+        self.expect("op", "(")
+        first = self.parse_expr()
+        if name == "inv":
+            out = Pow(first, -1)
+        elif name == "dist":
+            self.expect("op", ",")
+            out = Dist(first, self.parse_expr())
+        else:
+            self.expect("op", ",")
+            col = self.col()
+            n = self.parse_number()
+            if not isinstance(n, int):
+                self.error("power exponent must be an integer", col)
+            out = Pow(first, n)
+        self.expect("op", ")")
+        return out
 
     def parse_number(self):
         neg = self.eat("op", "-")
@@ -815,18 +786,6 @@ class EventParser(TokenCursor):
             values.append(self.parse_number())
         self.expect("op", "]")
         return tuple(float(x) for x in values)
-
-    def parse_decl_body(self):
-        """RHS of a declaration: try c-value syntax first, fall back to event."""
-        saved = self.i
-        try:
-            c = self.parse_cval()
-            if self.done():
-                return c
-        except ProgramSyntaxError:
-            pass
-        self.i = saved
-        return self.parse_event()
 
     # --- indices ------------------------------------------------------------
 

@@ -464,6 +464,8 @@ def kind_rule(e, ks):
         if ks[0] != "b":
             raise TypeMismatch("guard is not an event")
         if kind is Guard:
+            if ks[1] == "b":
+                raise TypeMismatch("guarded value is an event")
             return ks[1]
         return "v" if isinstance(e.value, tuple) else "s"
     if kind is Add:

@@ -260,6 +260,9 @@ def test_event_program_parse_error_names_the_file(capsys, line_json,
         2, "error: parse: %s:2:9: unexpected character '$'\n" % bad)
 
 
+_APPROX = ("eager", "lazy", "hybrid", "hybrid-d")
+
+
 @pytest.mark.parametrize("sum_body,flags,target,message", [
     ("2.0", [], "C[1]", "network: target 'C[1]' is not an event"),
     ("2.0", ["--folded"], "C[1]", "network: target 'C[1]' is not an event"),
@@ -269,8 +272,15 @@ def test_event_program_parse_error_names_the_file(capsys, line_json,
     ("[1.0, 2.0]", ["--folded"], "B[1]", "network: sum over mixed kinds"),
     ("[1.0, 2.0]", ["--mode", "naive"], "B[1]",
      "network: sum over mixed kinds"),
+] + [
+    # a guard's value is a c-value: every mode refuses a guard over an event
+    ("(B[it])", flags, "C[1]", "network: guarded value is an event")
+    for flags in [["--folded"]] + [
+        ["--mode", m] + (["--epsilon", "0.1"] if m in _APPROX else [])
+        for m in cli.MODES]
 ], ids=["not-event", "not-event-folded", "not-event-naive", "ill-typed",
-        "ill-typed-folded", "ill-typed-naive"])
+        "ill-typed-folded", "ill-typed-naive", "guarded-event-folded"] + [
+        "guarded-event-" + m for m in cli.MODES])
 def test_network_stage_errors_exit_2(capsys, line_json, tmp_path, sum_body,
                                      flags, target, message):
     # every mode builds the network, the program's one type check, before
@@ -282,6 +292,30 @@ def test_network_stage_errors_exit_2(capsys, line_json, tmp_path, sum_body,
             "--targets", target] + flags
     code, out, err = _run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_filtered_sum_round_trips_through_event_program_text(
+        capsys, line_json, tmp_path):
+    # the filter guards each summand with an atom: ([ a <= b ] ? (v))
+    prog = tmp_path / "filtered.prog"
+    prog.write_text(
+        "(O, n) = loadData()\n"
+        "s = reduce_sum([dist(O[0], O[i]) for i in range(0, n)"
+        " if dist(O[0], O[i]) <= 3.0])\n"
+        "b = s <= 1.0\n")
+    ep_path = str(tmp_path / "filtered.events")
+    assert _run(capsys, "run", "--program", str(prog), "--data", line_json,
+                "--emit-stage", "event-program", "--out", ep_path)[0] == 0
+    reports = []
+    for source in (("--program", str(prog)), ("--event-program", ep_path)):
+        out_path = str(tmp_path / "report.json")
+        code, _, err = _run(capsys, "run", *source, "--data", line_json,
+                            "--targets", "b*", "--out", out_path)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(_read(out_path))["targets"])
+    assert reports[0] == reports[1]
+    assert [t["eid"] for t in reports[0]] == ["b[0]"]
+    assert abs(reports[0][0]["lower"] - 0.56) < 1e-9
 
 
 def test_folded_carry_kind_mismatch_exit_2(capsys, line_json, tmp_path):
@@ -341,4 +375,18 @@ def test_check_subcommand(capsys, monkeypatch):
     assert code == 1
     assert calls == [("exact", 1, 2), ("exact", 2, 2)] * 2
     assert out.count("FAIL: exact-d bounds differ at 1 and 2 workers") == 2
+    assert "0/2 instances matched" in out
+
+
+def test_check_sweeps_the_event_program_text_route(capsys, monkeypatch):
+    # each instance's program is also emitted and parsed back
+    from manyworlds.eventprog import ProgramSyntaxError
+
+    def unreadable(text, filename="<input>"):
+        raise ProgramSyntaxError("unreadable", 1, 1, filename)
+
+    monkeypatch.setattr(cli, "parse_event_program", unreadable)
+    code, out, _ = _run(capsys, "check", "--count", "2", "--max-vars", "6")
+    assert code == 1
+    assert out.count("FAIL: text route: <input>:1:1: unreadable") == 2
     assert "0/2 instances matched" in out

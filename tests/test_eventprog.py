@@ -6,7 +6,7 @@ import pytest
 from conftest import FIXTURES
 from manyworlds.events import (
     Add, And, Atom, CondVal, Dist, Guard, Mul, Not, Or, Pow, Ref,
-    TypeMismatch, Var, TRUE, eval_cval, eval_event,
+    TypeMismatch, Var, TRUE, eval_cval, eval_event, map_children,
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, ProgramSyntaxError, decl,
@@ -15,6 +15,8 @@ from manyworlds.eventprog import (
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import build_network
+from manyworlds.oracle import oracle_probabilities
+from manyworlds.randprog import random_instance
 
 
 def test_simple_loop_grounding():
@@ -127,6 +129,28 @@ def test_grounded_emission_parses_back():
     assert v1 == v2
 
 
+def _collapsed(e):
+    """``e`` with each ``Guard(g, CondVal(true, v))`` as ``CondVal(g, v)``,
+    which is how the parser reads the emitted ``(g ? ((true ? v)))``."""
+    if type(e) is Guard and type(e.body) is CondVal and e.body.guard is TRUE:
+        return CondVal(_collapsed(e.guard), e.body.value)
+    return map_children(e, _collapsed)
+
+
+def test_emitted_random_programs_parse_back():
+    # comparison atoms as guards, ``([ a < b ] ? v)``, included
+    for seed in range(500):
+        prog, vt, targets = random_instance(seed)
+        variables = set(vt.index)
+        direct = ground(prog, targets, variables)
+        text = emit_event_program(prog)
+        reparsed = ground(parse_event_program(text), targets, variables)
+        assert reparsed.decls == {
+            eid: _collapsed(e) for eid, e in direct.decls.items()}, seed
+        assert (oracle_probabilities(reparsed, vt).probabilities
+                == oracle_probabilities(direct, vt).probabilities), seed
+
+
 def _eval_all(g, nu):
     from manyworlds.oracle import _Program
     return _Program(g).eval_all(nu)
@@ -216,15 +240,17 @@ def test_expression_rewriters_leave_no_cyclic_garbage(line_dataset):
     # exact-unfolded grounding that raised the peak footprint by about 10%
     import gc
     from manyworlds.datagen import _points_to_refs, _resolve_names
-    from manyworlds.eventprog import _bind, _Grounder
+    from manyworlds.eventprog import EventParser, _bind, _Grounder, format_expr
     i = Affine.var("i")
     e = And((Ref("A", (i,)), CondVal(Var("x"), i)))
     event = line_dataset.points[3].event
+    # the parser gives names as Refs; _resolve_names makes variables of them
+    parsed = EventParser(format_expr(event), 1).parse_expr()
     calls = [
         lambda: _Grounder({"A[1]"}, None).walk(e, {"i": 1, "j": 0}),
         lambda: _bind(e, {}),
         lambda: _bind(e, {"i": 2}),
-        lambda: _resolve_names(event, {"x2", "x4"}, ()),
+        lambda: _resolve_names(parsed, {"x2", "x4"}, ()),
         lambda: _points_to_refs(event, {}),
         line_dataset.lineage,
     ]
@@ -293,6 +319,7 @@ _S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))
     (Atom("<=", _V, _V), "ordered comparison on vectors"),
     (CondVal(_S, 1.0), "guard is not an event"),
     (Guard(_S, _S), "guard is not an event"),
+    (Guard(Var("x"), Var("y")), "guarded value is an event"),
     (Add((_S, _V)), "sum over mixed kinds"),
     (Add((_S, Var("x"))), "sum over mixed kinds"),
     (Mul((_S, Var("x"))), "product over events"),
@@ -304,6 +331,23 @@ _S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))
 def test_ground_rejects_ill_typed_declarations(expr, message):
     # grounding does not type: the network builder is the one check
     g = ground(EventProgram((decl("A", (), expr),)), ("A",))
+    with pytest.raises(TypeMismatch, match="^%s$" % message):
+        build_network(g)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("A := 1.0 | x1\n", "boolean connective over non-event"),
+    ("A := [ x1 | x2 <= 1.0 ]\n", "atom compares events"),
+    ("A := !(x1 ? 1.0)\n", "boolean connective over non-event"),
+    ("A := x1 ? [ x2 <= 1.0 ]\n", "atom compares events"),
+    ("A := x1 ? [ (x2 ? 2.0) <= 1.0 ]\n", "guarded value is an event"),
+    ("A := x1\nB := x2 ? (A)\n", "guarded value is an event"),
+    ("A := all(j, 0, 2, x1 ? 1.0)\n", "boolean connective over non-event"),
+], ids=["or-of-number", "atom-of-event", "not-of-cval", "guarded-bad-atom",
+        "guarded-atom", "guarded-event-ref", "all-of-cvals"])
+def test_kinds_are_decided_at_build_not_parse(text, message):
+    # the parser reads syntax; the network builder tells events from c-values
+    g = ground(parse_event_program(text), ("*",))
     with pytest.raises(TypeMismatch, match="^%s$" % message):
         build_network(g)
 
@@ -333,8 +377,16 @@ def test_ground_reports_unresolved_names_before_kind_errors(items):
     ("A := true\n  B := false\n", 2, 3, "unexpected indentation"),
     ("forall i in 0..2:\n  A[i] := all(j, 0, i, x1)\n", 2, 19,
      "bounds must be constant"),
+    ("A := pow(x1 ? 2.0, 2.5)\n", 1, 20,
+     "power exponent must be an integer"),
+    ("A := pow(x1 ? 2.0)\n", 1, 18, "expected ,"),
+    ("A := dist(x1 ? [1.0])\n", 1, 21, "expected ,"),
+    ("A := x1 ? 1.0 ? 2.0\n", 1, 15, "trailing tokens"),
+    ("A := x1 ?\n", 1, 9, "expected an expression, found end of line"),
+    ("A := sum & x1\n", 1, 10, "expected \\(, found '&'"),
 ], ids=["character", "index", "comparator", "trailing", "indentation",
-        "fold-bounds"])
+        "fold-bounds", "pow-exponent", "pow-arity", "dist-arity",
+        "chained-guard", "guard-without-value", "reserved-word"])
 def test_event_program_syntax_errors(text, line, col, message):
     with pytest.raises(ProgramSyntaxError, match=message) as info:
         parse_event_program(text)
