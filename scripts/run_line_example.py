@@ -9,9 +9,7 @@ co-occurrence queries.
 from manyworlds.compile import compile_targets
 from manyworlds.distributed import run_distributed
 from manyworlds.eventprog import ground
-from manyworlds.kmedoids import (
-    build_kmedoids_program, cluster_spec, example_line_dataset,
-)
+from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import build_network
 from manyworlds.oracle import oracle_probabilities, world_reports
 
@@ -20,10 +18,9 @@ def main():
     ds = example_line_dataset()
     prog, meta = build_kmedoids_program(ds, cooccurrence=[(1, 2), (2, 3)])
     g = ground(prog, (meta["targets"], "Co*"), variables=set(ds.vartable.index))
-    spec = cluster_spec(meta)
 
     print("worlds (o0..o3 on a line at 0, 2, 5, 9; two clusters):")
-    for i, rep in enumerate(world_reports(g, ds.vartable, spec)):
+    for i, rep in enumerate(world_reports(g, ds.vartable, meta)):
         world = "".join("T" if v else "f" for v in rep.valuation.values())
         print("  %2d %s p=%.4f objects=%s clusters=%s medoids=%s"
               % (i, world, rep.probability, rep.objects, rep.clusters,

@@ -7,9 +7,7 @@ depth-first Shannon expansion, sequentially or with parallel workers.  An
 exhaustive per-world oracle provides ground truth and the naive baseline.
 """
 
-from .events import (
-    U, VU, VarTable, eval_cval, eval_event, world_probability,
-)
+from .events import U, VU, Declarations, VarTable, world_probability
 from .eventprog import (
     EventProgram, GroundedProgram, emit_event_program, ground, ground_folded,
     parse_event_program,
@@ -27,7 +25,7 @@ from .datagen import Dataset, gen_correlations
 from .kmedoids import build_kmedoids_program, direct_kmedoids, example_line_dataset
 
 __all__ = [
-    "U", "VU", "VarTable", "eval_cval", "eval_event", "world_probability",
+    "U", "VU", "Declarations", "VarTable", "world_probability",
     "EventProgram", "GroundedProgram", "emit_event_program", "ground",
     "ground_folded", "parse_event_program", "EventNetwork", "MaskState",
     "build_network", "CompileResult", "compile_targets", "max_job_count",

@@ -116,7 +116,11 @@ def build_parser():
 
 
 def _load_pipeline(args):
-    """program + dataset -> (grounded-or-folded, dataset, stages, patterns)."""
+    """program + dataset -> (grounded-or-folded, dataset, stages, patterns).
+
+    ``patterns`` is None when a user program has no Boolean array to target
+    by default and ``--targets`` is not given; its text stages are then
+    grounded with every declaration as a target."""
     try:
         dataset = Dataset.load(args.data)
     except Exception as exc:
@@ -150,21 +154,15 @@ def _load_pipeline(args):
                 program = parse_event_program(fh.read(), args.event_program)
         except Exception as exc:
             raise CliError("parse", str(exc))
-        default_targets = None
+        default_targets = ("*",)
     else:
         raise CliError("config", "one of --program/--event-program is required")
 
     stages["event-program"] = lambda: emit_event_program(program)
-    if args.targets:
-        patterns = tuple(args.targets)
-    elif default_targets:
-        patterns = default_targets
-    else:
-        patterns = ("*",)
-
+    patterns = tuple(args.targets) if args.targets else default_targets
     try:
         grounded = (ground_folded if args.folded else ground)(
-            program, patterns, variables)
+            program, patterns or ("*",), variables)
         stages["grounded"] = lambda: emit_event_program(grounded.as_program())
     except Exception as exc:
         raise CliError("ground", str(exc))
@@ -191,6 +189,9 @@ def cmd_run(args):
         text = stages[args.emit_stage]()
         _write_text(args.out, text)
         return 0
+    if patterns is None:
+        raise CliError("config", "the program declares no Boolean array to "
+                       "target by default; pass --targets")
 
     t0 = time.time()
     try:  # the program's one type check, in every mode

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from .events import (
-    Add, And, CondVal, Const, Not, Or, Ref, Var, VarTable, TRUE,
-    declared_values, first_true, map_children,
+    Add, And, CondVal, Const, Declarations, Not, Or, Ref, Var, VarTable, TRUE,
+    first_true, map_children,
 )
 from .eventprog import (EventParser, ProgramSyntaxError, decl, format_expr,
                         ref)
@@ -66,9 +66,8 @@ class Dataset:
     def exists(self, valuation):
         """Per point, whether it exists in the world ``valuation``.  A
         point's event may name earlier points."""
-        values = declared_values(valuation,
-                                 {p.id: p.event for p in self.points})
-        return [values[p.id] for p in self.points]
+        return Declarations({p.id: p.event for p in self.points}).values(
+            valuation)
 
     def lineage(self):
         """``Obj[l] := <point l's event>`` for each point; a point-id

@@ -482,14 +482,17 @@ class TokenCursor:
 
     Tokens are (kind, value) pairs: ``num`` (an int or a float), ``name``
     or ``op``, and a last ``("eof", None)`` that ``next`` never passes.
-    ``cols`` holds each token's column in the line's text, counted from 1
-    (0 for the end).  A language's parser subclasses this and adds
+    ``cols`` holds each token's column in the line's text, counted from 1;
+    the end's is the column just after the last token (1 on an empty
+    line).  ``describe`` names a token in a message, the end as "end of
+    line".  A language's parser subclasses this and adds
     ``statement(headers)``, its rule for one line (see ``parse_blocks``).
     """
 
     def __init__(self, text, line, filename="<input>"):
         self.line, self.filename = line, filename
         self.toks, self.cols, self.i = [], [], 0
+        end = 1
         for m in _TOKEN_RX.finditer(text):
             kind = m.lastgroup
             value, col = m.group(kind), m.start(kind) + 1
@@ -500,8 +503,9 @@ class TokenCursor:
                 value = float(value) if "." in value else int(value)
             self.toks.append((kind, value))
             self.cols.append(col)
+            end = m.end(kind) + 1
         self.toks.append(("eof", None))
-        self.cols.append(0)
+        self.cols.append(end)
 
     def error(self, message, col=None):
         """Raise at ``col``, by default the last token read."""
@@ -511,6 +515,10 @@ class TokenCursor:
 
     def col(self):
         return self.cols[self.i]
+
+    @staticmethod
+    def describe(tok):
+        return "end of line" if tok[0] == "eof" else repr(tok[1])
 
     def peek(self):
         return self.toks[self.i]
@@ -536,9 +544,10 @@ class TokenCursor:
 
     def expect(self, kind, value=None):
         col = self.col()
-        t, v = self.next()
+        tok = t, v = self.next()
         if t != kind or (value is not None and v != value):
-            self.error("expected %s, found %r" % (value or kind, v), col)
+            self.error("expected %s, found %s" % (value or kind,
+                                                  self.describe(tok)), col)
         return v
 
 
@@ -727,9 +736,8 @@ class EventParser(TokenCursor):
             if v in ("true", "false"):
                 return TRUE if v == "true" else FALSE
             return Ref(v, self.parse_indices())
-        found = "end of line" if t == "eof" else repr(v)
-        self.error("expected an expression, found %s" % found,
-                   None if t == "eof" else self.col())
+        self.error("expected an expression, found %s"
+                   % self.describe(self.peek()), self.col())
 
     def _at_vector(self):
         """Whether the ``[`` here opens a vector literal: a number, then
@@ -743,10 +751,11 @@ class EventParser(TokenCursor):
     def parse_atom(self):
         self.expect("op", "[")
         left = self.parse_expr()
-        t, v = self.next()
+        col = self.col()
+        tok = t, v = self.next()
         op = "=" if v == "==" else v
         if t != "op" or op not in COMPARATORS:
-            self.error("expected comparator, found %r" % (v,))
+            self.error("expected comparator, found %s" % self.describe(tok), col)
         right = self.parse_expr()
         self.expect("op", "]")
         return Atom(op, left, right)
@@ -774,9 +783,10 @@ class EventParser(TokenCursor):
 
     def parse_number(self):
         neg = self.eat("op", "-")
-        t, v = self.next()
+        col = self.col()
+        tok = t, v = self.next()
         if t != "num":
-            self.error("expected a number, found %r" % (v,))
+            self.error("expected a number, found %s" % self.describe(tok), col)
         return -v if neg else v
 
     def parse_vector(self):

@@ -24,7 +24,6 @@ every expression into a random variable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -338,8 +337,10 @@ def first_true(events):
 def evaluate(e, nu, ref):
     """Extended value of ``e`` in the world ``nu``.
 
-    ``ref(name)`` supplies the value of a grounded identifier, a lookup
-    into values computed before (``declared_values``).
+    ``ref(name)`` supplies the value of a grounded identifier; a program's
+    declarations are evaluated by ``Declarations``, whose ``ref`` reads the
+    values of the earlier ones.  An expression that names no identifier
+    never calls ``ref``.
     """
     kind = type(e)
     if kind is Var:
@@ -391,47 +392,60 @@ def evaluate(e, nu, ref):
     raise TypeError("not an expression: %r" % (e,))
 
 
-def _lookup(values, name):
-    try:
-        return values[name]
-    except KeyError:
-        raise ResolutionError("unresolved identifier %r" % name) from None
+class Declarations:
+    """A grounded program's declarations, evaluated one world at a time.
 
-
-def declared_values(valuation, env):
-    """The value of every identifier of ``env`` in the world ``valuation``.
-
-    One pass in declaration order: a declaration reads only earlier ones
-    (``eventprog.ground``, ``Dataset.from_json`` and ``Dataset.lineage``
-    keep that order), so a reference to an unknown or later identifier
-    raises ResolutionError.
+    ``decls`` maps each eid to its expression in declaration order; a
+    declaration reads only earlier ones (``eventprog.ground``,
+    ``Dataset.from_json`` and ``Dataset.lineage`` keep that order), so a
+    reference to an unknown or later identifier raises ResolutionError.
+    One walk over each declaration gives its kind (``kinds``, by
+    ``kind_rule``) and the variables it reads: ``var_deps`` maps each
+    variable to the positions of the declarations that read it.
     """
-    values = {}
-    ref = functools.partial(_lookup, values)
-    for name, e in env.items():
-        values[name] = evaluate(e, valuation, ref)
-    return values
 
+    def __init__(self, decls):
+        self.eids = list(decls)
+        self.exprs = list(decls.values())
+        self.pos, self.kinds, self.var_deps, dep_sets = {}, {}, {}, []
+        for i, (eid, e) in enumerate(decls.items()):
+            deps = set()
+            self.kinds[eid] = self._walk(e, deps, dep_sets)
+            dep_sets.append(deps)
+            self.pos[eid] = i
+            for v in deps:
+                self.var_deps.setdefault(v, []).append(i)
 
-def _evaluate_in(e, valuation, env):
-    values = declared_values(valuation, env or {})
-    return evaluate(e, valuation, functools.partial(_lookup, values))
+    def _walk(self, e, deps, dep_sets):
+        """The kind of ``e``; adds the variables it reads to ``deps``."""
+        kind = type(e)
+        if kind is Var:
+            deps.add(e.name)
+            return "b"
+        if kind is Ref:
+            i = self.pos.get(e.name)
+            if i is None:
+                raise ResolutionError("unresolved identifier %r" % e.name)
+            deps.update(dep_sets[i])
+            return self.kinds[e.name]
+        return kind_rule(e, [self._walk(c, deps, dep_sets)
+                             for c in children_of(e)])
 
+    def values(self, valuation):
+        """Every declaration's value in the world ``valuation``, by position."""
+        values = [None] * len(self.exprs)
+        self.reevaluate(valuation, values, range(len(values)))
+        return values
 
-def eval_event(e, valuation, env=None):
-    """Truth value of an event expression in the world ``valuation``."""
-    result = _evaluate_in(e, valuation, env)
-    if not isinstance(result, bool):
-        raise TypeMismatch("expression is not an event: %r" % (e,))
-    return result
+    def reevaluate(self, valuation, values, positions):
+        """Re-evaluate the declarations at ``positions``, in order, into
+        ``values``."""
+        pos, exprs = self.pos, self.exprs
 
-
-def eval_cval(c, valuation, env=None):
-    """Extended value of a c-value expression in the world ``valuation``."""
-    result = _evaluate_in(c, valuation, env)
-    if isinstance(result, bool):
-        raise TypeMismatch("expression is not a c-value: %r" % (c,))
-    return result
+        def ref(name):
+            return values[pos[name]]
+        for i in positions:
+            values[i] = evaluate(exprs[i], valuation, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +456,11 @@ def eval_cval(c, valuation, env=None):
 def kind_rule(e, ks):
     """The static kind of a grounded node ``e``, given its children's kinds.
 
-    Raises TypeMismatch when the node is ill-typed.  The one caller,
-    ``network._build_expr``, applies it once to each node it creates, after
-    the node's children, on the unfolded and the folded route alike.
+    Raises TypeMismatch when the node is ill-typed.  ``network._build_expr``
+    applies it once to each node it creates, after the node's children, on
+    the unfolded and the folded route alike; ``Declarations`` applies it to
+    each node of a grounded program, so the oracle refuses what the network
+    refuses.
     """
     kind = type(e)
     if kind in (Const, Var, Not, And, Or):

@@ -115,11 +115,6 @@ def _add(terms):
     return Add(tuple(terms))
 
 
-def cluster_spec(meta):
-    return {"k": meta["k"], "objects": meta["objects"],
-            "membership": meta["membership"], "centres": meta["centres"]}
-
-
 # ---------------------------------------------------------------------------
 # Operational mirror
 # ---------------------------------------------------------------------------

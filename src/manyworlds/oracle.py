@@ -6,10 +6,12 @@ single world.  This is both the correctness oracle for the compiler and the
 naive baseline that pays one evaluation per world: 2^r worlds for the r read
 variables of probability strictly between 0 and 1.  An unread variable
 marginalises to one; a certain one holds its sure value.  Declarations are
-evaluated with ``events.evaluate``, the one per-world evaluator.
+evaluated by ``events.Declarations``, the one per-world evaluator, which
+types them by the network's kind rule: the oracle refuses an ill-typed
+program with the network's ``TypeMismatch``.
 
-``_Program.worlds`` is the one world walk, read by ``oracle_probabilities``
-and ``world_reports``.  It follows ``enumerate_worlds``' Gray-code order, so
+``worlds`` is the one world walk, read by ``oracle_probabilities`` and
+``world_reports``.  It follows ``enumerate_worlds``' Gray-code order, so
 consecutive worlds differ in a single variable and only the declarations
 downstream of it are re-evaluated.
 """
@@ -20,8 +22,7 @@ from dataclasses import dataclass, field
 
 from . import events as ev
 from .events import (
-    U, VU, Ref, Var, VarTable, ext_add, ext_compare, ext_dist,
-    ext_mul, ext_pow,
+    U, VU, VarTable, ext_add, ext_compare, ext_dist, ext_mul, ext_pow,
 )
 from . import userlang as ul
 
@@ -36,64 +37,6 @@ DEFAULT_WORLD_CAP = 24
 # ---------------------------------------------------------------------------
 # Grounded-program evaluation
 # ---------------------------------------------------------------------------
-
-
-class _Program:
-    """Grounded declarations prepared for fast repeated evaluation."""
-
-    def __init__(self, grounded):
-        self.eids = list(grounded.decls.keys())
-        self.exprs = [grounded.decls[e] for e in self.eids]
-        self.pos = {e: i for i, e in enumerate(self.eids)}
-        self.var_deps = self._dependencies()
-
-    def _dependencies(self):
-        dep_sets = []
-        for expr in self.exprs:
-            deps = set()
-            self._collect(expr, deps, dep_sets)
-            dep_sets.append(deps)
-        by_var = {}
-        for i, deps in enumerate(dep_sets):
-            for v in deps:
-                by_var.setdefault(v, []).append(i)
-        return by_var
-
-    def _collect(self, e, out, dep_sets):
-        if isinstance(e, Var):
-            out.add(e.name)
-            return
-        if isinstance(e, Ref):
-            out.update(dep_sets[self.pos[e.name]])
-            return
-        for c in ev.children_of(e):
-            self._collect(c, out, dep_sets)
-
-    def eval_all(self, valuation):
-        values = [None] * len(self.exprs)
-        self._eval(valuation, values, range(len(values)))
-        return values
-
-    def _eval(self, valuation, values, which):
-        """Re-evaluate the declarations at positions ``which``, in order."""
-        pos, exprs = self.pos, self.exprs
-
-        def ref(name):
-            return values[pos[name]]
-        for i in which:
-            values[i] = ev.evaluate(exprs[i], valuation, ref)
-
-    def worlds(self, vartable, cap=DEFAULT_WORLD_CAP):
-        """Yield (valuation, mass, values) for each world of the variables
-        the declarations read, in ``enumerate_worlds`` order; ``values`` is
-        one list of the declarations' values, updated in place."""
-        read = VarTable(tuple(v for v in vartable.vars if v[0] in self.var_deps))
-        for nu, mass, flipped in enumerate_worlds(read, cap):
-            if flipped is None:  # the first world
-                values = self.eval_all(nu)
-            else:
-                self._eval(nu, values, self.var_deps[flipped])
-            yield nu, mass, values
 
 
 @dataclass
@@ -131,15 +74,31 @@ def enumerate_worlds(vartable, cap=DEFAULT_WORLD_CAP):
         yield dict(nu), pr, name
 
 
+def worlds(decls, vartable, cap=DEFAULT_WORLD_CAP):
+    """Yield (valuation, mass, values) for each world of the variables the
+    ``Declarations`` ``decls`` read, in ``enumerate_worlds`` order;
+    ``values`` is one list of the declarations' values, updated in place."""
+    read = VarTable(tuple(v for v in vartable.vars if v[0] in decls.var_deps))
+    for nu, mass, flipped in enumerate_worlds(read, cap):
+        if flipped is None:  # the first world
+            values = decls.values(nu)
+        else:
+            decls.reevaluate(nu, values, decls.var_deps[flipped])
+        yield nu, mass, values
+
+
 def oracle_probabilities(grounded, vartable, targets=None, cap=DEFAULT_WORLD_CAP):
     """Exact target probabilities by summing the mass of satisfying worlds."""
-    prog = _Program(grounded)
+    decls = ev.Declarations(grounded.decls)
     targets = list(targets if targets is not None else grounded.targets)
-    tpos = [prog.pos[t] for t in targets]
+    for t in targets:
+        if decls.kinds[t] != "b":
+            raise OracleError("target %r is not an event" % t)
+    tpos = [decls.pos[t] for t in targets]
     sums = [0.0] * len(targets)
     total = 0.0
     walked = 0
-    for _nu, w, values in prog.worlds(vartable, cap):
+    for _nu, w, values in worlds(decls, vartable, cap):
         walked += 1
         total += w
         for j, tp in enumerate(tpos):
@@ -163,43 +122,45 @@ class WorldReport:
     medoids: list = field(default_factory=list)
 
 
-def per_world_report(grounded, vartable, valuation, cluster_spec=None):
+def per_world_report(grounded, vartable, valuation, meta=None):
     """Evaluate every declaration in one world; derive clusters when asked.
 
-    ``cluster_spec`` maps the clustering structure onto grounded identifiers:
-    ``{"objects": {label: eid}, "membership": {(i, l): eid},
-    "centres": {(i, l): eid}, "k": int}``.
+    ``meta`` is ``kmedoids.build_kmedoids_program``'s, which maps the
+    clustering structure onto grounded identifiers: ``{"objects": {label:
+    eid}, "membership": {(i, l): eid}, "centres": {(i, l): eid}, "k": int}``
+    (its other keys are not read).
     """
-    prog = _Program(grounded)
-    return _report(prog, valuation, ev.world_probability(valuation, vartable),
-                   prog.eval_all(valuation), cluster_spec)
+    decls = ev.Declarations(grounded.decls)
+    return _report(decls, valuation, ev.world_probability(valuation, vartable),
+                   decls.values(valuation), meta)
 
 
-def _report(prog, valuation, probability, values, cluster_spec):
-    values = dict(zip(prog.eids, values))
+def _report(decls, valuation, probability, values, meta):
+    values = dict(zip(decls.eids, values))
     report = WorldReport(dict(valuation), probability, values)
-    if cluster_spec:
-        objects = sorted(l for l, eid in cluster_spec["objects"].items()
+    if meta:
+        objects = sorted(l for l, eid in meta["objects"].items()
                          if values[eid] is True)
         report.objects = objects
-        k = cluster_spec["k"]
+        k = meta["k"]
         existing = set(objects)
         for i in range(k):
-            members = sorted(l for (ci, l), eid in cluster_spec["membership"].items()
+            members = sorted(l for (ci, l), eid in meta["membership"].items()
                              if ci == i and l in existing and values[eid] is True)
             report.clusters.append(members)
-            centre = [l for (ci, l), eid in cluster_spec["centres"].items()
+            centre = [l for (ci, l), eid in meta["centres"].items()
                       if ci == i and l in existing and values[eid] is True]
             report.medoids.append(min(centre) if centre else None)
     return report
 
 
-def world_reports(grounded, vartable, cluster_spec=None, cap=DEFAULT_WORLD_CAP):
+def world_reports(grounded, vartable, meta=None, cap=DEFAULT_WORLD_CAP):
     """One report per world the oracle walks, in its order; a valuation
-    names only the variables the declarations read."""
-    prog = _Program(grounded)
-    for nu, mass, values in prog.worlds(vartable, cap):
-        yield _report(prog, nu, mass, values, cluster_spec)
+    names only the variables the declarations read.  ``meta`` is as for
+    ``per_world_report``."""
+    decls = ev.Declarations(grounded.decls)
+    for nu, mass, values in worlds(decls, vartable, cap):
+        yield _report(decls, nu, mass, values, meta)
 
 
 # ---------------------------------------------------------------------------

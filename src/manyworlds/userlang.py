@@ -244,7 +244,7 @@ class _Parser(TokenCursor):
 
     def parse_primary(self):
         line, col = self.line, self.col()
-        t, v = self.next()
+        tok = t, v = self.next()
         if t == "num":
             return self.parse_indexing(ULit(v, line, col))
         if t == "op" and v == "-":
@@ -271,7 +271,7 @@ class _Parser(TokenCursor):
             if v in ("pow", "invert", "dist", "scalar_mult") or v in TIE_FUNCS:
                 return self.parse_call(v, col)
             return self.parse_indexing(UName(v, line, col))
-        self.error("unexpected token %r" % (v,), col)
+        self.error("unexpected %s" % self.describe(tok), col)
 
     def parse_indexing(self, base):
         while self.at("op", "["):

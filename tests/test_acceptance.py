@@ -14,10 +14,8 @@ from manyworlds.compile import compile_targets
 from manyworlds.datagen import gen_correlations
 from manyworlds.distributed import max_job_count, run_distributed
 from manyworlds.eventprog import Decl, Loop, ground, ground_folded
-from manyworlds.events import VarTable, eval_cval
-from manyworlds.kmedoids import (
-    build_kmedoids_program, cluster_spec, example_line_dataset,
-)
+from manyworlds.events import Declarations, VarTable
+from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import build_network
 from manyworlds.oracle import (
     interpret_user_program, oracle_probabilities, per_world_report,
@@ -79,15 +77,14 @@ def test_criterion_2_line_fixture_reproduction():
     ds = example_line_dataset()
     prog, meta = build_kmedoids_program(ds, cooccurrence=[(1, 2), (2, 3)])
     g = ground(prog, (meta["targets"], "Co*"), variables=set(ds.vartable.index))
-    spec = cluster_spec(meta)
 
     r1 = per_world_report(g, ds.vartable,
-                          {"x1": True, "x2": False, "x3": True, "x4": True}, spec)
+                          {"x1": True, "x2": False, "x3": True, "x4": True}, meta)
     assert r1.objects == [0, 2, 3]
     assert sorted(map(tuple, r1.clusters)) == [(0,), (2, 3)]
     for x4 in (False, True):
         r2 = per_world_report(g, ds.vartable,
-                              {"x1": True, "x2": True, "x3": True, "x4": x4}, spec)
+                              {"x1": True, "x2": True, "x3": True, "x4": x4}, meta)
         assert r2.objects == [0, 1, 2]
         assert sorted(map(tuple, r2.clusters)) == [(0, 1), (2,)]
 
@@ -310,7 +307,8 @@ def test_criterion_9_versioning_translation():
     ]
 
     g = ground(tr.program, ("*",), variables=set())
-    grounded_value = eval_cval(g.decls[tr.final_eid("M")], {}, g.decls)
+    grounded_value = dict(zip(g.decls, Declarations(g.decls).values({})))[
+        tr.final_eid("M")]
     interp_value = interpret_user_program(ast, ds, {})["M"]
     assert grounded_value == 17 == interp_value
     _passed(9, "the versioning example translates to the expected eleven-entry "

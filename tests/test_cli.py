@@ -318,6 +318,21 @@ def test_filtered_sum_round_trips_through_event_program_text(
     assert abs(reports[0][0]["lower"] - 0.56) < 1e-9
 
 
+@pytest.mark.parametrize("mode", ["exact", "naive"])
+def test_program_without_boolean_array_needs_targets(capsys, line_json,
+                                                     tmp_path, mode):
+    # the default targets are the last Boolean array; with none, asking for
+    # every declaration would select c-values, so --targets is required
+    prog = tmp_path / "sum.prog"
+    prog.write_text("(O, n) = loadData()\n"
+                    "s = reduce_sum([dist(O[0], O[i]) for i in range(0, n)])\n")
+    code, out, err = _run(capsys, "run", "--program", str(prog), "--data",
+                          line_json, "--mode", mode)
+    assert (code, out, err) == (
+        2, "", "error: config: the program declares no Boolean array to "
+        "target by default; pass --targets\n")
+
+
 def test_folded_carry_kind_mismatch_exit_2(capsys, line_json, tmp_path):
     ep_path = tmp_path / "prog.events"
     ep_path.write_text("C[-1] := (x1 ? 1.0)\n"

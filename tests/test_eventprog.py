@@ -5,8 +5,8 @@ import pytest
 
 from conftest import FIXTURES
 from manyworlds.events import (
-    Add, And, Atom, CondVal, Dist, Guard, Mul, Not, Or, Pow, Ref,
-    TypeMismatch, Var, TRUE, eval_cval, eval_event, map_children,
+    Add, And, Atom, CondVal, Declarations, Dist, Guard, Mul, Not, Or, Pow,
+    Ref, TypeMismatch, Var, TRUE, map_children,
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, ProgramSyntaxError, decl,
@@ -82,9 +82,10 @@ S := (B ? 2.0) + (A ? 1.0)
     for w in range(8):
         nu = {"x1": bool(w & 1), "x2": bool(w & 2), "x3": bool(w & 4)}
         direct_b = (nu["x1"] and not nu["x2"]) or nu["x3"]
-        assert eval_event(g.decls["B"], nu, g.decls) == direct_b
+        values = dict(zip(g.decls, Declarations(g.decls).values(nu)))
+        assert values["B"] == direct_b
         expect = (2.0 if direct_b else 0.0) + (1.0 if nu["x1"] and not nu["x2"] else 0.0)
-        got = eval_cval(g.decls["S"], nu, g.decls)
+        got = values["S"]
         if expect == 0.0 and not direct_b and not (nu["x1"] and not nu["x2"]):
             from manyworlds.events import U
             assert got is U
@@ -124,8 +125,8 @@ def test_grounded_emission_parses_back():
     g2 = ground(p2, (meta["targets"],), variables=set(ds.vartable.index))
     assert list(g.decls) == list(g2.decls)
     nu = {"x1": True, "x2": False, "x3": True, "x4": True}
-    v1 = {e: x for e, x in zip(g.decls, _eval_all(g, nu))}
-    v2 = {e: x for e, x in zip(g2.decls, _eval_all(g2, nu))}
+    v1 = dict(zip(g.decls, Declarations(g.decls).values(nu)))
+    v2 = dict(zip(g2.decls, Declarations(g2.decls).values(nu)))
     assert v1 == v2
 
 
@@ -149,11 +150,6 @@ def test_emitted_random_programs_parse_back():
             eid: _collapsed(e) for eid, e in direct.decls.items()}, seed
         assert (oracle_probabilities(reparsed, vt).probabilities
                 == oracle_probabilities(direct, vt).probabilities), seed
-
-
-def _eval_all(g, nu):
-    from manyworlds.oracle import _Program
-    return _Program(g).eval_all(nu)
 
 
 def test_folded_requires_adjacent_references():
@@ -382,11 +378,15 @@ def test_ground_reports_unresolved_names_before_kind_errors(items):
     ("A := pow(x1 ? 2.0)\n", 1, 18, "expected ,"),
     ("A := dist(x1 ? [1.0])\n", 1, 21, "expected ,"),
     ("A := x1 ? 1.0 ? 2.0\n", 1, 15, "trailing tokens"),
-    ("A := x1 ?\n", 1, 9, "expected an expression, found end of line"),
+    ("A := x1 ?\n", 1, 10, "expected an expression, found end of line"),
     ("A := sum & x1\n", 1, 10, "expected \\(, found '&'"),
+    ("forall i in 0..2\n  A[i] := x1\n", 1, 17,
+     "expected :, found end of line"),
+    ("A := x1 & sum\n", 1, 14, "expected \\(, found end of line"),
 ], ids=["character", "index", "comparator", "trailing", "indentation",
         "fold-bounds", "pow-exponent", "pow-arity", "dist-arity",
-        "chained-guard", "guard-without-value", "reserved-word"])
+        "chained-guard", "guard-without-value", "reserved-word",
+        "forall-without-colon", "reserved-word-at-end"])
 def test_event_program_syntax_errors(text, line, col, message):
     with pytest.raises(ProgramSyntaxError, match=message) as info:
         parse_event_program(text)

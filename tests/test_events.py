@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from manyworlds.events import (
-    U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or,
-    Pow, Ref, TypeMismatch, Var, VarTable, TRUE, FALSE, children_of, eval_cval,
-    eval_event, ext_add, ext_compare, ext_dist, ext_mul, ext_pow,
-    evaluate, map_children, power, world_probability,
+    U, VU, Add, And, Atom, CondVal, Const, Declarations, Dist, Guard, Mul,
+    Not, Or, Pow, Ref, TypeMismatch, Var, VarTable, TRUE, FALSE, children_of,
+    ext_add, ext_compare, ext_dist, ext_mul, ext_pow, evaluate, map_children,
+    power, world_probability,
 )
 
 
@@ -28,7 +28,7 @@ def test_undefined_identities():
 
 def test_five_times_inverse_of_zero_is_undefined():
     c = Mul((CondVal(TRUE, 5), Pow(Add((CondVal(TRUE, 3), CondVal(TRUE, -3))), -1)))
-    assert eval_cval(c, {}) is U
+    assert evaluate(c, {}, None) is U
 
 
 def test_inverse_is_one_over_x():
@@ -101,55 +101,55 @@ def test_line_world_events():
     phi1 = Var("x2")
     phi2 = Var("x3")
     phi3 = And((Not(Var("x2")), Var("x4")))
-    assert eval_event(phi0, EX_NU) is True
-    assert eval_event(phi1, EX_NU) is False
-    assert eval_event(phi2, EX_NU) is True
-    assert eval_event(phi3, EX_NU) is True
+    assert evaluate(phi0, EX_NU, None) is True
+    assert evaluate(phi1, EX_NU, None) is False
+    assert evaluate(phi2, EX_NU, None) is True
+    assert evaluate(phi3, EX_NU, None) is True
 
 
 def test_constants_and_undefined_atom():
-    assert eval_event(TRUE, {"x": False}) is True
+    assert evaluate(TRUE, {"x": False}, None) is True
     # right operand undefined: the comparison holds vacuously
     atom = Atom("<=", CondVal(Var("x"), 2.0), CondVal(FALSE, 5.0))
-    assert eval_event(atom, {"x": True}) is True
-    assert eval_event(atom, {"x": False}) is True
+    assert evaluate(atom, {"x": True}, None) is True
+    assert evaluate(atom, {"x": False}, None) is True
 
 
 def test_guarded_sum_cases():
     c = Add((CondVal(Var("a"), 2.0), CondVal(Var("b"), 3.0)))
-    assert eval_cval(c, {"a": True, "b": True}) == 5.0
-    assert eval_cval(c, {"a": True, "b": False}) == 2.0
-    assert eval_cval(c, {"a": False, "b": False}) is U
+    assert evaluate(c, {"a": True, "b": True}, None) == 5.0
+    assert evaluate(c, {"a": True, "b": False}, None) == 2.0
+    assert evaluate(c, {"a": False, "b": False}, None) is U
 
 
 def test_or_tag_vs_sum_of_tags_differ():
     both = {"a": True, "b": True}
     left = CondVal(Or((Var("a"), Var("b"))), 4.0)
     right = Add((CondVal(Var("a"), 4.0), CondVal(Var("b"), 4.0)))
-    assert eval_cval(left, both) == 4.0
-    assert eval_cval(right, both) == 8.0
+    assert evaluate(left, both, None) == 4.0
+    assert evaluate(right, both, None) == 8.0
 
 
 def test_ref_resolution_and_cycles():
     # a declaration reads only earlier ones: an unknown name, and a forward
     # reference (through which a cycle would have to pass), are unresolved
     env = {"A": Var("x"), "B": Ref("A")}
-    assert eval_event(Ref("B"), {"x": True}, env) is True
+    assert Declarations(env).values({"x": True}) == [True, True]
     from manyworlds.events import ResolutionError
     with pytest.raises(ResolutionError, match="missing"):
-        eval_event(Ref("missing"), {"x": True}, env)
+        Declarations({**env, "C": Ref("missing")})
     for later_env in ({"A": Ref("B"), "B": Var("x")},
                       {"A": Ref("B"), "B": Ref("A")}):
         with pytest.raises(ResolutionError, match="'B'"):
-            eval_event(Ref("A"), {"x": True}, later_env)
+            Declarations(later_env)
 
 
 def test_guard_of_vector_body():
     body = CondVal(Var("a"), (1.0, 2.0))
     g = Guard(Var("b"), body)
-    assert eval_cval(g, {"a": True, "b": True}) == (1.0, 2.0)
-    assert eval_cval(g, {"a": True, "b": False}) is VU
-    assert eval_cval(g, {"a": False, "b": True}) is VU
+    assert evaluate(g, {"a": True, "b": True}, None) == (1.0, 2.0)
+    assert evaluate(g, {"a": True, "b": False}, None) is VU
+    assert evaluate(g, {"a": False, "b": True}, None) is VU
 
 
 def test_first_true_brute_force():
@@ -169,8 +169,8 @@ def test_first_true_brute_force():
         assert len(encoded) == len(family) and encoded[0] is family[0]
         for w in range(16):
             nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
-            holds = [eval_event(e, nu) for e in family]
-            got = [eval_event(e, nu) for e in encoded]
+            holds = [evaluate(e, nu, None) for e in family]
+            got = [evaluate(e, nu, None) for e in encoded]
             assert got == [h and not any(holds[:j]) for j, h in enumerate(holds)]
             assert sum(got) <= 1
             assert sum(got) == any(holds)
@@ -250,10 +250,10 @@ def test_well_typed_evaluation_is_total(seed, world):
     names = ["a", "b", "c", "d"]
     nu = {n: bool((world >> i) & 1) for i, n in enumerate(names)}
     e = _rand_event(rng, 3, names)
-    assert eval_event(e, nu) in (True, False)
+    assert evaluate(e, nu, None) in (True, False)
     c = _rand_cval(rng, 3, names)
-    v = eval_cval(c, nu)
-    assert v is U or isinstance(v, float) or isinstance(v, int)
+    v = evaluate(c, nu, None)
+    assert v is U or isinstance(v, (float, int)) and not isinstance(v, bool)
 
 
 # --- one schema: map_children agrees with children_of ---------------------------

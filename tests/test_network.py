@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from manyworlds.datagen import gen_correlations
 from manyworlds.events import (
     U, VU, Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow,
-    Ref, TypeMismatch, Var, VarTable, TRUE, map_children,
+    Declarations, Ref, TypeMismatch, Var, VarTable, TRUE, map_children,
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, FoldedProgram, GroundError, GroundedProgram,
@@ -23,7 +23,7 @@ from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
 from manyworlds.network import (
     MASK_FALSE, MASK_TRUE, UNKNOWN, MaskState, NetworkError, build_network,
 )
-from manyworlds.oracle import _Program, oracle_probabilities
+from manyworlds.oracle import oracle_probabilities
 from manyworlds.randprog import random_instance
 from manyworlds.translate import translate_to_event_program
 from manyworlds.userlang import parse_user_program
@@ -125,12 +125,12 @@ def test_mask_soundness_under_partial_assignments(seed):
     partial = {n: rng.random() < 0.5 for n in chosen}
     for n, v in partial.items():
         st_.assign(n, v, 1.0)
-    prog_eval = _Program(g)
+    decls = Declarations(g.decls)
     free = [n for n in names if n not in partial]
     for w in range(1 << len(free)):
         nu = dict(partial)
         nu.update({n: bool((w >> j) & 1) for j, n in enumerate(free)})
-        values = dict(zip(prog_eval.eids, prog_eval.eval_all(nu)))
+        values = dict(zip(decls.eids, decls.values(nu)))
         for eid, nid in net.node_of_eid.items():
             node = net.nodes[nid]
             if node.vkind == "b":
@@ -1109,12 +1109,12 @@ def test_exact_matches_oracle_over_every_kind():
 def _check_masks_against_worlds(net, st_, g, names, partial):
     """Each declaration's mask allows its value in every completion of
     ``partial``; a mask that may be defined has its node's static shape."""
-    prog_eval = _Program(g)
+    decls = Declarations(g.decls)
     free = [n for n in names if n not in partial]
     for w in range(1 << len(free)):
         nu = dict(partial)
         nu.update({n: bool((w >> j) & 1) for j, n in enumerate(free)})
-        values = dict(zip(prog_eval.eids, prog_eval.eval_all(nu)))
+        values = dict(zip(decls.eids, decls.values(nu)))
         for eid, nid in net.node_of_eid.items():
             m, v, vkind = st_.mask_of(nid, 0), values[eid], net.nodes[nid].vkind
             if vkind == "b":

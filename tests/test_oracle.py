@@ -1,16 +1,20 @@
 import pytest
 
+from manyworlds.datagen import gen_correlations
 from manyworlds.events import (
-    And, Not, Or, Var, VarTable, TRUE, world_probability,
+    And, Declarations, Not, Or, TypeMismatch, Var, VarTable, TRUE,
+    world_probability,
 )
-from manyworlds.eventprog import EventProgram, decl, ground
+from manyworlds.eventprog import EventProgram, decl, ground, parse_event_program
 from manyworlds.kmedoids import (
-    build_kmedoids_program, cluster_spec, direct_kmedoids, example_line_dataset,
+    build_kmedoids_program, direct_kmedoids, example_line_dataset,
 )
 from manyworlds.oracle import (
     OracleError, enumerate_worlds, oracle_probabilities,
     per_world_report, world_reports,
 )
+from manyworlds.network import build_network
+from manyworlds.randprog import random_instance
 
 
 def test_disjunction_probability():
@@ -94,17 +98,16 @@ def test_walk_skips_unread_and_certain_variables():
 def test_example_worlds_reproduce_depicted_clusterings(line_dataset):
     prog, meta = build_kmedoids_program(line_dataset)
     g = ground(prog, (meta["targets"],), variables=set(line_dataset.vartable.index))
-    spec = cluster_spec(meta)
 
     r1 = per_world_report(g, line_dataset.vartable,
-                          {"x1": True, "x2": False, "x3": True, "x4": True}, spec)
+                          {"x1": True, "x2": False, "x3": True, "x4": True}, meta)
     assert r1.objects == [0, 2, 3]
     assert sorted(map(tuple, r1.clusters)) == [(0,), (2, 3)]
 
     for x4 in (False, True):
         r2 = per_world_report(
             g, line_dataset.vartable,
-            {"x1": True, "x2": True, "x3": True, "x4": x4}, spec)
+            {"x1": True, "x2": True, "x3": True, "x4": x4}, meta)
         assert r2.objects == [0, 1, 2]
         assert sorted(map(tuple, r2.clusters)) == [(0, 1), (2,)]
 
@@ -112,10 +115,9 @@ def test_example_worlds_reproduce_depicted_clusterings(line_dataset):
 def test_empty_world_reports_nothing(line_dataset):
     prog, meta = build_kmedoids_program(line_dataset)
     g = ground(prog, (meta["targets"],), variables=set(line_dataset.vartable.index))
-    spec = cluster_spec(meta)
     rep = per_world_report(g, line_dataset.vartable,
                            {"x1": False, "x2": False, "x3": False, "x4": False},
-                           spec)
+                           meta)
     assert rep.objects == []
     assert all(not c for c in rep.clusters)
     assert rep.medoids == [None, None]
@@ -124,8 +126,7 @@ def test_empty_world_reports_nothing(line_dataset):
 def test_event_clusters_equal_direct_run_everywhere(line_dataset):
     prog, meta = build_kmedoids_program(line_dataset)
     g = ground(prog, (meta["targets"],), variables=set(line_dataset.vartable.index))
-    spec = cluster_spec(meta)
-    for rep in world_reports(g, line_dataset.vartable, spec):
+    for rep in world_reports(g, line_dataset.vartable, meta):
         clusters, medoids = direct_kmedoids(line_dataset, rep.valuation)
         assert [sorted(c) for c in rep.clusters] == clusters, rep.valuation
         assert rep.medoids == medoids, rep.valuation
@@ -140,18 +141,68 @@ def test_report_probabilities_match_mass(line_dataset):
 
 
 def test_world_reports_analyse_the_program_once(line_dataset, monkeypatch):
-    from manyworlds import oracle
+    from manyworlds import events
     prog, meta = build_kmedoids_program(line_dataset)
     g = ground(prog, (meta["targets"],), variables=set(line_dataset.vartable.index))
     vt = line_dataset.vartable
-    singles = [per_world_report(g, vt, rep.valuation, cluster_spec(meta))
+    singles = [per_world_report(g, vt, rep.valuation, meta)
                for rep in world_reports(g, vt)]
     built = []
-    real = oracle._Program
-    monkeypatch.setattr(oracle, "_Program", lambda gp: built.append(gp) or real(gp))
-    reports = list(world_reports(g, vt, cluster_spec(meta)))
+    real = events.Declarations
+    monkeypatch.setattr(events, "Declarations",
+                        lambda decls: built.append(decls) or real(decls))
+    reports = list(world_reports(g, vt, meta))
     assert len(built) == 1
     assert [(r.valuation, r.probability) for r in reports] == [
         (nu, pr) for nu, pr, _f in enumerate_worlds(vt)]
     assert [r.values for r in reports] == [r.values for r in singles]
     assert [r.clusters for r in reports] == [r.clusters for r in singles]
+
+
+# --- the oracle types what it evaluates, by the network's kind rule ----------
+
+_VT = VarTable.of(("x1", 0.5), ("x2", 0.5))
+
+
+def _grounded(text, targets):
+    return ground(parse_event_program(text), targets, variables=set(_VT.index))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda g: oracle_probabilities(g, _VT),
+    lambda g: list(world_reports(g, _VT)),
+    lambda g: per_world_report(g, _VT, {"x1": True, "x2": False}),
+], ids=["oracle", "world-reports", "per-world-report"])
+def test_oracle_refuses_an_ill_typed_program(walk):
+    g = _grounded("S := (x1 ? 1.0)\nA := x2 | S\n", ("A",))
+    with pytest.raises(TypeMismatch, match="boolean connective over non-event"):
+        walk(g)
+
+
+def test_oracle_refuses_a_c_value_target():
+    g = _grounded("C := (x1 ? 1.0) + (x2 ? 2.0)\n", ("C",))
+    with pytest.raises(OracleError, match="target 'C' is not an event"):
+        oracle_probabilities(g, _VT)
+
+
+def _assert_kinds_match_network(g):
+    net = build_network(g)
+    kinds = Declarations(g.decls).kinds
+    assert kinds == {eid: net.nodes[nid].vkind
+                     for eid, nid in net.node_of_eid.items()}
+
+
+def test_declaration_kinds_match_network_random_programs():
+    for seed in range(200):
+        prog, vt, targets = random_instance(seed)
+        _assert_kinds_match_network(ground(prog, targets, set(vt.index)))
+
+
+def test_declaration_kinds_match_network_kmedoids(line_dataset):
+    # the line fixture, and the exact-unfolded benchmark's pool-10 layout
+    bench = gen_correlations(20, "positive", group=4, l=2, seed=3,
+                             iterations=3, pool=10)
+    for ds in (line_dataset, bench):
+        prog, meta = build_kmedoids_program(ds)
+        _assert_kinds_match_network(
+            ground(prog, (meta["targets"],), set(ds.vartable.index)))

@@ -7,14 +7,14 @@ import pytest
 from conftest import FIXTURES, values_close
 from manyworlds.datagen import Dataset, Params, Point, gen_correlations
 from manyworlds.events import (
-    Add, Ref, Var, VarTable, children_of, eval_cval, eval_event,
+    Add, Declarations, Ref, Var, VarTable, children_of,
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, emit_event_program, ground,
     ground_folded, parse_event_program, ref,
 )
 from manyworlds.kmedoids import build_kmedoids_program, example_line_dataset
-from manyworlds.oracle import InterpError, _Program, interpret_user_program
+from manyworlds.oracle import InterpError, interpret_user_program
 from manyworlds.translate import TranslateError, translate_to_event_program
 from manyworlds.userlang import parse_user_program, validate_user_program
 
@@ -73,7 +73,8 @@ def test_versioning_final_value_is_17():
     tr = translate_to_event_program(parse_user_program(VERSIONING_SRC),
                                     _empty_dataset())
     g = ground(tr.program, ("*",), variables=set())
-    assert eval_cval(g.decls[tr.final_eid("M")], {}, g.decls) == 17
+    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    assert vals[tr.final_eid("M")] == 17
     env = interpret_user_program(parse_user_program(VERSIONING_SRC),
                                  _empty_dataset(), {})
     assert env["M"] == 17
@@ -83,12 +84,13 @@ def _assert_matches_interpreter(ast, ds):
     """Every element of every variable's final version equals the
     interpreter's value, in every world of ``ds``."""
     tr = translate_to_event_program(ast, ds)
-    prog = _Program(ground(tr.program, ("*",), variables=set(ds.vartable.index)))
+    decls = Declarations(
+        ground(tr.program, ("*",), variables=set(ds.vartable.index)).decls)
     names = ds.vartable.names()
     for w in range(1 << len(names)):
         nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        vals = dict(zip(decls.eids, decls.values(nu)))
         for var, (_path, dims, _kind) in tr.final_paths.items():
             for idx in itertools.product(*(range(d) for d in dims)):
                 want = env[var]
@@ -132,12 +134,13 @@ def test_comprehension_variable_hides_an_outer_name(src, line_dataset):
     ds = line_dataset
     ast = parse_user_program("(O, n) = loadData()\n" + src)
     tr = translate_to_event_program(ast, ds)
-    prog = _Program(ground(tr.program, ("*",), variables=set(ds.vartable.index)))
+    decls = Declarations(
+        ground(tr.program, ("*",), variables=set(ds.vartable.index)).decls)
     names = ds.vartable.names()
     for w in range(1 << len(names)):
         nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        vals = dict(zip(decls.eids, decls.values(nu)))
         want = env["s"] if isinstance(env["s"], list) else [env["s"]]
         got = [vals[tr.final_eid("s", *idx)] for idx in
                itertools.product(*(range(d) for d in tr.final_paths["s"][1]))]
@@ -176,12 +179,12 @@ def test_semantics_preservation_all_worlds(request, src_fixture, check_vars,
     for ds in (line_dataset, markov):
         tr = translate_to_event_program(ast, ds)
         g = ground(tr.program, ("*",), variables=set(ds.vartable.index))
-        prog = _Program(g)
+        decls = Declarations(g.decls)
         names = ds.vartable.names()
         for w in range(1 << len(names)):
             nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
             env = interpret_user_program(ast, ds, nu)
-            vals = dict(zip(prog.eids, prog.eval_all(nu)))
+            vals = dict(zip(decls.eids, decls.values(nu)))
             for var in check_vars:
                 path, dims, kind = tr.final_paths[var]
                 uval = env[var]
@@ -206,10 +209,10 @@ def test_graph_flow_semantics(graphflow_src):
     ast = parse_user_program(graphflow_src)
     tr = translate_to_event_program(ast, ds)
     g = ground(tr.program, ("*",), variables={"x1"})
-    prog = _Program(g)
+    decls = Declarations(g.decls)
     for world in ({"x1": True}, {"x1": False}):
         env = interpret_user_program(ast, ds, world)
-        vals = dict(zip(prog.eids, prog.eval_all(world)))
+        vals = dict(zip(decls.eids, decls.values(world)))
         for a in range(3):
             for b in range(3):
                 assert values_close(vals[tr.final_eid("M", a, b)],
@@ -244,12 +247,13 @@ N = reduce_count([1 for i in range(0,1) if B])
     g = ground(tr.program, ("*",), variables=set())
     env = interpret_user_program(ast, ds, {})
     from manyworlds.events import U
-    assert eval_cval(g.decls[tr.final_eid("S")], {}, g.decls) is U
+    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    assert vals[tr.final_eid("S")] is U
     assert env["S"] is U
-    assert eval_event(g.decls[tr.final_eid("A")], {}, g.decls) is True is env["A"]
-    assert eval_event(g.decls[tr.final_eid("O")], {}, g.decls) is False is env["O"]
-    assert eval_cval(g.decls[tr.final_eid("P")], {}, g.decls) == 1 == env["P"]
-    assert eval_cval(g.decls[tr.final_eid("N")], {}, g.decls) == 1 == env["N"]
+    assert vals[tr.final_eid("A")] is True is env["A"]
+    assert vals[tr.final_eid("O")] is False is env["O"]
+    assert vals[tr.final_eid("P")] == 1 == env["P"]
+    assert vals[tr.final_eid("N")] == 1 == env["N"]
 
 
 def test_unresolved_dataset_binding(line_dataset):
@@ -330,7 +334,7 @@ def test_versioning_sweep_matches_interpreter():
             both_fail += 1
             continue
         assert env is not None, src
-        vals = dict(zip(g.decls, _Program(g).eval_all({})))
+        vals = dict(zip(g.decls, Declarations(g.decls).values({})))
         assert set(tr.final_paths) == {v for v in env if v in _SCALARS + ("A",)}
         for var, (_path, dims, _kind) in tr.final_paths.items():
             got = [vals[tr.final_eid(var, *idx)]
@@ -443,8 +447,9 @@ B = breakTies(B)
     ds = _empty_dataset()
     tr = translate_to_event_program(parse_user_program(src), ds)
     g = ground(tr.program, ("*",), variables=set())
-    assert eval_event(g.decls[tr.final_eid("B", 0)], {}, g.decls) is True
-    assert eval_event(g.decls[tr.final_eid("B", 1)], {}, g.decls) is False
+    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    assert vals[tr.final_eid("B", 0)] is True
+    assert vals[tr.final_eid("B", 1)] is False
 
 
 def test_break_ties_all_false_column():
@@ -457,8 +462,9 @@ B = breakTies(B)
     ds = _empty_dataset()
     tr = translate_to_event_program(parse_user_program(src), ds)
     g = ground(tr.program, ("*",), variables=set())
-    assert eval_event(g.decls[tr.final_eid("B", 0)], {}, g.decls) is False
-    assert eval_event(g.decls[tr.final_eid("B", 1)], {}, g.decls) is False
+    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    assert vals[tr.final_eid("B", 0)] is False
+    assert vals[tr.final_eid("B", 1)] is False
 
 
 TIE_SRC = """
@@ -484,13 +490,13 @@ def test_break_ties_matches_interpreter(func, line_dataset):
     ast = parse_user_program(TIE_SRC % (func, "C" if func == "breakTies" else "B"))
     tr = translate_to_event_program(ast, ds)
     g = ground(tr.program, ("*",), variables=set(ds.vartable.index))
-    prog = _Program(g)
+    decls = Declarations(g.decls)
     names = ds.vartable.names()
     ties = 0
     for w in range(16):
         nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(prog.eids, prog.eval_all(nu)))
+        vals = dict(zip(decls.eids, decls.values(nu)))
         if func == "breakTies":
             got = [[vals[tr.final_eid("T", l)] for l in range(ds.n)]]
             want, family = [env["T"]], [env["C"]]

@@ -60,6 +60,16 @@ def test_trailing_tokens_point_at_the_first_one(text, col, message):
     assert (info.value.line, info.value.col) == (1, col)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("for i in range(0, 2)\n  x = 1\n", "<input>:1:21: expected :, found end of line"),
+    ("x = \n", "<input>:1:4: unexpected end of line"),
+], ids=["for-without-colon", "missing-value"])
+def test_end_of_line_errors_point_after_the_last_token(text, message):
+    with pytest.raises(ProgramSyntaxError) as info:
+        parse_user_program(text)
+    assert str(info.value) == message
+
+
 def test_comments_and_blank_lines():
     p = parse_user_program("""
 # leading comment
