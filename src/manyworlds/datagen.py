@@ -23,6 +23,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .events import (
     Add, And, CondVal, Const, Declarations, Not, Or, Ref, Var, VarTable, TRUE,
@@ -63,11 +64,15 @@ class Dataset:
     def n(self):
         return len(self.points)
 
+    @cached_property
+    def _point_decls(self):
+        """The points' events as declarations, typed once per dataset."""
+        return Declarations({p.id: p.event for p in self.points})
+
     def exists(self, valuation):
         """Per point, whether it exists in the world ``valuation``.  A
         point's event may name earlier points."""
-        return Declarations({p.id: p.event for p in self.points}).values(
-            valuation)
+        return list(self._point_decls.values(valuation).values())
 
     def lineage(self):
         """``Obj[l] := <point l's event>`` for each point; a point-id

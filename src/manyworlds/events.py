@@ -432,14 +432,15 @@ class Declarations:
                              for c in children_of(e)])
 
     def values(self, valuation):
-        """Every declaration's value in the world ``valuation``, by position."""
+        """Every declaration's value in the world ``valuation``, by eid."""
         values = [None] * len(self.exprs)
         self.reevaluate(valuation, values, range(len(values)))
-        return values
+        return dict(zip(self.eids, values))
 
     def reevaluate(self, valuation, values, positions):
         """Re-evaluate the declarations at ``positions``, in order, into
-        ``values``."""
+        the list ``values``, which holds one value per declaration by
+        position (``pos``)."""
         pos, exprs = self.pos, self.exprs
 
         def ref(name):

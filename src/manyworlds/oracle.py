@@ -77,13 +77,13 @@ def enumerate_worlds(vartable, cap=DEFAULT_WORLD_CAP):
 def worlds(decls, vartable, cap=DEFAULT_WORLD_CAP):
     """Yield (valuation, mass, values) for each world of the variables the
     ``Declarations`` ``decls`` read, in ``enumerate_worlds`` order;
-    ``values`` is one list of the declarations' values, updated in place."""
+    ``values`` is one list of the declarations' values by position,
+    updated in place."""
     read = VarTable(tuple(v for v in vartable.vars if v[0] in decls.var_deps))
+    values = [None] * len(decls.eids)
     for nu, mass, flipped in enumerate_worlds(read, cap):
-        if flipped is None:  # the first world
-            values = decls.values(nu)
-        else:
-            decls.reevaluate(nu, values, decls.var_deps[flipped])
+        decls.reevaluate(nu, values, range(len(values)) if flipped is None
+                         else decls.var_deps[flipped])
         yield nu, mass, values
 
 
@@ -131,12 +131,11 @@ def per_world_report(grounded, vartable, valuation, meta=None):
     (its other keys are not read).
     """
     decls = ev.Declarations(grounded.decls)
-    return _report(decls, valuation, ev.world_probability(valuation, vartable),
+    return _report(valuation, ev.world_probability(valuation, vartable),
                    decls.values(valuation), meta)
 
 
-def _report(decls, valuation, probability, values, meta):
-    values = dict(zip(decls.eids, values))
+def _report(valuation, probability, values, meta):
     report = WorldReport(dict(valuation), probability, values)
     if meta:
         objects = sorted(l for l, eid in meta["objects"].items()
@@ -160,7 +159,7 @@ def world_reports(grounded, vartable, meta=None, cap=DEFAULT_WORLD_CAP):
     ``per_world_report``."""
     decls = ev.Declarations(grounded.decls)
     for nu, mass, values in worlds(decls, vartable, cap):
-        yield _report(decls, nu, mass, values, meta)
+        yield _report(nu, mass, dict(zip(decls.eids, values)), meta)
 
 
 # ---------------------------------------------------------------------------

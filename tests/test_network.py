@@ -130,7 +130,7 @@ def test_mask_soundness_under_partial_assignments(seed):
     for w in range(1 << len(free)):
         nu = dict(partial)
         nu.update({n: bool((w >> j) & 1) for j, n in enumerate(free)})
-        values = dict(zip(decls.eids, decls.values(nu)))
+        values = decls.values(nu)
         for eid, nid in net.node_of_eid.items():
             node = net.nodes[nid]
             if node.vkind == "b":
@@ -1114,7 +1114,7 @@ def _check_masks_against_worlds(net, st_, g, names, partial):
     for w in range(1 << len(free)):
         nu = dict(partial)
         nu.update({n: bool((w >> j) & 1) for j, n in enumerate(free)})
-        values = dict(zip(decls.eids, decls.values(nu)))
+        values = decls.values(nu)
         for eid, nid in net.node_of_eid.items():
             m, v, vkind = st_.mask_of(nid, 0), values[eid], net.nodes[nid].vkind
             if vkind == "b":

@@ -73,7 +73,8 @@ def test_versioning_final_value_is_17():
     tr = translate_to_event_program(parse_user_program(VERSIONING_SRC),
                                     _empty_dataset())
     g = ground(tr.program, ("*",), variables=set())
-    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    vals = Declarations(g.decls).values({})
+    assert type(vals[tr.final_eid("M")]) is not bool
     assert vals[tr.final_eid("M")] == 17
     env = interpret_user_program(parse_user_program(VERSIONING_SRC),
                                  _empty_dataset(), {})
@@ -90,7 +91,7 @@ def _assert_matches_interpreter(ast, ds):
     for w in range(1 << len(names)):
         nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(decls.eids, decls.values(nu)))
+        vals = decls.values(nu)
         for var, (_path, dims, _kind) in tr.final_paths.items():
             for idx in itertools.product(*(range(d) for d in dims)):
                 want = env[var]
@@ -140,7 +141,7 @@ def test_comprehension_variable_hides_an_outer_name(src, line_dataset):
     for w in range(1 << len(names)):
         nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(decls.eids, decls.values(nu)))
+        vals = decls.values(nu)
         want = env["s"] if isinstance(env["s"], list) else [env["s"]]
         got = [vals[tr.final_eid("s", *idx)] for idx in
                itertools.product(*(range(d) for d in tr.final_paths["s"][1]))]
@@ -184,7 +185,7 @@ def test_semantics_preservation_all_worlds(request, src_fixture, check_vars,
         for w in range(1 << len(names)):
             nu = {name: bool((w >> j) & 1) for j, name in enumerate(names)}
             env = interpret_user_program(ast, ds, nu)
-            vals = dict(zip(decls.eids, decls.values(nu)))
+            vals = decls.values(nu)
             for var in check_vars:
                 path, dims, kind = tr.final_paths[var]
                 uval = env[var]
@@ -212,7 +213,7 @@ def test_graph_flow_semantics(graphflow_src):
     decls = Declarations(g.decls)
     for world in ({"x1": True}, {"x1": False}):
         env = interpret_user_program(ast, ds, world)
-        vals = dict(zip(decls.eids, decls.values(world)))
+        vals = decls.values(world)
         for a in range(3):
             for b in range(3):
                 assert values_close(vals[tr.final_eid("M", a, b)],
@@ -247,13 +248,15 @@ N = reduce_count([1 for i in range(0,1) if B])
     g = ground(tr.program, ("*",), variables=set())
     env = interpret_user_program(ast, ds, {})
     from manyworlds.events import U
-    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    vals = Declarations(g.decls).values({})
     assert vals[tr.final_eid("S")] is U
     assert env["S"] is U
     assert vals[tr.final_eid("A")] is True is env["A"]
     assert vals[tr.final_eid("O")] is False is env["O"]
     assert vals[tr.final_eid("P")] == 1 == env["P"]
     assert vals[tr.final_eid("N")] == 1 == env["N"]
+    assert not isinstance(vals[tr.final_eid("P")], bool)
+    assert not isinstance(vals[tr.final_eid("N")], bool)
 
 
 def test_unresolved_dataset_binding(line_dataset):
@@ -334,7 +337,7 @@ def test_versioning_sweep_matches_interpreter():
             both_fail += 1
             continue
         assert env is not None, src
-        vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+        vals = Declarations(g.decls).values({})
         assert set(tr.final_paths) == {v for v in env if v in _SCALARS + ("A",)}
         for var, (_path, dims, _kind) in tr.final_paths.items():
             got = [vals[tr.final_eid(var, *idx)]
@@ -447,7 +450,7 @@ B = breakTies(B)
     ds = _empty_dataset()
     tr = translate_to_event_program(parse_user_program(src), ds)
     g = ground(tr.program, ("*",), variables=set())
-    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    vals = Declarations(g.decls).values({})
     assert vals[tr.final_eid("B", 0)] is True
     assert vals[tr.final_eid("B", 1)] is False
 
@@ -462,7 +465,7 @@ B = breakTies(B)
     ds = _empty_dataset()
     tr = translate_to_event_program(parse_user_program(src), ds)
     g = ground(tr.program, ("*",), variables=set())
-    vals = dict(zip(g.decls, Declarations(g.decls).values({})))
+    vals = Declarations(g.decls).values({})
     assert vals[tr.final_eid("B", 0)] is False
     assert vals[tr.final_eid("B", 1)] is False
 
@@ -496,7 +499,7 @@ def test_break_ties_matches_interpreter(func, line_dataset):
     for w in range(16):
         nu = {names[j]: bool((w >> j) & 1) for j in range(4)}
         env = interpret_user_program(ast, ds, nu)
-        vals = dict(zip(decls.eids, decls.values(nu)))
+        vals = decls.values(nu)
         if func == "breakTies":
             got = [[vals[tr.final_eid("T", l)] for l in range(ds.n)]]
             want, family = [env["T"]], [env["C"]]
