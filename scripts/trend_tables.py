@@ -11,9 +11,10 @@ around.  All numbers are deterministic work counts, not timings:
   3. hybrid work as the certain-point fraction grows;
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
      instances, and on folded markov data with 12 groups: grounded tree
-     nodes, distinct grounded objects, network nodes and the calls of the
-     kind rule made by grounding + by the network build, the work that the
-     setup seconds pay for;
+     nodes, distinct grounded objects, network nodes, the calls of the
+     kind rule made by grounding + by the network build, the calls of
+     ``network._build_expr``, and the kept instance slots against all N*T
+     of them, the work that the setup and mask-init seconds pay for;
   5. the propagation work of the benchmark's exact-unfolded and
      anytime-folded searches: branches, mask writes by node kind, read
      off the undo trail after each assignment, and the guards and atoms
@@ -32,7 +33,7 @@ import os
 import sys
 from collections import Counter
 
-from manyworlds import eventprog, events, network
+from manyworlds import eventprog, network
 from manyworlds.compile import Search, compile_targets
 from manyworlds.datagen import gen_correlations
 from manyworlds.eventprog import emit_event_program, ground, ground_folded
@@ -106,23 +107,29 @@ def tree_counts(roots):
     return size, len(seen)
 
 
-def kind_rule_calls(run):
-    """``run()``, and the calls of ``events.kind_rule`` it makes through the
-    names that ``eventprog`` and ``network`` hold, where a module holds one."""
-    held = [m for m in (eventprog, network) if hasattr(m, "kind_rule")]
-    calls = []
+def calls_of(run, *names):
+    """``run()``, and the calls of each function in ``names`` that it makes
+    through the names that ``eventprog`` and ``network`` hold, where a
+    module holds one: ``events.kind_rule`` or ``network._build_expr``, which
+    calls itself through its module's name."""
+    counts, plain = dict.fromkeys(names, 0), {}
 
-    def counted(*args):
-        calls.append(None)
-        return events.kind_rule(*args)
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
 
-    for module in held:
-        module.kind_rule = counted
+    for name in names:
+        for module in (eventprog, network):
+            if hasattr(module, name):
+                plain[module, name] = fn = getattr(module, name)
+                setattr(module, name, counter(name, fn))
     try:
-        return run(), len(calls)
+        return run(), counts
     finally:
-        for module in held:
-            module.kind_rule = events.kind_rule
+        for (module, name), fn in plain.items():
+            setattr(module, name, fn)
 
 
 def table_setup():
@@ -130,17 +137,19 @@ def table_setup():
     # the coordinates leaves these counts unchanged, then markov data with
     # 12 groups, where each group's event names the previous group's point
     print("\n== setup work per instance (benchmark layouts, markov n=48) ==")
-    print("%-36s %-8s %-9s %-8s %s" % ("instance", "tree", "distinct",
-                                       "nodes", "kind_rule"))
+    print("%-36s %-8s %-9s %-8s %-9s %-10s %s" % (
+        "instance", "tree", "distinct", "nodes", "kind_rule", "build_expr",
+        "kept/slots"))
     rows = []
     for pool in (8, 10):
         ds = gen_correlations(20, "positive", group=4, l=2, pool=pool, seed=3,
                               iterations=3)
         prog, meta = build_kmedoids_program(ds)
-        g, calls = kind_rule_calls(lambda: ground(
-            prog, (meta["targets"],), variables=set(ds.vartable.index)))
+        g, calls = calls_of(lambda: ground(
+            prog, (meta["targets"],), variables=set(ds.vartable.index)),
+            "kind_rule")
         rows.append(("unfolded positive n=20 pool=%d" % pool,
-                     g.decls.values(), g, calls))
+                     g.decls.values(), g, calls["kind_rule"]))
     with open(KMEDOIDS) as fh:
         ast = parse_user_program(fh.read())
     for label, scheme, kwargs in (
@@ -152,17 +161,20 @@ def table_setup():
         ds = gen_correlations(scheme=scheme, group=4, l=2, seed=0,
                               iterations=3, **kwargs)
         tr = translate_to_event_program(ast, ds)
-        f, calls = kind_rule_calls(lambda: ground_folded(
+        f, calls = calls_of(lambda: ground_folded(
             tr.program, (tr.loop_final_pattern("Centre"),),
-            set(ds.vartable.index)))
+            set(ds.vartable.index)), "kind_rule")
         rows.append((label, list(f.base.values()) + [d.expr for d in f.body],
-                     f, calls))
+                     f, calls["kind_rule"]))
     for label, roots, grounded, ground_calls in rows:
         size, distinct = tree_counts(roots)
-        net, build_calls = kind_rule_calls(lambda: build_network(grounded))
-        print("%-36s %-8d %-9d %-8d %d+%d" % (label, size, distinct,
-                                              len(net.nodes), ground_calls,
-                                              build_calls))
+        net, calls = calls_of(lambda: build_network(grounded), "kind_rule",
+                              "_build_expr")
+        print("%-36s %-8d %-9d %-8d %-9s %-10d %d/%d" % (
+            label, size, distinct, len(net.nodes),
+            "%d+%d" % (ground_calls, calls["kind_rule"]),
+            calls["_build_expr"], len(net.slot_tables().index),
+            len(net.nodes) * net.T))
 
 
 def propagation_work(net, vt, epsilon, scheme):

@@ -70,23 +70,23 @@ class CompileResult:
 
 
 def ancestor_bits(net):
-    """Per-variable bitmask over the kept instance slots that lie above it.
+    """Per-variable bitmask over the kept slots that lie above it.
 
     A variable's own slot is included (it may be a target).  One pass in
-    slot order, which is topological, gives each slot the set of variables
-    below it, as a small int with one bit per variable, and ORs it into the
-    sets of the slots that read it (``SlotTables.parents``).  A fused slot
-    has no parents and no edges in, so it lies above no variable.  The
-    per-variable masks over slots are then read off those sets.  The result
-    is kept on the network.
+    kept-slot order, which is topological, gives each slot the set of
+    variables below it, as a small int with one bit per variable, and ORs
+    it into the sets of the slots that read it (``SlotTables.parents``).  A
+    fused instance has no kept slot, so it lies above no variable.  The
+    per-variable masks over kept slots are then read off those sets.  The
+    result is kept on the network.
     """
     if net.ancestors is not None:
         return net.ancestors
     tables = net.slot_tables()
-    names = list(net.var_nodes)
+    names = list(tables.vars)
     below = [0] * len(tables.parents)
-    for j, vid in enumerate(net.var_nodes.values()):
-        below[vid] = 1 << j
+    for j, slot in enumerate(tables.vars.values()):
+        below[slot] = 1 << j
     for slot, ups in enumerate(tables.parents):
         vs = below[slot]
         if vs:
@@ -131,11 +131,12 @@ class Search:
         self.forker = None
         self.job_depth = job_depth
         self.nt = len(net.targets)
-        anc = ancestor_bits(net)
-        # (name, slot, ancestor bits) per variable the network reads, in
-        # table order; a variable is assigned iff its slot's mask is decided
-        self.vars = [(name, net.var_nodes[name], anc[name])
-                     for name, _p in vartable.vars if name in net.var_nodes]
+        anc, slots = ancestor_bits(net), self.state.tables.vars
+        # (name, kept slot, ancestor bits) per variable the network reads,
+        # in table order; a variable is assigned iff its slot's mask is
+        # decided
+        self.vars = [(name, slots[name], anc[name])
+                     for name, _p in vartable.vars if name in slots]
         # deepest level at which forking into a new job still makes sense:
         # one level per variable of the network that is not certain
         self.fork_limit = sum(1 for name, _slot, _bits in self.vars
@@ -155,7 +156,8 @@ class Search:
                 raise ConfigError(
                     "variable %r is not in the variable table" % name)
         masks = self.state.masks
-        for target, eid in self.net.targets:
+        for target, (_slot, eid) in zip(self.state.tables.targets,
+                                        self.net.targets):
             if masks[target] != UNKNOWN:
                 continue
             bit = 1 << target
@@ -179,7 +181,7 @@ class Search:
         two_eps = 2.0 * self.eps
         st = self.state
         masks = st.masks
-        for i, (slot, _eid) in enumerate(self.net.targets):
+        for i, slot in enumerate(st.tables.targets):
             if masks[slot] != UNKNOWN:
                 continue
             if st.probupper[i] - st.problower[i] <= two_eps:

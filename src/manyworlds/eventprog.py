@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .events import (
     Add, And, Atom, CondVal, Const, Dist, Guard, Mul, Not, Or, Pow, Ref,
-    Var, FALSE, TRUE, COMPARATORS, children_of, map_children,
+    Var, FALSE, TRUE, COMPARATORS, children_of,
 )
 
 
@@ -220,7 +221,7 @@ def glob_to_regex(pattern):
 
 
 class _Grounder:
-    """One call's grounding walk and its memos.
+    """One call's grounding.
 
     ``walk(e, env)`` returns the source expression ``e`` grounded under the
     counter binding ``env``.  Indices and counter values are evaluated, or
@@ -230,88 +231,155 @@ class _Grounder:
     does not type: ``network.build_network`` checks the kinds of the nodes
     it builds, on the unfolded and the folded route alike.
 
-    ``memo`` keeps, per source node and values of the counters it reads, the
-    grounded subtrees that repeat over an enclosing loop because they do not
-    read every counter ``env`` binds; each repeat returns the one object.
-    An indexed reference resolves to the same declaration or fails, but a
-    bare name resolves against the declarations as they stand (a variable
-    until ``y := ...`` is declared), so a subtree that names one is never
-    kept.  ``refs`` keeps one ``Ref`` per (name, index values), so each
-    identifier is rendered once.  Source nodes are keyed by identity: the
-    caller's program keeps them alive for the call.
+    Grounding is staged.  The first walk of a source node under bindings of
+    some counters compiles it into a *step*, ``step(env) -> grounded``, with
+    its children's steps, its index arithmetic and its memo test worked
+    out; every later binding of those counters runs the step.  ``ground``
+    drops the steps of each top-level item once its declarations are
+    grounded, so a declaration that grounds once holds them no longer.
+
+    A step keeps, per values of the bound counters its node reads, the
+    subtree it grounded when the node repeats under one binding: when the
+    node does not read every bound counter, so that it repeats over an
+    enclosing loop, or when it is reached from more than one parent
+    (``shared``, decided as nodes are compiled, since a later declaration
+    can share a node).  Each repeat returns the one object.  An indexed
+    reference resolves to the same declaration or fails, but a bare name
+    resolves against the declarations as they stand (a variable until
+    ``y := ...`` is declared), so a subtree that names one is never kept.
+    A reference keeps its ``Ref`` per binding, and ``refs`` keeps one per
+    grounded identifier, so each is rendered once.  Source nodes are keyed
+    by identity: the caller's program keeps them alive for the call.  No
+    step refers to the grounder or to the table of steps, so a call leaves
+    no reference cycle, whether it returns or raises.
     """
 
     def __init__(self, declared, variables, bind=False):
         self.declared = declared
         self.variables = variables
         self.bind = bind
-        # id(source node) -> the counters it reads; None if it names a bare
-        # identifier
-        self.reads = {}
-        self.memo = {}  # (id(source node), counter values) -> expr
+        # (id(source node), bound counters) -> (step, the counters the node
+        # reads, or None if it names a bare identifier)
+        self.steps = {}
+        self.seen = set()  # ids of the source nodes compiled so far
+        self.shared = set()  # ids of those reached from more than one parent
         self.refs = {}  # (name, index values) -> grounded Ref
 
     def walk(self, e, env):
-        self._scan(e)
-        return self._walk(e, env)
+        counters = tuple(env)
+        hit = self.steps.get((id(e), counters))
+        step = (hit or self._compile(e, counters))[0]
+        return step(env)
 
-    def _scan(self, e):
+    def _compile(self, e, counters):
         key = id(e)
-        if key not in self.reads:
-            kind = type(e)
-            names = set()
-            if kind is Var or (kind is Ref and not e.indices):
-                names = None
-            elif kind is Ref:
-                for ix in e.indices:
-                    names.update(n for n, _ in as_affine(ix).terms)
-            elif kind is CondVal and isinstance(e.value, Affine):
-                names.update(n for n, _ in e.value.terms)
-            for below in [self._scan(c) for c in children_of(e)]:
-                if names is not None and below is not None:
-                    names |= below
-                else:
-                    names = None
-            self.reads[key] = None if names is None else frozenset(names)
-        return self.reads[key]
-
-    def _walk(self, e, env):
-        reads = self.reads[id(e)]
-        key = None
-        if reads is not None and not env.keys() <= reads:
-            key = (id(e), tuple([env.get(c) for c in reads]))
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
+        if key in self.seen:
+            self.shared.add(key)
+        else:
+            self.seen.add(key)
+        hit = self.steps.get((key, counters))
+        if hit is not None:
+            return hit
         kind = type(e)
         if kind is Ref and e.indices:
-            if self.bind:
-                out = Ref(e.name, tuple(as_affine(ix).bind(env)
-                                        for ix in e.indices))
-            else:
-                values = tuple([as_affine(ix).eval(env) for ix in e.indices])
-                out = self.refs.get((e.name, values))
-                if out is None:
-                    eid = render_eid(e.name, values)
-                    if eid not in self.declared:
-                        raise GroundError("unresolved reference %r" % eid)
-                    out = self.refs[e.name, values] = Ref(eid)
+            affines = tuple(as_affine(ix) for ix in e.indices)
+            reads = frozenset(n for a in affines for n, _ in a.terms)
+            binding = _binding([n for n in counters if n in reads])
+            if self.bind:  # the counters not bound stay symbolic
+                step = _kept(_bind_ref(e.name, affines), binding)
+            elif reads <= set(counters):
+                step = _kept(_ground_ref(e.name, affines, self.declared,
+                                         self.refs), binding)
+            else:  # the first counter not bound, as ``Affine.eval`` names it
+                step = _unbound(next(n for a in affines for n, _ in a.terms
+                                     if n not in counters))
         elif kind is Ref or kind is Var:
-            out = e if self.declared is None else self._name(e)
-        elif kind is CondVal and isinstance(e.value, Affine):
-            value = e.value.bind(env) if self.bind else e.value.eval(env)
-            if self.bind and value.is_const():
-                value = value.const
-            out = CondVal(self._walk(e.guard, env), value)
+            step, reads = _resolve_name(e, self.declared, self.variables), None
+        elif kind is Const:
+            step, reads = (lambda env: e), frozenset()
         else:
-            out = map_children(e, lambda c: self._walk(c, env))
-        if key is not None:
-            self.memo[key] = out
-        return out
+            below = [self._compile(c, counters) for c in children_of(e)]
+            reads = frozenset()
+            for _, r in below:
+                reads = None if reads is None or r is None else reads | r
+            if kind is CondVal and isinstance(e.value, Affine) \
+                    and reads is not None:
+                reads |= {n for n, _ in e.value.terms}
+            step = _build_step(e, [s for s, _ in below], self.bind)
+            if reads is not None:
+                binding = _binding([n for n in counters if n in reads])
+                if reads >= set(counters):  # no repeat over a loop
+                    step = _kept(step, binding, key, self.shared)
+                else:
+                    step = _kept(step, binding)
+        hit = self.steps[key, counters] = (step, reads)
+        return hit
 
-    def _name(self, e):
-        """A bare name as it resolves now: a declaration or a variable."""
-        declared, variables = self.declared, self.variables
+
+def _binding(names):
+    """The key of a binding: the values of the bound counters ``names``."""
+    return itemgetter(*names) if names else (lambda env: ())
+
+
+def _kept(build, binding, key=None, shared=None):
+    """``build`` with its result kept per ``binding(env)``: always, or once
+    the node ``key`` is among the ``shared`` ids."""
+    known = {}
+
+    def step(env):
+        if shared is not None and key not in shared:
+            return build(env)
+        at = binding(env)
+        out = known.get(at)
+        if out is None:
+            out = known[at] = build(env)
+        return out
+    return step
+
+
+def _unbound(name):
+    def step(env):
+        raise GroundError("unbound loop counter %r" % name)
+    return step
+
+
+def _index_values(affines, env):
+    """The values of ``affines`` under ``env``, which binds their counters."""
+    values = []
+    for a in affines:
+        value = a.const
+        for name, coef in a.terms:
+            value += coef * env[name]
+        values.append(value)
+    return tuple(values)
+
+
+def _ground_ref(name, affines, declared, refs):
+    """An indexed reference grounded: the ``Ref`` of the identifier it
+    names, which must be declared by then."""
+    def build(env):
+        values = _index_values(affines, env)
+        out = refs.get((name, values))
+        if out is None:
+            eid = render_eid(name, values)
+            if eid not in declared:
+                raise GroundError("unresolved reference %r" % eid)
+            out = refs[name, values] = Ref(eid)
+        return out
+    return build
+
+
+def _bind_ref(name, affines):
+    return lambda env: Ref(name, tuple([a.bind(env) for a in affines]))
+
+
+def _resolve_name(e, declared, variables):
+    """The step of a bare name: a declaration or a variable, as it resolves
+    when the step runs, or the name as it is with ``declared`` None."""
+    if declared is None:
+        return lambda env: e
+
+    def step(env):
         if type(e) is Var:
             if variables is None or e.name in variables:
                 return e
@@ -323,6 +391,43 @@ class _Grounder:
                 return Var(e.name)
             raise GroundError("unresolved reference %r" % e.name)
         return Ref(e.name)
+    return step
+
+
+def _build_step(e, steps, bind):
+    """The step of an interior node over its children's ``steps``: the
+    node rebuilt over their results, as ``map_children`` would."""
+    kind = type(e)
+    if kind in (And, Or, Add, Mul):
+        return lambda env: kind(tuple([s(env) for s in steps]))
+    if kind is Not:
+        child, = steps
+        return lambda env: Not(child(env))
+    if kind is Atom:
+        op, left, right = e.op, steps[0], steps[1]
+        return lambda env: Atom(op, left(env), right(env))
+    if kind is Dist:
+        left, right = steps
+        return lambda env: Dist(left(env), right(env))
+    if kind is Guard:
+        guard, body = steps
+        return lambda env: Guard(guard(env), body(env))
+    if kind is Pow:
+        child, exponent = steps[0], e.exponent
+        return lambda env: Pow(child(env), exponent)
+    guard, value = steps[0], e.value  # CondVal
+    if not isinstance(value, Affine):
+        return lambda env: CondVal(guard(env), value)
+
+    def step(env):  # the value first, as ``Affine.eval`` did
+        if bind:
+            number = value.bind(env)
+            if number.is_const():
+                number = number.const
+        else:
+            number = value.eval(env)
+        return CondVal(guard(env), number)
+    return step
 
 
 def _instances(items, env):
@@ -344,11 +449,13 @@ def ground(program, target_patterns=("*",), variables=None):
     """
     decls = {}
     grounder = _Grounder(decls, variables)
-    for item, env in _instances(program.items, {}):
-        eid = item.eid_under(env)
-        if eid in decls:
-            raise GroundError("identifier %r assigned twice" % eid)
-        decls[eid] = grounder.walk(item.expr, env)
+    for top in program.items:
+        for item, env in _instances((top,), {}):
+            eid = item.eid_under(env)
+            if eid in decls:
+                raise GroundError("identifier %r assigned twice" % eid)
+            decls[eid] = grounder.walk(item.expr, env)
+        grounder.steps.clear()  # no later item runs this one's steps
     targets = match_targets(decls.keys(), target_patterns)
     return GroundedProgram(decls, targets)
 

@@ -12,8 +12,8 @@ value is still possible).  Assigning a random variable propagates masks
 bottom-up; every mask write is recorded on an undo trail so the depth-first
 search can backtrack in O(changes).
 
-Each ``MaskState`` keeps one list ``masks`` over instance slots: a Boolean
-slot holds ``UNKNOWN``, ``MASK_TRUE`` or ``MASK_FALSE`` (those three objects,
+Each ``MaskState`` keeps one list ``masks`` over kept slots (below): a
+Boolean slot holds ``UNKNOWN``, ``MASK_TRUE`` or ``MASK_FALSE`` (those three objects,
 so an identity test tells them apart), a numeric slot a ``NumMask``.  A
 scalar mask's interval ends are floats, a vector mask's are tuples of
 floats, one per component.  A rule whose result is certainly undefined
@@ -22,7 +22,7 @@ interval.  The rules keep one invariant: a mask that may be defined has its
 static kind's shape, and no rule reads the interval of a mask whose
 ``may_def`` is False.
 
-Each (node, iteration) instance has a flat slot index,
+Each (node, iteration) instance has a flat instance slot,
 ``EventNetwork.slot``: ``t*N + id`` for in-loop nodes and ``id`` for
 iteration-independent (base) nodes.  That index is topological, because
 every child slot is smaller than the slot that reads it:
@@ -35,14 +35,19 @@ every child slot is smaller than the slot that reads it:
     ``t=0``, and its ``source`` at ``t-1`` after that, whose slot (base or
     in-loop) is below ``t*N``.
 
-The first ``MaskState`` on a network compiles it into ``SlotTables``: per
-slot the rule and node that compute its mask (one rule per node kind, an
-atom's chosen by its comparison), the rule's argument (its child slots,
-with the carry nodes' iteration shift already expanded), the slots that
-read its mask, and a level.  Building them outside ``build_network`` keeps
-that work out of network construction; every mask state on the network,
-one per worker, shares them read-only.  The first state also leaves its initial masks
-there, and every later state loads them instead of computing them again.
+The first ``MaskState`` on a network compiles it into ``SlotTables``.
+They number the *kept* instances, those that are neither fused (below) nor
+unused (a base node's slot at ``t>0``), in rising instance-slot order, so
+the numbering is topological too; every mask state addresses instances by
+these *kept slots*, through ``SlotTables.index``.  Per kept slot the tables
+hold the rule and node that compute its mask (one rule per node kind, an
+atom's chosen by its comparison), the rule's argument (its children's kept
+slots, with the carry nodes' iteration shift already expanded), the slots
+that read its mask, and a level.  Building them outside ``build_network``
+keeps that work out of network construction; every mask state on the
+network, one per worker, shares them read-only.  The first state also
+leaves its initial masks there, and every later state loads them instead
+of computing them again.
 
 The tables *fuse* a guard whose one reader is an ``add``, and an atom whose
 one reader is an ``and``, when it is not a target: the reader's rule
@@ -52,10 +57,10 @@ pair, in child order, and ``_add`` applies ``_guard``'s operations to a
 pair in the same order as over a guard's mask.  A conjunction's argument is
 its plain child slots and its fused atoms, and its value does not depend on
 the order of its operands.  So every kept mask is the same bits as without
-fusion.  A fused slot has no rule, no parents and no mask: it is never
-written and never queued, and its reader is queued by the fused slot's
-children instead.  ``mask_of`` computes a fused instance's mask on demand,
-from its node's rule over its children.  On the benchmark's k-medoids
+fusion.  A fused instance has no kept slot, so no rule, no parents and no
+mask: it is never written and never queued, and its reader is queued by
+the fused instance's children instead.  ``mask_of`` computes a fused
+instance's mask on demand, from its node's rule over its children.  On the benchmark's k-medoids
 networks every atom and every guard is fused, and a search writes 76-80%
 fewer masks than without.
 
@@ -73,11 +78,11 @@ neither a mask nor a bound, since each slot reads only final child masks and
 each target is credited at most once per assignment.
 
 The search picks its next variable by how many undecided kept instances
-lie above it, so ``MaskState.unknown_bits`` keeps one bit per kept instance
-slot that is still undecided: a Boolean mask that is UNKNOWN, or a numeric
+lie above it, so ``MaskState.unknown_bits`` keeps one bit per kept slot
+that is still undecided: a Boolean mask that is UNKNOWN, or a numeric
 mask that still allows two outcomes (a defined value and the undefined
-element, or two defined values).  A fused slot has no bit.  Initialisation
-sets the bits of the instances it leaves undecided.  After it, writes only
+element, or two defined values).  A fused instance has no bit.
+Initialisation sets the bits of the instances it leaves undecided.  After it, writes only
 clear bits, because masks only tighten and an assignment never queues a
 decided instance.  A checkpoint carries the bits with the trail length,
 and reverting restores them in one step.
@@ -194,95 +199,126 @@ class EventNetwork:
 
 
 class SlotTables:
-    """An event network flattened over its (node, iteration) instance slots.
+    """An event network flattened over its kept (node, iteration) instances.
 
-    ``rules[slot](state, nodes[slot], children[slot])`` computes a slot's
-    mask; the rule is picked per node when the tables are built
-    (``_rule_of``).  ``children[slot]`` is the rule's argument: the child
-    slots, in the node's child order, where a carry node reads its initial
-    declaration at ``t=0`` and its source at ``t-1`` after that.
+    An instance is *kept* unless it is fused into its one reader or no
+    instance uses its slot (a base node's slot at ``t>0``).  The kept
+    instances are numbered in rising ``EventNetwork.slot`` order, and every
+    table is over these *kept slots*: ``index`` maps an instance slot to its
+    kept slot, and has no entry for a fused or unused one.  ``vars`` maps
+    each variable the network reads to its kept slot, and ``targets`` holds
+    the kept slot of each of ``EventNetwork.targets``, in order.
 
-    A slot that is not a target is *fused* into its one reader when it is
-    a guard read by an ``add`` or an atom read by an ``and``.  The reader
-    keeps its kind's rule, and its argument takes the fused slot in:
+    ``rules[k](state, nodes[k], children[k])`` computes a kept slot's mask;
+    the rule is picked per node (``_rule_of``).  ``children[k]`` is the
+    rule's argument: the kept slots of the instance's children, in the
+    node's child order, where a carry node reads its initial declaration at
+    ``t=0`` and its source at ``t-1`` after that.
+
+    An instance that is not a target is *fused* into its one reader when it
+    is a guard read by an ``add`` or an atom read by an ``and``.  The reader
+    keeps its kind's rule, and its argument takes the fused instance in:
 
       * an ``add``'s argument holds one term per child, in child order: the
-        child's slot, or a fused guard's (condition slot, body slot) pair;
+        child's kept slot, or a fused guard's (condition, body) pair;
       * an ``and``'s argument is always (plain child slots, fused atoms),
         with one ``(rule, node, kids)`` item per fused atom, so ``()`` when
         no atom is fused.
 
-    A fused slot has no rule, no node, no children and no parents, so its
-    mask is never written and it has no undecided bit.  ``parents[slot]``
-    holds, in rising order, the kept slots whose rules read the slot's mask:
-    a reader's edges run from its plain children and from the children of
-    every guard or atom fused into it, each once.  ``level[slot]`` is 0 for
-    a slot that reads no mask, else one more than the highest level it
-    reads.  Slots that no instance uses (a base node's slot at ``t>0``) have
-    no edges, and their rule and node are None.  Every edge rises: a child's
-    slot is smaller than its reader's.  ``initial`` holds the masks before
-    any assignment (``MaskState._init_masks``).
+    A fused instance has no kept slot, so it has no mask and no undecided
+    bit, and it is never written.  ``parents[k]`` holds, in rising order,
+    the kept slots whose rules read kept slot ``k``: a reader's edges run
+    from its plain children and from the children of every guard or atom
+    fused into it, each once.  ``level[k]`` is 0 for a slot that reads no
+    mask, else one more than the highest level it reads.  Every edge rises,
+    because instance slots are topological and the numbering keeps their
+    order.  ``initial`` holds the masks before any assignment
+    (``MaskState._init_masks``).
     """
 
-    __slots__ = ("children", "parents", "level", "rules", "nodes", "initial")
+    __slots__ = ("index", "vars", "targets", "children", "parents", "level",
+                 "rules", "nodes", "initial")
 
     def __init__(self, net):
-        nodes, N, T, slot_of = net.nodes, len(net.nodes), net.T, net.slot
-        size = N * T
-        children = [()] * size
-        rules, snodes = [None] * size, [None] * size
-        readers = [0] * size
+        nodes, N, T = net.nodes, len(net.nodes), net.T
+        # per node: the reads of one instance by readers that are not
+        # carries (a base node read in the loop is read at every
+        # iteration), the last such reader, and whether a carry reads the
+        # instance: a base node's only one, an in-loop node's below the last
+        # iteration
+        plain, reader, carried = [0] * N, [None] * N, [False] * N
         for node in nodes:
-            rule = _rule_of(node, nodes)
-            for t in range(T) if node.in_loop else (0,):
-                if node.kind != "loop":
-                    kids, kt = node.children, t
-                elif t == 0:
-                    kids, kt = (node.payload["init"],), 0
-                else:
-                    kids, kt = (node.payload["source"],), t - 1
-                idx = t * N + node.id
-                children[idx] = kids = tuple([slot_of(c, kt) for c in kids])
-                rules[idx], snodes[idx] = rule, node
-                for c in kids:
-                    readers[c] += 1
-        targets = {slot for slot, _eid in net.targets}
-
-        # one reader: no other rule needs the slot's mask; not a target: its
-        # mask credits the bounds.  A fused slot's children stay kept: a slot
-        # fuses only into a sum or a conjunction, and a guard or an atom is
-        # neither.
-        def fusable(c, kind):
-            return (snodes[c].kind == kind and readers[c] == 1
-                    and c not in targets)
-
-        reads = list(children)  # the slots each kept rule reads
-        for slot, node in enumerate(snodes):
-            if node is None or node.kind not in ("add", "and"):
-                continue
-            kids = children[slot]
-            into = [c for c in kids
-                    if fusable(c, "guard" if node.kind == "add" else "atom")]
-            if node.kind == "add":
-                children[slot] = tuple(
-                    [children[c] if c in into else c for c in kids])
+            if node.kind == "loop":
+                carried[node.payload["init"]] = True
+                source = node.payload["source"]
+                carried[source] = carried[source] or T > 1
+            elif node.in_loop and T > 1:
+                for c in node.children:
+                    plain[c] += 1 if nodes[c].in_loop else T
+                    reader[c] = node
             else:
-                children[slot] = (
-                    tuple([c for c in kids if c not in into]),
-                    tuple([(rules[c], snodes[c], children[c]) for c in into]))
-            if into:
-                reads[slot] = tuple(dict.fromkeys(
-                    [g for c in kids for g in (children[c] if c in into else (c,))]))
-            for c in into:
-                children[c] = reads[c] = ()
-                rules[c] = snodes[c] = None
-        parents = [[] for _ in reads]
-        level = [0] * size
-        for slot, kids in enumerate(reads):  # children first: slots rise
-            for c in kids:
-                parents[c].append(slot)
-                if level[c] >= level[slot]:
-                    level[slot] = level[c] + 1
+                for c in node.children:
+                    plain[c] += 1
+                    reader[c] = node
+        # one reader: no other rule needs the instance's mask; not a
+        # target: its mask credits the bounds.  A fused instance's children
+        # stay kept: an instance fuses only into a sum or a conjunction, and
+        # a guard or an atom is neither.
+        targets = {slot for slot, _eid in net.targets}
+        index, kept, loop = {}, [], [n for n in nodes if n.in_loop]
+        for t in range(T):
+            off, last = t * N, t == T - 1
+            for node in nodes if t == 0 else loop:
+                c = node.id
+                if (plain[c] == 1 and reader[c].kind == _FUSES.get(node.kind)
+                        and (not carried[c] or last and node.in_loop)
+                        and off + c not in targets):
+                    continue
+                index[off + c] = len(kept)
+                kept.append((node, t))
+
+        def at(ids, off):
+            """The instance slots of nodes ``ids`` at iteration ``off // N``."""
+            return ids if not off else [
+                c + off if nodes[c].in_loop else c for c in ids]
+
+        children, rules, snodes = [], [], []
+        parents, level = [[] for _ in kept], [0] * len(kept)
+        get, kept_of = index.get, index.__getitem__
+        for k, (node, t) in enumerate(kept):
+            kind, kids, kt = node.kind, node.children, t
+            if kind == "loop":
+                kids, kt = (((node.payload["init"],), 0) if t == 0
+                            else ((node.payload["source"],), t - 1))
+            off = kt * N
+            read = tuple(map(get, at(kids, off)))
+            if None not in read:
+                arg = (read, ()) if kind == "and" else read
+            else:  # a sum or a conjunction with fused children
+                args = read
+                terms = [a if a is not None else
+                         tuple(map(kept_of, at(nodes[c].children, off)))
+                         for c, a in zip(kids, args)]
+                read = tuple(dict.fromkeys(
+                    [g for a, term in zip(args, terms)
+                     for g in (term if a is None else (a,))]))
+                if kind == "add":
+                    arg = tuple(terms)
+                else:
+                    arg = (tuple([a for a in args if a is not None]),
+                           tuple([(_rule_of(nodes[c], nodes), nodes[c], term)
+                                  for c, a, term in zip(kids, args, terms)
+                                  if a is None]))
+            children.append(arg)
+            rules.append(_rule_of(node, nodes))
+            snodes.append(node)
+            for c in read:  # children first: kept slots rise
+                parents[c].append(k)
+                if level[c] >= level[k]:
+                    level[k] = level[c] + 1
+        self.index = index
+        self.vars = {name: index[nid] for name, nid in net.var_nodes.items()}
+        self.targets = [index[slot] for slot, _eid in net.targets]
         self.children = children
         self.parents = [tuple(out) for out in parents]
         self.level = level
@@ -291,6 +327,8 @@ class SlotTables:
         self.initial = None  # set by the first MaskState on the network
 
 
+# the kind of reader each fusable kind fuses into
+_FUSES = {"guard": "add", "atom": "and"}
 _NODE_KINDS = {Const: "const", Not: "not", And: "and", Or: "or", Atom: "atom",
                CondVal: "condval", Guard: "guard", Add: "add", Mul: "mul",
                Pow: "pow", Dist: "dist"}
@@ -552,7 +590,7 @@ class MaskState:
         self.problower = [0.0] * len(net.targets)
         self.probupper = [1.0] * len(net.targets)
         self.target_at = {}
-        for i, (slot, _eid) in enumerate(net.targets):
+        for i, slot in enumerate(self.tables.targets):
             self.target_at.setdefault(slot, []).append(i)
         # a slot is queued in the current assignment iff its stamp is epoch;
         # a decided slot's stamp is DECIDED, above every epoch
@@ -566,15 +604,15 @@ class MaskState:
 
     def mask_of(self, nid, t):
         """The mask of node ``nid`` at iteration ``t``.  A fused instance
-        has no mask of its own: its node's rule computes one from its child
-        slots, which are kept."""
-        net = self.net
-        slot = net.slot(nid, t)
-        if self.tables.rules[slot] is not None:
+        has no mask of its own: its node's rule computes one from its
+        children's, which are kept."""
+        net, index = self.net, self.tables.index
+        slot = index.get(net.slot(nid, t))
+        if slot is not None:
             return self.masks[slot]
         node = net.nodes[nid]
         return _rule_of(node, net.nodes)(
-            self, node, tuple([net.slot(c, t) for c in node.children]))
+            self, node, tuple([index[net.slot(c, t)] for c in node.children]))
 
     # --- initialisation ------------------------------------------------------
 
@@ -601,8 +639,6 @@ class MaskState:
         children, nodes = self.tables.children, self.tables.nodes
         undecided, writes = bytearray((len(masks) + 7) >> 3), 0
         for idx, rule in enumerate(self.tables.rules):
-            if rule is None:
-                continue  # no instance uses the slot, or it is fused
             node = nodes[idx]
             new = rule(self, node, children[idx])
             if new is not UNKNOWN:
@@ -660,26 +696,26 @@ class MaskState:
         being queued twice.  A decided slot is never queued, because its
         stamp is DECIDED.  Its parents are queued only if its mask changed.
         """
-        nid = self.net.var_nodes.get(var_name)
-        if nid is None:
+        var = self.tables.vars.get(var_name)  # its kept slot
+        if var is None:
             return  # variable unused by the network
         masks, trail, queued = self.masks, self.trail, self.queued
-        if masks[nid] != UNKNOWN:
+        if masks[var] != UNKNOWN:
             raise NetworkError("variable %r already assigned" % var_name)
         new = MASK_TRUE if value else MASK_FALSE
         start = len(trail)
-        trail.append((nid, UNKNOWN))
-        masks[nid] = new
-        queued[nid] = DECIDED
-        self._credit(nid, new, p)
-        unknown = self.unknown_bits ^ (1 << nid)  # its bit is set: undecided
+        trail.append((var, UNKNOWN))
+        masks[var] = new
+        queued[var] = DECIDED
+        self._credit(var, new, p)
+        unknown = self.unknown_bits ^ (1 << var)  # its bit is set: undecided
         target_at = self.target_at
         tables = self.tables
         rules, nodes, children = tables.rules, tables.nodes, tables.children
         parents, level = tables.parents, tables.level
         levels = self.levels
         self.epoch = epoch = self.epoch + 1
-        for q in parents[nid]:
+        for q in parents[var]:
             if queued[q] < epoch:
                 queued[q] = epoch
                 levels[level[q]].append(q)
@@ -813,7 +849,8 @@ class MaskState:
         return MASK_TRUE if node.payload else MASK_FALSE
 
     def _var(self, node, kids):
-        return self.masks[node.id]  # only ``assign`` decides a variable
+        # only ``assign`` decides a variable
+        return self.masks[self.tables.vars[node.payload]]
 
     def _carry(self, node, kids):
         return self.masks[kids[0]]

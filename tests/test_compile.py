@@ -272,6 +272,13 @@ def _reference_ancestor_bits(net):
     return out
 
 
+def _kept_bits(index, bits):
+    """Bits over instance slots as bits over kept slots, without the
+    fused instances'."""
+    return sum(1 << index[slot] for slot in range(bits.bit_length())
+               if bits >> slot & 1 and slot in index)
+
+
 def test_ancestor_bits_match_upward_search(line_dataset):
     nets = []
     for seed in range(20):
@@ -284,11 +291,10 @@ def test_ancestor_bits_match_upward_search(line_dataset):
         prog, (meta["targets"],), set(line_dataset.vartable.index))))
     assert nets[-1].T == 3
     for net in nets:
-        # restated over the kept slots: a fused slot lies above no variable
-        rules, kept = net.slot_tables().rules, 0
-        for slot, rule in enumerate(rules):
-            kept |= (rule is not None) << slot
+        # restated over the kept slots: a fused instance has no kept slot,
+        # so it lies above no variable
+        index = net.slot_tables().index
         assert ancestor_bits(net) == {
-            name: bits & kept
+            name: _kept_bits(index, bits)
             for name, bits in _reference_ancestor_bits(net).items()}
         assert ancestor_bits(net) is ancestor_bits(net)  # computed once

@@ -6,7 +6,7 @@ import pytest
 from conftest import FIXTURES
 from manyworlds.events import (
     Add, And, Atom, CondVal, Declarations, Dist, Guard, Mul, Not, Or, Pow,
-    Ref, TypeMismatch, Var, TRUE, map_children,
+    Ref, TypeMismatch, Var, TRUE, first_true, map_children,
 )
 from manyworlds.eventprog import (
     Affine, Decl, EventProgram, GroundError, Loop, ProgramSyntaxError, decl,
@@ -303,6 +303,97 @@ def test_front_end_entry_points_leave_no_cyclic_garbage(kmedoids_src,
     finally:
         gc.enable()
     assert garbage == dict.fromkeys(calls, 0)
+
+
+def test_ground_that_fails_partway_leaves_no_cyclic_garbage():
+    # the error path too: a step that refers back to the grounder, or to
+    # the table of steps, is a cycle that only the success path might
+    # break; B[1] fails after A[0], A[1] and B[0] are grounded, with memos
+    # filled for the repeated and the shared subtrees
+    import gc
+    i = Affine.var("i")
+    shared = Not(Ref("A", (i,)))
+    program = EventProgram((Loop("i", 0, 3, (
+        Decl("A", (i,), And((Var("x0"), Var("x1")))),
+        Decl("B", (i,), Or((And((shared, Var("x0"))), And((shared, Var("x1"))),
+                            Ref("A", (i.plus(-1),))))),
+    )),))
+    calls = {
+        "ground": lambda: ground(program, ("*",), {"x0", "x1"}),
+        # the folded binder resolves bare names against the base
+        "ground_folded": lambda: ground_folded(EventProgram((
+            decl("A", (0,), Var("x0")),
+            Loop("it", 0, 2, (Decl("B", (Affine.var("it"),),
+                                   And((shared, Ref("Missing")))),)),
+        )), ("*",), {"x0"}),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        garbage = {}
+        for name, call in calls.items():
+            try:
+                call()
+            except GroundError:
+                garbage[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == dict.fromkeys(calls, 0)
+
+
+def test_shared_source_grounds_once_per_binding(line_dataset):
+    # first_true shares each negation among the entries after it: every
+    # entry's repeat of !Obj[l] grounds to one object, in one declaration
+    # (the initial medoids) and across declarations (a loop of entries,
+    # once the first iteration has compiled the later entries and found
+    # the negation shared)
+    chain = first_true([ref("Obj", l) for l in range(4)])
+    entries = first_true([Ref("Obj", (Affine.var("i").plus(l),))
+                          for l in range(3)])
+    program = EventProgram(tuple(
+        decl("Obj", (l,), Var("x%d" % l)) for l in range(4)) + (
+        decl("M", (), Or(tuple(chain))),
+        Loop("i", 0, 2, tuple(Decl("P", (Affine(l), Affine.var("i")), e)
+                              for l, e in enumerate(entries))),
+    ))
+    variables = {"x%d" % l for l in range(4)}
+    g = ground(program, ("*",), variables)
+    negations = [e.children[:-1] for e in g.decls["M"].children[1:]]
+    for l in range(3):
+        assert len({id(n[l]) for n in negations[l:]}) == 1
+        assert negations[l][l] == Not(Ref("Obj[%d]" % l))
+    for i in range(2):
+        first = g.decls["P[1,%d]" % i].children[0]
+        assert first == Not(Ref("Obj[%d]" % i))
+        assert g.decls["P[2,%d]" % i].children[0] == first
+    assert g.decls["P[2,1]"].children[0] is first
+    # the same network as a program that shares no source node
+    unshared = parse_event_program(emit_event_program(program))
+    assert build_network(g).dump() == build_network(
+        ground(unshared, ("*",), variables)).dump()
+    # and on the k-medoids program, whose prefix exclusions share operands
+    prog, meta = build_kmedoids_program(line_dataset)
+    vs = set(line_dataset.vartable.index)
+    assert build_network(ground(prog, (meta["targets"],), vs)).dump() == \
+        build_network(ground(parse_event_program(emit_event_program(prog)),
+                             (meta["targets"],), vs)).dump()
+
+
+def test_shared_subtree_naming_a_bare_name_grounds_at_each_use():
+    # one source node reached from two declarations names the bare ``y``:
+    # a variable before ``y := ...`` is declared, that declaration after
+    # it, so the shared-source memo must not keep the first grounding
+    shared = Not(Ref("y"))
+    program = EventProgram((
+        decl("P", (), And((shared, Var("x0")))),
+        decl("y", (), Var("x1")),
+        decl("Q", (), And((shared, Var("x0")))),
+        decl("R", (), Or((shared, shared))),
+    ))
+    g = ground(program, ("*",), {"x0", "x1", "y"})
+    assert g.decls["P"].children[0] == Not(Var("y"))
+    assert g.decls["Q"].children[0] == Not(Ref("y"))
+    assert g.decls["R"] == Or((Not(Ref("y")), Not(Ref("y"))))
 
 
 _S, _V = CondVal(TRUE, 1.0), CondVal(TRUE, (1.0, 2.0))

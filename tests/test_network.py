@@ -191,7 +191,7 @@ def test_mask_of_a_fused_named_guard():
     net = build_network(g)
     guards = [net.node_of_eid[eid] for eid in ("E3", "E4")]
     assert all(net.nodes[nid].kind == "guard" for nid in guards)
-    assert all(net.slot_tables().rules[nid] is None for nid in guards)
+    assert all(net.slot_tables().index.get(nid) is None for nid in guards)
     names, rng = vt.names(), random.Random(42)
     for _ in range(6):
         st_ = MaskState(net)
@@ -300,12 +300,12 @@ def _decided_mask(m):
 
 def _undecided_bits(st_):
     """The undecided bits of the kept instances, recomputed from the masks;
-    a fused instance has no mask and no bit."""
-    net, bits, rules = st_.net, 0, st_.tables.rules
+    a fused instance has no kept slot, so no mask and no bit."""
+    net, bits, index = st_.net, 0, st_.tables.index
     for nid, node in enumerate(net.nodes):
         for t in range(net.T if node.in_loop else 1):
-            idx = net.slot(nid, t)
-            if rules[idx] is not None:
+            idx = index.get(net.slot(nid, t))
+            if idx is not None:
                 bits |= (not _decided_mask(st_.masks[idx])) << idx
     return bits
 
@@ -413,12 +413,22 @@ def _instance_kids(net, slot):
 
 
 def _fused_slots(net):
-    """The used slots that have no rule: the guards and atoms fused into
-    their readers."""
-    tables = net.slot_tables()
+    """The used instance slots that have no kept slot: the guards and atoms
+    fused into their readers."""
+    index = net.slot_tables().index
     return [t * len(net.nodes) + node.id for node in net.nodes
             for t in (range(net.T) if node.in_loop else (0,))
-            if tables.rules[t * len(net.nodes) + node.id] is None]
+            if t * len(net.nodes) + node.id not in index]
+
+
+def _instance_slots(tables):
+    """The instance slot of each kept slot."""
+    return sorted(tables.index, key=tables.index.get)
+
+
+def _kept(tables, slots):
+    """The kept slots of a tuple of kept instances' slots."""
+    return tuple(tables.index[s] for s in slots)
 
 
 def test_slot_tables_mirror_the_graph(line_dataset):
@@ -429,37 +439,41 @@ def test_slot_tables_mirror_the_graph(line_dataset):
     assert [net.T for net in nets[:2]] == [1, 3]
     for net in nets:
         tables = net.slot_tables()
-        N, size = len(net.nodes), len(net.nodes) * net.T
+        N, size = len(net.nodes), len(tables.index)
         assert len(tables.children) == len(tables.parents) == size
+        # kept slots number the kept instances in rising instance order
+        assert list(tables.index.values()) == list(range(size))
+        assert list(tables.index) == sorted(tables.index)
         down = {(c, s) for s in range(size) for c in _reads(tables, s)}
         up = {(c, p) for c in range(size) for p in tables.parents[c]}
         assert down == up  # each table is the other's inverse
         assert all(list(ups) == sorted(ups) for ups in tables.parents)
         assert all(c < s for c, s in down)  # every edge rises
         assert all(tables.level[c] < tables.level[s] for c, s in down)
-        for s in range(size):  # a slot has edges only if an instance uses it
-            if s >= N and not net.nodes[s % N].in_loop:
-                assert tables.children[s] == tables.parents[s] == ()
+        for s in tables.index:  # a slot is kept only if an instance uses it
+            assert s < N or net.nodes[s % N].in_loop
         fused = set(_fused_slots(net))
-        for slot, node in enumerate(tables.nodes):
-            if node is None:
-                continue
+        for slot, node in zip(_instance_slots(tables), tables.nodes):
+            k = tables.index[slot]
             # one rule per node kind: fusion shapes the argument only
-            assert tables.rules[slot] is network._rule_of(node, net.nodes)
+            assert tables.rules[k] is network._rule_of(node, net.nodes)
             kids = _instance_kids(net, slot)
             kinds = {net.nodes[c % N].kind for c in kids if c in fused}
             if node.kind == "add":
                 assert kinds <= {"guard"}
-                assert tables.children[slot] == tuple(
-                    _instance_kids(net, c) if c in fused else c for c in kids)
+                assert tables.children[k] == tuple(
+                    _kept(tables, _instance_kids(net, c)) if c in fused
+                    else tables.index[c] for c in kids)
             elif node.kind == "and":
                 assert kinds <= {"atom"}
-                plain, atoms = tables.children[slot]
-                assert plain == tuple(c for c in kids if c not in fused)
+                plain, atoms = tables.children[k]
+                assert plain == _kept(tables, [c for c in kids
+                                               if c not in fused])
                 assert [args for _rule, _node, args in atoms] == [
-                    _instance_kids(net, c) for c in kids if c in fused]
+                    _kept(tables, _instance_kids(net, c))
+                    for c in kids if c in fused]
             else:
-                assert tables.children[slot] == kids
+                assert tables.children[k] == _kept(tables, kids)
                 assert not fused & set(kids)
         assert net.slot_tables() is tables  # built once, then shared
 
@@ -473,9 +487,12 @@ def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
         for slot in fused:
             node = net.nodes[slot % len(net.nodes)]
             assert node.kind in ("guard", "atom") and slot not in targets
-            assert tables.nodes[slot] is None
-            assert tables.children[slot] == tables.parents[slot] == ()
-            assert not any(slot in ups for ups in tables.parents)
+        # a fused instance has no kept slot, so no rule, no node, no
+        # children, no parents and no bit: the kept slots are the other
+        # used instances'
+        used = sum(net.T if n.in_loop else 1 for n in net.nodes)
+        assert len(tables.rules) == len(tables.nodes) == used - len(fused)
+        assert not set(fused) & set(tables.index)
         st_ = MaskState(net)
         written = set()
         plain_assign = st_.assign
@@ -488,9 +505,8 @@ def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
         st_.assign = assign
         vt = VarTable(tuple((name, 0.4) for name in sorted(net.var_nodes)))
         Search(net, vt, 0.0, "exact", state=st_).run()
-        for slot in fused:
-            assert not st_.unknown_bits >> slot & 1
-            assert slot not in written
+        assert not st_.unknown_bits >> len(tables.rules)
+        assert written <= set(range(len(tables.rules)))
 
 
 def test_line_kmedoids_networks_keep_no_guard(line_dataset):
@@ -511,15 +527,20 @@ def test_line_kmedoids_networks_keep_no_guard(line_dataset):
 def _unfused_mask(st_, slot):
     """The mask of a kept slot as the unfused network computes it: each
     guard or atom fused into it runs its own rule into a copy of the masks,
-    and the slot's node then runs its plain rule over them."""
-    net, rules = st_.net, st_.tables.rules
-    node, kids = net.nodes[slot % len(net.nodes)], _instance_kids(net, slot)
+    at a slot past the kept ones, and the slot's node then runs its plain
+    rule over them."""
+    net, index = st_.net, st_.tables.index
+    instance = _instance_slots(st_.tables)[slot]
+    node = net.nodes[instance % len(net.nodes)]
     copy = SimpleNamespace(masks=list(st_.masks))
-    for c in kids:
-        if rules[c] is None:
+    kids = []
+    for c in _instance_kids(net, instance):
+        if c not in index:
             child = net.nodes[c % len(net.nodes)]
-            copy.masks[c] = network._rule_of(child, net.nodes)(
-                copy, child, _instance_kids(net, c))
+            copy.masks.append(network._rule_of(child, net.nodes)(
+                copy, child, _kept(st_.tables, _instance_kids(net, c))))
+        kids.append(index.get(c, len(copy.masks) - 1))
+    kids = tuple(kids)
     if node.kind == "and":
         kids = (kids, ())
     return network._rule_of(node, net.nodes)(copy, node, kids)
@@ -602,8 +623,9 @@ def test_targets_and_shared_operands_are_not_fused():
     net = network_of(extra, ("T",))
     shared, other = net.nodes[net.node_of_eid["S"]].children
     assert set(_fused_slots(net)) & {shared, other} == {other}
-    assert net.slot_tables().children[net.node_of_eid["S"]] == (
-        shared, net.nodes[other].children)
+    tables = net.slot_tables()
+    assert tables.children[tables.index[net.node_of_eid["S"]]] == (
+        tables.index[shared], _kept(tables, net.nodes[other].children))
 
 
 def _sample_networks(line_dataset):
@@ -645,13 +667,97 @@ def test_conjunctions_and_disjunctions_keep_distinct_children(line_dataset):
                 assert len(set(n.children)) == len(n.children), n
 
 
+def _looped_instance(seed, T=3):
+    """``random_instance``'s declarations as the body of a loop over
+    ``it``, every reference to the same iteration and the first variable
+    read as ``Acc[it-1]``, and two families carried from ``it-1``:
+    (program, vartable, final-iteration targets).
+
+    ``G[it]`` is a guard read by a sum in its own iteration and by the
+    next, so only its last instance fuses (and, unfolded, ``G[-1]``)."""
+    prog, vt, targets = random_instance(seed, max_vars=5)
+    x, y = (Var(name) for name in vt.names()[:2])
+    it = Affine.var("it")
+
+    def at_it(e):
+        if e == x:
+            return Ref("Acc", (it.plus(-1),))
+        return Ref(e.name, (it,)) if type(e) is Ref else map_children(e, at_it)
+
+    body = tuple(Decl(d.name, (it,), at_it(d.expr)) for d in prog.items) + (
+        Decl("Acc", (it,), Or((Ref("Acc", (it.plus(-1),)),
+                               Ref(targets[0], (it,))))),
+        Decl("G", (it,), Guard(Ref("Acc", (it,)), CondVal(y, 1.0))),
+        Decl("S", (it,), Add((Ref("G", (it,)), CondVal(TRUE, 0.5)))),
+        Decl("K", (it,), Atom("<=", Ref("S", (it,)), Add((
+            Ref("G", (it.plus(-1),)), CondVal(TRUE, 1.0))))))
+    program = EventProgram((decl("Acc", (-1,), x),
+                            decl("G", (-1,), Guard(y, CondVal(TRUE, 0.0))),
+                            Loop("it", 0, T, body)))
+    return program, vt, ["%s[%d]" % (eid, T - 1)
+                         for eid in targets + ["Acc", "K"]]
+
+
+def _recomputed_kept(net):
+    """The used instance slots that are not fused, in rising order, from the
+    node kinds, the readers of each instance and the targets alone."""
+    N = len(net.nodes)
+    used = sorted(net.slot(n.id, t) for n in net.nodes
+                  for t in (range(net.T) if n.in_loop else (0,)))
+    readers = {slot: [] for slot in used}
+    for slot in used:
+        for c in _instance_kids(net, slot):
+            readers[c].append(net.nodes[slot % N].kind)
+    targets = {slot for slot, _eid in net.targets}
+    into = {"guard": ["add"], "atom": ["and"]}
+    return [slot for slot in used if slot in targets
+            or readers[slot] != into.get(net.nodes[slot % N].kind)]
+
+
+def test_kept_slots_are_the_instances_neither_fused_nor_unused():
+    fused_seen = Counter()
+    for seed in range(24):
+        prog, vt, targets = _looped_instance(seed)
+        variables = set(vt.index)
+        nets = [build_network(g(prog, targets, variables))
+                for g in (ground, ground_folded)]
+        assert [net.T for net in nets] == [1, 3]
+        for net in nets:
+            tables, kept = net.slot_tables(), _recomputed_kept(net)
+            assert list(tables.index) == kept
+            assert list(tables.index.values()) == list(range(len(kept)))
+            assert len(tables.rules) == len(tables.children) == len(kept)
+            assert all(c < k for k in range(len(kept))
+                       for c in _reads(tables, k))  # every edge rises
+            at = {slot: k for k, slot in enumerate(kept)}
+            fused = [(slot % len(net.nodes), slot // len(net.nodes))
+                     for slot in sorted(set(_fused_slots(net)))]
+            fused_seen[net.T] += len(fused)
+
+            def check(state):
+                # a fused instance's mask is its rule over its children's
+                # kept slots
+                for nid, t in fused:
+                    node = net.nodes[nid]
+                    kids = tuple(at[net.slot(c, t)] for c in node.children)
+                    want = network._rule_of(node, net.nodes)(state, node, kids)
+                    assert repr(state.mask_of(nid, t)) == repr(want)
+
+            search = Search(net, vt, 0.0, "exact", on_branch=check)
+            check(search.state)
+            search.preassign_certain()
+            search.run()
+    assert fused_seen[1] and fused_seen[3]
+
+
 def test_carried_base_source_reaches_every_iteration():
     net = _base_source_network()
     src = net.var_nodes["x"]  # the body of A[it]
     carry = next(n.id for n in net.nodes if n.kind == "loop")
     N = len(net.nodes)
-    assert net.slot_tables().parents[src] == tuple(
-        t * N + carry for t in range(1, net.T))
+    tables = net.slot_tables()
+    assert tables.parents[tables.index[src]] == _kept(
+        tables, [t * N + carry for t in range(1, net.T)])
     vt = VarTable.of(("x", 0.3), ("y", 0.6), ("z", 0.5))
     folded = compile_targets(net, vt, 0.0, "exact")
     text = parse_event_program(_BASE_SOURCE_PROGRAM)
