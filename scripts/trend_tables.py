@@ -17,8 +17,10 @@ around.  All numbers are deterministic work counts, not timings:
      of them, the work that the setup and mask-init seconds pay for;
   5. the propagation work of the benchmark's exact-unfolded and
      anytime-folded searches: branches, mask writes by node kind, read
-     off the undo trail after each assignment, and the guards and atoms
-     evaluated inside their readers (fused), which write no mask;
+     off the undo trail after each assignment, next to the rule
+     evaluations by node kind, the recomputes of queued slots whether or
+     not they write, and the guards and atoms evaluated inside their
+     readers (fused), which write no mask;
   6. fingerprints of the benchmark's queries, one row per query of a
      pass: hashes of the network's ``dump()``, of the grounded program's
      text and of the targets' bounds in ``float.hex``, the counted work,
@@ -178,28 +180,42 @@ def table_setup():
 
 
 def propagation_work(net, vt, epsilon, scheme):
-    """(branches, initial writes, writes by node kind, fused evaluations)
-    of one search.
+    """(branches, initial writes, writes by node kind, rule evaluations by
+    node kind, fused evaluations) of one search's assignments.
 
-    Each assignment's writes are the trail entries it appended, so the
-    tally needs no counter inside the propagation loop."""
+    Each assignment's writes are the trail entries it appended, and each
+    rule evaluation a call through ``SlotTables.rules``, wrapped while the
+    search runs, so the tally needs no counter inside the propagation
+    loop."""
     state = MaskState(net)
-    init_writes, kinds = state.stats.propagations, Counter()
-    plain_assign, nodes = state.assign, state.tables.nodes
+    init_writes, kinds, evals = state.stats.propagations, Counter(), Counter()
+    plain_assign, tables = state.assign, state.tables
+    nodes, plain_rules = tables.nodes, tables.rules
 
     def assign(*args):
         start = len(state.trail)
         plain_assign(*args)
         kinds.update(nodes[idx].kind for idx, _old in state.trail[start:])
 
+    def counter(rule):
+        def counted(state, node, kids):
+            evals[node.kind] += 1
+            return rule(state, node, kids)
+        return counted
+
     state.assign = assign
-    search = Search(net, vt, epsilon, scheme, state=state)
-    search.preassign_certain()
-    search.check_targets_reachable()
-    if not search.all_resolved():
-        search.run()
+    tables.rules = [counter(rule) for rule in plain_rules]
+    try:
+        search = Search(net, vt, epsilon, scheme, state=state)
+        search.preassign_certain()
+        search.check_targets_reachable()
+        if not search.all_resolved():
+            search.run()
+    finally:
+        tables.rules = plain_rules
     assert init_writes + sum(kinds.values()) == state.stats.propagations
-    return state.stats.branches, init_writes, kinds, state.stats.fused
+    return (state.stats.branches, init_writes, kinds, evals,
+            state.stats.fused)
 
 
 def table_propagation():
@@ -228,13 +244,18 @@ def table_propagation():
                           set(ds.vartable.index))
         rows.append((label, propagation_work(build_network(f), ds.vartable,
                                              0.1, "hybrid")))
-    print("%-32s %-8s %-6s %-7s %-7s %s" % (
-        "instance", "branches", "init", "assign", "fused",
-        "assign writes by kind"))
-    for label, (branches, init_writes, kinds, fused) in rows:
-        print("%-32s %-8d %-6d %-7d %-7d %s" % (
-            label, branches, init_writes, sum(kinds.values()), fused,
-            " ".join("%s=%d" % kv for kv in kinds.most_common())))
+    print("%-32s %-8s %-6s %-7s %-7s %-7s %s" % (
+        "instance", "branches", "init", "assign", "evals", "fused",
+        "assign writes/rule evals by kind"))
+    for label, (branches, init_writes, kinds, evals, fused) in rows:
+        # by writes, then the kinds that were evaluated and never written
+        order = [kind for kind, _n in kinds.most_common()]
+        order += [kind for kind in evals if kind not in kinds]
+        print("%-32s %-8d %-6d %-7d %-7d %-7d %s" % (
+            label, branches, init_writes, sum(kinds.values()),
+            sum(evals.values()), fused,
+            " ".join("%s=%d/%d" % (kind, kinds[kind], evals[kind])
+                     for kind in order)))
 
 
 def digest(text):

@@ -40,23 +40,28 @@ They number the *kept* instances, those that are neither fused (below) nor
 unused (a base node's slot at ``t>0``), in rising instance-slot order, so
 the numbering is topological too; every mask state addresses instances by
 these *kept slots*, through ``SlotTables.index``.  Per kept slot the tables
-hold the rule and node that compute its mask (one rule per node kind, an
-atom's chosen by its comparison), the rule's argument (its children's kept
-slots, with the carry nodes' iteration shift already expanded), the slots
-that read its mask, and a level.  Building them outside ``build_network``
-keeps that work out of network construction; every mask state on the
-network, one per worker, shares them read-only.  The first state also
-leaves its initial masks there, and every later state loads them instead
-of computing them again.
+hold the rule and node that compute its mask, the rule's argument (built
+from its children's kept slots, with the carry nodes' iteration shift
+already expanded), the slots that read its mask, and a level.  A node kind
+keeps one rule, but for three (``_rule_of``).  A sum's rule is picked by
+its kind, scalar or vector.  A distance between two condval points, whose
+masks always hold the points' values, has a fixed interval: its argument
+carries its two defined masks, computed once, and its rule returns one of
+them or ``UNDEF``.  An atom's rule is picked by its comparison.  Building
+the tables outside ``build_network`` keeps that work out of network
+construction; every mask state on the network, one per worker, shares them
+read-only.  The first state also leaves its initial masks there, and every
+later state loads them instead of computing them again.
 
 The tables *fuse* a guard whose one reader is an ``add``, and an atom whose
 one reader is an ``and``, when it is not a target: the reader's rule
 computes it inline.  Fusion shapes the reader's argument, not its rule.  A
-sum's terms are kept child slots or a fused guard's (condition, body) slot
-pair, in child order, and ``_add`` applies ``_guard``'s operations to a
-pair in the same order as over a guard's mask.  A conjunction's argument is
-its plain child slots and its fused atoms, and its value does not depend on
-the order of its operands.  So every kept mask is the same bits as without
+sum's argument holds one (condition, body) slot pair per child, in child
+order: a fused guard's condition, or None for a kept child, and the body
+slot; the sum rules apply ``_guard``'s operations to a pair with a
+condition in the same order as over a guard's mask.  A conjunction's
+argument is its plain child slots and its fused atoms, and its value does
+not depend on the order of its operands.  So every kept mask is the same bits as without
 fusion.  A fused instance has no kept slot, so no rule, no parents and no
 mask: it is never written and never queued, and its reader is queued by
 the fused instance's children instead.  ``mask_of`` computes a fused
@@ -211,25 +216,34 @@ class SlotTables:
 
     ``rules[k](state, nodes[k], children[k])`` computes a kept slot's mask;
     the rule is picked per node (``_rule_of``).  ``children[k]`` is the
-    rule's argument: the kept slots of the instance's children, in the
-    node's child order, where a carry node reads its initial declaration at
-    ``t=0`` and its source at ``t-1`` after that.
+    rule's argument, built from the kept slots of the instance's children
+    in the node's child order, where a carry node reads its initial
+    declaration at ``t=0`` and its source at ``t-1`` after that.  Most
+    arguments are those slots; three kinds have their own shapes:
+
+      * an ``add``'s is ``(terms, pairs)``: one ``(condition, body)`` term
+        per child, in child order, where a kept child is ``(None, slot)``
+        and a guard fused into the sum its (condition, body) slot pair, and
+        the count of fused guards, which the rule adds to ``Stats.fused``;
+      * a distance between two condval points is ``(a, b, sure, unsure)``:
+        the points' slots, then its masks when both points are certainly
+        defined and when either may be undefined.  A condval mask keeps
+        its value whatever its condition, so the interval is fixed;
+      * an ``and``'s is always (plain child slots, fused atoms), with one
+        ``(rule, node, kids)`` item per fused atom, so ``()`` when no atom
+        is fused.
 
     An instance that is not a target is *fused* into its one reader when it
-    is a guard read by an ``add`` or an atom read by an ``and``.  The reader
-    keeps its kind's rule, and its argument takes the fused instance in:
-
-      * an ``add``'s argument holds one term per child, in child order: the
-        child's kept slot, or a fused guard's (condition, body) pair;
-      * an ``and``'s argument is always (plain child slots, fused atoms),
-        with one ``(rule, node, kids)`` item per fused atom, so ``()`` when
-        no atom is fused.
+    is a guard read by an ``add`` or an atom read by an ``and``: the
+    reader's argument takes it in, as above, and the reader's rule computes
+    it inline.
 
     A fused instance has no kept slot, so it has no mask and no undecided
     bit, and it is never written.  ``parents[k]`` holds, in rising order,
     the kept slots whose rules read kept slot ``k``: a reader's edges run
     from its plain children and from the children of every guard or atom
-    fused into it, each once.  ``level[k]`` is 0 for a slot that reads no
+    fused into it, one per distinct slot, so a distance of a point to
+    itself has one edge.  ``level[k]`` is 0 for a slot that reads no
     mask, else one more than the highest level it reads.  Every edge rises,
     because instance slots are topological and the numbering keeps their
     order.  ``initial`` holds the masks before any assignment
@@ -277,42 +291,51 @@ class SlotTables:
                 index[off + c] = len(kept)
                 kept.append((node, t))
 
+        get, kept_of = index.get, index.__getitem__
+
         def at(ids, off):
             """The instance slots of nodes ``ids`` at iteration ``off // N``."""
             return ids if not off else [
                 c + off if nodes[c].in_loop else c for c in ids]
 
+        def fused_kids(c, off):
+            """The kept slots that fused node ``c`` reads at ``off // N``."""
+            return tuple(map(kept_of, at(nodes[c].children, off)))
+
         children, rules, snodes = [], [], []
         parents, level = [[] for _ in kept], [0] * len(kept)
-        get, kept_of = index.get, index.__getitem__
         for k, (node, t) in enumerate(kept):
             kind, kids, kt = node.kind, node.children, t
             if kind == "loop":
                 kids, kt = (((node.payload["init"],), 0) if t == 0
                             else ((node.payload["source"],), t - 1))
             off = kt * N
-            read = tuple(map(get, at(kids, off)))
-            if None not in read:
-                arg = (read, ()) if kind == "and" else read
-            else:  # a sum or a conjunction with fused children
-                args = read
-                terms = [a if a is not None else
-                         tuple(map(kept_of, at(nodes[c].children, off)))
-                         for c, a in zip(kids, args)]
-                read = tuple(dict.fromkeys(
-                    [g for a, term in zip(args, terms)
-                     for g in (term if a is None else (a,))]))
-                if kind == "add":
-                    arg = tuple(terms)
-                else:
-                    arg = (tuple([a for a in args if a is not None]),
-                           tuple([(_rule_of(nodes[c], nodes), nodes[c], term)
-                                  for c, a, term in zip(kids, args, terms)
-                                  if a is None]))
+            read = tuple(map(get, at(kids, off)))  # None: a fused child
+            rule = _rule_of(node, nodes)
+            if kind == "add":
+                terms = tuple([(None, a) if a is not None
+                               else fused_kids(c, off)
+                               for c, a in zip(kids, read)])
+                arg = (terms, read.count(None))
+                read = [g for term in terms for g in term if g is not None]
+            elif kind == "and":
+                atoms = tuple([(_rule_of(nodes[c], nodes), nodes[c],
+                                fused_kids(c, off))
+                               for c, a in zip(kids, read) if a is None])
+                arg = (tuple([a for a in read if a is not None]), atoms)
+                read = arg[0] + tuple([g for _r, _n, args in atoms
+                                       for g in args])
+            elif rule is MaskState._point_dist:  # two fixed points
+                u, v = (nodes[c].payload for c in kids)
+                lo, hi = _idist(u, u, v, v)
+                arg = read + (NumMask(lo, hi, False, True),
+                              NumMask(lo, hi, True, True))
+            else:
+                arg = read
             children.append(arg)
-            rules.append(_rule_of(node, nodes))
+            rules.append(rule)
             snodes.append(node)
-            for c in read:  # children first: kept slots rise
+            for c in dict.fromkeys(read):  # children first: kept slots rise
                 parents[c].append(k)
                 if level[c] >= level[k]:
                     level[k] = level[c] + 1
@@ -509,6 +532,22 @@ def _corner(a, b):
 def _imul(alo, ahi, blo, bhi):
     c1, c2, c3, c4 = _corner(alo, blo), _corner(alo, bhi), _corner(ahi, blo), _corner(ahi, bhi)
     return min(c1, c2, c3, c4), max(c1, c2, c3, c4)
+
+
+def _idist(alo, ahi, blo, bhi):
+    """The interval of the distance between a point in the box ``[alo,
+    ahi]`` and one in ``[blo, bhi]``, the boxes given per component."""
+    sq_lo = sq_hi = 0.0
+    for x_lo, x_hi, y_lo, y_hi in zip(alo, ahi, blo, bhi):
+        dlo, dhi = x_lo - y_hi, x_hi - y_lo
+        if dlo <= 0.0 <= dhi:
+            abs_lo, abs_hi = 0.0, max(-dlo, dhi)
+        else:
+            abs_lo = min(abs(dlo), abs(dhi))
+            abs_hi = max(abs(dlo), abs(dhi))
+        sq_lo += abs_lo * abs_lo
+        sq_hi += abs_hi * abs_hi
+    return math.sqrt(sq_lo), math.sqrt(sq_hi)
 
 
 def _ipow(lo, hi, n):
@@ -760,9 +799,10 @@ class MaskState:
 
     # --- mask rules ----------------------------------------------------------------
     #
-    # One method per node kind, both carry kinds sharing ``_carry`` and atoms
-    # split by comparison (``_rule_of``): ``rule(state, node, kids)`` computes
-    # an instance's mask from its child slots ``kids`` (``SlotTables.children``).
+    # One method per node kind, both carry kinds sharing ``_carry``, with
+    # sums split by kind, distances by their operands and atoms by
+    # comparison (``_rule_of``): ``rule(state, node, kids)`` computes an
+    # instance's mask from its argument ``kids`` (``SlotTables.children``).
 
     # one atom rule per comparison; a side that is certainly undefined makes
     # the comparison true, and it fails only where both sides are defined
@@ -888,70 +928,97 @@ class MaskState:
         b = self.masks[kids[1]]
         if not a.may_def or not b.may_def:
             return UNDEF
-        sq_lo = sq_hi = 0.0
-        for alo, ahi, blo, bhi in zip(a.lo, a.hi, b.lo, b.hi):
-            dlo, dhi = alo - bhi, ahi - blo
-            if dlo <= 0.0 <= dhi:
-                abs_lo, abs_hi = 0.0, max(-dlo, dhi)
-            else:
-                abs_lo = min(abs(dlo), abs(dhi))
-                abs_hi = max(abs(dlo), abs(dhi))
-            sq_lo += abs_lo * abs_lo
-            sq_hi += abs_hi * abs_hi
-        return NumMask(math.sqrt(sq_lo), math.sqrt(sq_hi),
-                       a.may_undef or b.may_undef, True)
+        lo, hi = _idist(a.lo, a.hi, b.lo, b.hi)
+        return NumMask(lo, hi, a.may_undef or b.may_undef, True)
 
-    def _add(self, node, terms):
-        """The sum of ``terms`` in child order, each a kept child slot or
-        the (condition, body) slot pair of a guard fused into the sum.  A
-        pair applies ``_guard``'s operations inline: the guard keeps its
-        body's interval, may be undefined unless its condition is true, and
-        may be defined only if its body may be and its condition is not
-        false.  So the mask is the same bits as ``_add`` over ``_guard``'s
-        masks.  An undefined term adds nothing; one that may be undefined
-        adds its interval widened to 0."""
+    def _point_dist(self, node, kids):
+        """A distance between two condval points, whose masks keep their
+        values: ``kids`` is (slot, slot, sure, unsure), the points' slots and
+        the distance's masks when both points are certainly defined and when
+        either may be undefined, built once by ``SlotTables`` with the
+        interval helper of ``_dist``.  An unchanged distance is the same
+        object, which ``assign`` skips without comparing."""
+        a, b, sure, unsure = kids
+        a, b = self.masks[a], self.masks[b]
+        if not a.may_def or not b.may_def:
+            return UNDEF
+        return unsure if a.may_undef or b.may_undef else sure
+
+    def _scalar_add(self, node, kids):
+        """A sum over ``kids = (terms, pairs)``: one (condition, body) slot
+        pair per child, in child order, the condition None for a kept child
+        and a fused guard's condition slot otherwise, and the count of fused
+        guards.  A pair applies ``_guard``'s operations inline: the guard
+        keeps its body's interval, may be undefined unless its condition is
+        true, and may be defined only if its body may be and its condition
+        is not false.  An undefined term adds nothing; one that may be
+        undefined adds its interval widened to 0, by adding only a negative
+        low end and a positive high end.  A sum starts at +0.0 and so never
+        becomes -0.0, and adding +0.0 to any other float leaves it as it is,
+        so the mask is the same bits as a sum of ``_guard``'s masks that adds
+        ``min(0.0, lo)`` and ``max(0.0, hi)``."""
+        terms, pairs = kids
         masks = self.masks
-        vector = node.vkind == "v"
         lo = hi = 0.0
-        defined, may_undef, pairs = False, True, 0
-        for term in terms:
-            if term.__class__ is int:
-                m = masks[term]
-                mu = m.may_undef
-            else:
-                pairs += 1
-                g, m = masks[term[0]], masks[term[1]]
+        defined, may_undef = False, True
+        for g, b in terms:
+            lo_b, hi_b, mu, may_def = masks[b]
+            if g is not None:
+                g = masks[g]
                 if g == MASK_FALSE:
                     continue  # certainly undefined
-                mu = m.may_undef if g == MASK_TRUE else True
+                if g != MASK_TRUE:
+                    mu = True
             if not mu:
                 may_undef = False
-            if not m.may_def:
+            if not may_def:
                 continue
-            if not vector:
-                if mu:
-                    lo += min(0.0, m.lo)
-                    hi += max(0.0, m.hi)
-                else:
-                    lo += m.lo
-                    hi += m.hi
-            else:  # component by component, in the same order
-                if not defined:
-                    lo = hi = (0.0,) * len(m.lo)
-                if mu:
-                    lo = [x + min(0.0, y) for x, y in zip(lo, m.lo)]
-                    hi = [x + max(0.0, y) for x, y in zip(hi, m.hi)]
-                else:
-                    lo = [x + y for x, y in zip(lo, m.lo)]
-                    hi = [x + y for x, y in zip(hi, m.hi)]
+            if mu:
+                if lo_b < 0.0:
+                    lo += lo_b
+                if hi_b > 0.0:
+                    hi += hi_b
+            else:
+                lo += lo_b
+                hi += hi_b
             defined = True
         if pairs:
             self.stats.fused += pairs
         if not defined:
             return UNDEF
-        if vector:
-            lo, hi = tuple(lo), tuple(hi)
         return NumMask(lo, hi, may_undef, True)
+
+    def _vector_add(self, node, kids):
+        """The ``_scalar_add`` of vectors, component by component."""
+        terms, pairs = kids
+        masks = self.masks
+        lo = hi = None
+        may_undef = True
+        for g, b in terms:
+            lo_b, hi_b, mu, may_def = masks[b]
+            if g is not None:
+                g = masks[g]
+                if g == MASK_FALSE:
+                    continue  # certainly undefined
+                if g != MASK_TRUE:
+                    mu = True
+            if not mu:
+                may_undef = False
+            if not may_def:
+                continue
+            if lo is None:
+                lo = hi = (0.0,) * len(lo_b)
+            if mu:
+                lo = [x + y if y < 0.0 else x for x, y in zip(lo, lo_b)]
+                hi = [x + y if y > 0.0 else x for x, y in zip(hi, hi_b)]
+            else:
+                lo = [x + y for x, y in zip(lo, lo_b)]
+                hi = [x + y for x, y in zip(hi, hi_b)]
+        if pairs:
+            self.stats.fused += pairs
+        if lo is None:
+            return UNDEF
+        return NumMask(tuple(lo), tuple(hi), may_undef, True)
 
     def _mul(self, node, kids):
         masks = [self.masks[c] for c in kids]
@@ -980,19 +1047,29 @@ class MaskState:
         return NumMask(lo, hi, any(m.may_undef for m in masks), True)
 
 
-# the mask rule of each node kind; a carry node ("loop") copies a mask of
-# either kind, and an atom's rule depends on its comparison (``_rule_of``)
+# the mask rule of each node kind but a sum, a distance and an atom
+# (``_rule_of``); a carry node ("loop") copies a mask of either kind
 _RULES = {kind: getattr(MaskState, "_" + kind) for kind in (
-    "and", "or", "not", "const", "var", "condval", "guard", "add", "mul",
-    "dist", "pow")}
+    "and", "or", "not", "const", "var", "condval", "guard", "mul", "pow")}
 _RULES["loop"] = MaskState._carry
 _ATOM_RULES = {"<=": MaskState._le, "<": MaskState._lt, "=": MaskState._eq}
 
 
 def _rule_of(node, nodes):
-    """The mask rule of ``node``'s instances: ``rule(state, node, kids)``."""
-    if node.kind != "atom":
-        return _RULES[node.kind]
+    """The mask rule of ``node``'s instances: ``rule(state, node, kids)``.
+    A sum's rule is picked by its kind, a distance's by whether both of its
+    children are condval points, and an atom's by its comparison."""
+    kind = node.kind
+    if kind == "add":
+        if node.vkind == "v":
+            return MaskState._vector_add
+        return MaskState._scalar_add
+    if kind == "dist":
+        if all(nodes[c].kind == "condval" for c in node.children):
+            return MaskState._point_dist
+        return MaskState._dist
+    if kind != "atom":
+        return _RULES[kind]
     if nodes[node.children[0]].vkind == "v":  # vectors compare by '=' only
         return MaskState._vector_eq
     return _ATOM_RULES[node.payload]

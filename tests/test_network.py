@@ -388,17 +388,20 @@ def _base_source_network():
 
 def _reads(tables, slot):
     """The slots whose masks the rule of ``slot`` reads, from its argument:
-    a sum's terms are slots or fused guards' (condition, body) pairs, and a
-    conjunction's argument is (plain slots, fused atoms)."""
+    a sum's is (terms, fused count), each term a (condition or None, body)
+    pair, a conjunction's is (plain slots, fused atoms), and a distance's
+    starts with its two operands' slots (a point distance's goes on with
+    its two masks)."""
     node, kids = tables.nodes[slot], tables.children[slot]
     if node is None:
         return set()
     if node.kind == "add":
-        return {c for term in kids
-                for c in (term if type(term) is tuple else (term,))}
+        return {c for term in kids[0] for c in term if c is not None}
     if node.kind == "and":
         plain, atoms = kids
         return set(plain).union(*(args for _rule, _node, args in atoms))
+    if node.kind == "dist":
+        return set(kids[:2])
     return set(kids)
 
 
@@ -447,7 +450,8 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         down = {(c, s) for s in range(size) for c in _reads(tables, s)}
         up = {(c, p) for c in range(size) for p in tables.parents[c]}
         assert down == up  # each table is the other's inverse
-        assert all(list(ups) == sorted(ups) for ups in tables.parents)
+        # one edge per distinct child, in rising order
+        assert all(list(ups) == sorted(set(ups)) for ups in tables.parents)
         assert all(c < s for c, s in down)  # every edge rises
         assert all(tables.level[c] < tables.level[s] for c, s in down)
         for s in tables.index:  # a slot is kept only if an instance uses it
@@ -455,15 +459,16 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         fused = set(_fused_slots(net))
         for slot, node in zip(_instance_slots(tables), tables.nodes):
             k = tables.index[slot]
-            # one rule per node kind: fusion shapes the argument only
+            # the rule comes from the node: fusion shapes the argument only
             assert tables.rules[k] is network._rule_of(node, net.nodes)
             kids = _instance_kids(net, slot)
             kinds = {net.nodes[c % N].kind for c in kids if c in fused}
             if node.kind == "add":
                 assert kinds <= {"guard"}
-                assert tables.children[k] == tuple(
+                assert tables.children[k] == (tuple(
                     _kept(tables, _instance_kids(net, c)) if c in fused
-                    else tables.index[c] for c in kids)
+                    else (None, tables.index[c]) for c in kids),
+                    sum(c in fused for c in kids))
             elif node.kind == "and":
                 assert kinds <= {"atom"}
                 plain, atoms = tables.children[k]
@@ -472,6 +477,9 @@ def test_slot_tables_mirror_the_graph(line_dataset):
                 assert [args for _rule, _node, args in atoms] == [
                     _kept(tables, _instance_kids(net, c))
                     for c in kids if c in fused]
+            elif node.kind == "dist":
+                assert tables.children[k][:2] == _kept(tables, kids)
+                assert not fused & set(kids)
             else:
                 assert tables.children[k] == _kept(tables, kids)
                 assert not fused & set(kids)
@@ -524,11 +532,64 @@ def test_line_kmedoids_networks_keep_no_guard(line_dataset):
         assert {"scalar pairs", "vector pairs"} <= shapes
 
 
+def _plain_add(st_, node, kids):
+    """A sum of the masks at slots ``kids``, as one rule computed it for
+    every sum before sums were split by kind: an undefined term adds
+    nothing, and one that may be undefined adds its interval widened to 0
+    by ``min``/``max``, a vector's component by component."""
+    masks = st_.masks
+    vector = node.vkind == "v"
+    lo = hi = 0.0
+    defined, may_undef = False, True
+    for term in kids:
+        m = masks[term]
+        mu = m.may_undef
+        if not mu:
+            may_undef = False
+        if not m.may_def:
+            continue
+        if not vector:
+            if mu:
+                lo += min(0.0, m.lo)
+                hi += max(0.0, m.hi)
+            else:
+                lo += m.lo
+                hi += m.hi
+        else:
+            if not defined:
+                lo = hi = (0.0,) * len(m.lo)
+            if mu:
+                lo = [x + min(0.0, y) for x, y in zip(lo, m.lo)]
+                hi = [x + max(0.0, y) for x, y in zip(hi, m.hi)]
+            else:
+                lo = [x + y for x, y in zip(lo, m.lo)]
+                hi = [x + y for x, y in zip(hi, m.hi)]
+        defined = True
+    if not defined:
+        return network.UNDEF
+    if vector:
+        lo, hi = tuple(lo), tuple(hi)
+    return network.NumMask(lo, hi, may_undef, True)
+
+
+def _plain_rule(node, nodes):
+    """The rule of ``node`` over its children's slots alone: the plain sum
+    above, ``_dist`` for every distance, a point distance's included, and
+    the conjunction's rule with no fused atom."""
+    if node.kind == "add":
+        return _plain_add
+    if node.kind == "dist":
+        return MaskState._dist
+    if node.kind == "and":
+        return lambda st_, node, kids: MaskState._and(st_, node, (kids, ()))
+    return network._rule_of(node, nodes)
+
+
 def _unfused_mask(st_, slot):
     """The mask of a kept slot as the unfused network computes it: each
     guard or atom fused into it runs its own rule into a copy of the masks,
     at a slot past the kept ones, and the slot's node then runs its plain
-    rule over them."""
+    rule (``_plain_rule``) over them."""
     net, index = st_.net, st_.tables.index
     instance = _instance_slots(st_.tables)[slot]
     node = net.nodes[instance % len(net.nodes)]
@@ -540,33 +601,48 @@ def _unfused_mask(st_, slot):
             copy.masks.append(network._rule_of(child, net.nodes)(
                 copy, child, _kept(st_.tables, _instance_kids(net, c))))
         kids.append(index.get(c, len(copy.masks) - 1))
-    kids = tuple(kids)
-    if node.kind == "and":
-        kids = (kids, ())
-    return network._rule_of(node, net.nodes)(copy, node, kids)
+    return _plain_rule(node, net.nodes)(copy, node, tuple(kids))
 
 
 def _fused_shape(node, kids):
-    """How a kept sum or conjunction takes in fused slots, from its rule's
-    argument, or None when nothing is fused into it."""
+    """The shape of a kept sum's or point distance's rule argument, and of
+    a conjunction's when an atom is fused into it; None for any other
+    slot."""
     if node is None:
         return None
     if node.kind == "and":
         return "and with atoms" if kids[1] else None
+    if node.kind == "dist":
+        if len(kids) == 2:
+            return None
+        return "self-distance" if kids[0] == kids[1] else "point distance"
     if node.kind != "add":
         return None
-    pairs = sum(type(term) is tuple for term in kids)
+    terms, pairs = kids
+    assert pairs == sum(g is not None for g, _body in terms)
+    vkind = "vector" if node.vkind == "v" else "scalar"
     if not pairs:
-        return None
-    if pairs < len(kids):
-        return "pairs and slots"
-    return "vector pairs" if node.vkind == "v" else "scalar pairs"
+        return vkind + " slots"
+    return vkind + (" pairs" if pairs == len(terms) else " pairs and slots")
+
+
+def _planar_kmedoids():
+    """A 2-D k-medoids network (n=8) as the benchmark builds its own, and
+    its variable table."""
+    ds = gen_correlations(8, "positive", group=2, l=2, seed=3, iterations=2)
+    prog, meta = build_kmedoids_program(ds)
+    g = ground(prog, (meta["targets"],), variables=set(ds.vartable.index))
+    return build_network(g), ds.vartable
 
 
 def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
+    # every sum against the plain sum over the unfused masks, every point
+    # distance against ``_dist`` over its operands' masks, and every
+    # conjunction with fused atoms against its rule over their masks
     cases = [(net, line_dataset.vartable, eps, scheme)
              for net in _line_networks(line_dataset)
              for eps, scheme in ((0.0, "exact"), (0.1, "hybrid"))]
+    cases.append((*_planar_kmedoids(), 0.0, "exact"))
     for seed in range(40):
         for make in (random_instance, _every_kind_instance):
             prog, vt, targets = make(seed, max_vars=5)
@@ -591,7 +667,9 @@ def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
         search.preassign_certain()
         search.run()
     assert all(checked[shape] for shape in (
-        "scalar pairs", "vector pairs", "pairs and slots", "and with atoms"))
+        "scalar pairs", "scalar slots", "scalar pairs and slots",
+        "vector pairs", "vector slots", "vector pairs and slots",
+        "point distance", "self-distance", "and with atoms"))
 
 
 def test_targets_and_shared_operands_are_not_fused():
@@ -625,7 +703,8 @@ def test_targets_and_shared_operands_are_not_fused():
     assert set(_fused_slots(net)) & {shared, other} == {other}
     tables = net.slot_tables()
     assert tables.children[tables.index[net.node_of_eid["S"]]] == (
-        tables.index[shared], _kept(tables, net.nodes[other].children))
+        ((None, tables.index[shared]),
+         _kept(tables, net.nodes[other].children)), 1)
 
 
 def _sample_networks(line_dataset):
