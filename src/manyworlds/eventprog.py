@@ -239,19 +239,17 @@ class _Grounder:
     grounded, so a declaration that grounds once holds them no longer.
 
     A step keeps, per values of the bound counters its node reads, the
-    subtree it grounded when the node repeats under one binding: when the
-    node does not read every bound counter, so that it repeats over an
-    enclosing loop, or when it is reached from more than one parent
-    (``shared``, decided as nodes are compiled, since a later declaration
-    can share a node).  Each repeat returns the one object.  An indexed
-    reference resolves to the same declaration or fails, but a bare name
-    resolves against the declarations as they stand (a variable until
-    ``y := ...`` is declared), so a subtree that names one is never kept.
-    A reference keeps its ``Ref`` per binding, and ``refs`` keeps one per
-    grounded identifier, so each is rendered once.  Source nodes are keyed
-    by identity: the caller's program keeps them alive for the call.  No
-    step refers to the grounder or to the table of steps, so a call leaves
-    no reference cycle, whether it returns or raises.
+    subtree it grounded when the node does not read every bound counter,
+    so that it repeats over an enclosing loop; each repeat returns the one
+    object.  An indexed reference resolves to the same declaration or
+    fails, but a bare name resolves against the declarations as they stand
+    (a variable until ``y := ...`` is declared), so a subtree that names
+    one is never kept.  A reference keeps its ``Ref`` per binding, and
+    ``refs`` keeps one per grounded identifier, so each is rendered once.
+    Source nodes are keyed by identity: the caller's program keeps them
+    alive for the call.  No step refers to the grounder or to the table of
+    steps, so a call leaves no reference cycle, whether it returns or
+    raises.
     """
 
     def __init__(self, declared, variables, bind=False):
@@ -261,8 +259,6 @@ class _Grounder:
         # (id(source node), bound counters) -> (step, the counters the node
         # reads, or None if it names a bare identifier)
         self.steps = {}
-        self.seen = set()  # ids of the source nodes compiled so far
-        self.shared = set()  # ids of those reached from more than one parent
         self.refs = {}  # (name, index values) -> grounded Ref
 
     def walk(self, e, env):
@@ -272,27 +268,22 @@ class _Grounder:
         return step(env)
 
     def _compile(self, e, counters):
-        key = id(e)
-        if key in self.seen:
-            self.shared.add(key)
-        else:
-            self.seen.add(key)
-        hit = self.steps.get((key, counters))
+        key = (id(e), counters)
+        hit = self.steps.get(key)
         if hit is not None:
             return hit
         kind = type(e)
         if kind is Ref and e.indices:
             affines = tuple(as_affine(ix) for ix in e.indices)
             reads = frozenset(n for a in affines for n, _ in a.terms)
-            binding = _binding([n for n in counters if n in reads])
             if self.bind:  # the counters not bound stay symbolic
-                step = _kept(_bind_ref(e.name, affines), binding)
+                step = _bind_ref(e.name, affines)
             elif reads <= set(counters):
-                step = _kept(_ground_ref(e.name, affines, self.declared,
-                                         self.refs), binding)
+                step = _ground_ref(e.name, affines, self.declared, self.refs)
             else:  # the first counter not bound, as ``Affine.eval`` names it
                 step = _unbound(next(n for a in affines for n, _ in a.terms
                                      if n not in counters))
+            step = _kept(step, [n for n in counters if n in reads])
         elif kind is Ref or kind is Var:
             step, reads = _resolve_name(e, self.declared, self.variables), None
         elif kind is Const:
@@ -306,29 +297,18 @@ class _Grounder:
                     and reads is not None:
                 reads |= {n for n, _ in e.value.terms}
             step = _build_step(e, [s for s, _ in below], self.bind)
-            if reads is not None:
-                binding = _binding([n for n in counters if n in reads])
-                if reads >= set(counters):  # no repeat over a loop
-                    step = _kept(step, binding, key, self.shared)
-                else:
-                    step = _kept(step, binding)
-        hit = self.steps[key, counters] = (step, reads)
+            if reads is not None and not reads.issuperset(counters):
+                step = _kept(step, [n for n in counters if n in reads])
+        hit = self.steps[key] = (step, reads)
         return hit
 
 
-def _binding(names):
-    """The key of a binding: the values of the bound counters ``names``."""
-    return itemgetter(*names) if names else (lambda env: ())
-
-
-def _kept(build, binding, key=None, shared=None):
-    """``build`` with its result kept per ``binding(env)``: always, or once
-    the node ``key`` is among the ``shared`` ids."""
+def _kept(build, names):
+    """``build`` with its result kept per values of the counters ``names``."""
+    binding = itemgetter(*names) if names else (lambda env: ())
     known = {}
 
     def step(env):
-        if shared is not None and key not in shared:
-            return build(env)
         at = binding(env)
         out = known.get(at)
         if out is None:

@@ -25,6 +25,8 @@ chains name it.
 
 ``userlang``'s validator is the one gate: ``translate_to_event_program``
 refuses a program it reports, and the translator assumes all it checks.
+Its types are the translator's too: the element kind of each final path,
+and the kind of an empty ``reduce_sum``.
 The translator raises only for what depends on the dataset (a matrix the
 dataset lacks, a name bound only in a loop whose range is empty) and for
 its own internal invariants.
@@ -50,12 +52,11 @@ OP_MAP = {"<=": "<=", ">=": ">=", "==": "=", "<": "<", ">": ">"}
 
 
 class _VarState:
-    __slots__ = ("path", "dims", "kind", "block_of")
+    __slots__ = ("path", "dims", "block_of")
 
     def __init__(self):
         self.path = []       # version components, one per block that versioned it
         self.dims = []       # array dimension sizes (ints)
-        self.kind = "num"    # element kind: 'bool' | 'num' | 'vec'
         self.block_of = []   # block id per path component
 
 
@@ -116,8 +117,9 @@ class _Block:
 
 
 class _Translator:
-    def __init__(self, dataset):
+    def __init__(self, dataset, types):
         self.ds = dataset
+        self.types = types     # the validator's: ``env`` and ``reduces``
         self.vars = {}         # name -> _VarState
         self.stack = []        # active _Block chain, outermost first
         self.block_ids = 0
@@ -134,7 +136,7 @@ class _Translator:
         for name, st in self.vars.items():
             if st.path:
                 final[name] = (tuple(c.eval({}) for c in st.path),
-                               tuple(st.dims), st.kind)
+                               tuple(st.dims), self.kind(name))
         program = EventProgram(tuple(items))
         loop_final = self.loop_finals.get(id(folded_loop(program)), {})
         return Translation(program, final, loop_final)
@@ -246,7 +248,7 @@ class _Translator:
             exit_path = list(st.path) + [Affine(inner.eval({item.var: hi - 1}))]
             if len(self.stack) == 1:
                 finals[v] = (tuple(c.eval({}) for c in exit_path),
-                             tuple(st.dims), st.kind)
+                             tuple(st.dims), self.kind(v))
             self.bump(v, outer)
             out.extend(self._copy_decls(v, st.path, exit_path))
         if finals:
@@ -267,6 +269,10 @@ class _Translator:
         for c, size in zip(reversed(cs), reversed(st.dims)):
             item = Loop(c, 0, size, (item,))
         return [item]
+
+    def kind(self, name):
+        """The element kind of ``name``'s last binding, as validated."""
+        return self.types.env[name].elem_kind()
 
     def fresh_counter(self):
         self.fresh += 1
@@ -291,7 +297,6 @@ class _Translator:
             out.extend(self.bind_int(item.targets[1], ds.n, ctx))
             st = self.bump(obj_var, ctx)
             st.dims = [ds.n]
-            st.kind = "vec"
             out.extend(self.lineage())
             for l, p in enumerate(ds.points):
                 out.append(Decl(obj_var, tuple(list(st.path) + [Affine(l)]),
@@ -302,7 +307,6 @@ class _Translator:
                     raise TranslateError("dataset has no matrix for %r" % mat_var)
                 mt = self.bump(mat_var, ctx)
                 mt.dims = [ds.n, ds.n]
-                mt.kind = "num"
                 for i in range(ds.n):
                     for j in range(ds.n):
                         out.append(Decl(
@@ -313,7 +317,6 @@ class _Translator:
         var = item.targets[0]
         st = self.bump(var, ctx)
         st.dims = [ds.params.k]
-        st.kind = "vec"
         return self.lineage() + [Decl(var, tuple(list(st.path) + [Affine(i)]),
                                       ds.initial_medoid(i))
                                  for i in range(ds.params.k)]
@@ -340,9 +343,7 @@ class _Translator:
                 st.dims.append(self.scope.const(item.expr.size))
             return []
         idx = [self.scope.index(c) for c in chain]
-        expr, kind = self.expr(item.expr)
-        st.kind = kind
-        return [Decl(base.name, tuple(st.path + idx), expr)]
+        return [Decl(base.name, tuple(st.path + idx), self.expr(item.expr))]
 
     def whole_assign(self, item, ctx):
         name = item.target.name
@@ -354,9 +355,8 @@ class _Translator:
             return []
         if isinstance(expr, ul.UCall) and expr.func in ul.TIE_FUNCS:
             return self.tie_break(name, expr, ctx)
-        body, kind = self.expr(expr)
+        body = self.expr(expr)
         st = self.bump(name, ctx)
-        st.kind = kind
         return [Decl(name, tuple(st.path), body)]
 
     def bind_int(self, name, value, ctx):
@@ -373,7 +373,6 @@ class _Translator:
         dims = list(src.dims)
         st = self.bump(name, ctx)
         st.dims = dims
-        st.kind = "bool"
         if call.func == "breakTies":
             keys, c = [[Affine(j)] for j in range(dims[0])], None
         else:
@@ -395,76 +394,69 @@ class _Translator:
     # --- expressions -----------------------------------------------------------------
 
     def expr(self, e):
-        """Translate an expression; returns (event-or-cval, element kind)."""
+        """Translate an expression into an event or a c-value."""
         k = type(e)
         if k is ul.ULit:
             if isinstance(e.value, bool):
-                return (TRUE if e.value else FALSE), "bool"
-            return CondVal(TRUE, e.value), "num"
+                return TRUE if e.value else FALSE
+            return CondVal(TRUE, e.value)
         if k is ul.UName:
             scope = self.scope
             if e.name in scope.locals:  # a counter or a comprehension variable
                 value = scope.locals[e.name]
-                return CondVal(TRUE, Affine.var(e.name) if value is None else value), "num"
+                return CondVal(TRUE, Affine.var(e.name) if value is None else value)
             if e.name in scope.consts and e.name not in self.vars:
-                return CondVal(TRUE, scope.consts[e.name]), "num"
-            st, path = self.read_path(e.name)
-            return Ref(e.name, tuple(path)), st.kind
+                return CondVal(TRUE, scope.consts[e.name])
+            return Ref(e.name, tuple(self.read_path(e.name)[1]))
         if k is ul.UIndex:
             base, chain = ul.index_chain(e)
-            st, path = self.read_path(base.name)
+            path = self.read_path(base.name)[1]
             idx = [self.scope.index(c) for c in chain]
-            return Ref(base.name, tuple(path + idx)), st.kind
+            return Ref(base.name, tuple(path + idx))
         if k is ul.UCompare:
-            return Atom(OP_MAP[e.op], self.expr(e.left)[0], self.expr(e.right)[0]), "bool"
+            return Atom(OP_MAP[e.op], self.expr(e.left), self.expr(e.right))
         if k is ul.UBinOp:
-            l, lk = self.expr(e.left)
-            r, rk = self.expr(e.right)
-            if e.op == "+":
-                kind = "vec" if "vec" in (lk, rk) else "num"
-                return Add((l, r)), kind
-            return Mul((l, r)), "num"
+            l, r = self.expr(e.left), self.expr(e.right)
+            return Add((l, r)) if e.op == "+" else Mul((l, r))
         if k is ul.UCall:
             return self.call(e)
         return self.reduce(e)
 
     def call(self, e):
         if e.func == "pow":
-            return Pow(self.expr(e.args[0])[0], self.scope.const(e.args[1])), "num"
-        args = tuple(self.expr(a)[0] for a in e.args)
+            return Pow(self.expr(e.args[0]), self.scope.const(e.args[1]))
+        args = tuple(self.expr(a) for a in e.args)
         if e.func == "invert":
-            return Pow(args[0], -1), "num"
+            return Pow(args[0], -1)
         if e.func == "dist":
-            return Dist(*args), "num"
-        return Mul(args), "vec"  # scalar_mult
+            return Dist(*args)
+        return Mul(args)  # scalar_mult
 
     def reduce(self, e):
         comp = e.comp
         parts = []
-        kind = "num"
         for v in range(self.scope.const(comp.lo), self.scope.const(comp.hi)):
             with self.scope.local(comp.var, v):
-                cond = None if comp.cond is None else self.expr(comp.cond)[0]
-                body, kind = self.expr(comp.expr)
-            parts.append((cond, body))
+                cond = None if comp.cond is None else self.expr(comp.cond)
+                parts.append((cond, self.expr(comp.expr)))
         func = e.func
         if func == "reduce_and":
             if not parts:
-                return TRUE, "bool"
+                return TRUE
             items = tuple(b if c is None else Or((Not(c), b)) for c, b in parts)
-            return (items[0] if len(items) == 1 else And(items)), "bool"
+            return items[0] if len(items) == 1 else And(items)
         if func == "reduce_or":
             if not parts:
-                return FALSE, "bool"
+                return FALSE
             items = tuple(b if c is None else And((c, b)) for c, b in parts)
-            return (items[0] if len(items) == 1 else Or(items)), "bool"
+            return items[0] if len(items) == 1 else Or(items)
         if func == "reduce_count":
             # a count of no kept element is 0, so the sum starts from a defined 0
             return Add((CondVal(TRUE, 0),) + tuple(
-                CondVal(TRUE if c is None else c, 1) for c, _ in parts)), "num"
+                CondVal(TRUE if c is None else c, 1) for c, _ in parts))
         if func == "reduce_mult":
             if not parts:
-                return CondVal(TRUE, 1), "num"
+                return CondVal(TRUE, 1)
             items = []
             for c, b in parts:
                 if c is None:
@@ -472,18 +464,21 @@ class _Translator:
                 else:
                     # filtered-out factors are neutral: (cond and value) + (!cond ? 1)
                     items.append(Add((Guard(c, b), CondVal(Not(c), 1))))
-            return Mul(tuple(items)), "num"
-        # reduce_sum
+            return Mul(tuple(items))
+        # reduce_sum: a sum of no element is undefined, of its element's
+        # kind (a dataset without points has no vector to give the width)
         if not parts:
-            return CondVal(FALSE, 0), kind
-        items = tuple(b if c is None else Guard(c, b) for c, b in parts)
-        return Add(items), kind
+            if self.types.reduces[id(e)].base == "vec" and self.ds.points:
+                return CondVal(FALSE, (0.0,) * len(self.ds.points[0].coords))
+            return CondVal(FALSE, 0)
+        return Add(tuple(b if c is None else Guard(c, b) for c, b in parts))
 
 
 def translate_to_event_program(program, dataset):
     """Translate a validated user program against a dataset binding."""
-    diags = ul.validate_user_program(program)
+    types = ul._Validator()
+    diags = types.run(program)
     if diags:
         raise TranslateError("program does not validate: %s" %
                              "; ".join(str(d) for d in diags))
-    return _Translator(dataset).run(program)
+    return _Translator(dataset, types).run(program)

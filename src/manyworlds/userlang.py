@@ -24,10 +24,13 @@ and constants, a loop counter whose name is bound before its loop or
 inside it, a counter read after its loop, a tie-breaking call anywhere but
 ``B = breakTies*(A)`` over a named Boolean array of its dimension, indexing
 what is not a named array, a component of a feature vector, and an array
-used as a value.  It records each array's element kind and, where
-constant, its size at each depth, so it also reports an element of another
-kind than the array's earlier ones, rows of different sizes, and an element
-read where its kind does not fit.
+used as a value, and a feature vector compared with or added to a scalar.
+It records each array's element kind and, where constant, its size at each
+depth, so it also reports an element of another kind than the array's
+earlier ones, rows of different sizes, and an element read where its kind
+does not fit.  Its types (``bool``, ``num``, ``vec``, ``array``) are the
+translator's: ``translate`` reads the kind of each name's last binding and
+of each reduction from the validator it runs, and infers none itself.
 """
 
 from __future__ import annotations
@@ -406,16 +409,20 @@ def _emit_statements(items, depth, out):
 
 @dataclass
 class VType:
-    base: str  # 'bool' | 'int' | 'real' | 'vec' | 'array' | 'unknown'
+    base: str  # 'bool' | 'num' | 'vec' | 'array' | 'unknown'
     elem: object = None  # an array's element type, None until one is written
     size: int = None     # an array's size, where it is a constant
 
     def scalarish(self):
-        return self.base in ("int", "real", "unknown")
+        return self.base in ("num", "unknown")
 
-    def kind(self):
-        """The base, with int and real one numeric kind."""
-        return "num" if self.base in ("int", "real") else self.base
+    def elem_kind(self):
+        """The kind of a value's elements, an array's innermost ones:
+        'bool', 'vec' or 'num' (also where none is known)."""
+        t = self
+        while t is not None and t.base == "array":
+            t = t.elem
+        return t.base if t is not None and t.base in ("bool", "vec") else "num"
 
     def __repr__(self):
         if self.base == "array":
@@ -423,7 +430,7 @@ class VType:
         return self.base
 
 
-BOOL, INT, REAL, VEC = VType("bool"), VType("int"), VType("real"), VType("vec")
+BOOL, NUM, VEC = VType("bool"), VType("num"), VType("vec")
 UNKNOWN_T = VType("unknown")
 
 
@@ -524,7 +531,8 @@ _UNKNOWN_INT = (1 << 31) - 1
 class _Validator:
     def __init__(self):
         self.diags = []
-        self.env = {}  # name -> VType
+        self.env = {}  # name -> VType of its last binding
+        self.reduces = {}  # id of a reduce_* call -> its VType
 
     def report(self, rule, message, node):
         self.diags.append(Diagnostic(rule, message,
@@ -553,24 +561,24 @@ class _Validator:
     def _bind_ext(self, item):
         if item.func == "loadData":
             if len(item.targets) == 2:
-                types = (VType("array", VEC), INT)
+                types = (VType("array", VEC), NUM)
             elif len(item.targets) == 3:
-                types = (VType("array", VEC), INT,
-                         VType("array", VType("array", REAL)))
+                types = (VType("array", VEC), NUM,
+                         VType("array", VType("array", NUM)))
             else:
                 self.report("ext-arity", "loadData binds 2 or 3 names", item)
                 types = (UNKNOWN_T,) * len(item.targets)
         elif item.func == "loadParams":
             if len(item.targets) != 2:
                 self.report("ext-arity", "loadParams binds 2 names", item)
-            types = (INT,) * len(item.targets)
+            types = (NUM,) * len(item.targets)
         else:  # init
             if len(item.targets) != 1:
                 self.report("ext-arity", "init binds 1 name", item)
             types = (VType("array", VEC),) * len(item.targets)
         for name, t in zip(item.targets, types):
             self.env[name] = t
-            if t.base == "int":
+            if t.base == "num":
                 # one stand-in per data integer, so sizes from two differ
                 self.scope.bind(name, _UNKNOWN_INT - len(self.scope.consts))
 
@@ -629,9 +637,9 @@ class _Validator:
         # ``at`` is the element type recorded so far, ``t`` the written one
         if at is None or at.base == "unknown":
             array.elem = t
-        elif t.base != "unknown" and t.kind() != at.kind():
+        elif t.base != "unknown" and t.base != at.base:
             self.report("element-kind", "%s element written to an array of %s elements"
-                        % (t.kind(), at.kind()), item)
+                        % (t.base, at.base), item)
         elif t.base == "array" and None not in (t.size, at.size) and t.size != at.size:
             self.report("array-size", "rows of %r have different sizes" % base.name, item)
 
@@ -655,10 +663,10 @@ class _Validator:
         if k is ULit:
             if isinstance(e.value, bool):
                 return BOOL
-            return INT if isinstance(e.value, int) else REAL
+            return NUM
         if k is UName:
             if e.name in self.scope.locals:  # a counter or a comprehension variable
-                return INT
+                return NUM
             if e.name not in self.env:
                 self.report("undefined-id", "use of undeclared identifier %r" % e.name, e)
                 return UNKNOWN_T
@@ -686,6 +694,8 @@ class _Validator:
                     self.report("compare-type", "comparison over %s" % t.base, e)
             if "vec" in (lt.base, rt.base) and e.op != "==":
                 self.report("compare-type", "ordered comparison on vectors", e)
+            elif {lt.base, rt.base} == {"vec", "num"}:
+                self.report("compare-type", "comparison of a scalar with a vector", e)
             return BOOL
         if k is UBinOp:
             lt, rt = self._type(e.left), self._type(e.right)
@@ -694,13 +704,15 @@ class _Validator:
                     self.report("mul-type", "use scalar_mult for vector scaling", e)
                 elif "bool" in (lt.base, rt.base) or "array" in (lt.base, rt.base):
                     self.report("mul-type", "product over a Boolean or an array", e)
-                return REAL if "real" in (lt.base, rt.base) else lt
+                return NUM if "num" in (lt.base, rt.base) else lt
             if lt.base == "vec" and rt.base == "vec":
                 return VEC
             bad = [t.base for t in (lt, rt) if t.base in ("bool", "array")]
             if bad:
                 self.report("sum-type", "sum over %s" % bad[0], e)
-            return REAL if "real" in (lt.base, rt.base) else lt
+            elif {lt.base, rt.base} == {"vec", "num"}:
+                self.report("sum-type", "sum of a scalar and a vector", e)
+            return NUM if "num" in (lt.base, rt.base) else lt
         if k is UArrayInit:
             self._type(e.size)
             size = self.scope.const(e.size)
@@ -715,15 +727,15 @@ class _Validator:
                 elif self.scope.const(e.args[1]) is None:
                     self.report("pow-exponent",
                                 "pow exponent is not an integer constant", e)
-                return REAL
+                return NUM
             if e.func == "invert":
                 if len(e.args) != 1 or not ats[0].scalarish():
                     self.report("call-type", "invert takes one scalar", e)
-                return REAL
+                return NUM
             if e.func == "dist":
                 if len(e.args) != 2 or any(t.base not in ("vec", "unknown") for t in ats):
                     self.report("call-type", "dist takes two feature vectors", e)
-                return REAL
+                return NUM
             if e.func == "scalar_mult":
                 if len(e.args) != 2 or not ats[0].scalarish() \
                         or ats[1].base not in ("vec", "unknown"):
@@ -736,7 +748,8 @@ class _Validator:
             self.report("call-type", "unknown function %r" % e.func, e)
             return UNKNOWN_T
         if k is UReduce:
-            return self._reduce_type(e)
+            t = self.reduces[id(e)] = self._reduce_type(e)
+            return t
         raise TypeError("not a user expression: %r" % (e,))
 
     def _reduce_type(self, e):
@@ -756,15 +769,15 @@ class _Validator:
                 self.report("reduce-type", "%s over non-Boolean elements" % e.func, e)
             return BOOL
         if e.func == "reduce_count":
-            return INT
+            return NUM
         if e.func == "reduce_mult":
             if body_t.base == "vec":
                 self.report("reduce-type", "reduce_mult over vectors", e)
-            return REAL
+            return NUM
         # reduce_sum
         if body_t.base == "bool":
             self.report("reduce-type", "reduce_sum over Booleans", e)
-        return VEC if body_t.base == "vec" else REAL
+        return VEC if body_t.base == "vec" else NUM
 
 
 def validate_user_program(program):

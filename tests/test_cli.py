@@ -345,6 +345,67 @@ def test_folded_carry_kind_mismatch_exit_2(capsys, line_json, tmp_path):
         2, "error: network: carried family 'C' changes kind in the loop\n")
 
 
+_RUN = ["run", "--program", PROG, "--data", "{data}"]
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    (_RUN + ["--event-program", "{events}"],
+     "error: config: --program and --event-program are exclusive"),
+    (["run", "--data", "{data}"],
+     "error: config: one of --program/--event-program is required"),
+    (["run", "--program", PROG, "--data", "{missing}"], "error: dataset: "),
+    (["run", "--program", "{bad}", "--data", "{data}"],
+     "error: validate: {bad}:1:5: [undefined-id] "),
+    (["run", "--program", os.path.join(FIXTURES, "graphflow.prog"),
+      "--data", "{data}"], "error: translate: dataset has no matrix for 'M'"),
+    (_RUN + ["--targets", "Nope*"],
+     "error: ground: target pattern 'Nope*' matches no declaration"),
+    (_RUN + ["--epsilon", "0.1"],
+     "error: config: --epsilon requires an approximation mode"),
+    (_RUN + ["--mode", "naive", "--folded"],
+     "error: config: naive mode enumerates worlds; "),
+    (_RUN + ["--mode", "exact-d", "--job-depth", "0"],
+     "error: config: workers and job depth must be >= 1"),
+    (["gen", "--scheme", "positive", "--n", "0", "--out", "{missing}"],
+     "error: gen: need at least one point"),
+    (["run", "--event-program", "{wide}", "--data", "{wide_data}",
+      "--mode", "naive"], "error: compute: refusing to enumerate 2^25 worlds "),
+], ids=["program-and-event-program", "no-program", "missing-data",
+        "validate", "no-matrix", "no-target", "epsilon-in-exact",
+        "naive-folded", "job-depth-0", "gen-no-points", "naive-too-wide"])
+def test_run_and_gen_errors_exit_2(capsys, line_json, tmp_path, argv, prefix):
+    from manyworlds.datagen import Dataset
+    from manyworlds.events import VarTable
+
+    line = example_line_dataset()
+    wide = ["z%d" % j for j in range(25)]
+    files = {"data": line_json, "missing": str(tmp_path / "missing.json"),
+             "events": str(tmp_path / "prog.events"),
+             "bad": str(tmp_path / "bad.prog"),
+             "wide": str(tmp_path / "wide.events"),
+             "wide_data": str(tmp_path / "wide.json")}
+    (tmp_path / "prog.events").write_text("A := x1\n")
+    (tmp_path / "bad.prog").write_text("x = y + 1\n")
+    (tmp_path / "wide.events").write_text("A := %s\n" % " & ".join(wide))
+    Dataset(VarTable(line.vartable.vars + tuple((z, 0.5) for z in wide)),
+            line.points, line.params).save(files["wide_data"])
+    code, out, err = _run(capsys, *[a.format(**files) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix.format(**files)), err
+
+
+def test_emit_stage_without_out_writes_stdout(capsys, line_json):
+    from manyworlds.eventprog import emit_event_program
+    from manyworlds.translate import translate_to_event_program
+    from manyworlds.userlang import parse_user_program
+
+    code, out, err = _run(capsys, "run", "--program", PROG, "--data",
+                          line_json, "--emit-stage", "event-program")
+    tr = translate_to_event_program(parse_user_program(_read(PROG)),
+                                    example_line_dataset())
+    assert (code, out, err) == (0, emit_event_program(tr.program), "")
+
+
 def test_run_closes_its_files(capsys, line_json, tmp_path):
     ep_path = str(tmp_path / "prog.events")
     _run(capsys, "run", "--program", PROG, "--data", line_json,

@@ -259,6 +259,31 @@ N = reduce_count([1 for i in range(0,1) if B])
     assert not isinstance(vals[tr.final_eid("N")], bool)
 
 
+@pytest.mark.parametrize("use", [
+    "B = [None] * 1\nB[0] = x == O[1]\n",
+    "y = x + O[1]\n",
+], ids=["compared", "summed"])
+def test_empty_vector_sum_is_the_undefined_vector(use, line_dataset):
+    # a sum of no feature vector is a vector, undefined in every world; the
+    # interpreter check types every declaration by the network's kind rule
+    ast = parse_user_program("(O, n) = loadData()\n"
+                             "x = reduce_sum([O[l] for l in range(0, 0)])\n" + use)
+    _assert_matches_interpreter(ast, line_dataset)
+    tr = translate_to_event_program(ast, line_dataset)
+    text = emit_event_program(tr.program)
+    assert "x[0] := (false ? [0.0])" in text.splitlines()
+    assert emit_event_program(parse_event_program(text)) == text
+
+
+def test_empty_vector_sum_over_no_points():
+    # a dataset without points gives no vector width; the sum stays undefined
+    ds = Dataset(VarTable(()), [], Params(k=0))
+    ast = parse_user_program("(O, n) = loadData()\n"
+                             "x = reduce_sum([O[l] for l in range(0, n)])\n")
+    text = emit_event_program(translate_to_event_program(ast, ds).program)
+    assert "x[0] := (false ? 0)" in text.splitlines()
+
+
 def test_unresolved_dataset_binding(line_dataset):
     src = "(O, n, W) = loadData()\nS = W[0][0]\n"
     with pytest.raises(TranslateError, match="matrix"):

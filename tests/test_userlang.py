@@ -191,6 +191,22 @@ B = O[0] <= O[1]
     assert any(d.rule == "compare-type" for d in diags)
 
 
+@pytest.mark.parametrize("line,rule,message,col", [
+    ("B[0] = O[0] == 3", "compare-type", "comparison of a scalar with a vector",
+     13),
+    ("B[0] = 3 == O[0]", "compare-type", "comparison of a scalar with a vector",
+     10),
+    ("x = 1 + O[0]", "sum-type", "sum of a scalar and a vector", 7),
+    ("x = scalar_mult(2, O[0]) + 1", "sum-type", "sum of a scalar and a vector",
+     26),
+], ids=["vector-equals-scalar", "scalar-equals-vector", "scalar-plus-vector",
+        "vector-plus-scalar"])
+def test_vector_mixed_with_scalar_flagged(line, rule, message, col):
+    # the interpreter and the network's kind rule both refuse these
+    p = parse_user_program("(O, n) = loadData()\nB = [None] * 2\n" + line + "\n")
+    assert validate_user_program(p) == [userlang.Diagnostic(rule, message, 3, col)]
+
+
 def test_scalar_mult_types():
     p = parse_user_program("""
 (O, n) = loadData()
