@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Counted-work tables: how pruning and structure exploitation scale.
 
-Five tables, mirroring the performance questions the engine is built
+Six tables, mirroring the performance questions the engine is built
 around.  All numbers are deterministic work counts, not timings:
 
   1. exact vs the naive per-world baseline as the variable count grows:
@@ -11,22 +11,26 @@ around.  All numbers are deterministic work counts, not timings:
   3. hybrid work as the certain-point fraction grows;
   4. the setup work on the benchmark's exact-unfolded and anytime-folded
      instances, and on folded markov data with 12 groups: grounded tree
-     nodes, distinct grounded objects, network nodes, the calls of the
-     kind rule made by grounding + by the network build, the calls of
-     ``network._build_expr``, and the kept instance slots against all N*T
-     of them, the work that the setup and mask-init seconds pay for;
+     nodes, distinct grounded objects, network nodes, the atoms and guards
+     built as operands of their conjunctions and sums instead of as nodes,
+     the calls of the kind rule made by grounding + by the network build,
+     the calls of ``network._build_expr``, and the kept instance slots
+     against all N*T of them (a base node keeps only its slot at t=0), the
+     work that the setup and mask-init seconds pay for;
   5. the propagation work of the benchmark's exact-unfolded and
      anytime-folded searches: branches, mask writes by node kind, read
      off the undo trail after each assignment, next to the rule
      evaluations by node kind, the recomputes of queued slots whether or
-     not they write, and the guards and atoms evaluated inside their
-     readers (fused), which write no mask;
+     not they write, and the comparison operands and guarded terms
+     evaluated inside their conjunctions' and sums' rules (fused), which
+     write no mask;
   6. fingerprints of the benchmark's queries, one row per query of a
      pass: hashes of the network's ``dump()``, of the grounded program's
      text and of the targets' bounds in ``float.hex``, the counted work,
      and the query's contract violations, at workload seeds 1 and 2.  A
      change that claims to keep the work and the answers prints the same
-     table as its parent.
+     table as its parent, but for the dump column when it changes how the
+     network is built or dumped.
 """
 
 import argparse
@@ -134,14 +138,22 @@ def calls_of(run, *names):
             setattr(module, name, fn)
 
 
+def operand_count(net):
+    """The comparison operands of ``net``'s conjunctions and the guarded
+    terms of its sums."""
+    return sum(sum(type(op) is tuple for op in n.payload) if n.kind == "and"
+               else sum(g is not None for g, _b in n.payload)
+               for n in net.nodes if n.kind in ("and", "add"))
+
+
 def table_setup():
     # the benchmark's layouts (generator seeds 3 and 0), whose rotation of
     # the coordinates leaves these counts unchanged, then markov data with
     # 12 groups, where each group's event names the previous group's point
     print("\n== setup work per instance (benchmark layouts, markov n=48) ==")
-    print("%-36s %-8s %-9s %-8s %-9s %-10s %s" % (
-        "instance", "tree", "distinct", "nodes", "kind_rule", "build_expr",
-        "kept/slots"))
+    print("%-36s %-8s %-9s %-8s %-9s %-9s %-10s %s" % (
+        "instance", "tree", "distinct", "nodes", "operands", "kind_rule",
+        "build_expr", "kept/slots"))
     rows = []
     for pool in (8, 10):
         ds = gen_correlations(20, "positive", group=4, l=2, pool=pool, seed=3,
@@ -172,8 +184,8 @@ def table_setup():
         size, distinct = tree_counts(roots)
         net, calls = calls_of(lambda: build_network(grounded), "kind_rule",
                               "_build_expr")
-        print("%-36s %-8d %-9d %-8d %-9s %-10d %d/%d" % (
-            label, size, distinct, len(net.nodes),
+        print("%-36s %-8d %-9d %-8d %-9d %-9s %-10d %d/%d" % (
+            label, size, distinct, len(net.nodes), operand_count(net),
             "%d+%d" % (ground_calls, calls["kind_rule"]),
             calls["_build_expr"], len(net.slot_tables().index),
             len(net.nodes) * net.T))

@@ -75,10 +75,9 @@ def ancestor_bits(net):
     A variable's own slot is included (it may be a target).  One pass in
     kept-slot order, which is topological, gives each slot the set of
     variables below it, as a small int with one bit per variable, and ORs
-    it into the sets of the slots that read it (``SlotTables.parents``).  A
-    fused instance has no kept slot, so it lies above no variable.  The
-    per-variable masks over kept slots are then read off those sets.  The
-    result is kept on the network.
+    it into the sets of the slots that read it (``SlotTables.parents``).
+    The per-variable masks over kept slots are then read off those sets.
+    The result is kept on the network.
     """
     if net.ancestors is not None:
         return net.ancestors

@@ -459,9 +459,12 @@ def kind_rule(e, ks):
 
     Raises TypeMismatch when the node is ill-typed.  ``network._build_expr``
     applies it once to each node it creates, after the node's children, on
-    the unfolded and the folded route alike; ``Declarations`` applies it to
-    each node of a grounded program, so the oracle refuses what the network
-    refuses.
+    the unfolded and the folded route alike.  An atom directly under a
+    conjunction and a guard directly under a sum become operands of that
+    node, not nodes: the build applies the rule to each of them, over the
+    kinds of its sides, when it creates the conjunction or the sum, just
+    before the node itself.  ``Declarations`` applies it to each node of a
+    grounded program, so the oracle refuses what the network refuses.
     """
     kind = type(e)
     if kind in (Const, Var, Not, And, Or):

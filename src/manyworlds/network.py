@@ -35,39 +35,40 @@ every child slot is smaller than the slot that reads it:
     ``t=0``, and its ``source`` at ``t-1`` after that, whose slot (base or
     in-loop) is below ``t*N``.
 
+A conjunction takes each atom written directly under it in as a
+*comparison operand*, ``(op, left, right)``, and a sum each guard written
+directly under it as a *guarded term*, ``(condition, body)``; neither
+becomes a node (``_build_expr``).  Every other atom or guard is a node: one
+declared on its own and read through a reference, a target, a carried
+value, or one under ``!``, ``|``, a condval or a guard's condition.  A
+conjunction's ``payload`` holds its operands in child order, each a child
+node's id or a comparison, and a sum's its terms, where a child node ``c``
+is the term ``(None, c)``; its ``children`` are the node ids that these
+read, in the same order.  An operand is typed by ``events.kind_rule`` as
+its node would be, and its reader's rule evaluates it inline, with the
+float operations of the atom or guard rule, so a mask is the same bits as
+over a node of its own.  On the benchmark's k-medoids networks every atom
+and every guard is an operand, and a search writes 76-80% fewer masks than
+with each a node.
+
 The first ``MaskState`` on a network compiles it into ``SlotTables``.
-They number the *kept* instances, those that are neither fused (below) nor
-unused (a base node's slot at ``t>0``), in rising instance-slot order, so
-the numbering is topological too; every mask state addresses instances by
-these *kept slots*, through ``SlotTables.index``.  Per kept slot the tables
-hold the rule and node that compute its mask, the rule's argument (built
-from its children's kept slots, with the carry nodes' iteration shift
-already expanded), the slots that read its mask, and a level.  A node kind
-keeps one rule, but for three (``_rule_of``).  A sum's rule is picked by
-its kind, scalar or vector.  A distance between two condval points, whose
+They number the *kept* instances, every one but the unused slots of a base
+node at ``t>0``, in rising instance-slot order, so the numbering is
+topological too; every mask state addresses instances by these *kept
+slots*, through ``SlotTables.index``.  Per kept slot the tables hold the
+rule and node that compute its mask, the rule's argument (built from its
+children's kept slots, with the carry nodes' iteration shift already
+expanded), the slots that read its mask, and a level.  A node kind keeps
+one rule, but for three (``_rule_of``).  A sum's rule is picked by its
+kind, scalar or vector.  A distance between two condval points, whose
 masks always hold the points' values, has a fixed interval: its argument
 carries its two defined masks, computed once, and its rule returns one of
-them or ``UNDEF``.  An atom's rule is picked by its comparison.  Building
-the tables outside ``build_network`` keeps that work out of network
-construction; every mask state on the network, one per worker, shares them
-read-only.  The first state also leaves its initial masks there, and every
-later state loads them instead of computing them again.
-
-The tables *fuse* a guard whose one reader is an ``add``, and an atom whose
-one reader is an ``and``, when it is not a target: the reader's rule
-computes it inline.  Fusion shapes the reader's argument, not its rule.  A
-sum's argument holds one (condition, body) slot pair per child, in child
-order: a fused guard's condition, or None for a kept child, and the body
-slot; the sum rules apply ``_guard``'s operations to a pair with a
-condition in the same order as over a guard's mask.  A conjunction's
-argument is its plain child slots and its fused atoms, and its value does
-not depend on the order of its operands.  So every kept mask is the same bits as without
-fusion.  A fused instance has no kept slot, so no rule, no parents and no
-mask: it is never written and never queued, and its reader is queued by
-the fused instance's children instead.  ``mask_of`` computes a fused
-instance's mask on demand, from its node's rule over its children.  On the benchmark's k-medoids
-networks every atom and every guard is fused, and a search writes 76-80%
-fewer masks than without.
+them or ``UNDEF``.  An atom's rule, and a comparison operand's, is picked
+by its comparison.  Building the tables outside ``build_network`` keeps
+that work out of network construction; every mask state on the network,
+one per worker, shares them read-only.  The first state also leaves its
+initial masks there, and every later state loads them instead of computing
+them again.
 
 Propagation is levelized.  A slot's level is 0 if its rule reads no mask,
 else one more than the highest level it reads.  An assignment appends each dirty slot to
@@ -86,11 +87,11 @@ The search picks its next variable by how many undecided kept instances
 lie above it, so ``MaskState.unknown_bits`` keeps one bit per kept slot
 that is still undecided: a Boolean mask that is UNKNOWN, or a numeric
 mask that still allows two outcomes (a defined value and the undefined
-element, or two defined values).  A fused instance has no bit.
-Initialisation sets the bits of the instances it leaves undecided.  After it, writes only
-clear bits, because masks only tighten and an assignment never queues a
-decided instance.  A checkpoint carries the bits with the trail length,
-and reverting restores them in one step.
+element, or two defined values).  Initialisation sets the bits of the
+instances it leaves undecided.  After it, writes only clear bits, because
+masks only tighten and an assignment never queues a decided instance.  A
+checkpoint carries the bits with the trail length, and reverting restores
+them in one step.
 
 Networks come in two modes.  *Unfolded* networks instantiate every loop
 iteration as distinct nodes.  *Folded* networks keep one node set for the
@@ -152,7 +153,6 @@ class EventNetwork:
     def __init__(self, iterations):
         self.T = iterations  # 1 for unfolded networks
         self.nodes = []
-        self._intern = {}
         self.node_of_eid = {}
         self.var_nodes = {}  # var name -> node id
         self.targets = []  # (instance slot, eid) per target
@@ -184,35 +184,46 @@ class EventNetwork:
         return nid
 
     def dump(self):
-        """Line-oriented debug dump: ``nodeid kind children...``."""
+        """Line-oriented debug dump, one line per node: ``id kind``, the
+        node's payload, if any, then what it reads.  A conjunction reads
+        its operands, a node id or a comparison ``[left<=right]``; a sum its
+        terms, a node id or a guarded term ``(condition?body)``; a carry
+        ``init=id source=id``; any other node its children's ids."""
         out = []
         for n in self.nodes:
-            extra = ""
-            if n.kind == "var":
-                extra = " " + n.payload
-            elif n.kind == "const":
-                extra = " " + ("true" if n.payload else "false")
-            elif n.kind == "atom":
-                extra = " " + n.payload
-            elif n.kind == "condval":
-                extra = " " + repr(n.payload)
-            elif n.kind == "pow":
-                extra = " " + str(n.payload)
-            out.append("%d %s%s %s" % (n.id, n.kind, extra,
-                                       " ".join(str(c) for c in n.children)))
+            kind, payload = n.kind, n.payload
+            line = [str(n.id), kind]
+            if kind == "and":
+                line += [str(op) if type(op) is int
+                         else "[%d%s%d]" % (op[1], op[0], op[2])
+                         for op in payload]
+            elif kind == "add":
+                line += [str(b) if g is None else "(%d?%d)" % (g, b)
+                         for g, b in payload]
+            elif kind == "loop":
+                line += ["init=%d" % payload["init"],
+                         "source=%d" % payload["source"]]
+            else:
+                if kind == "const":
+                    line.append("true" if payload else "false")
+                elif kind in ("var", "atom", "condval", "pow"):
+                    line.append(str(payload))
+                line += map(str, n.children)
+            out.append(" ".join(line))
         return "\n".join(out) + "\n"
 
 
 class SlotTables:
     """An event network flattened over its kept (node, iteration) instances.
 
-    An instance is *kept* unless it is fused into its one reader or no
-    instance uses its slot (a base node's slot at ``t>0``).  The kept
-    instances are numbered in rising ``EventNetwork.slot`` order, and every
-    table is over these *kept slots*: ``index`` maps an instance slot to its
-    kept slot, and has no entry for a fused or unused one.  ``vars`` maps
-    each variable the network reads to its kept slot, and ``targets`` holds
-    the kept slot of each of ``EventNetwork.targets``, in order.
+    An instance is *kept* unless no instance uses its slot (a base node's
+    slot at ``t>0``).  The kept instances are numbered in rising
+    ``EventNetwork.slot`` order, every node at ``t=0`` first, so a node's
+    kept slot at ``t=0``, and a base node's at every iteration, is its id;
+    every table is over these *kept slots*: ``index`` maps a used instance
+    slot to its kept slot.  ``vars`` maps each variable the network reads
+    to its kept slot, and ``targets`` holds the kept slot of each of
+    ``EventNetwork.targets``, in order.
 
     ``rules[k](state, nodes[k], children[k])`` computes a kept slot's mask;
     the rule is picked per node (``_rule_of``).  ``children[k]`` is the
@@ -221,32 +232,23 @@ class SlotTables:
     declaration at ``t=0`` and its source at ``t-1`` after that.  Most
     arguments are those slots; three kinds have their own shapes:
 
-      * an ``add``'s is ``(terms, pairs)``: one ``(condition, body)`` term
-        per child, in child order, where a kept child is ``(None, slot)``
-        and a guard fused into the sum its (condition, body) slot pair, and
-        the count of fused guards, which the rule adds to ``Stats.fused``;
+      * an ``add``'s is ``(terms, pairs)``: its terms' (condition or None,
+        body) slot pairs, in child order, and the count of guarded terms,
+        which the rule adds to ``Stats.fused``;
       * a distance between two condval points is ``(a, b, sure, unsure)``:
         the points' slots, then its masks when both points are certainly
         defined and when either may be undefined.  A condval mask keeps
         its value whatever its condition, so the interval is fixed;
-      * an ``and``'s is always (plain child slots, fused atoms), with one
-        ``(rule, node, kids)`` item per fused atom, so ``()`` when no atom
-        is fused.
+      * an ``and``'s is (the slots of its child nodes, comparisons), with
+        one ``(rule, (left, right))`` item per comparison operand, so ``()``
+        when it has none.
 
-    An instance that is not a target is *fused* into its one reader when it
-    is a guard read by an ``add`` or an atom read by an ``and``: the
-    reader's argument takes it in, as above, and the reader's rule computes
-    it inline.
-
-    A fused instance has no kept slot, so it has no mask and no undecided
-    bit, and it is never written.  ``parents[k]`` holds, in rising order,
-    the kept slots whose rules read kept slot ``k``: a reader's edges run
-    from its plain children and from the children of every guard or atom
-    fused into it, one per distinct slot, so a distance of a point to
-    itself has one edge.  ``level[k]`` is 0 for a slot that reads no
-    mask, else one more than the highest level it reads.  Every edge rises,
-    because instance slots are topological and the numbering keeps their
-    order.  ``initial`` holds the masks before any assignment
+    ``parents[k]`` holds, in rising order, the kept slots whose rules read
+    kept slot ``k``, one edge per distinct slot a rule reads, so a distance
+    of a point to itself has one edge.  ``level[k]`` is 0 for a slot that
+    reads no mask, else one more than the highest level it reads.  Every
+    edge rises, because instance slots are topological and the numbering
+    keeps their order.  ``initial`` holds the masks before any assignment
     (``MaskState._init_masks``).
     """
 
@@ -254,53 +256,19 @@ class SlotTables:
                  "rules", "nodes", "initial")
 
     def __init__(self, net):
-        nodes, N, T = net.nodes, len(net.nodes), net.T
-        # per node: the reads of one instance by readers that are not
-        # carries (a base node read in the loop is read at every
-        # iteration), the last such reader, and whether a carry reads the
-        # instance: a base node's only one, an in-loop node's below the last
-        # iteration
-        plain, reader, carried = [0] * N, [None] * N, [False] * N
-        for node in nodes:
-            if node.kind == "loop":
-                carried[node.payload["init"]] = True
-                source = node.payload["source"]
-                carried[source] = carried[source] or T > 1
-            elif node.in_loop and T > 1:
-                for c in node.children:
-                    plain[c] += 1 if nodes[c].in_loop else T
-                    reader[c] = node
-            else:
-                for c in node.children:
-                    plain[c] += 1
-                    reader[c] = node
-        # one reader: no other rule needs the instance's mask; not a
-        # target: its mask credits the bounds.  A fused instance's children
-        # stay kept: an instance fuses only into a sum or a conjunction, and
-        # a guard or an atom is neither.
-        targets = {slot for slot, _eid in net.targets}
-        index, kept, loop = {}, [], [n for n in nodes if n.in_loop]
-        for t in range(T):
-            off, last = t * N, t == T - 1
-            for node in nodes if t == 0 else loop:
-                c = node.id
-                if (plain[c] == 1 and reader[c].kind == _FUSES.get(node.kind)
-                        and (not carried[c] or last and node.in_loop)
-                        and off + c not in targets):
-                    continue
-                index[off + c] = len(kept)
-                kept.append((node, t))
-
-        get, kept_of = index.get, index.__getitem__
+        nodes, N = net.nodes, len(net.nodes)
+        loop = [n for n in nodes if n.in_loop]
+        kept = [(node, 0) for node in nodes]
+        for t in range(1, net.T):
+            kept += [(node, t) for node in loop]
+        index = {t * N + node.id: k for k, (node, t) in enumerate(kept)}
 
         def at(ids, off):
-            """The instance slots of nodes ``ids`` at iteration ``off // N``."""
-            return ids if not off else [
-                c + off if nodes[c].in_loop else c for c in ids]
-
-        def fused_kids(c, off):
-            """The kept slots that fused node ``c`` reads at ``off // N``."""
-            return tuple(map(kept_of, at(nodes[c].children, off)))
+            """The kept slots of nodes ``ids`` at iteration ``off // N``;
+            the None of a term without a condition stays None."""
+            return ids if not off else tuple([
+                c if c is None or not nodes[c].in_loop else index[c + off]
+                for c in ids])
 
         children, rules, snodes = [], [], []
         parents, level = [[] for _ in kept], [0] * len(kept)
@@ -310,21 +278,18 @@ class SlotTables:
                 kids, kt = (((node.payload["init"],), 0) if t == 0
                             else ((node.payload["source"],), t - 1))
             off = kt * N
-            read = tuple(map(get, at(kids, off)))  # None: a fused child
+            read = at(kids, off)
             rule = _rule_of(node, nodes)
             if kind == "add":
-                terms = tuple([(None, a) if a is not None
-                               else fused_kids(c, off)
-                               for c, a in zip(kids, read)])
-                arg = (terms, read.count(None))
-                read = [g for term in terms for g in term if g is not None]
+                terms = node.payload if not off else tuple([
+                    at(term, off) for term in node.payload])
+                arg = (terms, sum([g is not None for g, _b in terms]))
             elif kind == "and":
-                atoms = tuple([(_rule_of(nodes[c], nodes), nodes[c],
-                                fused_kids(c, off))
-                               for c, a in zip(kids, read) if a is None])
-                arg = (tuple([a for a in read if a is not None]), atoms)
-                read = arg[0] + tuple([g for _r, _n, args in atoms
-                                       for g in args])
+                ops = node.payload
+                arg = (at(tuple([c for c in ops if type(c) is int]), off),
+                       tuple([(_atom_rule(c[0], nodes[c[1]].vkind),
+                               at(c[1:], off))
+                              for c in ops if type(c) is tuple]))
             elif rule is MaskState._point_dist:  # two fixed points
                 u, v = (nodes[c].payload for c in kids)
                 lo, hi = _idist(u, u, v, v)
@@ -350,24 +315,28 @@ class SlotTables:
         self.initial = None  # set by the first MaskState on the network
 
 
-# the kind of reader each fusable kind fuses into
-_FUSES = {"guard": "add", "atom": "and"}
+# the child kind that a conjunction or a sum takes in as an operand
+_OPERANDS = {And: Atom, Add: Guard}
 _NODE_KINDS = {Const: "const", Not: "not", And: "and", Or: "or", Atom: "atom",
                CondVal: "condval", Guard: "guard", Add: "add", Mul: "mul",
                Pow: "pow", Dist: "dist"}
 _MIRRORED = {">=": "<=", ">": "<"}
 
 
-def _build_expr(net, e, in_loop, resolve_ref, built):
-    """The node of expression ``e``, built children-first and interned.
+def _build_expr(net, e, in_loop, resolve_ref, built, intern):
+    """The node of expression ``e``, built children-first and interned in
+    ``intern``.
 
     A node built inside the loop body is iteration-dependent only when
-    something below it is; otherwise it is shared with the base layer.  A
-    new node's kind comes from ``events.kind_rule``: this is the one type
-    check of a program, so a folded body raises the same ``TypeMismatch``
-    as its unfolded program.  ``built`` maps each grounded object built so
-    far, by identity, to its node, so an object that grounding shares is
-    walked once.  A reference to a grounded identifier is looked up in
+    something below it is; otherwise it is shared with the base layer.  An
+    atom directly under a conjunction is its comparison operand, and a
+    guard directly under a sum its guarded term: their sides are built,
+    but they are not.  A new node's kind comes from ``events.kind_rule``,
+    applied to each of its operands first: this is the one type check of a
+    program, so a folded body raises the same ``TypeMismatch`` as its
+    unfolded program.  ``built`` maps each grounded object built so far, by
+    identity, to its node, so an object that grounding shares is walked
+    once.  A reference to a grounded identifier is looked up in
     ``node_of_eid``; ``resolve_ref`` resolves the others.
     """
     kind = type(e)
@@ -381,21 +350,46 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
     name = _NODE_KINDS.get(kind)
     if name is None:
         raise NetworkError("expression kind without a network encoding: %r" % (e,))
+    kids = children_of(e)
+    if not kids and kind in (Add, Mul):
+        raise NetworkError("empty sum" if kind is Add else "empty product")
+    inline = _OPERANDS.get(kind)
+    if inline is not None:  # an operand's sides in its place
+        kids = [s for c in kids
+                for s in (children_of(c) if type(c) is inline else (c,))]
     node_of_eid, cs = net.node_of_eid, []
-    for c in children_of(e):
+    for c in kids:
         nid = (node_of_eid.get(c.name) if type(c) is Ref and not c.indices
                else built.get(id(c)))
-        cs.append(_build_expr(net, c, in_loop, resolve_ref, built)
+        cs.append(_build_expr(net, c, in_loop, resolve_ref, built, intern)
                   if nid is None else nid)
     cs = tuple(cs)
-    payload = None
-    if kind is Const:
+    payload = ops = None
+    if kind is And:
+        built_ids, ops = iter(cs), []
+        for c in e.children:
+            if type(c) is Atom:
+                op, a, b = c.op, next(built_ids), next(built_ids)
+                if op in _MIRRORED:
+                    op, a, b = _MIRRORED[op], b, a
+                ops.append((op, a, b))
+            else:
+                ops.append(next(built_ids))
+        payload = tuple(dict.fromkeys(ops))  # a repeated operand adds nothing
+        cs = tuple([c for op in payload
+                    for c in ((op,) if type(op) is int else op[1:])])
+    elif kind is Add:
+        built_ids = iter(cs)
+        payload = ops = tuple([
+            (next(built_ids), next(built_ids)) if type(c) is Guard
+            else (None, next(built_ids)) for c in e.children])
+    elif kind is Const:
         payload = e.value
     elif kind is Atom:
         payload = e.op
         if payload in _MIRRORED:  # a >= b is b <= a, and a > b is b < a
             payload, cs = _MIRRORED[payload], cs[::-1]
-    elif kind in (And, Or):  # idempotent: a repeated operand adds nothing
+    elif kind is Or:  # idempotent: a repeated operand adds nothing
         cs = tuple(dict.fromkeys(cs))
     elif kind is Pow:
         payload = e.exponent
@@ -406,15 +400,23 @@ def _build_expr(net, e, in_loop, resolve_ref, built):
                                "on a loop counter: %s" % payload)
         payload = (tuple(float(x) for x in payload)
                    if isinstance(payload, tuple) else float(payload))
-    elif not cs and kind in (Add, Mul):
-        raise NetworkError("empty sum" if kind is Add else "empty product")
     nodes = net.nodes
     loopy = in_loop and any(nodes[c].in_loop for c in cs)
     key = (name, payload, cs, loopy)
-    nid = net._intern.get(key)
+    nid = intern.get(key)
     if nid is None:
-        vkind = kind_rule(e, [nodes[c].vkind for c in cs])
-        nid = net._intern[key] = net._new_node(name, cs, payload, loopy, vkind)
+        if ops is None:
+            ks = [nodes[c].vkind for c in cs]
+        else:  # each operand typed as its node would be
+            ks = []
+            for c, op in zip(e.children, ops):
+                if type(c) is inline:  # kind_rule treats both sides alike
+                    ks.append(kind_rule(c, [nodes[op[-2]].vkind,
+                                            nodes[op[-1]].vkind]))
+                else:
+                    ks.append(nodes[op if kind is And else op[1]].vkind)
+        vkind = kind_rule(e, ks)
+        nid = intern[key] = net._new_node(name, cs, payload, loopy, vkind)
     built[id(e)] = nid
     return nid
 
@@ -432,10 +434,13 @@ def build_network(grounded):
     """
     folded = isinstance(grounded, FoldedProgram)
     net = EventNetwork(grounded.count if folded else 1)
-    built = {}  # id(grounded object) -> node id, for this call only
+    built = {}  # id(grounded object) -> node id
+    intern = {}  # (kind, payload, children, in loop) -> node id
     for eid, expr in (grounded.base if folded else grounded.decls).items():
-        net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref, built)
-    final = _build_body(net, grounded, built) if folded else net.node_of_eid
+        net.node_of_eid[eid] = _build_expr(net, expr, False, _unknown_ref,
+                                           built, intern)
+    final = (_build_body(net, grounded, built, intern) if folded
+             else net.node_of_eid)
     for eid in grounded.targets:
         nid = final[eid]
         if net.nodes[nid].vkind != "b":
@@ -444,7 +449,7 @@ def build_network(grounded):
     return net
 
 
-def _build_body(net, folded, built):
+def _build_body(net, folded, built, intern):
     """Build a folded program's body once for every iteration, and return
     the node of each of its final-iteration eids.
 
@@ -505,7 +510,8 @@ def _build_body(net, folded, built):
             "iteration only: %s[%s]" % (e.name, ",".join(str(i) for i in e.indices)))
 
     for pos, d in enumerate(folded.body):
-        body_nodes[pos] = _build_expr(net, d.expr, True, resolve_body, built)
+        body_nodes[pos] = _build_expr(net, d.expr, True, resolve_body, built,
+                                      intern)
 
     for pos, nid in carry.items():
         source = body_nodes[pos]
@@ -583,8 +589,9 @@ class Stats:
     credited to each target's lower bound and took from its upper bound,
     and the mass its budget forfeited in pruned subtrees.
 
-    ``propagations`` counts mask writes; ``fused`` counts the guards and
-    atoms evaluated inside their readers' rules, which write no mask."""
+    ``propagations`` counts mask writes; ``fused`` counts the comparison
+    operands and guarded terms evaluated inside their conjunctions' and
+    sums' rules, which write no mask."""
 
     __slots__ = ("branches", "leaves", "pruned", "propagations", "fused",
                  "jobs", "replays", "credited", "taken", "pruned_mass")
@@ -642,16 +649,8 @@ class MaskState:
     # --- indexing -----------------------------------------------------------
 
     def mask_of(self, nid, t):
-        """The mask of node ``nid`` at iteration ``t``.  A fused instance
-        has no mask of its own: its node's rule computes one from its
-        children's, which are kept."""
-        net, index = self.net, self.tables.index
-        slot = index.get(net.slot(nid, t))
-        if slot is not None:
-            return self.masks[slot]
-        node = net.nodes[nid]
-        return _rule_of(node, net.nodes)(
-            self, node, tuple([index[net.slot(c, t)] for c in node.children]))
+        """The mask of node ``nid`` at iteration ``t``."""
+        return self.masks[self.tables.index[self.net.slot(nid, t)]]
 
     # --- initialisation ------------------------------------------------------
 
@@ -844,10 +843,10 @@ class MaskState:
         return UNKNOWN
 
     def _and(self, node, kids):
-        """A conjunction over (plain child slots, fused atoms), each fused
-        atom a ``(rule, atom node, atom kids)`` item.  Its value does not
-        depend on the order of its operands, so the plain slots are read
-        first and the atoms run only if none of those is false."""
+        """A conjunction over (child slots, comparisons), each comparison a
+        ``(rule, (left, right))`` item of an atom rule.  Its value does not
+        depend on the order of its operands, so the child slots are read
+        first and the comparisons run only if none of those is false."""
         plain, atoms = kids
         masks = self.masks
         all_true = True
@@ -857,8 +856,8 @@ class MaskState:
                 return MASK_FALSE
             if v != MASK_TRUE:
                 all_true = False
-        for n, (rule, atom, args) in enumerate(atoms, 1):
-            v = rule(self, atom, args)
+        for n, (rule, args) in enumerate(atoms, 1):
+            v = rule(self, node, args)
             if v == MASK_FALSE:
                 self.stats.fused += n
                 return MASK_FALSE
@@ -946,9 +945,9 @@ class MaskState:
 
     def _scalar_add(self, node, kids):
         """A sum over ``kids = (terms, pairs)``: one (condition, body) slot
-        pair per child, in child order, the condition None for a kept child
-        and a fused guard's condition slot otherwise, and the count of fused
-        guards.  A pair applies ``_guard``'s operations inline: the guard
+        pair per term, in child order, the condition None for a child node
+        and a guarded term's condition slot otherwise, and the count of
+        guarded terms.  A pair applies ``_guard``'s operations inline: the guard
         keeps its body's interval, may be undefined unless its condition is
         true, and may be defined only if its body may be and its condition
         is not false.  An undefined term adds nothing; one that may be
@@ -1070,6 +1069,12 @@ def _rule_of(node, nodes):
         return MaskState._dist
     if kind != "atom":
         return _RULES[kind]
-    if nodes[node.children[0]].vkind == "v":  # vectors compare by '=' only
+    return _atom_rule(node.payload, nodes[node.children[0]].vkind)
+
+
+def _atom_rule(op, vkind):
+    """The rule of a comparison ``op`` between two values of kind
+    ``vkind``, an atom's or a comparison operand's."""
+    if vkind == "v":  # vectors compare by '=' only
         return MaskState._vector_eq
-    return _ATOM_RULES[node.payload]
+    return _ATOM_RULES[op]

@@ -185,7 +185,8 @@ def test_stats_report_format():
 
 
 def test_fused_evaluations_repeat_from_run_to_run():
-    prog, vt, targets = random_instance(42, max_vars=8)  # sums of guards
+    # a guarded term and a comparison operand
+    prog, vt, targets = random_instance(21, max_vars=8)
     g = ground(prog, targets, variables=set(vt.index))
     net = build_network(g)
     runs = [compile_targets(again, vt, 0.0, "exact").stats.as_dict()

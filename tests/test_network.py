@@ -183,15 +183,18 @@ def test_bound_monotonicity_within_branch(seed):
             prev[eid] = nm
 
 
-def test_mask_of_a_fused_named_guard():
-    # E3 and E4 are guards read only by E6 = E3 + E4: both are fused, and
-    # ``mask_of`` computes their masks from their children
+def test_mask_of_a_named_guard():
+    # E3 and E4 are guards read only by E6 = E3 + E4: each is declared on
+    # its own, so each is a node with a kept slot, a term of E6 without a
+    # condition, and ``mask_of`` reads its mask
     prog, vt, targets = random_instance(42, max_vars=8)
     g = ground(prog, targets, variables=set(vt.index))
     net = build_network(g)
     guards = [net.node_of_eid[eid] for eid in ("E3", "E4")]
     assert all(net.nodes[nid].kind == "guard" for nid in guards)
-    assert all(net.slot_tables().index.get(nid) is None for nid in guards)
+    assert all(net.slot_tables().index[nid] == nid for nid in guards)
+    assert net.nodes[net.node_of_eid["E6"]].payload == tuple(
+        (None, nid) for nid in guards)
     names, rng = vt.names(), random.Random(42)
     for _ in range(6):
         st_ = MaskState(net)
@@ -259,6 +262,37 @@ def test_network_dump_lines():
     assert lines[0].split()[0] == "0"
     kinds = {ln.split()[1] for ln in lines}
     assert {"var", "and"} <= kinds
+
+
+def test_network_dump_shows_operands():
+    # a conjunction's comparison reads [left<=right], a sum's guarded term
+    # (condition?body); a mirrored comparison is dumped as it is built
+    text = ("S := (x ? 1.0) + (y ? (z ? 2.0))\n"
+            "T := x & [ S > (true ? 0.5) ]\n")
+    net = build_network(ground(parse_event_program(text), ("T",),
+                               {"x", "y", "z"}))
+    assert net.dump() == (
+        "0 var x\n"
+        "1 condval 1.0 0\n"
+        "2 var y\n"
+        "3 var z\n"
+        "4 condval 2.0 3\n"
+        "5 add 1 (2?4)\n"
+        "6 const true\n"
+        "7 condval 0.5 6\n"
+        "8 and 0 [7<5]\n")
+
+
+def test_network_dump_shows_what_a_carry_reads():
+    net = _base_source_network()
+    lines = net.dump().splitlines()
+    carry = next(n for n in net.nodes if n.kind == "loop")
+    assert lines[carry.id] == "%d loop init=%d source=%d" % (
+        carry.id, carry.payload["init"], carry.payload["source"])
+    assert lines[carry.payload["init"]].split()[1:] == ["var", "y"]
+    assert lines[carry.payload["source"]].split()[1:] == ["var", "x"]
+    assert lines[-1] == "%d and %d %d" % (
+        net.nodes[-1].id, carry.id, net.var_nodes["z"])
 
 
 def test_target_must_be_event(line_dataset):
@@ -388,25 +422,23 @@ def _base_source_network():
 
 def _reads(tables, slot):
     """The slots whose masks the rule of ``slot`` reads, from its argument:
-    a sum's is (terms, fused count), each term a (condition or None, body)
-    pair, a conjunction's is (plain slots, fused atoms), and a distance's
-    starts with its two operands' slots (a point distance's goes on with
-    its two masks)."""
+    a sum's is (terms, guarded count), each term a (condition or None,
+    body) pair, a conjunction's is (child slots, comparisons), and a
+    distance's starts with its two operands' slots (a point distance's goes
+    on with its two masks)."""
     node, kids = tables.nodes[slot], tables.children[slot]
-    if node is None:
-        return set()
     if node.kind == "add":
         return {c for term in kids[0] for c in term if c is not None}
     if node.kind == "and":
         plain, atoms = kids
-        return set(plain).union(*(args for _rule, _node, args in atoms))
+        return set(plain).union(*(args for _rule, args in atoms))
     if node.kind == "dist":
         return set(kids[:2])
     return set(kids)
 
 
 def _instance_kids(net, slot):
-    """The child slots of ``slot``'s node in the unfused graph."""
+    """The instance slots that ``slot``'s node reads at its iteration."""
     N = len(net.nodes)
     node, t = net.nodes[slot % N], slot // N
     if node.kind == "loop":
@@ -415,13 +447,11 @@ def _instance_kids(net, slot):
     return tuple(net.slot(c, t) for c in node.children)
 
 
-def _fused_slots(net):
-    """The used instance slots that have no kept slot: the guards and atoms
-    fused into their readers."""
-    index = net.slot_tables().index
-    return [t * len(net.nodes) + node.id for node in net.nodes
-            for t in (range(net.T) if node.in_loop else (0,))
-            if t * len(net.nodes) + node.id not in index]
+def _used_slots(net):
+    """Every used instance slot, in rising order: a base node's at t=0, an
+    in-loop node's at every iteration."""
+    return sorted(net.slot(n.id, t) for n in net.nodes
+                  for t in (range(net.T) if n.in_loop else (0,)))
 
 
 def _instance_slots(tables):
@@ -434,9 +464,26 @@ def _kept(tables, slots):
     return tuple(tables.index[s] for s in slots)
 
 
+def _operands(net, slot):
+    """The operands of a conjunction's or a sum's instance at ``slot``, with
+    each node id replaced by the kept slot it has at that iteration."""
+    tables, t = net.slot_tables(), slot // len(net.nodes)
+    node = net.nodes[slot % len(net.nodes)]
+
+    def at(c):
+        return None if c is None else tables.index[net.slot(c, t)]
+
+    return [at(op) if type(op) is int else
+            (op[0], at(op[1]), at(op[2])) if node.kind == "and" else
+            (at(op[0]), at(op[1])) for op in node.payload]
+
+
+_ATOM_RULES = {"<=": MaskState._le, "<": MaskState._lt, "=": MaskState._eq}
+
+
 def test_slot_tables_mirror_the_graph(line_dataset):
     # restated over the kept slots: a kept slot's edges are the slots its
-    # rule reads, its own children's and those of the slots fused into it
+    # rule reads, its children's, which include its operands' sides
     nets = _line_networks(line_dataset) + _random_networks(range(12))
     nets.append(_base_source_network())
     assert [net.T for net in nets[:2]] == [1, 3]
@@ -444,9 +491,9 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         tables = net.slot_tables()
         N, size = len(net.nodes), len(tables.index)
         assert len(tables.children) == len(tables.parents) == size
-        # kept slots number the kept instances in rising instance order
+        # kept slots number the used instances in rising instance order
         assert list(tables.index.values()) == list(range(size))
-        assert list(tables.index) == sorted(tables.index)
+        assert list(tables.index) == _used_slots(net)
         down = {(c, s) for s in range(size) for c in _reads(tables, s)}
         up = {(c, p) for c in range(size) for p in tables.parents[c]}
         assert down == up  # each table is the other's inverse
@@ -454,53 +501,43 @@ def test_slot_tables_mirror_the_graph(line_dataset):
         assert all(list(ups) == sorted(set(ups)) for ups in tables.parents)
         assert all(c < s for c, s in down)  # every edge rises
         assert all(tables.level[c] < tables.level[s] for c, s in down)
-        for s in tables.index:  # a slot is kept only if an instance uses it
-            assert s < N or net.nodes[s % N].in_loop
-        fused = set(_fused_slots(net))
         for slot, node in zip(_instance_slots(tables), tables.nodes):
             k = tables.index[slot]
-            # the rule comes from the node: fusion shapes the argument only
+            # the rule comes from the node: operands shape the argument only
             assert tables.rules[k] is network._rule_of(node, net.nodes)
-            kids = _instance_kids(net, slot)
-            kinds = {net.nodes[c % N].kind for c in kids if c in fused}
+            kids = _kept(tables, _instance_kids(net, slot))
+            assert _reads(tables, k) == set(kids)
             if node.kind == "add":
-                assert kinds <= {"guard"}
-                assert tables.children[k] == (tuple(
-                    _kept(tables, _instance_kids(net, c)) if c in fused
-                    else (None, tables.index[c]) for c in kids),
-                    sum(c in fused for c in kids))
+                terms = _operands(net, slot)
+                assert tables.children[k] == (
+                    tuple(terms), sum(g is not None for g, _b in terms))
             elif node.kind == "and":
-                assert kinds <= {"atom"}
                 plain, atoms = tables.children[k]
-                assert plain == _kept(tables, [c for c in kids
-                                               if c not in fused])
-                assert [args for _rule, _node, args in atoms] == [
-                    _kept(tables, _instance_kids(net, c))
-                    for c in kids if c in fused]
+                ops = _operands(net, slot)
+                assert plain == tuple(op for op in ops if type(op) is int)
+                compared = [op for op in ops if type(op) is tuple]
+                assert [args for _rule, args in atoms] == [
+                    (a, b) for _op, a, b in compared]
+                assert [rule for rule, _args in atoms] == [
+                    MaskState._vector_eq if tables.nodes[a].vkind == "v"
+                    else _ATOM_RULES[op] for op, a, _b in compared]
             elif node.kind == "dist":
-                assert tables.children[k][:2] == _kept(tables, kids)
-                assert not fused & set(kids)
+                assert tables.children[k][:2] == kids
             else:
-                assert tables.children[k] == _kept(tables, kids)
-                assert not fused & set(kids)
+                assert tables.children[k] == kids
         assert net.slot_tables() is tables  # built once, then shared
 
 
 def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
     nets = _line_networks(line_dataset) + _random_networks(range(12))
-    assert all(_fused_slots(net) for net in nets[:2])
+    assert all(_operand_count(net) for net in nets[:2])
     for net in nets:
-        tables, fused = net.slot_tables(), _fused_slots(net)
-        targets = {slot for slot, _eid in net.targets}
-        for slot in fused:
-            node = net.nodes[slot % len(net.nodes)]
-            assert node.kind in ("guard", "atom") and slot not in targets
-        # a fused instance has no kept slot, so no rule, no node, no
-        # children, no parents and no bit: the kept slots are the other
-        # used instances'
-        used = sum(net.T if n.in_loop else 1 for n in net.nodes)
-        assert len(tables.rules) == len(tables.nodes) == used - len(fused)
-        assert not set(fused) & set(tables.index)
+        tables = net.slot_tables()
+        # an operand evaluated inline has no node, so no slot, rule,
+        # parents or bit: the kept slots are the used instances
+        used = _used_slots(net)
+        assert len(tables.rules) == len(tables.nodes) == len(used)
+        assert list(tables.index) == used
         st_ = MaskState(net)
         written = set()
         plain_assign = st_.assign
@@ -517,19 +554,55 @@ def test_fused_slot_has_no_rule_parents_or_undecided_bit(line_dataset):
         assert written <= set(range(len(tables.rules)))
 
 
+def _operand_count(net):
+    """The comparison operands and guarded terms of ``net``'s nodes."""
+    return sum(type(op) is tuple for n in net.nodes if n.kind == "and"
+               for op in n.payload) + sum(
+        g is not None for n in net.nodes if n.kind == "add"
+        for g, _b in n.payload)
+
+
 def test_line_kmedoids_networks_keep_no_guard(line_dataset):
-    # every guard of the k-medoids encoding has one reader, a sum: the
-    # scalar cost sums' and the vector medoid sums' guards are all fused
+    # every guard of the k-medoids encoding is written in a sum: the scalar
+    # cost sums' and the vector medoid sums' guards are all guarded terms
     for net in _line_networks(line_dataset):
         tables = net.slot_tables()
-        guards = [slot for slot in _fused_slots(net)
-                  if net.nodes[slot % len(net.nodes)].kind == "guard"]
-        assert guards
-        assert not any(node is not None and node.kind == "guard"
-                       for node in tables.nodes)
-        shapes = {_fused_shape(node, kids)
+        assert not any(node.kind == "guard" for node in net.nodes)
+        assert any(g is not None for n in net.nodes if n.kind == "add"
+                   for g, _b in n.payload)
+        shapes = {_operand_shape(node, kids)
                   for node, kids in zip(tables.nodes, tables.children)}
         assert {"scalar pairs", "vector pairs"} <= shapes
+
+
+def _kmedoids_groundings(kmedoids_src, ds):
+    """The unfolded and folded groundings of the k-medoids builder's program
+    and of the translated ``kmedoids.prog`` on ``ds``."""
+    vs = set(ds.vartable.index)
+    prog, meta = build_kmedoids_program(ds)
+    tr = translate_to_event_program(parse_user_program(kmedoids_src), ds)
+    out = []
+    for program, pattern in ((prog, meta["targets"]),
+                             (tr.program, tr.loop_final_pattern("Centre"))):
+        out += [g(program, (pattern,), vs) for g in (ground, ground_folded)]
+    return out
+
+
+def test_kmedoids_networks_have_no_atom_or_guard_node(line_dataset,
+                                                      kmedoids_src):
+    # on the line fixture and on the benchmark's kind of layout, every atom
+    # of a k-medoids network is a comparison operand and every guard a
+    # guarded term, and every used instance keeps its slot
+    layouts = (line_dataset, gen_correlations(
+        12, "positive", group=4, l=2, pool=6, seed=3, iterations=2))
+    for ds in layouts:
+        for g in _kmedoids_groundings(kmedoids_src, ds):
+            net = build_network(g)
+            assert not {n.kind for n in net.nodes} & {"atom", "guard"}
+            assert _operand_count(net)
+            tables = net.slot_tables()
+            assert list(tables.index) == _used_slots(net)
+            assert len(tables.rules) == len(_used_slots(net))
 
 
 def _plain_add(st_, node, kids):
@@ -572,44 +645,40 @@ def _plain_add(st_, node, kids):
     return network.NumMask(lo, hi, may_undef, True)
 
 
-def _plain_rule(node, nodes):
-    """The rule of ``node`` over its children's slots alone: the plain sum
-    above, ``_dist`` for every distance, a point distance's included, and
-    the conjunction's rule with no fused atom."""
-    if node.kind == "add":
-        return _plain_add
-    if node.kind == "dist":
-        return MaskState._dist
-    if node.kind == "and":
-        return lambda st_, node, kids: MaskState._and(st_, node, (kids, ()))
-    return network._rule_of(node, nodes)
-
-
-def _unfused_mask(st_, slot):
-    """The mask of a kept slot as the unfused network computes it: each
-    guard or atom fused into it runs its own rule into a copy of the masks,
-    at a slot past the kept ones, and the slot's node then runs its plain
-    rule (``_plain_rule``) over them."""
-    net, index = st_.net, st_.tables.index
-    instance = _instance_slots(st_.tables)[slot]
-    node = net.nodes[instance % len(net.nodes)]
+def _standalone_mask(st_, slot):
+    """The mask of a kept slot as a network computes it where every atom
+    and guard is a node: each comparison operand runs its atom rule, and
+    each guarded term ``_guard``, into a copy of the masks, at a slot past
+    the kept ones, read off the node's payload; the slot then runs its
+    plain rule over them: the plain sum above, the conjunction's rule with
+    no comparison, and ``_dist`` for every distance, a point distance's
+    included."""
+    net, tables = st_.net, st_.tables
+    node = tables.nodes[slot]
     copy = SimpleNamespace(masks=list(st_.masks))
-    kids = []
-    for c in _instance_kids(net, instance):
-        if c not in index:
-            child = net.nodes[c % len(net.nodes)]
-            copy.masks.append(network._rule_of(child, net.nodes)(
-                copy, child, _kept(st_.tables, _instance_kids(net, c))))
-        kids.append(index.get(c, len(copy.masks) - 1))
-    return _plain_rule(node, net.nodes)(copy, node, tuple(kids))
+
+    def standalone(rule, args):
+        copy.masks.append(rule(copy, None, args))
+        return len(copy.masks) - 1
+
+    if node.kind == "dist":
+        return MaskState._dist(copy, node, tables.children[slot][:2])
+    ops = _operands(net, _instance_slots(tables)[slot])
+    if node.kind == "add":
+        return _plain_add(copy, node, [
+            b if g is None else standalone(MaskState._guard, (g, b))
+            for g, b in ops])
+    assert node.kind == "and"
+    kids = [op if type(op) is int else standalone(
+        MaskState._vector_eq if tables.nodes[op[1]].vkind == "v"
+        else _ATOM_RULES[op[0]], op[1:]) for op in ops]
+    return MaskState._and(copy, node, (tuple(kids), ()))
 
 
-def _fused_shape(node, kids):
+def _operand_shape(node, kids):
     """The shape of a kept sum's or point distance's rule argument, and of
-    a conjunction's when an atom is fused into it; None for any other
+    a conjunction's when it has a comparison operand; None for any other
     slot."""
-    if node is None:
-        return None
     if node.kind == "and":
         return "and with atoms" if kids[1] else None
     if node.kind == "dist":
@@ -636,9 +705,11 @@ def _planar_kmedoids():
 
 
 def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
-    # every sum against the plain sum over the unfused masks, every point
-    # distance against ``_dist`` over its operands' masks, and every
-    # conjunction with fused atoms against its rule over their masks
+    # an operand's inline evaluation equals the standalone atom or guard
+    # rule on the same masks: every sum against the plain sum over its
+    # terms' guard masks, every point distance against ``_dist`` over its
+    # operands' masks, and every conjunction with comparisons against its
+    # rule over their atom masks
     cases = [(net, line_dataset.vartable, eps, scheme)
              for net in _line_networks(line_dataset)
              for eps, scheme in ((0.0, "exact"), (0.1, "hybrid"))]
@@ -655,10 +726,10 @@ def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
         probe = SimpleNamespace(masks=st_.masks, stats=network.Stats(0))
         for slot, node in enumerate(tables.nodes):
             kids = tables.children[slot]
-            shape = _fused_shape(node, kids)
+            shape = _operand_shape(node, kids)
             if shape:
-                fused = tables.rules[slot](probe, node, kids)
-                assert repr(fused) == repr(_unfused_mask(st_, slot)), slot
+                inline = tables.rules[slot](probe, node, kids)
+                assert repr(inline) == repr(_standalone_mask(st_, slot)), slot
                 checked[shape] += 1
 
     for net, vt, eps, scheme in cases:
@@ -673,6 +744,10 @@ def test_fused_rules_equal_unfused_rules_on_every_state(line_dataset):
 
 
 def test_targets_and_shared_operands_are_not_fused():
+    # an atom or a guard declared on its own keeps a node, whether it is a
+    # target, read once or read twice; one written directly under a
+    # conjunction or a sum is that reader's operand, and one written under
+    # two conjunctions is an operand of each
     atom = Atom("<=", CondVal(Var("x"), 1.0), CondVal(TRUE, 0.5))
     guard = Guard(Var("y"), CondVal(Var("z"), 2.0))
     base = (("A", atom), ("G", guard),
@@ -683,28 +758,39 @@ def test_targets_and_shared_operands_are_not_fused():
         program = EventProgram(tuple(decl(eid, (), e) for eid, e in base + extra))
         return build_network(ground(program, targets, {"x", "y", "z"}))
 
-    def fused(extra, targets):
-        net = network_of(extra, targets)
-        slots = set(_fused_slots(net))
-        return {eid for eid, nid in net.node_of_eid.items() if nid in slots}
+    def kinds(net):
+        return Counter(n.kind for n in net.nodes)
 
-    assert fused((), ("T",)) == {"A", "G"}
-    assert fused((), ("T", "A")) == {"G"}  # a target atom
-    # an atom with a second reader, also where that reader names it twice
-    # (a conjunction keeps each operand once)
-    assert fused((("U", And((Ref("A"), Var("z")))),), ("T", "U")) == {"G"}
-    assert fused((("U", And((Ref("A"), Ref("A")))),), ("T", "U")) == {"G"}
-    # a guard with a second reader stays kept; its sum's other guard, read
-    # by that sum only, is fused next to it
-    extra = (("V", Add((Ref("G"), CondVal(TRUE, 1.0)))),)
-    assert fused(extra, ("T",)) == {"A"}
-    net = network_of(extra, ("T",))
-    shared, other = net.nodes[net.node_of_eid["S"]].children
-    assert set(_fused_slots(net)) & {shared, other} == {other}
+    for extra, targets in (((), ("T",)), ((), ("T", "A")),
+                           ((("U", And((Ref("A"), Var("z")))),), ("T", "U")),
+                           ((("U", And((Ref("A"), Ref("A")))),), ("T", "U"))):
+        net = network_of(extra, targets)
+        node_of = net.node_of_eid
+        A, G, S = (node_of[eid] for eid in "AGS")
+        assert (net.nodes[A].kind, net.nodes[G].kind) == ("atom", "guard")
+        assert (kinds(net)["atom"], kinds(net)["guard"]) == (1, 1)
+        x, c1, c25 = (net.nodes[S].children[1], net.nodes[S].children[2],
+                      next(n.id for n in net.nodes if n.payload == 2.5))
+        assert net.nodes[S].payload == ((None, G), (x, c1))
+        assert net.nodes[node_of["T"]].payload == (A, ("<", c25, S))
+        if extra:  # a second reader reads A's node, once
+            assert net.nodes[node_of["U"]].payload[0] == A
+        tables = net.slot_tables()
+        assert tables.index[A] == A and tables.index[G] == G
+        assert tables.children[tables.index[S]] == (
+            ((None, tables.index[G]), (tables.index[x], tables.index[c1])), 1)
+    # one atom object written under two conjunctions: no node, an operand
+    # of each, evaluated in each
+    shared = Atom(">=", CondVal(Var("z"), 3.0), CondVal(TRUE, 1.0))
+    net = network_of((("U", And((shared, Var("y")))),
+                      ("V", And((Var("z"), shared)))), ("T", "U", "V"))
+    assert kinds(net)["atom"] == 1
+    U, V = (net.node_of_eid[eid] for eid in "UV")
+    assert net.nodes[U].payload[0] == net.nodes[V].payload[1]
+    assert net.nodes[U].payload[0][0] == "<="
     tables = net.slot_tables()
-    assert tables.children[tables.index[net.node_of_eid["S"]]] == (
-        ((None, tables.index[shared]),
-         _kept(tables, net.nodes[other].children)), 1)
+    (_rule, args), = tables.children[tables.index[U]][1]
+    assert [a for _rule, a in tables.children[tables.index[V]][1]] == [args]
 
 
 def _sample_networks(line_dataset):
@@ -727,22 +813,44 @@ def test_mirrored_comparisons_share_a_node(line_dataset):
         node = net.nodes[nid]
         assert node.payload == plain
         assert [net.nodes[c].payload for c in node.children] == [2.0, 1.0]
-    payloads = {n.payload for net in _sample_networks(line_dataset)
-                for n in net.nodes if n.kind == "atom"}
-    assert payloads == {"<=", "<", "="}
+    # a comparison operand is mirrored as an atom node is
+    net = build_network(ground(EventProgram((decl("C", (), And((
+        Atom(">=", a, b), Atom(">", a, b)))),)), ("C",), {"x", "y"}))
+    y_, x_ = (net.nodes[c].id for c in net.nodes[net.node_of_eid["C"]].children[:2])
+    assert net.nodes[net.node_of_eid["C"]].payload == (
+        ("<=", y_, x_), ("<", y_, x_))
+    assert [net.nodes[c].payload for c in (y_, x_)] == [2.0, 1.0]
+    ops = set()
+    for net in _sample_networks(line_dataset):
+        for n in net.nodes:
+            if n.kind == "atom":
+                ops.add(n.payload)
+            elif n.kind == "and":
+                ops.update(op[0] for op in n.payload if type(op) is tuple)
+    assert ops == {"<=", "<", "="}
 
 
 def test_conjunctions_and_disjunctions_keep_distinct_children(line_dataset):
+    # a conjunction keeps each distinct operand once, a comparison and its
+    # mirrored spelling being one operand; a disjunction each distinct child
+    a, b = CondVal(Var("x"), 1.0), CondVal(Var("y"), 2.0)
     program = EventProgram((
         decl("A", (), And((Var("x"), Var("y"), Var("x")))),
+        decl("C", (), And((Atom("<", a, b), Var("x"), Atom(">", b, a)))),
         decl("O", (), Or((Ref("A"), Ref("A"))))))
-    net = build_network(ground(program, ("O",), {"x", "y"}))
-    x, y, a = net.var_nodes["x"], net.var_nodes["y"], net.node_of_eid["A"]
-    assert net.nodes[a].children == (x, y)
-    assert net.nodes[net.node_of_eid["O"]].children == (a,)
+    net = build_network(ground(program, ("O", "C"), {"x", "y"}))
+    x, y, A = net.var_nodes["x"], net.var_nodes["y"], net.node_of_eid["A"]
+    assert net.nodes[A].payload == net.nodes[A].children == (x, y)
+    C = net.nodes[net.node_of_eid["C"]]
+    (op, left, right), plain = C.payload
+    assert (op, plain) == ("<", x) and C.children == (left, right, x)
+    assert [net.nodes[c].payload for c in (left, right)] == [1.0, 2.0]
+    assert net.nodes[net.node_of_eid["O"]].children == (A,)
     for net in _sample_networks(line_dataset):
         for n in net.nodes:
-            if n.kind in ("and", "or"):
+            if n.kind == "and":
+                assert len(set(n.payload)) == len(n.payload), n
+            elif n.kind == "or":
                 assert len(set(n.children)) == len(n.children), n
 
 
@@ -752,8 +860,10 @@ def _looped_instance(seed, T=3):
     read as ``Acc[it-1]``, and two families carried from ``it-1``:
     (program, vartable, final-iteration targets).
 
-    ``G[it]`` is a guard read by a sum in its own iteration and by the
-    next, so only its last instance fuses (and, unfolded, ``G[-1]``)."""
+    ``G[it]`` is a guard declared on its own, read by a sum in its own
+    iteration and by the next, so it is a node; that sum, ``S[it]``, also
+    has a guarded term on ``Acc[it]``, so each iteration evaluates an
+    operand that depends on the loop."""
     prog, vt, targets = random_instance(seed, max_vars=5)
     x, y = (Var(name) for name in vt.names()[:2])
     it = Affine.var("it")
@@ -767,7 +877,8 @@ def _looped_instance(seed, T=3):
         Decl("Acc", (it,), Or((Ref("Acc", (it.plus(-1),)),
                                Ref(targets[0], (it,))))),
         Decl("G", (it,), Guard(Ref("Acc", (it,)), CondVal(y, 1.0))),
-        Decl("S", (it,), Add((Ref("G", (it,)), CondVal(TRUE, 0.5)))),
+        Decl("S", (it,), Add((Ref("G", (it,)), Guard(
+            Ref("Acc", (it,)), CondVal(TRUE, 0.5))))),
         Decl("K", (it,), Atom("<=", Ref("S", (it,)), Add((
             Ref("G", (it.plus(-1),)), CondVal(TRUE, 1.0))))))
     program = EventProgram((decl("Acc", (-1,), x),
@@ -777,24 +888,8 @@ def _looped_instance(seed, T=3):
                          for eid in targets + ["Acc", "K"]]
 
 
-def _recomputed_kept(net):
-    """The used instance slots that are not fused, in rising order, from the
-    node kinds, the readers of each instance and the targets alone."""
-    N = len(net.nodes)
-    used = sorted(net.slot(n.id, t) for n in net.nodes
-                  for t in (range(net.T) if n.in_loop else (0,)))
-    readers = {slot: [] for slot in used}
-    for slot in used:
-        for c in _instance_kids(net, slot):
-            readers[c].append(net.nodes[slot % N].kind)
-    targets = {slot for slot, _eid in net.targets}
-    into = {"guard": ["add"], "atom": ["and"]}
-    return [slot for slot in used if slot in targets
-            or readers[slot] != into.get(net.nodes[slot % N].kind)]
-
-
 def test_kept_slots_are_the_instances_neither_fused_nor_unused():
-    fused_seen = Counter()
+    seen = Counter()
     for seed in range(24):
         prog, vt, targets = _looped_instance(seed)
         variables = set(vt.index)
@@ -802,31 +897,29 @@ def test_kept_slots_are_the_instances_neither_fused_nor_unused():
                 for g in (ground, ground_folded)]
         assert [net.T for net in nets] == [1, 3]
         for net in nets:
-            tables, kept = net.slot_tables(), _recomputed_kept(net)
-            assert list(tables.index) == kept
-            assert list(tables.index.values()) == list(range(len(kept)))
-            assert len(tables.rules) == len(tables.children) == len(kept)
-            assert all(c < k for k in range(len(kept))
+            tables, used = net.slot_tables(), _used_slots(net)
+            assert list(tables.index) == used
+            assert list(tables.index.values()) == list(range(len(used)))
+            assert len(tables.rules) == len(tables.children) == len(used)
+            assert all(c < k for k in range(len(used))
                        for c in _reads(tables, k))  # every edge rises
-            at = {slot: k for k, slot in enumerate(kept)}
-            fused = [(slot % len(net.nodes), slot // len(net.nodes))
-                     for slot in sorted(set(_fused_slots(net)))]
-            fused_seen[net.T] += len(fused)
+            inline = [k for k, (node, kids) in enumerate(
+                zip(tables.nodes, tables.children))
+                if node.kind in ("add", "and") and kids[1]]
+            seen[net.T] += len(inline)
 
             def check(state):
-                # a fused instance's mask is its rule over its children's
-                # kept slots
-                for nid, t in fused:
-                    node = net.nodes[nid]
-                    kids = tuple(at[net.slot(c, t)] for c in node.children)
-                    want = network._rule_of(node, net.nodes)(state, node, kids)
-                    assert repr(state.mask_of(nid, t)) == repr(want)
+                # at every iteration, an instance with operands has the
+                # mask of its plain rule over their standalone masks
+                for k in inline:
+                    assert repr(state.masks[k]) == repr(
+                        _standalone_mask(state, k))
 
             search = Search(net, vt, 0.0, "exact", on_branch=check)
             check(search.state)
             search.preassign_certain()
             search.run()
-    assert fused_seen[1] and fused_seen[3]
+    assert seen[1] and seen[3]
 
 
 def test_carried_base_source_reaches_every_iteration():
